@@ -1,4 +1,4 @@
-"""Central numeric configuration: every tolerance and grid size in one record.
+"""Central numeric configuration: every tolerance and size limit in one record.
 
 All matrix norms in this package are trace-normalized (the identity has
 1-norm and 2-norm equal to 1), so the tolerances below are dimension-free.
@@ -11,11 +11,10 @@ from dataclasses import dataclass
 class Tolerances:
     unitarity: float = 1e-9      # max-norm defect allowed in U @ U.conj().T - I
     rank: float = 1e-9           # singular values above this count toward rank
-    ell: float = 1e-8            # target accuracy of circle minimizations
+    ell: float = 1e-8            # slack when checking projective profile values
     eq_base: float = 1e-7        # projective equality: eq_base * (steps + 1)
     hyp_slack: float = 1e-9      # slack in hypothesis inequalities
     tie_rel: float = 1e-9        # relative tie window in gap orderings
-    grid_n: int = 4096           # phases in the first-pass circle grid
     diag_residual: float = 1e-8  # reconstruction defect in eigendecompositions
     diag_retries: int = 8
     s0_max: int = 5040           # largest common-denominator embedding dimension

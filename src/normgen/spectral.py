@@ -7,8 +7,16 @@ two-norm is the Frobenius norm divided by sqrt(n).
 The central quantity is the projective profile of a unitary u: for each index
 i, the infimum over unit scalars lam of the (i+1)-th largest singular value of
 1 - lam*u.  For unitary u with eigenvalue angles a_j, the singular values of
-1 - e^{it}u are 2|sin((t + a_j)/2)|, so everything reduces to scans over the
-phase circle; see _kernels for the scan backends.
+1 - e^{it}u are 2|sin((t + a_j)/2)|, so everything reduces to chords on the
+circle, where both projective quantities have closed forms:
+
+* the (i+1)-th largest chord is at most r exactly when an arc of chord
+  radius r around conj(lam) holds n - i eigenvalues, so the i-th projective
+  value is the minimum over cyclic windows of n - i consecutive sorted
+  angles of 2 sin(span / 4), attained at the window's midpoint;
+* each chord term is concave in the phase between its zeros, so the
+  projective one-norm is attained at a phase cancelling some eigenvalue:
+  min_j mean_k |1 - e^{i(a_k - a_j)}|.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +25,6 @@ import math
 
 import numpy as np
 
-from . import _kernels
 from .config import TOL
 from .errors import (
     DimensionError,
@@ -26,10 +33,6 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# full sorted grid matrices are only materialized below this size; above it
-# the lean scan kernel plus single-basin refinement is used instead
-_DENSE_LIMIT = 512
 
 
 def canon_angle(x):
@@ -318,146 +321,38 @@ def projective_residual(a, b):
 
 
 # ---------------------------------------------------------------------------
-# circle-grid minimization machinery
+# closed-form projective profile and one-norm
 
 
-_GRID = None
+def _doubled_sorted(angles):
+    """Sorted angles followed by the same angles one turn later, so every
+    cyclic window of consecutive eigenvalues is a contiguous slice."""
+    a = np.sort(np.asarray(angles, dtype=float))
+    return np.concatenate((a, a + TWO_PI))
 
 
-def _grid():
-    global _GRID
-    if _GRID is None:
-        g = np.arange(TOL.grid_n) * (TWO_PI / TOL.grid_n)
-        g.setflags(write=False)
-        _GRID = g
-    return _GRID
+def _narrowest_window(ext, width):
+    """Projective value and witness phase for windows of `width` eigenvalues.
 
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, a, b, iters=60):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
-            break
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _candidate_points(curve, vmin, h):
-    """Grid points that may be nearest to the true minimizer.
-
-    The objectives are 1-Lipschitz in arc length, so the grid point nearest
-    the true minimizer sits within h/2 of the grid minimum in value; flag all
-    such points, lowest first, capped to keep adversarial flat curves cheap.
+    The value is 2 sin(span / 4) for the narrowest cyclic window; the witness
+    conj(e^{i mid}) centers the arc on the window's midpoint.
     """
-    thresh = vmin + 0.5000001 * h + 1e-15
-    idx = np.nonzero(curve <= thresh)[0]
-    if idx.shape[0] > 512:
-        idx = idx[np.argsort(curve[idx], kind="stable")][:512]
-    else:
-        idx = idx[np.argsort(curve[idx], kind="stable")]
-    return [int(k) for k in idx]
-
-
-def _refine(f, curve, h):
-    vmin = float(np.min(curve))
-    best_v = vmin
-    best_t = float(np.argmin(curve)) * h
-    for k in _candidate_points(curve, vmin, h):
-        t0 = k * h
-        t, v = _golden_min(f, t0 - h, t0 + h)
-        if v < best_v:
-            best_v, best_t = v, t
-    return best_v, best_t % TWO_PI
-
-
-def _index_value(angles, i, phase):
-    d = np.abs(2.0 * np.sin(0.5 * (phase + angles)))
-    n = d.shape[0]
-    return float(np.partition(d, n - 1 - i)[n - 1 - i])
-
-
-def _index_curve(angles, i, phases):
-    n = angles.shape[0]
-    out = np.empty(phases.shape[0])
-    chunk = max(1, int(2_000_000 // n))
-    for start in range(0, phases.shape[0], chunk):
-        p = phases[start : start + chunk]
-        d = np.abs(2.0 * np.sin(0.5 * (p[:, None] + angles[None, :])))
-        out[start : start + p.shape[0]] = np.partition(d, n - 1 - i, axis=1)[
-            :, n - 1 - i
-        ]
-    return out
-
-
-def _profile_dense(angles):
-    phases = _grid()
-    h = TWO_PI / TOL.grid_n
-    mat = _kernels.sorted_grid_matrix(angles, phases)
-    n = angles.shape[0]
-    vals = np.empty(n)
-    wits = np.empty(n, dtype=complex)
-    for i in range(n):
-        v, t = _refine(lambda t: _index_value(angles, i, t), mat[:, i], h)
-        vals[i] = v
-        wits[i] = complex(math.cos(t), math.sin(t))
-    return vals, wits
-
-
-def _profile_lean(angles):
-    # for very large spectra only the best grid basin per index is refined;
-    # a tie between far-apart basins can then cost up to half a grid cell
-    phases = _grid()
-    h = TWO_PI / TOL.grid_n
-    gvals, gargs = _kernels.profile_scan(angles, phases)
-    n = angles.shape[0]
-    vals = np.empty(n)
-    wits = np.empty(n, dtype=complex)
-    for i in range(n):
-        t0 = float(gargs[i]) * h
-        f = lambda t: _index_value(angles, i, t)
-        t, v = _golden_min(f, t0 - h, t0 + h)
-        if v > gvals[i]:
-            v, t = float(gvals[i]), t0
-        vals[i] = v
-        wits[i] = complex(math.cos(t), math.sin(t))
-    return vals, wits
-
-
-def _ell_profile(angles):
-    n = angles.shape[0]
-    if n <= _DENSE_LIMIT:
-        vals, wits = _profile_dense(angles)
-    else:
-        vals, wits = _profile_lean(angles)
-    # each value is an independent minimum; tiny refinement noise can break
-    # monotonicity at the 1e-12 level, so clip, but a real violation means a
-    # missed basin and must not be papered over
-    for i in range(1, n):
-        if vals[i] > vals[i - 1] + 1e-9:
-            raise NumericalDegeneracyError(
-                f"profile refinement failed: value[{i}] exceeds value[{i - 1}]"
-            )
-        if vals[i] > vals[i - 1]:
-            vals[i] = vals[i - 1]
-    return vals, wits
+    n = ext.shape[0] // 2
+    spans = ext[width - 1 : width - 1 + n] - ext[:n]
+    j = int(np.argmin(spans))
+    mid = 0.5 * (ext[j] + ext[j + width - 1])
+    value = 2.0 * math.sin(0.25 * float(spans[j]))
+    return value, complex(math.cos(mid), -math.sin(mid))
 
 
 def projective_profile(u, seed=0):
     """Full projective singular value profile of a unitary, with witnesses."""
-    spec = spectrum_of(u, seed=seed)
-    vals, wits = _ell_profile(spec.angles)
+    ext = _doubled_sorted(spectrum_of(u, seed=seed).angles)
+    n = ext.shape[0] // 2
+    vals = np.empty(n)
+    wits = np.empty(n, dtype=complex)
+    for i in range(n):
+        vals[i], wits[i] = _narrowest_window(ext, n - i)
     return SpectralProfile("ell", vals, wits)
 
 
@@ -467,31 +362,23 @@ def projective_s_number(u, i, seed=0):
     n = spec.n
     if not (0 <= i < n):
         raise IndexError(f"index {i} out of range for size {n}")
-    angles = spec.angles
-    phases = _grid()
-    h = TWO_PI / TOL.grid_n
-    if n <= _DENSE_LIMIT:
-        mat = _kernels.sorted_grid_matrix(angles, phases)
-        curve = mat[:, i]
-    else:
-        curve = _index_curve(angles, i, phases)
-    v, t = _refine(lambda t: _index_value(angles, i, t), curve, h)
-    return v, complex(math.cos(t), math.sin(t))
+    return _narrowest_window(_doubled_sorted(spec.angles), n - i)
 
 
 def projective_one_norm(u, seed=0):
     """min over unit lam of the trace-normalized one-norm of 1 - lam*u."""
-    spec = spectrum_of(u, seed=seed)
-    angles = spec.angles
-    phases = _grid()
-    h = TWO_PI / TOL.grid_n
-    curve = _kernels.mean_curve(angles, phases)
-
-    def f(t):
-        return float(np.mean(np.abs(2.0 * np.sin(0.5 * (t + angles)))))
-
-    v, t = _refine(f, curve, h)
-    return v, complex(math.cos(t), math.sin(t))
+    a = np.sort(spectrum_of(u, seed=seed).angles)
+    s, c = np.sin(0.5 * a), np.cos(0.5 * a)
+    # exclusive prefix sums; for sorted a in (-pi, pi] the sum over k of
+    # |sin((a_k - a_j)/2)| splits at j into two sums with fixed signs
+    ps = np.cumsum(s) - s
+    pc = np.cumsum(c) - c
+    totals = c * (s.sum() - 2.0 * ps) - s * (c.sum() - 2.0 * pc)
+    j = int(np.argmin(totals))
+    # evaluate at the chosen eigenvalue directly, so the returned phase
+    # attains the returned value without prefix-sum rounding
+    value = float(np.mean(chord(a - a[j])))
+    return value, complex(math.cos(a[j]), -math.sin(a[j]))
 
 
 def profile_mean(u, seed=0):
@@ -504,15 +391,9 @@ def projective_rank(u, seed=0):
     """Least s with all profile values from index s on below the rank cutoff.
 
     For a unitary the last profile value always vanishes (some phase lands on
-    an eigenvalue), so the result is at most n-1; a non-vanishing tail means
-    the minimization went wrong and raises.
+    an eigenvalue), so the result is at most n-1.
     """
-    prof = projective_profile(u, seed=seed)
-    v = prof.values
-    if v[-1] > TOL.rank:
-        raise NumericalDegeneracyError(
-            f"profile tail {v[-1]:.3e} does not vanish"
-        )
+    v = projective_profile(u, seed=seed).values
     above = np.nonzero(v > TOL.rank)[0]
     if above.shape[0] == 0:
         return 0

@@ -49,6 +49,13 @@ def haar_unitary(n, rng):
     return q * (ph / np.abs(ph))[None, :]
 
 
+angles_lists = st.lists(
+    st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
+    min_size=1,
+    max_size=10,
+)
+
+
 class TestFrozenProjective:
     def test_quarter_turn_pair(self):
         # eigenvalues 1 and i: the best phase balances the two distances at
@@ -119,6 +126,23 @@ class TestOneNormAndMean:
     def test_half_turn_profile_mean(self):
         u = ng.CircleSpectrum([0.0, math.pi])
         assert ng.profile_mean(u) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-8)
+
+    @settings(deadline=None, max_examples=60)
+    @given(angles_lists)
+    def test_one_norm_oracle(self, angles):
+        a = np.asarray(angles, dtype=float)
+        v, lam = ng.projective_one_norm(ng.CircleSpectrum(a))
+        brute = min(float(np.mean(ng.chord(a - aj))) for aj in a)
+        assert v == pytest.approx(brute, abs=1e-12)
+        # the mean of 1-Lipschitz chords is 1-Lipschitz in the phase, so a
+        # grid minimum overshoots by at most half a cell
+        grid = 1 << 16
+        ts = np.arange(grid) * (2.0 * math.pi / grid)
+        scan = float(np.min(np.mean(ng.chord(ts[:, None] + a[None, :]), axis=1)))
+        assert v <= scan + 1e-12
+        assert scan <= v + math.pi / grid + 1e-12
+        attained = float(np.mean(np.abs(1.0 - lam * np.exp(1j * a))))
+        assert attained == pytest.approx(v, abs=1e-12)
 
     def test_mean_below_one_norm(self):
         rng = np.random.default_rng(11)
@@ -205,6 +229,34 @@ class TestDenseOracleAgreement:
             assert prof.values[i] <= o + 1e-8
             assert o <= prof.values[i] + ORACLE_SLACK
 
+    @pytest.mark.parametrize("family,seed", [("four-clusters", 21), ("clustered", 69)])
+    def test_hard_spectra(self, family, seed):
+        # seeded n=31 spectra whose grid-search basins nearly tie: four
+        # clusters with 1e-3 jitter, and angles clustered in +-0.3
+        rng = np.random.default_rng(seed)
+        n = 31
+        if family == "four-clusters":
+            angles = rng.choice([0.0, 1.0, -2.0, math.pi], n) + rng.normal(0.0, 1e-3, n)
+        else:
+            angles = rng.uniform(-0.3, 0.3, size=n)
+        prof = ng.projective_profile(ng.CircleSpectrum(angles))
+        for i in (0, 14, 16, 22, n - 1):
+            o = ell_oracle(angles, i)
+            assert prof.values[i] <= o + 1e-8
+            assert o <= prof.values[i] + ORACLE_SLACK
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_large_uniform_spectra(self, n):
+        angles = np.random.default_rng(n).uniform(-math.pi, math.pi, size=n)
+        prof = ng.projective_profile(ng.CircleSpectrum(angles))
+        assert np.all(np.diff(prof.values) <= 0)
+        assert prof.values[-1] == 0.0
+        for i in np.linspace(0, n - 1, 17).astype(int):
+            t = math.atan2(prof.witnesses[i].imag, prof.witnesses[i].real)
+            assert sorted_dists(angles, t)[i] == pytest.approx(
+                prof.values[i], abs=1e-10
+            )
+
     def test_witness_attains_value(self):
         rng = np.random.default_rng(5)
         angles = rng.uniform(-math.pi, math.pi, size=6)
@@ -214,13 +266,6 @@ class TestDenseOracleAgreement:
             assert sorted_dists(angles, t)[i] == pytest.approx(
                 prof.values[i], abs=1e-10
             )
-
-
-angles_lists = st.lists(
-    st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
-    min_size=1,
-    max_size=10,
-)
 
 
 class TestInvariants:
