@@ -1,10 +1,15 @@
 """Central numeric configuration: every tolerance and size limit in one record.
 
 All matrix norms in this package are trace-normalized (the identity has
-1-norm and 2-norm equal to 1), so the tolerances below are dimension-free.
+1-norm and 2-norm equal to 1), so the tolerances below are dimension-free;
+only the product tolerance grows with n, as the rounding of an n x n product
+does.
 """
 
 from dataclasses import dataclass
+import sys
+
+EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -12,7 +17,7 @@ class Tolerances:
     unitarity: float = 1e-9      # max-norm defect allowed in U @ U.conj().T - I
     rank: float = 1e-9           # singular values above this count toward rank
     ell: float = 1e-8            # slack when checking projective profile values
-    eq_base: float = 1e-7        # projective equality: eq_base * (steps + 1)
+    eq_ulps: float = 128.0       # product rounding allowance, units of n * eps per step
     hyp_slack: float = 1e-9      # slack in hypothesis inequalities
     tie_rel: float = 1e-9        # relative tie window in gap orderings
     diag_residual: float = 1e-8  # reconstruction defect in eigendecompositions
@@ -20,9 +25,23 @@ class Tolerances:
     s0_max: int = 5040           # largest common-denominator embedding dimension
     exhaustive_n: int = 8        # exhaustive ordering search up to this size
 
-    def eq_tol(self, steps: int) -> float:
-        """Projective equality tolerance for a product of `steps` factors."""
-        return self.eq_base * (steps + 1)
+    def eq_tol(
+        self, steps: int, n: int, defect: float = 0.0, target_defect: float = 0.0
+    ) -> float:
+        """Entrywise tolerance for an n x n product of `steps` conjugates
+        compared with a target.
+
+        Each factor may add eq_ulps * n * eps of rounding plus n * defect,
+        where defect sums the max-norm defects of the factors' unitary frames
+        and of the stored base diagonalization (n times a max-norm bounds the
+        operator norm); one more factor covers the final change of frame.
+        Honest certificates of the test and corpus pools stay below 24 units
+        of (steps + 1) * n * eps, the worst at n = 2.  The product is
+        unitary, so it cannot come closer to the target than the target's
+        distance to the nearest unitary, which n * target_defect bounds for
+        the target's max-norm unitarity defect.
+        """
+        return (steps + 1) * n * (self.eq_ulps * EPS + defect) + n * target_defect
 
 
 TOL = Tolerances()

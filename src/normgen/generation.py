@@ -5,9 +5,12 @@ of conjugates of v or its inverse whose product equals u up to a global
 phase.  The construction decomposes the target into commuting two-by-two
 block factors, realizes each factor by a class-angle walk whose generator is
 a commutator of v with a block rotation, and charges every conjugate against
-a stated budget.  Certificates carry everything needed for an independent
-recheck; verify_certificate redoes the multiplication and the bookkeeping
-from scratch and reports rather than raises.
+a stated budget.  A certificate stores the eigenframes of target and base
+once and each conjugate as a permutation times small unitary blocks in those
+frames, so a conjugate costs O(n) space and O(n^2) checking time.  It
+carries everything needed for an independent recheck; verify_certificate
+redoes the multiplication and the bookkeeping from the stored factors and
+reports rather than raises.
 
 Two conventions keep the walks honest.  First, a full block swap can leave
 the commutator class beyond a quarter turn, where fixed-length walks lose
@@ -23,7 +26,7 @@ import math
 
 import numpy as np
 
-from .config import TOL
+from .config import EPS, TOL
 from .errors import (
     BudgetInfeasibleError,
     CertificateFormatError,
@@ -40,13 +43,16 @@ from .spectral import (
     UnitaryRep,
     as_unitary,
     canon_angle,
+    chord,
     diagonalize_normal,
     matrix_from_json,
     matrix_to_json,
     projective_one_norm,
     projective_profile,
+    projective_residual,
     projective_s_number,
     rank_distance,
+    spectrum_of,
     unitarity_defect,
 )
 from .su2 import conjugator_to_reference, rotation_class_angle, su2_walk
@@ -70,7 +76,7 @@ __all__ = [
 
 THEOREM_TAGS = ("rank_dep", "rank_indep", "full_gen", "pipeline", "broise_kernel")
 
-CERT_VERSION = "normgen-cert/1"
+CERT_VERSION = "normgen-cert/2"
 
 # conjugating by this flips diag(a, conj(a)) to diag(conj(a), a)
 _FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -82,45 +88,75 @@ _FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class CertStep:
-    """One conjugate in a certificate: contributes g @ base^e @ g*.
+    """One conjugate in a certificate, stored in the certificate's eigenframes.
+
+    The eigenframe conjugator is y = P @ Y: Y is the identity except for the
+    square blocks, each placed on the diagonal at its offset, and P sends
+    basis vector a to perm[a].  With the certificate's frames A and B the
+    step is the conjugate g @ base^e @ g* by g = A @ y @ B*.
 
     Deliberately unvalidated so that damaged certificates can still be
     loaded and then fail verification instead of failing to parse.
     """
 
-    g: np.ndarray
+    perm: np.ndarray
+    blocks: tuple
     e: int
 
     def __post_init__(self):
-        m = np.asarray(self.g, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "g", m)
+        p = np.asarray(self.perm, dtype=np.int64)
+        p.setflags(write=False)
+        blocks = []
+        for offset, blk in self.blocks:
+            b = np.asarray(blk, dtype=complex)
+            b.setflags(write=False)
+            blocks.append((int(offset), b))
+        object.__setattr__(self, "perm", p)
+        object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "e", int(self.e))
 
     def to_json(self):
-        return {"g": matrix_to_json(self.g), "e": self.e}
+        return {
+            "perm": self.perm.tolist(),
+            "blocks": [
+                {"offset": offset, "u": matrix_to_json(b)} for offset, b in self.blocks
+            ],
+            "e": self.e,
+        }
 
     @classmethod
     def from_json(cls, obj):
         try:
-            g = matrix_from_json(obj["g"], what="step conjugator")
-            e = int(obj["e"])
-        except (KeyError, TypeError, ValueError) as exc:
+            perm, e = obj["perm"], obj["e"]
+            blocks = tuple(
+                (b["offset"], matrix_from_json(b["u"], what="step block"))
+                for b in obj["blocks"]
+            )
+            if not all(type(i) is int for i in (*perm, *(o for o, _ in blocks), e)):
+                raise TypeError("perm entries, offsets and exponent must be integers")
+            return cls(perm, blocks, e)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateFormatError(f"malformed step: {exc}") from exc
-        return cls(g, e)
 
 
 @dataclass(frozen=True)
 class Certificate:
     """Explicit product of conjugates of base^{+-1} realizing target.
 
-    The product of g @ base^e @ g* over steps, in order, equals target up to
-    one global phase.  claimed_budget is the theorem-level bound the length
-    is charged against; params and metadata record how the steps were found.
+    base = B @ diag(e^{i base_angles}) @ B* with bframe B, and every step
+    conjugates base^e by A @ y @ B* with aframe A (see CertStep), so the
+    product of the steps, in order, is A @ M @ A* with M the product of
+    y @ diag(e^{i e base_angles}) @ y* computed in the eigenframe.  It
+    equals target up to one global phase.  claimed_budget is the
+    theorem-level bound the length is charged against; params and metadata
+    record how the steps were found.
     """
 
     target: np.ndarray
     base: np.ndarray
+    aframe: np.ndarray
+    bframe: np.ndarray
+    base_angles: np.ndarray
     steps: tuple
     claimed_budget: int
     theorem: str
@@ -129,13 +165,22 @@ class Certificate:
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=complex)
-        b = np.asarray(self.base, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionError(f"target must be square, got {t.shape}")
-        if b.shape != t.shape:
+        mats = {"target": t}
+        for name in ("base", "aframe", "bframe"):
+            m = np.asarray(getattr(self, name), dtype=complex)
+            if m.shape != t.shape:
+                raise DimensionError(
+                    f"{name} shape {m.shape} does not match target {t.shape}"
+                )
+            mats[name] = m
+        angles = np.asarray(self.base_angles, dtype=float)
+        if angles.shape != (t.shape[0],):
             raise DimensionError(
-                f"base shape {b.shape} does not match target {t.shape}"
+                f"need {t.shape[0]} base angles, got shape {angles.shape}"
             )
+        mats["base_angles"] = angles
         if self.theorem not in THEOREM_TAGS:
             raise ValidationError(f"unknown theorem tag {self.theorem!r}")
         budget = int(self.claimed_budget)
@@ -145,10 +190,9 @@ class Certificate:
         for st in steps:
             if not isinstance(st, CertStep):
                 raise ValidationError("steps must be CertStep instances")
-        t.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "target", t)
-        object.__setattr__(self, "base", b)
+        for name, m in mats.items():
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "claimed_budget", budget)
         object.__setattr__(self, "params", dict(self.params))
@@ -161,14 +205,27 @@ class Certificate:
     def __len__(self):
         return len(self.steps)
 
+    def conjugator(self, i):
+        """Dense conjugator g = A @ P @ Y @ B* of step i (A @ P permutes the
+        columns of A)."""
+        st = self.steps[i]
+        y = np.eye(self.n, dtype=complex)
+        for offset, b in st.blocks:
+            y[offset : offset + b.shape[0], offset : offset + b.shape[0]] = b
+        return self.aframe[:, st.perm] @ y @ self.bframe.conj().T
+
     def product(self):
-        return certificate_product(self.base, self.steps)
+        a = self.aframe
+        return a @ certificate_product(self.base_angles, self.steps) @ a.conj().T
 
     def to_json(self):
         out = {
             "version": CERT_VERSION,
             "target": matrix_to_json(self.target),
             "base": matrix_to_json(self.base),
+            "aframe": matrix_to_json(self.aframe),
+            "bframe": matrix_to_json(self.bframe),
+            "base_angles": self.base_angles.tolist(),
             "steps": [st.to_json() for st in self.steps],
             "claimed_budget": self.claimed_budget,
             "theorem": self.theorem,
@@ -188,18 +245,21 @@ class Certificate:
                 f"unsupported certificate version {obj.get('version')!r}"
             )
         try:
-            target = matrix_from_json(obj["target"], what="target")
-            base = matrix_from_json(obj["base"], what="base")
+            mats = [
+                matrix_from_json(obj[name], what=name)
+                for name in ("target", "base", "aframe", "bframe")
+            ]
+            angles = np.asarray(obj["base_angles"], dtype=float)
             steps = tuple(CertStep.from_json(s) for s in obj["steps"])
             budget = int(obj["claimed_budget"])
             theorem = obj["theorem"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateFormatError(f"malformed certificate: {exc}") from exc
         params = obj.get("params") or {}
         metadata = dict(obj.get("metadata") or {})
         if "s0" in obj:
             metadata.setdefault("s0", int(obj["s0"]))
-        return cls(target, base, steps, budget, theorem, params, metadata)
+        return cls(*mats, angles, steps, budget, theorem, params, metadata)
 
 
 def _json_safe(obj):
@@ -218,23 +278,36 @@ def _json_safe(obj):
     return obj
 
 
-def certificate_product(base, steps):
-    """Multiply out g @ base^e @ g* over the steps, left to right."""
-    b = np.asarray(base, dtype=complex)
-    binv = b.conj().T
-    out = np.eye(b.shape[0], dtype=complex)
+def certificate_product(angles, steps):
+    """Multiply out y @ D^e @ y* over the steps, left to right, where
+    D = diag(e^{i angles}) and y = P @ Y is each step's eigenframe conjugator.
+
+    The running product is kept with its columns permuted by the current
+    step's P, so steps sharing a perm need no permutation in between; D^e
+    scales columns and each block of Y mixes only its own columns, so a step
+    costs O(n^2) plus O(n w^2) per block of width w.  The steps must be well
+    formed (perm a permutation, blocks square, in range and disjoint).
+    """
+    d = np.exp(1j * np.asarray(angles, dtype=float))
+    n = d.shape[0]
+    cur = np.arange(n)
+    acc = np.eye(n, dtype=complex)  # the product so far, times P_cur
     for st in steps:
-        g = np.asarray(st.g, dtype=complex)
-        core = b if st.e == 1 else binv
-        out = out @ (g @ core @ g.conj().T)
+        if not np.array_equal(st.perm, cur):
+            acc = acc[:, np.argsort(cur)[st.perm]]
+            cur = st.perm
+        core = d if st.e == 1 else d.conj()
+        mixed = [
+            (offset, acc[:, offset : offset + b.shape[0]]
+             @ ((b * core[offset : offset + b.shape[0]]) @ b.conj().T))
+            for offset, b in st.blocks
+        ]
+        acc *= core
+        for offset, cols in mixed:
+            acc[:, offset : offset + cols.shape[1]] = cols
+    out = np.empty_like(acc)
+    out[:, cur] = acc
     return out
-
-
-def _trace_residual(a, b):
-    """Projective distance sqrt(2 - 2|tr(a* b)|/n), clamped at zero."""
-    n = a.shape[0]
-    t = abs(np.trace(a.conj().T @ b)) / n
-    return math.sqrt(max(0.0, 2.0 - 2.0 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +441,24 @@ def swap_commutator(v, j):
     """Commutator of a diagonal unitary with the swap at (j, j+1).
 
     Returns (commutator, fragment, block_angle): the commutator equals the
-    two-step fragment product v * (g v* g*), supported on the block where it
-    rotates by the angle gap theta_j - theta_{j+1}.
+    two-step fragment product v * (g v* g*) for the swap g, supported on the
+    block where it rotates by the angle gap theta_j - theta_{j+1}.  The
+    fragment's steps are in the frame of the diagonal v (frames A = B = I).
     """
     angles, rep = _diag_angles(v, "base")
     n = rep.n
     j = int(j)
     if not (0 <= j <= n - 2):
         raise DomainError(f"block position {j} out of range for size {n}")
-    g = np.eye(n, dtype=complex)
-    g[j, j], g[j + 1, j + 1] = 0.0, 0.0
-    g[j, j + 1], g[j + 1, j] = 1.0, 1.0
+    swap = np.arange(n)
+    swap[j], swap[j + 1] = j + 1, j
     m = rep.matrix
-    comm = m @ g @ m.conj().T @ g.conj().T
-    fragment = (CertStep(np.eye(n, dtype=complex), 1), CertStep(g, -1))
-    check = certificate_product(m, fragment)
-    if float(np.max(np.abs(check - comm))) > 1e-12:
+    comm = m @ m[np.ix_(swap, swap)].conj().T
+    fragment = (CertStep(np.arange(n), (), 1), CertStep(swap, (), -1))
+    check = certificate_product(angles, fragment)
+    # the fragment uses the unit phases of v's diagonal, while v may sit off
+    # the circle and off the diagonal by the unitarity tolerance
+    if float(np.max(np.abs(check - comm))) > 1e-12 + 4.0 * TOL.unitarity:
         raise NumericalDegeneracyError("commutator fragment drifted")
     block_angle = canon_angle(angles[j] - angles[j + 1])
     return comm, fragment, block_angle
@@ -453,40 +528,34 @@ def _plan_strand(phi, target, source, v_angles, m_eff, slack=1e-9):
 
 
 def _alignment(n, strands):
-    """Permutation sending each source block onto its target block."""
+    """Permutation sending each source block onto its target block, as the
+    array perm with perm[source index] = target index."""
     src, dst = [], []
     for st in strands:
         src.extend((st.source, st.source + 1))
         dst.extend((st.target, st.target + 1))
-    if src == dst:
-        return None
-    rest_src = sorted(set(range(n)) - set(src))
-    rest_dst = sorted(set(range(n)) - set(dst))
-    p = np.zeros((n, n), dtype=complex)
-    for a, b in zip(src, dst):
-        p[b, a] = 1.0
-    for a, b in zip(rest_src, rest_dst):
-        p[b, a] = 1.0
-    return p
+    perm = np.empty(n, dtype=np.int64)
+    perm[src] = dst
+    perm[sorted(set(range(n)) - set(src))] = sorted(set(range(n)) - set(dst))
+    return perm
 
 
 def _shared_steps(n, strands, m_eff):
-    """Expand parallel strand walks into 2*m_eff ambient conjugation steps."""
+    """Expand parallel strand walks into 2*m_eff eigenframe steps.
+
+    Step pair q conjugates by P @ Y_q and P @ Y_q @ R, where Y_q holds the
+    strands' walk frames and R their block rotations on the source blocks,
+    and P aligns the source blocks with the target blocks.
+    """
     if not strands:
         return []
-    gmulti = np.eye(n, dtype=complex)
-    for st in strands:
-        gmulti[st.source : st.source + 2, st.source : st.source + 2] = st.rotation
-    p = _alignment(n, strands)
+    perm = _alignment(n, strands)
     out = []
     for q in range(m_eff):
-        y = np.eye(n, dtype=complex)
-        for st in strands:
-            y[st.source : st.source + 2, st.source : st.source + 2] = st.frames[q]
-        if p is not None:
-            y = p @ y
-        out.append(CertStep(y, 1))
-        out.append(CertStep(y @ gmulti, -1))
+        frames = [(st.source, st.frames[q]) for st in strands]
+        out.append(CertStep(perm, frames, 1))
+        rotated = [(st.source, st.frames[q] @ st.rotation) for st in strands]
+        out.append(CertStep(perm, rotated, -1))
     return out
 
 
@@ -592,9 +661,15 @@ def generate_simultaneous(u, v, sources, targets, m):
 
 
 def _chord_diameter(angles):
-    vals = np.exp(1j * np.asarray(angles, dtype=float))
-    d = np.abs(vals[:, None] - vals[None, :])
-    return float(d.max())
+    """Largest chord between the points e^{i angles}, in O(n log n) time and
+    O(n) memory: each point's farthest partner is a cyclic neighbour of its
+    antipode among the sorted angles."""
+    a = np.sort(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
+    ext = np.concatenate((a, a + 2.0 * math.pi))
+    # a + pi lies strictly inside (ext[0], ext[n + i]), so both neighbours exist
+    j = np.searchsorted(ext, a + math.pi)
+    near = np.maximum(chord(ext[j - 1] - a), chord(ext[j] - a))
+    return float(near.max())
 
 
 def _is_central(angles):
@@ -638,6 +713,20 @@ def _prepare_pair(u, v, seed=0):
     return urep, vrep, uspec, uframe, vspec, vframe
 
 
+def _trivial_certificate(urep, vrep, uspec, uframe, vspec, vframe, budget,
+                         theorem, params):
+    """The empty certificate if the target is central and passes the product
+    check against the identity as it stands, else None."""
+    if not _is_central(uspec.angles):
+        return None
+    cert = Certificate(
+        urep.matrix, vrep.matrix, uframe, vframe, vspec.angles, (),
+        budget, theorem, params, {"trivial_target": True},
+    )
+    resid, tol = product_check(cert)
+    return cert if resid <= tol else None
+
+
 def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
                       theorem, params, metadata, sources_ranked=None,
                       chunk=1):
@@ -645,7 +734,9 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
 
     Factors the centered, prefix-ordered target into two-by-two blocks and
     walks them in batches against the chosen source gaps of the optimally
-    ordered base, then dresses every step with the eigenbases.
+    ordered base.  The steps stay in the eigenframes: the certificate stores
+    the target's frame in angle-sum order and the base's frame in gap order
+    once, and checks its product the way the verifier does.
     """
     n = urep.n
     centered, phase = _best_centering(uspec)
@@ -659,7 +750,10 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
     if sources_ranked is None:
         sources_ranked = [int(opt.sigma[0])]
     prefix = np.cumsum(theta)
-    live = [f for f in range(n - 1) if abs(canon_angle(prefix[f])) > 1e-12]
+    # skipping a factor moves the product by at most |phi| in operator norm,
+    # so the skipped ones stay within half of eq_tol's rounding allowance
+    skip = 0.5 * TOL.eq_ulps * EPS
+    live = [f for f in range(n - 1) if abs(canon_angle(prefix[f])) > skip]
     evens = [f for f in live if f % 2 == 0]
     odds = [f for f in live if f % 2 == 1]
     batches = []
@@ -678,23 +772,22 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
         raise BudgetInfeasibleError(
             f"construction used {len(steps)} conjugates, over budget {budget}"
         )
-    bh = bframe.conj().T
-    dressed = tuple(
-        CertStep(aframe @ st.g @ bh, st.e) for st in steps
-    )
     cert = Certificate(
         urep.matrix,
         vrep.matrix,
-        dressed,
+        aframe,
+        bframe,
+        gamma,
+        steps,
         budget,
         theorem,
         params,
         {**metadata, "centering_phase": float(phase)},
     )
-    resid = _trace_residual(cert.product(), cert.target)
-    if resid > 0.5 * TOL.eq_tol(len(dressed)):
+    resid, tol = product_check(cert)
+    if not resid <= tol:
         raise NumericalDegeneracyError(
-            f"assembled certificate residual {resid:.3e} too large"
+            f"assembled certificate residual {resid:.3e} over tolerance {tol:.3e}"
         )
     return cert
 
@@ -712,11 +805,12 @@ def generate_rank_dependent(u, v, m, seed=0):
     urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v, seed=seed)
     n = urep.n
     budget = 8 * m * n
-    if _is_central(uspec.angles):
-        return Certificate(
-            urep.matrix, vrep.matrix, (), budget, "rank_dep",
-            {"m": m, "s": None, "n": n}, {"trivial_target": True},
-        )
+    trivial = _trivial_certificate(
+        urep, vrep, uspec, uframe, vspec, vframe, budget, "rank_dep",
+        {"m": m, "s": None, "n": n},
+    )
+    if trivial is not None:
+        return trivial
     if _is_central(vspec.angles):
         raise DegenerateInputError("base is central and generates nothing")
     ell_u = projective_s_number(uspec, 0)[0]
@@ -752,11 +846,12 @@ def generate_rank_independent(u, v, m, s, seed=0):
             f"block count {s} out of range for size {n}"
         )
     budget = 24 * m * _ceil_div(n, s)
-    if _is_central(uspec.angles):
-        return Certificate(
-            urep.matrix, vrep.matrix, (), budget, "rank_indep",
-            {"m": m, "s": s, "n": n}, {"trivial_target": True},
-        )
+    trivial = _trivial_certificate(
+        urep, vrep, uspec, uframe, vspec, vframe, budget, "rank_indep",
+        {"m": m, "s": s, "n": n},
+    )
+    if trivial is not None:
+        return trivial
     if _is_central(vspec.angles):
         raise DegenerateInputError("base is central and generates nothing")
     report = hypothesis_check(uspec, vspec, m, s)
@@ -814,11 +909,12 @@ def generate_full(u, v, seed=0):
         )
     m = int(math.ceil(2.0 / ell_v - 1e-12))
     budget = 8 * m * n
-    if _is_central(uspec.angles):
-        return Certificate(
-            urep.matrix, vrep.matrix, (), budget, "full_gen",
-            {"m": m, "s": None, "n": n}, {"trivial_target": True},
-        )
+    trivial = _trivial_certificate(
+        urep, vrep, uspec, uframe, vspec, vframe, budget, "full_gen",
+        {"m": m, "s": None, "n": n},
+    )
+    if trivial is not None:
+        return trivial
     cert = _walk_certificate(
         urep, vrep, uspec, uframe, vspec, vframe,
         mult=4 * m, budget=budget, theorem="full_gen",
@@ -836,18 +932,89 @@ def generate_full(u, v, seed=0):
 
 
 def _profile_of_matrix(mat, seed=0):
-    spec, _ = diagonalize_normal(np.asarray(mat, dtype=complex), seed=seed)
+    spec = spectrum_of(np.asarray(mat, dtype=complex), seed=seed)
     return spec, projective_profile(spec).values
 
 
-def verify_certificate(cert, seed=0, tol=None):
-    """Recheck a certificate from scratch; reports and never raises.
+def _frame_defects(cert):
+    """Max-norm defects of the stored frames: unitarity of A, of B, and
+    B @ diag(e^{i base_angles}) @ B* against the base."""
+    b = cert.bframe
+    rebuilt = (b * np.exp(1j * cert.base_angles)) @ b.conj().T
+    return (
+        unitarity_defect(cert.aframe),
+        unitarity_defect(b),
+        float(np.max(np.abs(rebuilt - cert.base))),
+    )
 
-    Checks unitarity of the inputs and every conjugator, conjugacy of each
-    step core to the base or its inverse by spectrum, the recomputed product
-    against the target up to one phase, the length against the budget, the
-    easy-direction profile inequality, and the one-norm lower bound on the
-    length.  tol overrides the step-count-scaled product tolerance.
+
+def product_check(cert, defect=None):
+    """Residual of the recomputed product against the target, and its
+    tolerance TOL.eq_tol for a summed per-factor defect (by default that of
+    the stored frames) and the target's own unitarity defect."""
+    if defect is None:
+        defect = sum(_frame_defects(cert))
+    resid = projective_residual(cert.product(), cert.target)
+    tol = TOL.eq_tol(len(cert), cert.n, defect, unitarity_defect(cert.target))
+    return resid, tol
+
+
+def _step_defects(steps, n):
+    """Largest block unitarity defect of each step, nan where the step is
+    malformed: e not +-1, perm not a permutation of range(n), or a block not
+    square, out of range, overlapping another or not finite."""
+    out = np.zeros(len(steps))
+    perm_ok = {}
+    blocks = {}
+    for i, st in enumerate(steps):
+        ok = st.e in (-1, 1) and st.perm.shape == (n,)
+        if ok:
+            key = st.perm.tobytes()
+            if key not in perm_ok:
+                perm_ok[key] = np.array_equal(np.sort(st.perm), np.arange(n))
+            ok = perm_ok[key]
+        end = 0
+        for offset, b in sorted(st.blocks, key=lambda ob: ob[0]):
+            w = b.shape[0] if b.ndim == 2 else 0
+            ok = ok and 0 < w and b.shape == (w, w) and end <= offset <= n - w
+            end = offset + w
+        if not ok:
+            out[i] = np.nan
+            continue
+        for _, b in st.blocks:
+            idx, mats = blocks.setdefault(b.shape[0], ([], []))
+            idx.append(i)
+            mats.append(b)
+    # one batched Gram product per block width
+    for w, (idx, mats) in blocks.items():
+        stack = np.stack(mats)
+        gram = stack @ stack.conj().transpose(0, 2, 1) - np.eye(w)
+        defect = np.abs(gram).max(axis=(1, 2))
+        finite = np.isfinite(defect)
+        idx = np.asarray(idx)
+        np.maximum.at(out, idx[finite], defect[finite])
+        out[idx[~finite]] = np.nan
+    return out
+
+
+def verify_certificate(cert, seed=0, tol=None):
+    """Recheck a certificate from its stored factors; reports, never raises.
+
+    Checks unitarity of the inputs; unitarity of both frames and of every
+    block, with every perm a permutation (steps_unitary); that the base
+    frame and angles rebuild the base and every exponent is +-1, which makes
+    each step a conjugate of base^{+-1} (step_conjugacy); the product,
+    recomputed in the eigenframe and conjugated by the target frame, against
+    the target up to one phase; the length against the budget; the
+    easy-direction profile inequality; and the one-norm lower bound on the
+    length.  tol overrides the product tolerance TOL.eq_tol, which grows
+    with the measured frame and block defects and the target's unitarity
+    defect.
+
+    margins says how close each check came: the largest frame and block
+    unitarity defects (with the block's step), the base rebuild defect,
+    residual / tolerance, the lower-bound slack k * ell(base) - ell(target)
+    and the first step failing a per-step check.
     """
     report = {
         "version": "normgen-report/1",
@@ -857,8 +1024,18 @@ def verify_certificate(cert, seed=0, tol=None):
         "budget": None,
         "residual": None,
         "tolerance": None,
+        "margins": {
+            "frame_defect": None,
+            "base_defect": None,
+            "block_defect": None,
+            "block_defect_step": None,
+            "residual_ratio": None,
+            "lower_bound_slack": None,
+            "first_failing_step": None,
+        },
     }
     checks = report["checks"]
+    margins = report["margins"]
     try:
         target = np.asarray(cert.target, dtype=complex)
         base = np.asarray(cert.base, dtype=complex)
@@ -871,40 +1048,37 @@ def verify_certificate(cert, seed=0, tol=None):
             unitarity_defect(target) <= TOL.unitarity
             and unitarity_defect(base) <= TOL.unitarity
         )
-        ok_steps = True
-        ok_conj = True
-        base_angles = canon_angle(np.angle(np.linalg.eigvals(base)))
-        # sort eigenangles from a cut inside the widest spectral gap of the
-        # base, so a roundoff-perturbed eigenvalue near the cut (e.g. -1 on
-        # the (-pi, pi] branch) cannot jump to the other end of the sort
-        srt = np.sort(base_angles)
-        gaps = np.diff(np.r_[srt, srt[0] + 2.0 * np.pi])
-        widest = int(np.argmax(gaps))
-        cut = srt[widest] + gaps[widest] / 2.0
-        want_fwd = np.sort(np.mod(base_angles - cut, 2.0 * np.pi))
-        want_adj = np.sort(np.mod(-base_angles + cut, 2.0 * np.pi))
-        for st in steps:
-            g = np.asarray(st.g, dtype=complex)
-            if g.shape != (n, n) or st.e not in (-1, 1):
-                ok_steps = False
-                continue
-            if unitarity_defect(g) > TOL.unitarity:
-                ok_steps = False
-            core = base if st.e == 1 else base.conj().T
-            want = want_fwd if st.e == 1 else want_adj
-            off = cut if st.e == 1 else -cut
-            raw = np.angle(np.linalg.eigvals(g @ core @ g.conj().T))
-            got = np.sort(np.mod(raw - off, 2.0 * np.pi))
-            if float(np.max(np.abs(got - want))) > 1e-8:
-                ok_conj = False
-        checks["steps_unitary"] = bool(ok_steps)
-        checks["step_conjugacy"] = bool(ok_conj)
-        prod = certificate_product(base, steps)
-        resid = _trace_residual(prod, target)
-        tol = TOL.eq_tol(k) if tol is None else float(tol)
-        report["residual"] = float(resid)
-        report["tolerance"] = float(tol)
-        checks["product"] = bool(resid <= tol)
+        a_def, b_def, base_def = _frame_defects(cert)
+        margins["frame_defect"] = max(a_def, b_def)
+        margins["base_defect"] = base_def
+        defects = _step_defects(steps, n)
+        malformed = np.isnan(defects)
+        well_formed = not malformed.any()
+        failing = np.flatnonzero(~(defects <= TOL.unitarity))
+        first_bad = int(failing[0]) if failing.shape[0] else None
+        block_def, block_step = 0.0, None
+        if not malformed.all():
+            block_step = int(np.nanargmax(defects))
+            block_def = float(defects[block_step])
+        margins["block_defect"] = block_def
+        margins["block_defect_step"] = block_step
+        margins["first_failing_step"] = first_bad
+        checks["steps_unitary"] = bool(
+            max(a_def, b_def) <= TOL.unitarity and first_bad is None
+        )
+        checks["step_conjugacy"] = bool(
+            base_def <= TOL.diag_residual and well_formed
+        )
+        checks["product"] = False
+        if well_formed:
+            resid, auto_tol = product_check(
+                cert, a_def + b_def + base_def + block_def
+            )
+            tol = auto_tol if tol is None else float(tol)
+            report["residual"] = resid
+            report["tolerance"] = tol
+            margins["residual_ratio"] = resid / tol if tol > 0 else None
+            checks["product"] = bool(resid <= tol)
         checks["length"] = bool(k <= cert.claimed_budget)
         tspec, tprof = _profile_of_matrix(target, seed=seed)
         bspec, bprof = _profile_of_matrix(base, seed=seed)
@@ -921,6 +1095,7 @@ def verify_certificate(cert, seed=0, tol=None):
         checks["easy_direction"] = bool(ok_easy)
         ell_t = projective_one_norm(tspec)[0]
         ell_b = projective_one_norm(bspec)[0]
+        margins["lower_bound_slack"] = float(k * ell_b - ell_t)
         checks["lower_bound"] = bool(k * ell_b >= ell_t - 1e-6)
         report["pass"] = all(checks.values())
     except Exception as exc:  # noqa: BLE001 - verification must not raise

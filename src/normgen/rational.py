@@ -12,7 +12,7 @@ budget of 48*m*ceil(1/s) conjugates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .generation import Certificate, generate_rank_independent
+from .generation import generate_rank_independent
 from .spectral import (
     CircleSpectrum,
     UnitaryRep,
@@ -34,7 +34,7 @@ from .spectral import (
     canon_angle,
     chord,
     projective_profile,
-    projective_rank,
+    rank_of_profile,
     two_norm,
 )
 
@@ -328,10 +328,8 @@ def pipeline_generate(u, v, m, s, seed=0):
             "hypothesis_checked_at": f"profile breakpoint {window - 1}",
         }
     )
-    return Certificate(
-        target=inner.target,
-        base=inner.base,
-        steps=inner.steps,
+    return replace(
+        inner,
         claimed_budget=budget,
         theorem="pipeline",
         params={
@@ -376,7 +374,7 @@ def approx_stability_check(u, uprime, eps):
         "profile_ok": not violations,
         "violations": violations,
     }
-    rank_idx = projective_rank(ur)
+    rank_idx = rank_of_profile(pu)
     if rank_idx == 0:
         report["status"] = "degenerate"
         report["epsilon_threshold"] = None

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .config import TOL
+from .config import EPS, TOL
 from .errors import (
     DimensionError,
     NumericalDegeneracyError,
@@ -68,11 +68,7 @@ def unitarity_defect(m):
 
 def matrix_to_json(m):
     m = np.asarray(m, dtype=complex)
-    return {
-        "n": int(m.shape[0]),
-        "re": [[float(v) for v in row] for row in m.real],
-        "im": [[float(v) for v in row] for row in m.imag],
-    }
+    return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def matrix_from_json(obj, what="matrix"):
@@ -86,7 +82,12 @@ def matrix_from_json(obj, what="matrix"):
         raise DimensionError(
             f"{what} parts must be {n}x{n}, got {re.shape} and {im.shape}"
         )
-    return re + 1j * im
+    # set the parts directly: re + 1j * im would turn an imaginary -0.0 into
+    # +0.0 and break byte-identical JSON round trips
+    out = np.empty((n, n), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 @dataclass(frozen=True)
@@ -393,11 +394,13 @@ def projective_rank(u, seed=0):
     For a unitary the last profile value always vanishes (some phase lands on
     an eigenvalue), so the result is at most n-1.
     """
-    v = projective_profile(u, seed=seed).values
-    above = np.nonzero(v > TOL.rank)[0]
-    if above.shape[0] == 0:
-        return 0
-    return int(above[-1]) + 1
+    return rank_of_profile(projective_profile(u, seed=seed).values)
+
+
+def rank_of_profile(values):
+    """Projective rank read off already computed profile values."""
+    above = np.nonzero(np.asarray(values) > TOL.rank)[0]
+    return int(above[-1]) + 1 if above.shape[0] else 0
 
 
 def rank_distance(x, y):
@@ -415,19 +418,79 @@ def rank_distance(x, y):
 # diagonalization
 
 
+def _separate_mixed_pairs(w, mw, cut):
+    """Jacobi sweeps on the pairs that one Hermitian combination mixed.
+
+    The combination cos(t) Re u + sin(t) Im u maps e^{i a} and e^{i b} to
+    the same value when a + b = 2t, and eigh may then mix their eigenvectors
+    by up to eps over the small gap, which leaves d = w* u w coupling the
+    pair beyond rounding.  Each sweep takes the strongest couplings above
+    cut on disjoint pairs and rotates each pair by the 2 x 2 unitary that
+    diagonalizes its block of the normal matrix d, applied to w and to
+    mw = u w alike.
+    """
+    d = w.conj().T @ mw
+    for _ in range(3):
+        off = np.abs(np.triu(d, 1))
+        pairs = np.argwhere(off > cut)
+        if pairs.shape[0] == 0:
+            break
+        used, chosen = set(), []
+        for a, b in pairs[np.argsort(-off[pairs[:, 0], pairs[:, 1]])].tolist():
+            if a not in used and b not in used:
+                used.update((a, b))
+                chosen.append((a, b))
+        a, b = np.array(chosen).T
+        # the traceless part of a normal 2 x 2 block is mu times a
+        # Hermitian involution, whose eigenvectors diagonalize the block
+        half = 0.5 * (d[a, a] - d[b, b])
+        mu = np.sqrt(half * half + d[a, b] * d[b, a])
+        ph = np.ones_like(mu)
+        np.divide(np.abs(mu), mu, out=ph, where=mu != 0)
+        cross = 0.5 * (d[a, b] * ph + np.conj(d[b, a] * ph))
+        h = np.empty((a.shape[0], 2, 2), dtype=complex)
+        h[:, 0, 0] = (half * ph).real
+        h[:, 1, 1] = -h[:, 0, 0]
+        h[:, 0, 1] = cross
+        h[:, 1, 0] = np.conj(cross)
+        _, v = np.linalg.eigh(h)
+        for x in (w, mw, d):
+            xa, xb = x[:, a], x[:, b]
+            x[:, a] = xa * v[:, 0, 0] + xb * v[:, 1, 0]
+            x[:, b] = xa * v[:, 0, 1] + xb * v[:, 1, 1]
+        da, db = d[a, :], d[b, :]
+        vc = v.conj()[:, :, :, None]
+        d[a, :] = vc[:, 0, 0] * da + vc[:, 1, 0] * db
+        d[b, :] = vc[:, 0, 1] * da + vc[:, 1, 1] * db
+    return w, mw
+
+
+def _eigen_residual(w, mw):
+    """Angles on the diagonal of w* u w, and the largest row norm of
+    u w - w diag(e^{i angles}); for unitary w that row norm bounds every
+    entry of w diag(e^{i angles}) w* - u."""
+    angles = np.angle(np.einsum("ij,ij->j", w.conj(), mw))
+    err = mw - w * np.exp(1j * angles)
+    rows = np.sum(err.real**2 + err.imag**2, axis=1)
+    return angles, float(np.sqrt(np.max(rows)))
+
+
 def diagonalize_normal(u, seed=0):
     """Spectrum and eigenvector frame of a unitary matrix.
 
     Returns (spectrum, w) with w unitary, u = w diag(e^{i angles}) w*.  Works
     through a random Hermitian combination of u + u* and (u - u*)/i so
-    eigenspaces for distinct angles separate; retries with fresh combinations
-    if the reconstruction residual is too large.
+    eigenspaces for distinct angles separate.  A reconstruction residual
+    above a few n * eps means the combination mixed some pairs, which are
+    then separated so that w rebuilds u to rounding.  If the residual is
+    still above TOL.diag_residual, retries with fresh combinations.
     """
     if isinstance(u, CircleSpectrum):
         return u, np.eye(u.n, dtype=complex)
     rep = as_unitary(u)
     m = rep.matrix
     n = rep.n
+    cut = 4.0 * n * EPS
     rng = np.random.default_rng(seed)
     hre = (m + m.conj().T) / 2.0
     him = (m - m.conj().T) / 2j
@@ -436,10 +499,11 @@ def diagonalize_normal(u, seed=0):
         t = rng.uniform(0.0, TWO_PI)
         h = math.cos(t) * hre + math.sin(t) * him
         _, w = np.linalg.eigh(h)
-        d = w.conj().T @ m @ w
-        angles = np.angle(np.diag(d))
-        rebuilt = (w * np.exp(1j * angles)[None, :]) @ w.conj().T
-        residual = float(np.max(np.abs(rebuilt - m)))
+        mw = m @ w
+        angles, residual = _eigen_residual(w, mw)
+        if residual > cut:
+            w, mw = _separate_mixed_pairs(w, mw, cut)
+            angles, residual = _eigen_residual(w, mw)
         last = residual
         if residual <= TOL.diag_residual:
             order = np.argsort(angles)

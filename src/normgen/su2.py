@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .config import EPS
 from .errors import (
     BudgetInfeasibleError,
     DegenerateInputError,
@@ -90,15 +91,15 @@ def conjugator_to_reference(vprime, theta):
         raise PreconditionError(
             f"trace {got:.3e} does not match the class of angle {theta:.6f}"
         )
-    # central classes: anything commutes, the identity frame works
-    if math.sin(theta) <= 1e-12:
-        return np.eye(2, dtype=complex)
     # columns of v - e^{-i theta} I span the e^{+i theta} eigenvector
     m = v - np.exp(-1j * theta) * np.eye(2)
     col = m[:, 0] if np.linalg.norm(m[:, 0]) >= np.linalg.norm(m[:, 1]) else m[:, 1]
     nrm = np.linalg.norm(col)
-    if nrm < 1e-14:
-        raise NumericalDegeneracyError("eigenvector extraction collapsed")
+    # a class central to rounding: anything commutes, the identity frame
+    # works.  Any larger nrm still gives the frame to rounding, since an
+    # eigenvector error of eps / nrm costs eps / nrm * nrm in the rebuild.
+    if nrm <= 8.0 * EPS:
+        return np.eye(2, dtype=complex)
     x = col / nrm
     k = int(np.argmax(np.abs(x)))
     ph = x[k] / abs(x[k])

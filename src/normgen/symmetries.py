@@ -25,12 +25,11 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .generation import Certificate, CertStep
+from .generation import Certificate, CertStep, product_check
 from .spectral import (
     UnitaryRep,
     as_unitary,
     diagonalize_normal,
-    projective_residual,
 )
 
 __all__ = [
@@ -195,21 +194,35 @@ def broise_kernel_certificate(w, reference=None, seed=0):
         )
     zero = np.zeros((k, k), dtype=complex)
     target = np.block([[m, zero], [zero, m.conj().T]])
-    metadata = {"construction": "stst", "square_root": "principal"}
-    if projective_residual(target, np.eye(n)) <= 1e-9:
-        steps = ()
-        metadata["trivial_target"] = True
-    else:
-        factors = block_symmetry_factors(m, seed=seed)
-        steps = tuple(
-            CertStep(symmetry_conjugator(ref, f), 1) for f in factors
+    bframe = _involution_frame(ref.matrix)
+
+    def certificate(steps, metadata):
+        return Certificate(
+            target=target,
+            base=ref.matrix,
+            aframe=np.eye(n, dtype=complex),
+            bframe=bframe,
+            base_angles=np.r_[np.zeros(k), np.full(k, np.pi)],
+            steps=steps,
+            claimed_budget=4,
+            theorem="broise_kernel",
+            params={"m": None, "s": None, "n": n},
+            metadata={"construction": "stst", "square_root": "principal",
+                      **metadata},
         )
-    return Certificate(
-        target=target,
-        base=ref.matrix,
-        steps=steps,
-        claimed_budget=4,
-        theorem="broise_kernel",
-        params={"m": None, "s": None, "n": n},
-        metadata=metadata,
+
+    trivial = certificate((), {"trivial_target": True})
+    resid, tol = product_check(trivial)
+    if resid <= tol:
+        return trivial
+    # with B the reference's involution frame, the conjugator
+    # symmetry_conjugator(ref, f) is frame(f) @ B*: each step is the one
+    # dense block frame(f), the degenerate case of the factored form
+    factors = block_symmetry_factors(m, seed=seed)
+    return certificate(
+        tuple(
+            CertStep(np.arange(n), ((0, _involution_frame(f.matrix)),), 1)
+            for f in factors
+        ),
+        {},
     )

@@ -167,7 +167,7 @@ class TestVerify:
     def test_tampered_cert_fails(self, tmp_path, diag_file, capsys):
         out = self.emitted(tmp_path, diag_file)
         blob = json.loads(out.read_text())
-        blob["steps"][0]["g"]["re"][0][0] += 1e-2
+        blob["steps"][0]["blocks"][0]["u"]["re"][0][0] += 1e-2
         out.write_text(json.dumps(blob))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
@@ -183,6 +183,13 @@ class TestVerify:
     def test_malformed_cert(self, tmp_path):
         path = write_json(tmp_path / "c.json", {"version": "other/9"})
         assert main(["verify", str(path)]) == 2
+
+    def test_huge_perm_entry_is_a_parse_error(self, tmp_path, diag_file):
+        out = self.emitted(tmp_path, diag_file)
+        blob = json.loads(out.read_text())
+        blob["steps"][0]["perm"][0] = 2**70
+        out.write_text(json.dumps(blob))
+        assert main(["verify", str(out)]) == 2
 
 
 class TestCorpus:

@@ -1,5 +1,6 @@
 """Certificate generators: closed-loop products, budgets, refusal semantics."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -19,6 +20,8 @@ from normgen.errors import (
 from normgen.generation import (
     CertStep,
     Certificate,
+    _chord_diameter,
+    _is_central,
     certificate_product,
     counterexample_pair,
     generate_block,
@@ -31,7 +34,7 @@ from normgen.generation import (
     theorem_budgets,
     verify_certificate,
 )
-from normgen.spectral import projective_one_norm, projective_s_number
+from normgen.spectral import canon_angle, projective_one_norm, projective_s_number
 
 
 def haar(n, rng):
@@ -48,6 +51,11 @@ def diag_u(angles):
 def centered(angles):
     a = np.asarray(angles, dtype=float)
     return a - a.sum() / a.shape[0]
+
+
+def product(v, steps):
+    """Eigenframe product of steps emitted for the diagonal base v."""
+    return certificate_product(np.angle(np.diagonal(v)), steps)
 
 
 def block_factor(n, i, phi):
@@ -74,7 +82,8 @@ class TestCertificateType:
         assert back.claimed_budget == cert.claimed_budget
         assert len(back) == len(cert)
         assert np.max(np.abs(back.target - cert.target)) < 1e-15
-        assert np.max(np.abs(back.steps[0].g - cert.steps[0].g)) < 1e-15
+        assert np.array_equal(back.steps[0].perm, cert.steps[0].perm)
+        assert np.max(np.abs(back.conjugator(0) - cert.conjugator(0))) < 1e-15
         assert verify_certificate(back)["pass"]
 
     def test_bad_version_rejected(self):
@@ -88,18 +97,19 @@ class TestCertificateType:
     def test_unknown_theorem_tag(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError):
-            Certificate(eye, eye, (), 0, "made_up")
+            Certificate(eye, eye, eye, eye, np.zeros(2), (), 0, "made_up")
 
     def test_shape_mismatch(self):
         with pytest.raises(Exception):
-            Certificate(np.eye(2, dtype=complex), np.eye(3, dtype=complex), (), 0, "rank_dep")
+            eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+            Certificate(eye2, eye3, eye2, eye3, np.zeros(2), (), 0, "rank_dep")
 
     def test_tampered_json_still_loads(self):
-        # damaged conjugators must parse and then fail verification
+        # damaged step blocks must parse and then fail verification
         rng = np.random.default_rng(2)
         cert = generate_rank_dependent(haar(3, rng), haar(3, rng), 2)
         obj = cert.to_json()
-        obj["steps"][0]["g"]["re"][0][0] += 0.01
+        obj["steps"][0]["blocks"][0]["u"]["re"][0][0] += 0.01
         back = Certificate.from_json(obj)
         report = verify_certificate(back)
         assert not report["pass"]
@@ -190,7 +200,7 @@ class TestSwapCommutator:
         angles = rng.uniform(-math.pi, math.pi, size=5)
         v = diag_u(angles)
         comm, frag, angle = swap_commutator(v, 2)
-        prod = certificate_product(v, frag)
+        prod = product(v, frag)
         assert np.max(np.abs(prod - comm)) < 1e-12
         assert len(frag) == 2
         assert angle == pytest.approx(
@@ -213,14 +223,14 @@ class TestGenerateBlock:
         fac = block_factor(3, 0, 0.5)
         steps = generate_block(fac, v, 2, 0)
         assert len(steps) <= 4
-        prod = certificate_product(v, steps)
+        prod = product(v, steps)
         assert np.max(np.abs(prod - fac)) < 1e-9
 
     def test_offset_blocks(self):
         v = diag_u([1.0, 0.2, -0.4, -0.8])
         fac = block_factor(4, 2, -0.7)
         steps = generate_block(fac, v, 4, 0)
-        prod = certificate_product(v, steps)
+        prod = product(v, steps)
         assert np.max(np.abs(prod - fac)) < 1e-9
 
     def test_identity_factor_empty(self):
@@ -248,7 +258,7 @@ class TestGenerateBlock:
         v = diag_u([1.7, -1.3, -0.4])
         fac = block_factor(3, 0, 3.0)
         steps = generate_block(fac, v, 2, 0)
-        prod = certificate_product(v, steps)
+        prod = product(v, steps)
         assert np.max(np.abs(prod - fac)) < 1e-9
 
 
@@ -261,7 +271,7 @@ class TestGenerateSimultaneous:
         assert len(steps) <= 4
         pref = np.cumsum(ang)
         want = block_factor(7, 1, pref[1]) @ block_factor(7, 4, pref[4])
-        prod = certificate_product(v, steps)
+        prod = product(v, steps)
         assert np.max(np.abs(prod - want)) < 1e-9
 
     def test_single_strand_matches_block(self):
@@ -270,8 +280,8 @@ class TestGenerateSimultaneous:
         v = diag_u([0.9, -0.4, -0.5])
         sim = generate_simultaneous(u, v, sources=[0], targets=[0], m=2)
         blk = generate_block(block_factor(3, 0, np.cumsum(ang)[0]), v, 2, 0)
-        ps = certificate_product(v, sim)
-        pb = certificate_product(v, blk)
+        ps = product(v, sim)
+        pb = product(v, blk)
         assert len(sim) == len(blk)
         assert np.max(np.abs(ps - pb)) < 1e-12
 
@@ -327,6 +337,35 @@ class TestRankDependent:
         scal = np.exp(0.7j) * np.eye(4, dtype=complex)
         cert2 = generate_rank_dependent(scal, v, 1)
         assert len(cert2) == 0
+
+    @pytest.mark.parametrize("spread", [1e-10, 1e-12, 1e-14])
+    def test_near_central_target_verifies(self, spread):
+        # the empty certificate is emitted only when it passes the product
+        # check; otherwise the target's tiny factors are walked
+        rng = np.random.default_rng(13)
+        w, v = haar(4, rng), haar(4, rng)
+        u = w @ diag_u(0.7 + spread * rng.uniform(-1, 1, 4)) @ w.conj().T
+        certs = (
+            generate_rank_dependent(u, v, 1),
+            generate_rank_independent(u, v, 1, 2),
+            generate_full(u, v),
+        )
+        for cert in certs:
+            assert_sound(cert)
+            if spread >= 1e-10:
+                assert len(cert) > 0
+
+    def test_scaled_target_verifies(self):
+        # (1 + 5e-11) u passes the input unitarity check; the product
+        # tolerance allows for the target's distance to the unitary group
+        rng = np.random.default_rng(14)
+        u, v = haar(4, rng), haar(4, rng)
+        m = math.ceil(projective_s_number(u, 0)[0] / projective_s_number(v, 0)[0])
+        for cert in (
+            generate_rank_dependent((1 + 5e-11) * u, v, m),
+            generate_full((1 + 5e-11) * u, v),
+        ):
+            assert_sound(cert)
 
     def test_central_base_degenerate(self):
         rng = np.random.default_rng(12)
@@ -458,13 +497,11 @@ class TestVerifyCertificate:
         v = haar(4, rng)
         cert = generate_rank_dependent(v, v, 1)
         steps = list(cert.steps)
-        g = np.array(steps[0].g, copy=True)
-        g[0, 0] += 1e-2
-        steps[0] = CertStep(g, steps[0].e)
-        bad = Certificate(
-            cert.target, cert.base, tuple(steps), cert.claimed_budget,
-            cert.theorem, cert.params, cert.metadata,
-        )
+        offset, blk = steps[0].blocks[0]
+        blk = np.array(blk, copy=True)
+        blk[0, 0] += 1e-2
+        steps[0] = CertStep(steps[0].perm, ((offset, blk),), steps[0].e)
+        bad = dataclasses.replace(cert, steps=tuple(steps))
         report = verify_certificate(bad)
         assert not report["pass"]
 
@@ -472,10 +509,7 @@ class TestVerifyCertificate:
         rng = np.random.default_rng(42)
         v = haar(3, rng)
         cert = generate_rank_dependent(v, v, 1)
-        bad = Certificate(
-            haar(3, rng), cert.base, cert.steps, cert.claimed_budget,
-            cert.theorem, cert.params, cert.metadata,
-        )
+        bad = dataclasses.replace(cert, target=haar(3, rng))
         report = verify_certificate(bad)
         assert not report["checks"]["product"]
         assert not report["pass"]
@@ -484,16 +518,14 @@ class TestVerifyCertificate:
         rng = np.random.default_rng(43)
         v = haar(3, rng)
         cert = generate_rank_dependent(v, v, 1)
-        bad = Certificate(
-            cert.target, cert.base, cert.steps, max(0, len(cert) - 1),
-            cert.theorem, cert.params, cert.metadata,
-        )
+        bad = dataclasses.replace(cert, claimed_budget=max(0, len(cert) - 1))
         report = verify_certificate(bad)
         assert not report["checks"]["length"]
 
     def test_never_raises(self):
         eye = np.eye(2, dtype=complex)
-        junk = Certificate(eye, eye, (CertStep(np.zeros((3, 3)), 1),), 5, "rank_dep")
+        step = CertStep(np.arange(2), ((0, np.zeros((3, 3))),), 1)
+        junk = Certificate(eye, eye, eye, eye, np.zeros(2), (step,), 5, "rank_dep")
         report = verify_certificate(junk)
         assert report["pass"] is False
 
@@ -507,6 +539,228 @@ class TestVerifyCertificate:
         exps = {st.e for st in cert.steps}
         assert exps == {1, -1}
         assert_sound(cert)
+
+
+def moved(u, eps, rng):
+    """expm(i eps H) @ u for a random traceless Hermitian H of norm one."""
+    n = u.shape[0]
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    h -= np.trace(h) / n * np.eye(n)
+    h /= np.linalg.norm(h, 2)
+    lam, w = np.linalg.eigh(h)
+    return (w * np.exp(1j * eps * lam)) @ w.conj().T @ u
+
+
+def pool_certificates():
+    """Honest certificates from each generator, n from 2 to 16, and one with
+    no steps."""
+    from normgen import (
+        admissible_pair,
+        admissible_rational_pair,
+        broise_kernel_certificate,
+        pipeline_generate,
+    )
+
+    out = []
+    for n in (2, 3, 6, 16):
+        rng = np.random.default_rng(900 + n)
+        u, v = admissible_pair(n, 2, 1, rng)
+        out.append(generate_rank_dependent(u, v, 2))
+        out.append(generate_full(haar(n, rng), v))
+        if n >= 5:
+            u, v = admissible_pair(n, 1, 2, rng)
+            out.append(generate_rank_independent(u, v, 1, 2))
+    out.append(broise_kernel_certificate(haar(3, np.random.default_rng(950))))
+    rng = np.random.default_rng(960)
+    u, v = admissible_rational_pair(1, Fraction(1, 2), rng)
+    out.append(pipeline_generate(u, v, 1, Fraction(1, 2)))
+    out.append(generate_rank_dependent(np.exp(0.3j) * np.eye(3), haar(3, rng), 1))
+    return out
+
+
+POOL = pool_certificates()
+
+
+def with_step(cert, i, **changes):
+    steps = list(cert.steps)
+    steps[i] = dataclasses.replace(steps[i], **changes)
+    return dataclasses.replace(cert, steps=tuple(steps))
+
+
+class TestFactoredCertificates:
+    @pytest.mark.parametrize("idx", range(len(POOL)))
+    def test_pool_verifies_tightly(self, idx):
+        report = verify_certificate(POOL[idx])
+        assert report["pass"], report
+        assert report["margins"]["residual_ratio"] < 0.5
+        assert report["margins"]["first_failing_step"] is None
+        assert report["margins"]["lower_bound_slack"] >= -1e-6
+
+    @pytest.mark.parametrize("idx", range(len(POOL)))
+    def test_json_bytes_round_trip(self, idx):
+        blob = json.dumps(POOL[idx].to_json())
+        back = Certificate.from_json(json.loads(blob))
+        assert json.dumps(back.to_json()) == blob
+
+    @pytest.mark.parametrize("idx", range(len(POOL)))
+    def test_product_matches_dense_conjugates(self, idx):
+        cert = POOL[idx]
+        dense = np.eye(cert.n, dtype=complex)
+        for i, st in enumerate(cert.steps):
+            g = cert.conjugator(i)
+            core = cert.base if st.e == 1 else cert.base.conj().T
+            dense = dense @ g @ core @ g.conj().T
+        assert np.max(np.abs(dense - cert.product())) < 1e-11
+
+    def test_walk_steps_are_perm_and_two_by_two(self):
+        cert = POOL[2]
+        assert len(cert) > 0
+        for st in cert.steps:
+            assert sorted(st.perm.tolist()) == list(range(cert.n))
+            assert all(b.shape == (2, 2) for _, b in st.blocks)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    @pytest.mark.parametrize("idx", range(len(POOL)))
+    def test_moved_target_fails_product(self, idx, eps):
+        cert = POOL[idx]
+        rng = np.random.default_rng(idx)
+        bad = dataclasses.replace(cert, target=moved(cert.target, eps, rng))
+        report = verify_certificate(bad)
+        assert not report["checks"]["product"], report
+        assert not report["pass"]
+
+    def test_tampered_block_names_its_step(self):
+        cert = POOL[3]
+        for i in (0, len(cert) // 2, len(cert) - 1):
+            offset, blk = cert.steps[i].blocks[0]
+            blk = np.array(blk, copy=True)
+            blk[1, 0] += 1e-6
+            report = verify_certificate(with_step(cert, i, blocks=((offset, blk),)))
+            assert not report["pass"]
+            assert not report["checks"]["steps_unitary"]
+            assert report["margins"]["first_failing_step"] == i
+            assert report["margins"]["block_defect_step"] == i
+
+    def test_tampered_perm_fails(self):
+        cert = POOL[3]
+        st = cert.steps[1]
+        offset = st.blocks[0][0]
+        outside = next(a for a in range(cert.n) if a not in (offset, offset + 1))
+        perm = st.perm.copy()
+        perm[offset], perm[outside] = perm[outside], perm[offset]
+        report = verify_certificate(with_step(cert, 1, perm=perm))
+        assert not report["checks"]["product"]
+        assert not report["pass"]
+        dup = st.perm.copy()
+        dup[0] = dup[1]
+        report = verify_certificate(with_step(cert, 1, perm=dup))
+        assert not report["checks"]["steps_unitary"]
+        assert report["margins"]["first_failing_step"] == 1
+        assert not report["pass"]
+
+    def test_tampered_frame_fails(self):
+        cert = POOL[3]
+        for name in ("aframe", "bframe"):
+            frame = np.array(getattr(cert, name), copy=True)
+            frame[0, 0] += 1e-6
+            report = verify_certificate(dataclasses.replace(cert, **{name: frame}))
+            assert not report["checks"]["steps_unitary"]
+            assert not report["pass"]
+
+    def test_tampered_base_angle_fails(self):
+        cert = POOL[3]
+        angles = np.array(cert.base_angles, copy=True)
+        angles[2] += 1e-6
+        report = verify_certificate(dataclasses.replace(cert, base_angles=angles))
+        assert not report["checks"]["step_conjugacy"]
+        assert not report["pass"]
+
+    def test_bad_exponent_fails(self):
+        cert = POOL[0]
+        report = verify_certificate(with_step(cert, 0, e=2))
+        assert not report["checks"]["step_conjugacy"]
+        assert report["margins"]["first_failing_step"] == 0
+        assert not report["pass"]
+
+    def test_overlapping_blocks_fail(self):
+        cert = POOL[3]
+        st = cert.steps[0]
+        offset, blk = st.blocks[0]
+        other = (offset + 1 if offset + 2 < cert.n else offset - 1, blk)
+        report = verify_certificate(with_step(cert, 0, blocks=((offset, blk), other)))
+        assert not report["checks"]["steps_unitary"]
+        assert report["margins"]["first_failing_step"] == 0
+
+    def test_non_finite_block_is_malformed(self):
+        cert = POOL[3]
+        offset, blk = cert.steps[2].blocks[0]
+        blk = np.array(blk, copy=True)
+        blk[0, 1] = np.nan
+        report = verify_certificate(with_step(cert, 2, blocks=((offset, blk),)))
+        assert "error" not in report
+        assert not report["checks"]["product"]
+        assert report["margins"]["first_failing_step"] == 2
+        assert not report["pass"]
+
+    def test_cert1_rejected(self):
+        obj = POOL[0].to_json()
+        obj["version"] = "normgen-cert/1"
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
+    def test_malformed_step_json(self):
+        obj = POOL[0].to_json()
+        obj["steps"][0]["perm"][0] = 0.5
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+        obj = POOL[0].to_json()
+        obj["steps"][0]["blocks"][0]["offset"] = 0.0
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+        obj = POOL[0].to_json()
+        del obj["steps"][0]["blocks"]
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
+    def test_huge_integers_are_format_errors(self):
+        obj = POOL[0].to_json()
+        obj["steps"][0]["perm"][0] = 2**70
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+        obj = POOL[0].to_json()
+        obj["base_angles"][0] = 2**2000
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
+    def test_out_of_range_perm_loads_then_fails(self):
+        obj = POOL[0].to_json()
+        obj["steps"][0]["perm"][0] = 99
+        report = verify_certificate(Certificate.from_json(obj))
+        assert report["margins"]["first_failing_step"] == 0
+        assert not report["pass"]
+
+
+class TestChordDiameter:
+    @staticmethod
+    def brute(angles):
+        z = np.exp(1j * np.asarray(angles))
+        return float(np.max(np.abs(z[:, None] - z[None, :])))
+
+    def test_random_lists(self):
+        rng = np.random.default_rng(80)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            angles = rng.uniform(-math.pi, math.pi, n)
+            assert _chord_diameter(angles) == pytest.approx(self.brute(angles), abs=1e-14)
+
+    @pytest.mark.parametrize("center", [0.0, 1.0, math.pi, -math.pi + 1e-12])
+    @pytest.mark.parametrize("width", [1e-12, 1e-9, 1e-3, 2.0])
+    def test_clusters(self, center, width):
+        rng = np.random.default_rng(81)
+        angles = canon_angle(center + rng.uniform(-width, width, 25))
+        assert _chord_diameter(angles) == pytest.approx(self.brute(angles), abs=1e-14)
+        assert _is_central(angles) == (self.brute(angles) <= 1e-8)
 
 
 class TestCounterexample:

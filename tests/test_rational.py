@@ -344,6 +344,23 @@ class TestApproxStability:
         report = approx_stability_check(u, uprime, thr)
         assert report["pass"] is True, report
 
+    def test_one_diagonalization_per_operand(self, monkeypatch):
+        import normgen.spectral as spectral
+
+        calls = []
+        real = spectral.diagonalize_normal
+
+        def counting(u, **kwargs):
+            calls.append(1)
+            return real(u, **kwargs)
+
+        monkeypatch.setattr(spectral, "diagonalize_normal", counting)
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        report = approx_stability_check(q, q, 0.1)
+        assert report["status"] == "ok"
+        assert len(calls) == 2
+
     def test_rejects_bad_epsilon(self):
         with pytest.raises(DomainError):
             approx_stability_check(np.eye(2), np.eye(2), 0.0)

@@ -5,6 +5,7 @@ phase grid with none of the package's refinement machinery; frozen
 closed-form values are derived in comments next to each test.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normgen as ng
+from normgen.spectral import matrix_from_json, matrix_to_json
 
 ORACLE_GRID = 1_000_000
 # oracle minimum sits within half a grid cell of the truth (1-Lipschitz)
@@ -433,6 +435,33 @@ class TestDiagonalize:
             diff = np.abs(ng.canon_angle(got - ref))
             assert np.max(diff) < 1e-7
 
+    def test_collision_pair_rebuilds_to_rounding(self):
+        # the first Hermitian combination of seed 0, cos(t) Re u + sin(t) Im u,
+        # maps e^{ia} and e^{ib} 1e-6 apart when a + b = 2t + 1e-6; eigh then
+        # mixes their eigenvectors and the rebuild was off by 5e4 n eps
+        n = 8
+        eps = np.finfo(float).eps
+        t = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
+        rng = np.random.default_rng(5)
+        angles = rng.uniform(-math.pi, math.pi, n)
+        angles[1] = 2.0 * t - angles[0] + 1e-6
+        w0 = haar_unitary(n, rng)
+        u = (w0 * np.exp(1j * angles)) @ w0.conj().T
+        spec, w = ng.diagonalize_normal(u, seed=0)
+        rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
+        assert np.max(np.abs(rebuilt - u)) <= 8 * n * eps
+
+    def test_rebuild_at_rounding_level(self):
+        rng = np.random.default_rng(44)
+        eps = np.finfo(float).eps
+        for trial in range(120):
+            n = (2, 4, 8, 16, 32)[trial % 5]
+            u = haar_unitary(n, rng)
+            spec, w = ng.diagonalize_normal(u, seed=trial)
+            rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
+            assert np.max(np.abs(rebuilt - u)) <= 8 * n * eps
+            assert np.max(np.abs(w @ w.conj().T - np.eye(n))) <= 8 * n * eps
+
     def test_repeated_eigenvalues(self):
         rng = np.random.default_rng(47)
         w = haar_unitary(5, rng)
@@ -456,6 +485,22 @@ class TestTypesAndJson:
         rep = ng.UnitaryRep(u)
         again = ng.UnitaryRep.from_json(rep.to_json())
         assert np.array_equal(rep.matrix, again.matrix)
+
+    def test_matrix_json_matches_per_element_floats(self):
+        rng = np.random.default_rng(54)
+        m = haar_unitary(5, rng)
+        m[0, 0] = complex(-0.0, -0.0)
+        m[1, 2] = complex(0.0, -0.0)
+        m[2, 1] = complex(-0.0, 1.0)
+        old = {
+            "n": 5,
+            "re": [[float(v) for v in row] for row in m.real],
+            "im": [[float(v) for v in row] for row in m.imag],
+        }
+        blob = json.dumps(matrix_to_json(m))
+        assert blob == json.dumps(old)
+        assert "-0.0" in blob
+        assert json.dumps(matrix_to_json(matrix_from_json(json.loads(blob)))) == blob
 
     def test_unitary_json_malformed(self):
         with pytest.raises(ng.ValidationError):

@@ -191,6 +191,18 @@ class TestBroiseKernel:
         assert cert.metadata.get("trivial_target") is True
         assert verify_certificate(cert)["pass"]
 
+    @pytest.mark.parametrize("spread", [1e-10, 1e-13])
+    def test_near_identity_verifies(self, spread):
+        # the empty certificate is emitted only when it passes the product
+        # check; otherwise the four Broise steps are
+        rng = np.random.default_rng(15)
+        w = haar(3, rng)
+        m = (w * np.exp(1j * spread * rng.uniform(-1, 1, 3))) @ w.conj().T
+        cert = broise_kernel_certificate(m)
+        assert verify_certificate(cert)["pass"]
+        if spread >= 1e-10:
+            assert len(cert) == 4
+
     def test_minus_identity_is_empty(self):
         cert = broise_kernel_certificate(-np.eye(2, dtype=complex))
         assert len(cert) == 0
@@ -222,8 +234,9 @@ class TestBroiseKernel:
         w = haar(2, np.random.default_rng(5))
         cert = broise_kernel_certificate(w)
         factors = block_symmetry_factors(w)
-        for st, f in zip(cert.steps, factors):
-            got = st.g @ cert.base @ st.g.conj().T
+        for i, f in enumerate(factors):
+            g = cert.conjugator(i)
+            got = g @ cert.base @ g.conj().T
             assert np.max(np.abs(got - f.matrix)) <= 1e-9
 
     def test_custom_reference(self):
