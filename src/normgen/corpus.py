@@ -201,6 +201,11 @@ def _run_case(mode, seed, index, sizes):
         "length": len(cert.steps),
         "budget": int(cert.claimed_budget),
         "residual": report["residual"],
+        "lower_bound": report["lower_bound"],
+        "lower_bound_ratio": (
+            len(cert.steps) / report["lower_bound"]
+            if report["lower_bound"] else None
+        ),
         "pass": bool(report["pass"]),
     }
     if diag is not None:
@@ -243,6 +248,11 @@ def run_corpus(seed=0, sizes=None, cases=25):
     ratios = [
         r["length"] / r["budget"] for r in results if r["budget"]
     ]
+    lb_ratios = [
+        r["lower_bound_ratio"]
+        for r in results
+        if r["lower_bound_ratio"] is not None
+    ]
     ll = [
         r["llbound_ratio"]
         for r in results
@@ -263,6 +273,7 @@ def run_corpus(seed=0, sizes=None, cases=25):
         "results": results,
         "max_residual": max(residuals) if residuals else None,
         "max_budget_ratio": max(ratios) if ratios else None,
+        "max_lower_bound_ratio": max(lb_ratios) if lb_ratios else None,
         "llbound_max_ratio": max(ll) if ll else None,
         "aux_min_slack": min(aux) if aux else None,
         "all_pass": all(r["pass"] for r in results),

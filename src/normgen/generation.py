@@ -15,9 +15,11 @@ reports rather than raises.
 Two conventions keep the walks honest.  First, a full block swap can leave
 the commutator class beyond a quarter turn, where fixed-length walks lose
 reachability; a partial rotation caps the class at pi/2 instead, from which
-any block angle is reachable in two steps.  Second, walks always spend their
-exact step budget, so parallel strands driven by one shared commutator stay
-aligned for free.
+any block angle is reachable in two steps.  Second, parallel strands driven
+by one shared commutator walk one shared length: the shortest even length
+that reaches every strand of the batch, read from the reach intervals.  A
+walk that lands at some even length lands at every longer one, so the
+shared length serves them all.
 """
 
 from dataclasses import dataclass, field
@@ -55,7 +57,12 @@ from .spectral import (
     spectrum_of,
     unitarity_defect,
 )
-from .su2 import conjugator_to_reference, rotation_class_angle, su2_walk
+from .su2 import (
+    conjugator_to_reference,
+    rotation_class_angle,
+    su2_walk,
+    walk_length,
+)
 
 __all__ = [
     "CertStep",
@@ -466,7 +473,9 @@ def swap_commutator(v, j):
 
 @dataclass(frozen=True)
 class _Strand:
-    """One block walk inside a shared commutator schedule."""
+    """One block walk inside a shared commutator schedule: the factor angle
+    phi, the blocks it moves, the commutator driving it and the shortest
+    even walk length that reaches phi."""
 
     phi: float
     target: int
@@ -474,16 +483,17 @@ class _Strand:
     rotation: np.ndarray
     commutator: np.ndarray
     theta: float
-    frames: tuple
+    length: int
 
 
-def _plan_strand(phi, target, source, v_angles, m_eff, slack=1e-9):
-    """Choose the block rotation and walk for one factor.
+def _plan_strand(phi, target, source, v_angles, cap, slack=1e-9):
+    """Choose the block rotation for one factor and its shortest walk length.
 
     The commutator of v with a rotation by t in the source block has class
     angle c(t) with cos c = 1 - sin(t)^2 (1 - cos gap); a full swap gives the
     gap itself, and when the gap passes a quarter turn a partial rotation
-    pins the class to pi/2, from which two steps reach any angle.
+    pins the class to pi/2, from which two steps reach any angle.  The walk
+    may take at most cap steps.
     """
     delta = canon_angle(v_angles[source] - v_angles[source + 1])
     beta = abs(delta)
@@ -499,32 +509,36 @@ def _plan_strand(phi, target, source, v_angles, m_eff, slack=1e-9):
     vblk = np.diag(np.exp(1j * v_angles[source : source + 2]))
     comm = vblk @ rot @ vblk.conj().T @ rot.conj().T
     theta = rotation_class_angle(comm)
-    cap = m_eff * theta
     mag = abs(phi)
-    if mag > cap:
-        if mag > cap + slack:
+    if mag > cap * theta:
+        if mag > cap * theta + slack:
             raise BudgetInfeasibleError(
-                f"block angle {phi:.6f} needs more than {m_eff} steps of "
+                f"block angle {phi:.6f} needs more than {cap} steps of "
                 f"class {theta:.6f}"
             )
-        mag = cap
+        mag = cap * theta
     phi_w = math.copysign(mag, phi) if phi != 0.0 else 0.0
-    steps = su2_walk(phi_w, theta, m_eff)
-    ref = conjugator_to_reference(comm, theta)
-    ref_h = ref.conj().T
-    sign = steps[0].exponent
-    frames = []
-    for st in steps:
-        y = st.conjugator @ ref_h if sign == 1 else st.conjugator @ _FLIP @ ref_h
-        frames.append(y)
+    length = walk_length(phi_w, theta, cap)
+    return _Strand(phi_w, target, source, rot, comm, theta, length)
+
+
+def _walk_frames(strand, m):
+    """Eigenframe blocks y_1..y_m with prod y_q @ comm @ y_q* equal to the
+    strand's block target, from an m-step walk."""
+    steps = su2_walk(strand.phi, strand.theta, m)
+    comm = strand.commutator
+    ref_h = conjugator_to_reference(comm, strand.theta).conj().T
+    if steps[0].exponent != 1:
+        ref_h = _FLIP @ ref_h
+    frames = [st.conjugator @ ref_h for st in steps]
     # closed-loop guard: the frames must reassemble the block target exactly
     prod = np.eye(2, dtype=complex)
     for y in frames:
         prod = prod @ (y @ comm @ y.conj().T)
-    want = np.diag(np.exp(1j * np.array([phi_w, -phi_w])))
+    want = np.diag(np.exp(1j * np.array([strand.phi, -strand.phi])))
     if float(np.max(np.abs(prod - want))) > 1e-9:
         raise NumericalDegeneracyError("strand walk drifted off its target")
-    return _Strand(phi_w, target, source, rot, comm, theta, tuple(frames))
+    return frames
 
 
 def _alignment(n, strands):
@@ -540,21 +554,27 @@ def _alignment(n, strands):
     return perm
 
 
-def _shared_steps(n, strands, m_eff):
-    """Expand parallel strand walks into 2*m_eff eigenframe steps.
+def _shared_steps(n, strands):
+    """Walk parallel strands at one shared length and expand them into
+    eigenframe steps.
 
-    Step pair q conjugates by P @ Y_q and P @ Y_q @ R, where Y_q holds the
-    strands' walk frames and R their block rotations on the source blocks,
-    and P aligns the source blocks with the target blocks.
+    The strands share one commutator per step, so they all walk the longest
+    of their shortest lengths, m_b; a walk that lands at some even length
+    lands at every longer one.  Step pair q conjugates by P @ Y_q and
+    P @ Y_q @ R, where Y_q holds the strands' walk frames and R their block
+    rotations on the source blocks, and P aligns the source blocks with the
+    target blocks: 2 * m_b steps in all.
     """
     if not strands:
         return []
+    m = max(st.length for st in strands)
+    frames = [_walk_frames(st, m) for st in strands]
     perm = _alignment(n, strands)
     out = []
-    for q in range(m_eff):
-        frames = [(st.source, st.frames[q]) for st in strands]
-        out.append(CertStep(perm, frames, 1))
-        rotated = [(st.source, st.frames[q] @ st.rotation) for st in strands]
+    for q in range(m):
+        walked = [(st.source, f[q]) for st, f in zip(strands, frames)]
+        out.append(CertStep(perm, walked, 1))
+        rotated = [(st.source, f[q] @ st.rotation) for st, f in zip(strands, frames)]
         out.append(CertStep(perm, rotated, -1))
     return out
 
@@ -606,8 +626,7 @@ def generate_block(u_i, v, m, j):
         raise BudgetInfeasibleError(
             f"|angle| {abs(phi):.6f} exceeds {m} times the gap {abs(delta):.6f}"
         )
-    strand = _plan_strand(phi, i, j, vangles, m)
-    return _shared_steps(n, [strand], m)
+    return _shared_steps(n, [_plan_strand(phi, i, j, vangles, m)])
 
 
 def generate_simultaneous(u, v, sources, targets, m):
@@ -653,7 +672,7 @@ def generate_simultaneous(u, v, sources, targets, m):
                 f"the gap at {j}"
             )
         strands.append(_plan_strand(phi, i, j, vangles, m))
-    return _shared_steps(n, strands, m)
+    return _shared_steps(n, strands)
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +753,11 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
 
     Factors the centered, prefix-ordered target into two-by-two blocks and
     walks them in batches against the chosen source gaps of the optimally
-    ordered base.  The steps stay in the eigenframes: the certificate stores
-    the target's frame in angle-sum order and the base's frame in gap order
-    once, and checks its product the way the verifier does.
+    ordered base.  Each batch walks the shortest even length, at most mult,
+    that reaches all of its strands.  The steps stay in the eigenframes: the
+    certificate stores the target's frame in angle-sum order and the base's
+    frame in gap order once, and checks its product the way the verifier
+    does.
     """
     n = urep.n
     centered, phase = _best_centering(uspec)
@@ -767,7 +788,7 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
             j = sources_ranked[min(rank, len(sources_ranked) - 1)]
             phi = canon_angle(prefix[f])
             strands.append(_plan_strand(phi, f, j, gamma, mult))
-        steps.extend(_shared_steps(n, strands, mult))
+        steps.extend(_shared_steps(n, strands))
     if len(steps) > budget:
         raise BudgetInfeasibleError(
             f"construction used {len(steps)} conjugates, over budget {budget}"
@@ -796,8 +817,9 @@ def generate_rank_dependent(u, v, m, seed=0):
     """Certificate with at most 8*m*n conjugates via single-gap walks.
 
     Requires ell_0(u) <= m * ell_0(v).  Every block factor of the target
-    walks against the widest gap of the base with multiplier 4m, costing 8m
-    conjugates per factor over at most n-1 factors.
+    walks against the widest gap of the base with the shortest even walk
+    that reaches it, of at most 4m steps (the walk multiplier), so a factor
+    costs at most 8m conjugates over at most n-1 factors.
     """
     m = int(m)
     if m <= 0:
@@ -886,7 +908,7 @@ def generate_rank_independent(u, v, m, s, seed=0):
         metadata={
             "walk_multiplier": 4 * m,
             "even_block_count": 2 * (s // 2),
-            "even_rounding": "batch width floor(s/2), 4m walks",
+            "even_rounding": "batch width floor(s/2), walks of at most 4m",
         },
         sources_ranked=chosen,
         chunk=len(chosen),
@@ -1009,7 +1031,8 @@ def verify_certificate(cert, seed=0, tol=None):
     easy-direction profile inequality; and the one-norm lower bound on the
     length.  tol overrides the product tolerance TOL.eq_tol, which grows
     with the measured frame and block defects and the target's unitarity
-    defect.
+    defect.  lower_bound is the length that bound forces, ell(target) /
+    ell(base), or None when ell(base) is 0.
 
     margins says how close each check came: the largest frame and block
     unitarity defects (with the block's step), the base rebuild defect,
@@ -1024,6 +1047,7 @@ def verify_certificate(cert, seed=0, tol=None):
         "budget": None,
         "residual": None,
         "tolerance": None,
+        "lower_bound": None,
         "margins": {
             "frame_defect": None,
             "base_defect": None,
@@ -1095,6 +1119,7 @@ def verify_certificate(cert, seed=0, tol=None):
         checks["easy_direction"] = bool(ok_easy)
         ell_t = projective_one_norm(tspec)[0]
         ell_b = projective_one_norm(bspec)[0]
+        report["lower_bound"] = float(ell_t / ell_b) if ell_b > 0.0 else None
         margins["lower_bound_slack"] = float(k * ell_b - ell_t)
         checks["lower_bound"] = bool(k * ell_b >= ell_t - 1e-6)
         report["pass"] = all(checks.values())

@@ -12,6 +12,8 @@ rotation exactly, not just up to conjugacy.
 """
 
 from dataclasses import dataclass
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -80,32 +82,42 @@ def conjugator_to_reference(vprime, theta):
     """Unitary g with g @ reference_rotation(theta) @ g* = vprime.
 
     Closed-form 2x2 eigenvector extraction; the phase is fixed by making the
-    largest-modulus entry of the first column real positive.
+    largest-modulus entry of the first column real positive.  Scalar
+    arithmetic on the four entries: this runs twice per walk step.
     """
     v = np.asarray(vprime, dtype=complex)
     if v.shape != (2, 2):
         raise DomainError("need a 2x2 matrix")
+    (a, b), (c, d) = v.tolist()
     want = 2.0 * math.cos(theta)
-    got = float(np.real(np.trace(v)))
-    if abs(got - want) > 1e-9 or abs(float(np.imag(np.trace(v)))) > 1e-9:
+    tr = a + d
+    if abs(tr.real - want) > 1e-9 or abs(tr.imag) > 1e-9:
         raise PreconditionError(
-            f"trace {got:.3e} does not match the class of angle {theta:.6f}"
+            f"trace {tr.real:.3e} does not match the class of angle {theta:.6f}"
         )
     # columns of v - e^{-i theta} I span the e^{+i theta} eigenvector
-    m = v - np.exp(-1j * theta) * np.eye(2)
-    col = m[:, 0] if np.linalg.norm(m[:, 0]) >= np.linalg.norm(m[:, 1]) else m[:, 1]
-    nrm = np.linalg.norm(col)
+    z = cmath.exp(-1j * theta)
+    a -= z
+    d -= z
+    n0 = math.sqrt(a.real * a.real + c.real * c.real
+                   + (a.imag * a.imag + c.imag * c.imag))
+    n1 = math.sqrt(b.real * b.real + d.real * d.real
+                   + (b.imag * b.imag + d.imag * d.imag))
+    x0, x1, nrm = (a, c, n0) if n0 >= n1 else (b, d, n1)
     # a class central to rounding: anything commutes, the identity frame
     # works.  Any larger nrm still gives the frame to rounding, since an
     # eigenvector error of eps / nrm costs eps / nrm * nrm in the rebuild.
     if nrm <= 8.0 * EPS:
         return np.eye(2, dtype=complex)
-    x = col / nrm
-    k = int(np.argmax(np.abs(x)))
-    ph = x[k] / abs(x[k])
-    x = x * ph.conjugate()
-    y = np.array([-np.conj(x[1]), np.conj(x[0])], dtype=complex)
-    return np.column_stack([x, y])
+    x0 /= nrm
+    x1 /= nrm
+    top = x0 if abs(x0) >= abs(x1) else x1
+    ph = (top / abs(top)).conjugate()
+    x0 *= ph
+    x1 *= ph
+    return np.array(
+        [[x0, -x1.conjugate()], [x1, x0.conjugate()]], dtype=complex
+    )
 
 
 def _reach(alpha, theta):
@@ -125,16 +137,24 @@ def _reach_interval(lo, hi, theta):
     return new_lo, new_hi
 
 
+def _reach_intervals(theta):
+    """Intervals (lo, hi) of class angles reachable by exactly 1, 2, 3, ...
+    theta-conjugates."""
+    lo = hi = theta
+    while True:
+        yield lo, hi
+        lo, hi = _reach_interval(lo, hi, theta)
+
+
+def _lands(target, lo, hi):
+    return lo - 1e-12 <= target <= hi + 1e-12
+
+
 def _plan_waypoints(target, theta, m):
     """Class-angle waypoints alpha_1..alpha_m with alpha_m = target, each
     consecutive pair one conjugate apart.  None if m steps cannot land."""
-    los = [theta]
-    his = [theta]
-    for _ in range(m - 1):
-        lo, hi = _reach_interval(los[-1], his[-1], theta)
-        los.append(lo)
-        his.append(hi)
-    if not (los[-1] - 1e-12 <= target <= his[-1] + 1e-12):
+    los, his = zip(*itertools.islice(_reach_intervals(theta), m))
+    if not _lands(target, los[-1], his[-1]):
         return None
     alphas = [min(max(target, los[-1]), his[-1])]
     for k in range(m - 2, -1, -1):
@@ -200,6 +220,52 @@ def _walk_positive(target, theta, m):
     return [back @ g for g in conjugators]
 
 
+def _walk_angles(phi, theta, m):
+    """Validated canonical (phi, theta) and their moduli, plus whether the
+    generator is projectively central; raises what su2_walk raises before
+    planning."""
+    if not isinstance(m, (int, np.integer)) or m <= 0 or m % 2 != 0:
+        raise DomainError(f"step budget must be a positive even integer, got {m}")
+    phi = canon_angle(float(phi))
+    theta = canon_angle(float(theta))
+    ph = abs(phi)
+    th = abs(theta)
+    central = th <= 1e-12 or math.pi - th <= 1e-12
+    if central and min(ph, math.pi - ph) > 1e-12:
+        # the generator is projectively central: only central targets work
+        raise DegenerateInputError(
+            f"generator angle {theta:.6f} is central, cannot reach {phi:.6f}"
+        )
+    if not central and ph > m * th + 1e-12:
+        raise BudgetInfeasibleError(
+            f"|phi| = {ph:.6f} exceeds budget {m} * |theta| = {m * th:.6f}"
+        )
+    return phi, theta, ph, th, central
+
+
+def walk_length(phi, theta, cap):
+    """Smallest even m <= cap for which su2_walk(phi, theta, m) succeeds.
+
+    One pass over the reach intervals the walk planner iterates: m steps
+    land when |phi| <= m|theta| and |phi| or its mirror pi - |phi| lies in
+    the m-step interval.  From two steps on the interval starts at 0 (two
+    steps can cancel), so a walk that lands at m lands at every larger even
+    length as well.  Raises what su2_walk(phi, theta, cap) raises when no
+    length up to cap lands.
+    """
+    _, _, ph, th, central = _walk_angles(phi, theta, cap)
+    if central:
+        return 2
+    for m, (lo, hi) in enumerate(itertools.islice(_reach_intervals(th), cap), 1):
+        if m % 2 == 0 and ph <= m * th + 1e-12 and (
+            _lands(ph, lo, hi) or _lands(math.pi - ph, lo, hi)
+        ):
+            return m
+    raise BudgetInfeasibleError(
+        f"no walk of at most {cap} steps reaches class {ph:.6f} with angle {th:.6f}"
+    )
+
+
 def su2_walk(phi, theta, m):
     """Steps writing diag(e^{i phi}, e^{-i phi}) as m conjugates of the
     generator rotation diag(e^{i theta}, e^{-i theta}), up to global sign.
@@ -209,26 +275,10 @@ def su2_walk(phi, theta, m):
     conjugator @ generator^exponent @ conjugator* over the returned steps
     equals the target up to a global factor of -1.
     """
-    if not isinstance(m, (int, np.integer)) or m <= 0 or m % 2 != 0:
-        raise DomainError(f"step budget must be a positive even integer, got {m}")
-    phi = canon_angle(float(phi))
-    theta = canon_angle(float(theta))
-    ph = abs(phi)
-    th = abs(theta)
-
-    central_target = min(ph, math.pi - ph) <= 1e-12
-    if th <= 1e-12 or math.pi - th <= 1e-12:
-        # the generator is projectively central: only central targets work
-        if not central_target:
-            raise DegenerateInputError(
-                f"generator angle {theta:.6f} is central, cannot reach {phi:.6f}"
-            )
+    phi, theta, ph, th, central = _walk_angles(phi, theta, m)
+    if central:
         eye = np.eye(2, dtype=complex)
         return [Su2Step(eye, 1) for _ in range(m)]
-    if ph > m * th + 1e-12:
-        raise BudgetInfeasibleError(
-            f"|phi| = {ph:.6f} exceeds budget {m} * |theta| = {m * th:.6f}"
-        )
 
     conjugators = _walk_positive(ph, th, m)
     if conjugators is None:

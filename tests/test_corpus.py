@@ -114,11 +114,27 @@ class TestRunCorpus:
         assert report["aux_min_slack"] is not None
         assert report["aux_min_slack"] > -1e-8
 
+    def test_lower_bound_ratios(self):
+        report = run_corpus(seed=0, cases=10)
+        ratios = []
+        for row in report["results"]:
+            lb = row["lower_bound"]
+            if lb:
+                assert row["lower_bound_ratio"] == pytest.approx(row["length"] / lb)
+                # the verifier's lower-bound check holds with its 1e-6 slack
+                assert row["lower_bound_ratio"] >= 1.0 - 1e-6 / lb
+                ratios.append(row["lower_bound_ratio"])
+            else:
+                assert row["lower_bound_ratio"] is None
+        assert ratios
+        assert report["max_lower_bound_ratio"] == max(ratios)
+
     def test_empty_run(self):
         report = run_corpus(seed=0, cases=0)
         assert report["all_pass"] is True
         assert report["suites"] == {}
         assert report["max_residual"] is None
+        assert report["max_lower_bound_ratio"] is None
 
     def test_rejects_negative_cases(self):
         with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from normgen import generation
 from normgen.errors import (
     BudgetInfeasibleError,
     CertificateFormatError,
@@ -35,6 +36,7 @@ from normgen.generation import (
     verify_certificate,
 )
 from normgen.spectral import canon_angle, projective_one_norm, projective_s_number
+from normgen.su2 import su2_walk, walk_length
 
 
 def haar(n, rng):
@@ -474,6 +476,91 @@ class TestGenerateFull:
             generate_full(u, np.exp(0.3j) * np.eye(3, dtype=complex))
 
 
+@pytest.fixture
+def batches(monkeypatch):
+    """Record (strands, steps) of every shared batch a generator walks."""
+    seen = []
+    inner = generation._shared_steps
+
+    def spy(n, strands):
+        out = inner(n, strands)
+        seen.append((list(strands), out))
+        return out
+
+    monkeypatch.setattr(generation, "_shared_steps", spy)
+    return seen
+
+
+def assert_shortest_batches(cert, seen):
+    """Each batch walks the longest of its strands' shortest walks, no
+    longer, with one block per strand in every step; returns the lengths."""
+    cap = cert.metadata["walk_multiplier"]
+    lengths = []
+    for strands, out in seen:
+        m_b = len(out) // 2
+        assert len(out) == 2 * m_b
+        assert m_b == max(walk_length(st.phi, st.theta, cap) for st in strands)
+        widest = max(strands, key=lambda st: st.length)
+        if m_b > 2:
+            with pytest.raises(BudgetInfeasibleError):
+                su2_walk(widest.phi, widest.theta, m_b - 2)
+        sources = sorted(st.source for st in strands)
+        for step in out:
+            assert sorted(o for o, _ in step.blocks) == sources
+            assert np.array_equal(step.perm, out[0].perm)
+        lengths.append(m_b)
+    assert len(cert) == 2 * sum(lengths) <= cert.claimed_budget
+    return lengths
+
+
+class TestShortestWalks:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_admissible_pairs(self, n, batches):
+        from normgen import admissible_pair
+
+        u, v = admissible_pair(n, 2, 1, np.random.default_rng(n))
+        cert = generate_rank_dependent(u, v, 2)
+        assert_shortest_batches(cert, batches)
+        assert cert.metadata["walk_multiplier"] == 8
+        assert len(cert) < 8 * 2 * (n - 1)
+        assert_sound(cert)
+
+    def test_narrow_gap_needs_longer_batch(self, batches):
+        # the base's widest gap is 0.1, so the largest factor needs 4 steps
+        v = diag_u([0.1, 0.05, -0.05, -0.1])
+        u = diag_u([0.6, -0.2, -0.1, -0.3])
+        cert = generate_rank_dependent(u, v, 8)
+        lengths = assert_shortest_batches(cert, batches)
+        assert max(lengths) > 2
+        assert_sound(cert)
+
+    def test_rank_indep_batch_shares_one_length(self, batches):
+        # the first batch's two strands need 6 and 4 steps and both walk 6
+        v = diag_u([-0.12, -0.09, -0.09, -0.07, 0.04, 0.06, 0.08, 0.08, 0.11])
+        u = diag_u([-0.03, 0.1, 0.1, -0.36, 0.01, 0.85, -0.27, 0.56, -0.96])
+        m = hypothesis_check(u, v, 1, 4).min_feasible_m
+        cert = generate_rank_independent(u, v, m, 4)
+        lengths = assert_shortest_batches(cert, batches)
+        assert all(len(strands) == 2 for strands, _ in batches[:3])
+        first = sorted(st.length for st in batches[0][0])
+        assert first[0] < first[1] == lengths[0]
+        assert_sound(cert)
+
+    def test_pipeline_and_full_use_shortest(self, batches):
+        from normgen import admissible_rational_pair, pipeline_generate
+
+        rng = np.random.default_rng(964)
+        u, v = admissible_rational_pair(1, Fraction(1, 2), rng)
+        cert = pipeline_generate(u, v, 1, Fraction(1, 2))
+        assert len(cert) > 0
+        assert_shortest_batches(cert, batches)
+        assert_sound(cert)
+        batches.clear()
+        cert = generate_full(haar(6, rng), haar(6, rng))
+        assert_shortest_batches(cert, batches)
+        assert_sound(cert)
+
+
 class TestVerifyCertificate:
     def test_all_checks_reported(self):
         rng = np.random.default_rng(40)
@@ -491,6 +578,18 @@ class TestVerifyCertificate:
             assert report["checks"][key] is True
         assert report["residual"] <= report["tolerance"]
         json.dumps(report)
+
+    def test_lower_bound_reported(self):
+        rng = np.random.default_rng(45)
+        u, v = haar(5, rng), haar(5, rng)
+        cert = generate_full(u, v)
+        report = verify_certificate(cert)
+        want = projective_one_norm(u)[0] / projective_one_norm(v)[0]
+        assert report["lower_bound"] == pytest.approx(want, rel=1e-12)
+        assert len(cert) >= report["lower_bound"]
+        eye = np.eye(2, dtype=complex)
+        central = Certificate(eye, eye, eye, eye, np.zeros(2), (), 0, "rank_dep")
+        assert verify_certificate(central)["lower_bound"] is None
 
     def test_tampered_step_fails(self):
         rng = np.random.default_rng(41)
@@ -626,6 +725,20 @@ class TestFactoredCertificates:
         cert = POOL[idx]
         rng = np.random.default_rng(idx)
         bad = dataclasses.replace(cert, target=moved(cert.target, eps, rng))
+        report = verify_certificate(bad)
+        assert not report["checks"]["product"], report
+        assert not report["pass"]
+
+    def test_moved_target_fails_product_at_n64(self):
+        # shortest walks give k = 252, so the tolerance is 6.3e-10 against a
+        # residual near 2e-9 (at k = 1008 it was 2.9e-9 and the move passed)
+        from normgen import admissible_pair
+
+        u, v = admissible_pair(64, 2, 1, np.random.default_rng(64))
+        cert = generate_rank_dependent(u, v, 2)
+        bad = dataclasses.replace(
+            cert, target=moved(cert.target, 1e-8, np.random.default_rng(0))
+        )
         report = verify_certificate(bad)
         assert not report["checks"]["product"], report
         assert not report["pass"]

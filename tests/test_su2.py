@@ -2,6 +2,7 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from normgen import (
     PreconditionError,
     projective_residual,
 )
+from normgen.config import EPS
 from normgen.su2 import (
     Su2Step,
     conjugator_to_reference,
@@ -19,6 +21,7 @@ from normgen.su2 import (
     rotation_class_angle,
     su2_step_matrix,
     su2_walk,
+    walk_length,
 )
 
 
@@ -132,6 +135,43 @@ class TestConjugatorToReference:
         g = conjugator_to_reference(vp, 0.8)
         res = g @ reference_rotation(0.8) @ g.conj().T - vp
         assert np.max(np.abs(res)) <= 1e-10
+
+
+    @staticmethod
+    def numpy_conjugator(vprime, theta):
+        """The 2x2 numpy formulation the scalar version replaced."""
+        v = np.asarray(vprime, dtype=complex)
+        want = 2.0 * math.cos(theta)
+        got = float(np.real(np.trace(v)))
+        if abs(got - want) > 1e-9 or abs(float(np.imag(np.trace(v)))) > 1e-9:
+            raise PreconditionError("trace mismatch")
+        m = v - np.exp(-1j * theta) * np.eye(2)
+        col = m[:, 0] if np.linalg.norm(m[:, 0]) >= np.linalg.norm(m[:, 1]) else m[:, 1]
+        nrm = np.linalg.norm(col)
+        if nrm <= 8.0 * EPS:
+            return np.eye(2, dtype=complex)
+        x = col / nrm
+        k = int(np.argmax(np.abs(x)))
+        x = x * (x[k] / abs(x[k])).conjugate()
+        y = np.array([-np.conj(x[1]), np.conj(x[0])], dtype=complex)
+        return np.column_stack([x, y])
+
+    @pytest.mark.parametrize("kind", ["random", "near_zero", "near_pi"])
+    def test_matches_numpy_version(self, kind):
+        rng = np.random.default_rng(13)
+        for trial in range(300):
+            if kind == "random":
+                th = rng.uniform(0.0, math.pi)
+            else:
+                spread = 10.0 ** -rng.uniform(10, 15)
+                th = spread if kind == "near_zero" else math.pi - spread
+            g0 = haar_su2(rng)
+            vp = g0 @ reference_rotation(th) @ g0.conj().T
+            got = conjugator_to_reference(vp, th)
+            want = self.numpy_conjugator(vp, th)
+            assert np.max(np.abs(got - want)) <= 1e-14, (th, got, want)
+        with pytest.raises(PreconditionError):
+            conjugator_to_reference(vp, th + 0.1)
 
 
 class TestStepType:
@@ -291,3 +331,42 @@ class TestWalkRandomized:
             produced += 1
             assert_walk_hits(steps, phi, theta, m)
         assert produced > 100
+
+
+class TestWalkLength:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        phi=st.floats(-math.pi, math.pi),
+        theta=st.floats(-math.pi, math.pi),
+        cap=st.integers(1, 8).map(lambda h: 2 * h),
+    )
+    def test_shortest_and_monotone(self, phi, theta, cap):
+        try:
+            m0 = walk_length(phi, theta, cap)
+        except (BudgetInfeasibleError, DegenerateInputError) as exc:
+            with pytest.raises(type(exc)):
+                su2_walk(phi, theta, cap)
+            return
+        assert 2 <= m0 <= cap and m0 % 2 == 0
+        for m in range(m0, cap + 1, 2):
+            assert_walk_hits(su2_walk(phi, theta, m), phi, theta, m)
+        if m0 > 2:
+            with pytest.raises(BudgetInfeasibleError):
+                su2_walk(phi, theta, m0 - 2)
+
+    def test_frozen_lengths(self):
+        assert walk_length(0.9, 0.25, 8) == 4
+        assert walk_length(1.0, 0.25, 8) == 4
+        assert walk_length(1.01, 0.25, 8) == 6
+        assert walk_length(0.05, 0.9, 6) == 2
+        assert walk_length(0.0, 0.0, 4) == 2
+        # beyond a quarter turn only the mirrored class is reachable
+        assert walk_length(2.9, 2.0, 2) == 2
+
+    def test_errors_match_the_walk(self):
+        with pytest.raises(BudgetInfeasibleError):
+            walk_length(2.0, 0.3, 4)
+        with pytest.raises(DegenerateInputError):
+            walk_length(0.5, 0.0, 2)
+        with pytest.raises(DomainError):
+            walk_length(0.5, 0.3, 3)
