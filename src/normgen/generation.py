@@ -22,6 +22,7 @@ walk that lands at some even length lands at every longer one, so the
 shared length serves them all.
 """
 
+import base64
 from dataclasses import dataclass, field
 from fractions import Fraction
 import math
@@ -47,8 +48,6 @@ from .spectral import (
     canon_angle,
     chord,
     diagonalize_normal,
-    matrix_from_json,
-    matrix_to_json,
     projective_one_norm,
     projective_profile,
     projective_residual,
@@ -83,7 +82,7 @@ __all__ = [
 
 THEOREM_TAGS = ("rank_dep", "rank_indep", "full_gen", "pipeline", "broise_kernel")
 
-CERT_VERSION = "normgen-cert/2"
+CERT_VERSION = "normgen-cert/3"
 
 # conjugating by this flips diag(a, conj(a)) to diag(conj(a), a)
 _FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -122,28 +121,81 @@ class CertStep:
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "e", int(self.e))
 
-    def to_json(self):
+    def to_json(self, perm_index):
+        """The step's record, with its perm as an index into the certificate's
+        perm table and its blocks packed row-major, back to back."""
+        flat = [b.ravel() for _, b in self.blocks]
         return {
-            "perm": self.perm.tolist(),
-            "blocks": [
-                {"offset": offset, "u": matrix_to_json(b)} for offset, b in self.blocks
-            ],
+            "perm": perm_index,
+            "offsets": [offset for offset, _ in self.blocks],
+            "widths": [b.shape[0] for _, b in self.blocks],
+            "blocks": _pack(np.concatenate(flat) if flat else np.empty(0)),
             "e": self.e,
         }
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, perms, n):
+        """Decode a step record against the decoded perm table and size n.
+
+        Indices, offsets, widths and the exponent must be integers, the
+        index must address the table and the widths must fit n; offsets,
+        exponent values and perm contents are left to the verifier.
+        """
         try:
-            perm, e = obj["perm"], obj["e"]
-            blocks = tuple(
-                (b["offset"], matrix_from_json(b["u"], what="step block"))
-                for b in obj["blocks"]
-            )
-            if not all(type(i) is int for i in (*perm, *(o for o, _ in blocks), e)):
-                raise TypeError("perm entries, offsets and exponent must be integers")
-            return cls(perm, blocks, e)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            idx, offsets, widths, e = obj["perm"], obj["offsets"], obj["widths"], obj["e"]
+            if type(offsets) is not list or type(widths) is not list:
+                raise TypeError("offsets and widths must be lists")
+            if not _all_ints(idx, e, *offsets, *widths):
+                raise TypeError("perm index, offsets, widths and exponent must be integers")
+            if not 0 <= idx < len(perms):
+                raise ValueError(f"perm index {idx} outside a table of {len(perms)}")
+            if len(offsets) != len(widths) or not all(0 < w <= n for w in widths):
+                raise ValueError(f"block widths {widths} do not fit size {n}")
+            sizes = [w * w for w in widths]
+            flat = _unpack(obj["blocks"], [sum(sizes)], "step blocks")
+            blocks, start = [], 0
+            for offset, w, size in zip(offsets, widths, sizes):
+                blocks.append((offset, flat[start : start + size].reshape(w, w)))
+                start += size
+            return cls(perms[idx], blocks, e)
+        except (KeyError, TypeError, ValueError) as exc:
             raise CertificateFormatError(f"malformed step: {exc}") from exc
+
+
+def _all_ints(*values):
+    return all(type(v) is int for v in values)
+
+
+_DTYPE = "<c16"
+
+
+def _pack(arr):
+    """Packed record of a complex array: its shape, the dtype tag and base64
+    of its little-endian complex128 bytes, which carry -0.0 and every NaN
+    payload exactly."""
+    a = np.ascontiguousarray(arr, dtype=_DTYPE)
+    return {
+        "shape": list(a.shape),
+        "dtype": _DTYPE,
+        "b64": base64.b64encode(a.tobytes()).decode("ascii"),
+    }
+
+
+def _unpack(rec, shape, what):
+    """Decode a packed record whose shape must equal shape, checking the
+    dtype tag, the base64 alphabet and the decoded byte count."""
+    if type(rec) is not dict:
+        raise TypeError(f"{what} must be a packed record")
+    if rec.get("dtype") != _DTYPE:
+        raise ValueError(f"{what} dtype must be {_DTYPE!r}, got {rec.get('dtype')!r}")
+    got = rec.get("shape")
+    if type(got) is not list or not _all_ints(*got) or got != shape:
+        raise ValueError(f"{what} shape must be {shape}, got {got!r}")
+    raw = base64.b64decode(rec.get("b64"), validate=True)
+    want = 16 * math.prod(shape)
+    if len(raw) != want:
+        raise ValueError(f"{what} payload holds {len(raw)} bytes, need {want}")
+    return np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -226,14 +278,22 @@ class Certificate:
         return a @ certificate_product(self.base_angles, self.steps) @ a.conj().T
 
     def to_json(self):
+        perms, index, steps = [], {}, []
+        for st in self.steps:
+            key = st.perm.tobytes()
+            if key not in index:
+                index[key] = len(perms)
+                perms.append(st.perm.tolist())
+            steps.append(st.to_json(index[key]))
         out = {
             "version": CERT_VERSION,
-            "target": matrix_to_json(self.target),
-            "base": matrix_to_json(self.base),
-            "aframe": matrix_to_json(self.aframe),
-            "bframe": matrix_to_json(self.bframe),
+            "target": _pack(self.target),
+            "base": _pack(self.base),
+            "aframe": _pack(self.aframe),
+            "bframe": _pack(self.bframe),
             "base_angles": self.base_angles.tolist(),
-            "steps": [st.to_json() for st in self.steps],
+            "perms": perms,
+            "steps": steps,
             "claimed_budget": self.claimed_budget,
             "theorem": self.theorem,
             "params": dict(self.params),
@@ -245,6 +305,10 @@ class Certificate:
 
     @classmethod
     def from_json(cls, obj):
+        """Decode a certificate, raising CertificateFormatError for anything
+        that does not match the schema; damaged but well-typed contents
+        (non-unitary blocks, bad perms, exponents other than +-1) load and
+        are left to the verifier."""
         if not isinstance(obj, dict):
             raise CertificateFormatError("certificate must be an object")
         if obj.get("version") != CERT_VERSION:
@@ -252,21 +316,37 @@ class Certificate:
                 f"unsupported certificate version {obj.get('version')!r}"
             )
         try:
+            shape = obj["target"]["shape"]
+            n = shape[0] if type(shape) is list and shape else 0
+            if not _all_ints(n) or n < 1:
+                raise ValueError(f"target shape must be [n, n] with n >= 1, got {shape!r}")
             mats = [
-                matrix_from_json(obj[name], what=name)
+                _unpack(obj[name], [n, n], name)
                 for name in ("target", "base", "aframe", "bframe")
             ]
-            angles = np.asarray(obj["base_angles"], dtype=float)
-            steps = tuple(CertStep.from_json(s) for s in obj["steps"])
-            budget = int(obj["claimed_budget"])
-            theorem = obj["theorem"]
+            angles = obj["base_angles"]
+            if type(angles) is not list or not all(type(a) is float for a in angles):
+                raise TypeError("base_angles must be a list of floats")
+            perms = []
+            for p in obj["perms"]:
+                if type(p) is not list or not _all_ints(*p):
+                    raise TypeError("perm table entries must be lists of integers")
+                perms.append(np.array(p, dtype=np.int64))
+            steps = tuple(CertStep.from_json(s, perms, n) for s in obj["steps"])
+            budget, theorem = obj["claimed_budget"], obj["theorem"]
+            if not _all_ints(budget):
+                raise TypeError("claimed_budget must be an integer")
+            params, metadata = obj.get("params", {}), obj.get("metadata", {})
+            if type(params) is not dict or type(metadata) is not dict:
+                raise TypeError("params and metadata must be objects")
+            metadata = dict(metadata)
+            if "s0" in obj:
+                if not _all_ints(obj["s0"]):
+                    raise TypeError("s0 must be an integer")
+                metadata.setdefault("s0", obj["s0"])
+            return cls(*mats, angles, steps, budget, theorem, params, metadata)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateFormatError(f"malformed certificate: {exc}") from exc
-        params = obj.get("params") or {}
-        metadata = dict(obj.get("metadata") or {})
-        if "s0" in obj:
-            metadata.setdefault("s0", int(obj["s0"]))
-        return cls(*mats, angles, steps, budget, theorem, params, metadata)
 
 
 def _json_safe(obj):

@@ -97,8 +97,11 @@ def optimalize(spec, frontier_cap=256):
 
     Sequential greedy over prefixes with tie-set tracking: every prefix whose
     gap sequence ties the current best within TIE_TOL survives to the next
-    position, deduplicated by (last angle, remaining multiset).  Exhaustive
-    search over all orderings confirms the result for small n in the tests.
+    position, deduplicated by (last angle, remaining multiset).  Angles equal
+    after rounding to 1e-12 form one class, so a multiset is its tuple of
+    class counts, and two extensions collide exactly when their parents
+    leave equal counts and they append the same class.  Exhaustive search
+    over all orderings confirms the result for small n in the tests.
     """
     if not isinstance(spec, CircleSpectrum):
         spec = CircleSpectrum(spec)
@@ -106,58 +109,60 @@ def optimalize(spec, frontier_cap=256):
     if n < 2:
         raise DomainError("need at least two eigenvalues to order gaps")
     angles = spec.angles
+    _, cls = np.unique(np.round(angles / 1e-12), return_inverse=True)
+    full = tuple(np.bincount(cls).tolist())
+    cls = cls.tolist()
 
-    def dedup_key(order, remaining):
-        last = round(angles[order[-1]] / 1e-12)
-        rest = tuple(sorted(round(angles[r] / 1e-12) for r in remaining))
-        return last, rest
+    def extend(order, remaining, counts, idx):
+        c = cls[idx]
+        counts = counts[:c] + (counts[c] - 1,) + counts[c + 1 :]
+        return order + (idx,), remaining - {idx}, counts
 
-    # seed with every maximal-distance pair, both orientations
+    # seed with every maximal-distance pair, both orientations; a pair is
+    # a duplicate when it has the same two classes
     best = -1.0
-    frontier = []
+    band = _tie_band(best)
+    pairs = []
     for i in range(n):
-        di = chord(angles - angles[i])
-        for j in range(n):
+        for j, g in enumerate(chord(angles - angles[i]).tolist()):
             if i == j:
                 continue
-            g = float(di[j])
-            if g > best + _tie_band(best):
-                best = g
-                frontier = [((i, j), frozenset(range(n)) - {i, j})]
-            elif g >= best - _tie_band(best):
-                frontier.append(((i, j), frozenset(range(n)) - {i, j}))
-    gaps = [best]
+            if g > best + band:
+                best, band = g, _tie_band(g)
+                pairs = [(i, j)]
+            elif g >= best - band:
+                pairs.append((i, j))
     seen = set()
-    deduped = []
-    for order, remaining in frontier:
-        key = dedup_key(order, remaining)
-        if key not in seen:
-            seen.add(key)
-            deduped.append((order, remaining))
-    frontier = deduped[:frontier_cap]
+    frontier = []
+    root = ((), frozenset(range(n)), full)
+    for i, j in pairs:
+        if (cls[i], cls[j]) not in seen and len(frontier) < frontier_cap:
+            seen.add((cls[i], cls[j]))
+            frontier.append(extend(*extend(*root, i), j))
 
     for _ in range(n - 2):
+        ids = {}
+        parent_ids = [ids.setdefault(counts, len(ids)) for _, _, counts in frontier]
         best = -1.0
+        band = _tie_band(best)
         nxt = []
-        for order, remaining in frontier:
+        for p, (order, remaining, _) in enumerate(frontier):
             rem = sorted(remaining)
-            g_all = chord(angles[rem] - angles[order[-1]])
-            for k, idx in enumerate(rem):
-                g = float(g_all[k])
-                if g > best + _tie_band(best):
-                    best = g
-                    nxt = [(order + (idx,), remaining - {idx})]
-                elif g >= best - _tie_band(best):
-                    nxt.append((order + (idx,), remaining - {idx}))
-        gaps.append(best)
+            g_all = chord(angles[rem] - angles[order[-1]]).tolist()
+            for idx, g in zip(rem, g_all):
+                if g > best + band:
+                    best, band = g, _tie_band(g)
+                    nxt = [(p, idx)]
+                elif g >= best - band:
+                    nxt.append((p, idx))
         seen = set()
-        deduped = []
-        for order, remaining in nxt:
-            key = dedup_key(order, remaining)
-            if key not in seen:
+        frontier_next = []
+        for p, idx in nxt:
+            key = (parent_ids[p], cls[idx])
+            if key not in seen and len(frontier_next) < frontier_cap:
                 seen.add(key)
-                deduped.append((order, remaining))
-        frontier = deduped[:frontier_cap]
+                frontier_next.append(extend(*frontier[p], idx))
+        frontier = frontier_next
 
     perm = np.asarray(frontier[0][0], dtype=np.int64)
     out = angles[perm]

@@ -1,5 +1,6 @@
 """Exit codes, parsing, and JSON schemas of the command-line surface."""
 
+import base64
 import json
 import math
 
@@ -13,6 +14,39 @@ from normgen.cli import main
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def unpack(rec):
+    """Decode a packed certificate record with the standard library."""
+    raw = base64.b64decode(rec["b64"])
+    return np.frombuffer(raw, dtype="<c16").reshape(rec["shape"]).copy()
+
+
+def pack(arr):
+    a = np.ascontiguousarray(arr, dtype="<c16")
+    b64 = base64.b64encode(a.tobytes()).decode("ascii")
+    return {"shape": list(a.shape), "dtype": "<c16", "b64": b64}
+
+
+def short_angles(blob):
+    blob["base_angles"].pop()
+
+
+def small_aframe(blob):
+    n = blob["aframe"]["shape"][0]
+    blob["aframe"] = pack(np.eye(n - 1))
+
+
+# each mutation damages one field of an emitted certificate
+MALFORMED_FIELDS = {
+    "metadata": lambda blob: blob.update(metadata=[1, 2]),
+    "params": lambda blob: blob.update(params="ab"),
+    "s0": lambda blob: blob.update(s0="x"),
+    "aframe": small_aframe,
+    "base_angles": short_angles,
+    "theorem": lambda blob: blob.update(theorem="made_up"),
+    "claimed_budget": lambda blob: blob.update(claimed_budget=-1),
+}
 
 
 @pytest.fixture
@@ -167,7 +201,9 @@ class TestVerify:
     def test_tampered_cert_fails(self, tmp_path, diag_file, capsys):
         out = self.emitted(tmp_path, diag_file)
         blob = json.loads(out.read_text())
-        blob["steps"][0]["blocks"][0]["u"]["re"][0][0] += 1e-2
+        blocks = unpack(blob["steps"][0]["blocks"])
+        blocks[0] += 1e-2
+        blob["steps"][0]["blocks"] = pack(blocks)
         out.write_text(json.dumps(blob))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
@@ -187,9 +223,19 @@ class TestVerify:
     def test_huge_perm_entry_is_a_parse_error(self, tmp_path, diag_file):
         out = self.emitted(tmp_path, diag_file)
         blob = json.loads(out.read_text())
-        blob["steps"][0]["perm"][0] = 2**70
+        blob["perms"][blob["steps"][0]["perm"]][0] = 2**70
         out.write_text(json.dumps(blob))
         assert main(["verify", str(out)]) == 2
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
+    def test_malformed_field_is_a_parse_error(self, tmp_path, diag_file, capsys, name):
+        out = self.emitted(tmp_path, diag_file)
+        blob = json.loads(out.read_text())
+        MALFORMED_FIELDS[name](blob)
+        out.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
 
 
 class TestCorpus:

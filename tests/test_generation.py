@@ -1,5 +1,6 @@
 """Certificate generators: closed-loop products, budgets, refusal semantics."""
 
+import base64
 import dataclasses
 import json
 import math
@@ -67,6 +68,18 @@ def block_factor(n, i, phi):
     return np.diag(vec)
 
 
+def unpack(rec):
+    """Decode a packed certificate record with the standard library."""
+    raw = base64.b64decode(rec["b64"])
+    return np.frombuffer(raw, dtype="<c16").reshape(rec["shape"]).copy()
+
+
+def pack(arr):
+    a = np.ascontiguousarray(arr, dtype="<c16")
+    b64 = base64.b64encode(a.tobytes()).decode("ascii")
+    return {"shape": list(a.shape), "dtype": "<c16", "b64": b64}
+
+
 def assert_sound(cert):
     report = verify_certificate(cert)
     assert report["pass"], report
@@ -111,7 +124,9 @@ class TestCertificateType:
         rng = np.random.default_rng(2)
         cert = generate_rank_dependent(haar(3, rng), haar(3, rng), 2)
         obj = cert.to_json()
-        obj["steps"][0]["blocks"][0]["u"]["re"][0][0] += 0.01
+        blocks = unpack(obj["steps"][0]["blocks"])
+        blocks[0] += 0.01
+        obj["steps"][0]["blocks"] = pack(blocks)
         back = Certificate.from_json(obj)
         report = verify_certificate(back)
         assert not report["pass"]
@@ -671,7 +686,7 @@ def pool_certificates():
             u, v = admissible_pair(n, 1, 2, rng)
             out.append(generate_rank_independent(u, v, 1, 2))
     out.append(broise_kernel_certificate(haar(3, np.random.default_rng(950))))
-    rng = np.random.default_rng(960)
+    rng = np.random.default_rng(964)
     u, v = admissible_rational_pair(1, Fraction(1, 2), rng)
     out.append(pipeline_generate(u, v, 1, Fraction(1, 2)))
     out.append(generate_rank_dependent(np.exp(0.3j) * np.eye(3), haar(3, rng), 1))
@@ -711,6 +726,10 @@ class TestFactoredCertificates:
             core = cert.base if st.e == 1 else cert.base.conj().T
             dense = dense @ g @ core @ g.conj().T
         assert np.max(np.abs(dense - cert.product())) < 1e-11
+
+    def test_pool_entries_walk(self):
+        # every entry but the deliberately scalar target has steps to check
+        assert [len(cert) > 0 for cert in POOL] == [True] * (len(POOL) - 1) + [False]
 
     def test_walk_steps_are_perm_and_two_by_two(self):
         cert = POOL[2]
@@ -822,13 +841,19 @@ class TestFactoredCertificates:
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
 
+    def test_cert2_rejected(self):
+        obj = POOL[0].to_json()
+        obj["version"] = "normgen-cert/2"
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
     def test_malformed_step_json(self):
         obj = POOL[0].to_json()
-        obj["steps"][0]["perm"][0] = 0.5
+        obj["perms"][obj["steps"][0]["perm"]][0] = 0.5
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
         obj = POOL[0].to_json()
-        obj["steps"][0]["blocks"][0]["offset"] = 0.0
+        obj["steps"][0]["offsets"][0] = 0.0
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
         obj = POOL[0].to_json()
@@ -838,7 +863,7 @@ class TestFactoredCertificates:
 
     def test_huge_integers_are_format_errors(self):
         obj = POOL[0].to_json()
-        obj["steps"][0]["perm"][0] = 2**70
+        obj["perms"][obj["steps"][0]["perm"]][0] = 2**70
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
         obj = POOL[0].to_json()
@@ -848,10 +873,137 @@ class TestFactoredCertificates:
 
     def test_out_of_range_perm_loads_then_fails(self):
         obj = POOL[0].to_json()
-        obj["steps"][0]["perm"][0] = 99
+        obj["perms"][obj["steps"][0]["perm"]][0] = 99
         report = verify_certificate(Certificate.from_json(obj))
         assert report["margins"]["first_failing_step"] == 0
         assert not report["pass"]
+
+
+def assert_format_error(obj):
+    with pytest.raises(CertificateFormatError):
+        Certificate.from_json(json.loads(json.dumps(obj)))
+
+
+class TestPackedRecords:
+    """normgen-cert/3 packs matrices and block stacks as base64 records, and
+    its loader checks every record, index and integer field."""
+
+    CERT = POOL[3]
+
+    def fresh(self):
+        return self.CERT.to_json()
+
+    def test_records_decode_with_the_standard_library(self):
+        cert, obj = self.CERT, self.fresh()
+        for name in ("target", "base", "aframe", "bframe"):
+            assert obj[name]["shape"] == [cert.n, cert.n]
+            assert obj[name]["dtype"] == "<c16"
+            assert np.array_equal(unpack(obj[name]), getattr(cert, name))
+        for rec, st in zip(obj["steps"], cert.steps):
+            assert obj["perms"][rec["perm"]] == st.perm.tolist()
+            assert rec["offsets"] == [offset for offset, _ in st.blocks]
+            assert rec["widths"] == [b.shape[0] for _, b in st.blocks]
+            flat = np.concatenate([b.ravel() for _, b in st.blocks])
+            assert np.array_equal(unpack(rec["blocks"]), flat)
+            assert rec["e"] == st.e
+
+    def test_perm_table_is_shared(self):
+        cert, obj = self.CERT, self.fresh()
+        distinct = {st.perm.tobytes() for st in cert.steps}
+        assert len(obj["perms"]) == len(distinct) < len(cert)
+        back = Certificate.from_json(obj)
+        by_index = {}
+        for rec, st in zip(obj["steps"], back.steps):
+            assert by_index.setdefault(rec["perm"], st.perm) is st.perm
+
+    def test_signed_zero_and_nan_payloads_round_trip(self):
+        cert = self.CERT
+        offset, blk = cert.steps[0].blocks[0]
+        blk = np.array(blk, copy=True)
+        bits = [0x8000_0000_0000_0000, 0x7FF8_0000_0000_0123]  # -0.0, a NaN
+        blk.view(np.uint64)[0, :2] = bits
+        bad = with_step(cert, 0, blocks=((offset, blk),))
+        target = np.array(cert.target, copy=True)
+        target.view(np.uint64)[0, 1] = bits[0]
+        text = json.dumps(dataclasses.replace(bad, target=target).to_json())
+        back = Certificate.from_json(json.loads(text))
+        assert json.dumps(back.to_json()) == text
+        assert back.steps[0].blocks[0][1].view(np.uint64)[0, :2].tolist() == bits
+        assert back.target.view(np.uint64)[0, 1] == bits[0]
+        # a non-finite block loads, then fails verification
+        report = verify_certificate(Certificate.from_json(bad.to_json()))
+        assert "error" not in report
+        assert report["margins"]["first_failing_step"] == 0
+        assert not report["pass"]
+
+    @pytest.mark.parametrize("where", ["target", "bframe", "blocks"])
+    @pytest.mark.parametrize("tag", ["<c8", ">c16", "complex128", None])
+    def test_dtype_tag(self, where, tag):
+        obj = self.fresh()
+        rec = obj["steps"][0]["blocks"] if where == "blocks" else obj[where]
+        rec["dtype"] = tag
+        assert_format_error(obj)
+
+    @pytest.mark.parametrize("name", ["target", "base", "aframe", "bframe"])
+    def test_matrix_shape_not_n_by_n(self, name):
+        n = self.CERT.n
+        for shape in ([n, n + 1], [n + 1, n + 1], [n * n], [n, n, 1], [n, 1.0 * n]):
+            obj = self.fresh()
+            obj[name]["shape"] = shape
+            assert_format_error(obj)
+        for mat in (np.eye(n + 1), np.eye(n)[:, :-1]):
+            # well-formed records of the wrong shape
+            obj = self.fresh()
+            obj[name] = pack(mat)
+            assert_format_error(obj)
+
+    def test_widths_must_fit_n(self):
+        n = self.CERT.n
+        for widths in ([0], [-2], [n + 1], [2, 2], [], [2.0]):
+            obj = self.fresh()
+            obj["steps"][0]["widths"] = widths
+            assert_format_error(obj)
+
+    @pytest.mark.parametrize("where", ["aframe", "blocks"])
+    @pytest.mark.parametrize("cut", [-1, -16, 1, 16])
+    def test_payload_length(self, where, cut):
+        obj = self.fresh()
+        rec = obj["steps"][0]["blocks"] if where == "blocks" else obj[where]
+        raw = base64.b64decode(rec["b64"])
+        raw = raw[:cut] if cut < 0 else raw + bytes(cut)
+        rec["b64"] = base64.b64encode(raw).decode("ascii")
+        assert_format_error(obj)
+
+    @pytest.mark.parametrize("where", ["base", "blocks"])
+    @pytest.mark.parametrize("bad", ["!", "é", "\n", " ", "-"])
+    def test_invalid_base64_characters(self, where, bad):
+        obj = self.fresh()
+        rec = obj["steps"][0]["blocks"] if where == "blocks" else obj[where]
+        good = rec["b64"]
+        rec["b64"] = bad + good[1:]
+        assert_format_error(obj)
+        rec["b64"] = list(base64.b64decode(good))
+        assert_format_error(obj)
+
+    @pytest.mark.parametrize("index", [-1, "len", 1.0, True, None])
+    def test_perm_index_outside_table(self, index):
+        obj = self.fresh()
+        assert len(obj["perms"]) > 1
+        obj["steps"][0]["perm"] = len(obj["perms"]) if index == "len" else index
+        assert_format_error(obj)
+
+    @pytest.mark.parametrize("value", [1.0, "1", True, None])
+    @pytest.mark.parametrize("where", ["perm entry", "offset", "exponent"])
+    def test_non_integer_fields(self, where, value):
+        obj = self.fresh()
+        step = obj["steps"][0]
+        if where == "perm entry":
+            obj["perms"][step["perm"]][0] = value
+        elif where == "offset":
+            step["offsets"][0] = value
+        else:
+            step["e"] = value
+        assert_format_error(obj)
 
 
 class TestChordDiameter:

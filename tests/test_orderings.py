@@ -66,6 +66,17 @@ class TestOptimalize:
         opt = optimalize(ng.CircleSpectrum(angles))
         assert np.allclose(opt.diffs, exhaustive_best_gaps(angles), atol=1e-8)
 
+    def test_repeated_spectrum_perm_pinned(self):
+        # six values repeated six times: the tie frontier is deduplicated by
+        # class counts, and the chosen order is the one the sorted-multiset
+        # keys chose
+        vals = np.random.default_rng(6).uniform(-math.pi, math.pi, 6)
+        opt = optimalize(np.tile(vals, 6))
+        assert opt.perm.tolist() == [
+            0, 4, 6, 10, 12, 16, 18, 22, 24, 28, 30, 34, 3, 5, 1, 11, 7, 17,
+            13, 23, 19, 29, 25, 35, 31, 9, 2, 15, 8, 21, 14, 27, 20, 33, 26, 32,
+        ]
+
     def test_idempotent(self):
         rng = np.random.default_rng(9)
         angles = rng.uniform(-math.pi, math.pi, size=7)
