@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .orderings import angle_sum_optimalize, center_phase, optimalize
+from .orderings import angle_sum_optimalize, center_phase
 from .spectral import (
     UnitaryRep,
     as_unitary,
@@ -56,12 +56,7 @@ from .spectral import (
     spectrum_of,
     unitarity_defect,
 )
-from .su2 import (
-    conjugator_to_reference,
-    rotation_class_angle,
-    su2_walk,
-    walk_length,
-)
+from .su2 import SourceBlock, source_block, walk_length
 
 __all__ = [
     "CertStep",
@@ -83,10 +78,6 @@ __all__ = [
 THEOREM_TAGS = ("rank_dep", "rank_indep", "full_gen", "pipeline", "broise_kernel")
 
 CERT_VERSION = "normgen-cert/3"
-
-# conjugating by this flips diag(a, conj(a)) to diag(conj(a), a)
-_FLIP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
 
 # ---------------------------------------------------------------------------
 # certificate container
@@ -513,17 +504,6 @@ def _diag_angles(x, what):
     return np.angle(np.diagonal(m)), rep
 
 
-def _embed2(n, j, block):
-    out = np.eye(n, dtype=complex)
-    out[j : j + 2, j : j + 2] = block
-    return out
-
-
-def _block_rotation(t):
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, s], [-s, c]], dtype=complex)
-
-
 def swap_commutator(v, j):
     """Commutator of a diagonal unitary with the swap at (j, j+1).
 
@@ -554,71 +534,52 @@ def swap_commutator(v, j):
 @dataclass(frozen=True)
 class _Strand:
     """One block walk inside a shared commutator schedule: the factor angle
-    phi, the blocks it moves, the commutator driving it and the shortest
-    even walk length that reaches phi."""
+    phi, the target block it moves, the source block at (source, source + 1)
+    driving it and the shortest even walk length that reaches phi."""
 
     phi: float
     target: int
     source: int
-    rotation: np.ndarray
-    commutator: np.ndarray
-    theta: float
+    block: SourceBlock
     length: int
 
+    @property
+    def theta(self):
+        return self.block.theta
 
-def _plan_strand(phi, target, source, v_angles, cap, slack=1e-9):
-    """Choose the block rotation for one factor and its shortest walk length.
 
-    The commutator of v with a rotation by t in the source block has class
-    angle c(t) with cos c = 1 - sin(t)^2 (1 - cos gap); a full swap gives the
-    gap itself, and when the gap passes a quarter turn a partial rotation
-    pins the class to pi/2, from which two steps reach any angle.  The walk
-    may take at most cap steps.
-    """
-    delta = canon_angle(v_angles[source] - v_angles[source + 1])
-    beta = abs(delta)
-    if beta <= 1e-12:
-        raise DegenerateInputError(
-            f"source gap at position {source} vanishes"
-        )
-    if beta <= 0.5 * math.pi + 1e-12:
-        t = 0.5 * math.pi
-    else:
-        t = math.asin(min(1.0, 1.0 / math.sqrt(1.0 - math.cos(delta))))
-    rot = _block_rotation(t)
-    vblk = np.diag(np.exp(1j * v_angles[source : source + 2]))
-    comm = vblk @ rot @ vblk.conj().T @ rot.conj().T
-    theta = rotation_class_angle(comm)
+def _strand(phi, target, pair, cap):
+    """The strand walking phi on pair = (source, block) in at most cap
+    steps, or None when the block's class angle cannot reach |phi| that
+    fast."""
+    source, block = pair
     mag = abs(phi)
-    if mag > cap * theta:
-        if mag > cap * theta + slack:
-            raise BudgetInfeasibleError(
-                f"block angle {phi:.6f} needs more than {cap} steps of "
-                f"class {theta:.6f}"
-            )
-        mag = cap * theta
+    if mag > cap * block.theta:
+        if mag > cap * block.theta + 1e-9:
+            return None
+        mag = cap * block.theta
     phi_w = math.copysign(mag, phi) if phi != 0.0 else 0.0
-    length = walk_length(phi_w, theta, cap)
-    return _Strand(phi_w, target, source, rot, comm, theta, length)
+    length = walk_length(phi_w, block.theta, cap)
+    return _Strand(phi_w, target, source, block, length)
 
 
-def _walk_frames(strand, m):
-    """Eigenframe blocks y_1..y_m with prod y_q @ comm @ y_q* equal to the
-    strand's block target, from an m-step walk."""
-    steps = su2_walk(strand.phi, strand.theta, m)
-    comm = strand.commutator
-    ref_h = conjugator_to_reference(comm, strand.theta).conj().T
-    if steps[0].exponent != 1:
-        ref_h = _FLIP @ ref_h
-    frames = [st.conjugator @ ref_h for st in steps]
-    # closed-loop guard: the frames must reassemble the block target exactly
-    prod = np.eye(2, dtype=complex)
-    for y in frames:
-        prod = prod @ (y @ comm @ y.conj().T)
-    want = np.diag(np.exp(1j * np.array([strand.phi, -strand.phi])))
-    if float(np.max(np.abs(prod - want))) > 1e-9:
-        raise NumericalDegeneracyError("strand walk drifted off its target")
-    return frames
+def _plan_strand(phi, target, pair, cap):
+    """The strand walking phi on pair, raising when the pair cannot reach
+    |phi| within cap steps."""
+    strand = _strand(phi, target, pair, cap)
+    if strand is None:
+        raise BudgetInfeasibleError(
+            f"block angle {phi:.6f} needs more than {cap} steps of "
+            f"class {pair[1].theta:.6f}"
+        )
+    return strand
+
+
+def _pair_at(v_angles, source):
+    block = source_block(v_angles[source] - v_angles[source + 1])
+    if block is None:
+        raise DegenerateInputError(f"source gap at position {source} vanishes")
+    return source, block
 
 
 def _alignment(n, strands):
@@ -635,8 +596,8 @@ def _alignment(n, strands):
 
 
 def _shared_steps(n, strands):
-    """Walk parallel strands at one shared length and expand them into
-    eigenframe steps.
+    """Walk a nonempty list of parallel strands at one shared length and
+    expand them into eigenframe steps.
 
     The strands share one commutator per step, so they all walk the longest
     of their shortest lengths, m_b; a walk that lands at some even length
@@ -645,18 +606,17 @@ def _shared_steps(n, strands):
     rotations on the source blocks, and P aligns the source blocks with the
     target blocks: 2 * m_b steps in all.
     """
-    if not strands:
-        return []
     m = max(st.length for st in strands)
-    frames = [_walk_frames(st, m) for st in strands]
+    walked, rotated = zip(*(st.block.frames(st.phi, m) for st in strands))
+    # per q, the walked blocks of every strand, then the rotated ones
+    blocks = np.stack((np.stack(walked, 1), np.stack(rotated, 1)), 1)
+    blocks = blocks.reshape(2 * m, len(strands), 2, 2)
     perm = _alignment(n, strands)
-    out = []
-    for q in range(m):
-        walked = [(st.source, f[q]) for st, f in zip(strands, frames)]
-        out.append(CertStep(perm, walked, 1))
-        rotated = [(st.source, f[q] @ st.rotation) for st, f in zip(strands, frames)]
-        out.append(CertStep(perm, rotated, -1))
-    return out
+    sources = [st.source for st in strands]
+    return [
+        CertStep(perm, list(zip(sources, blocks[i])), 1 if i % 2 == 0 else -1)
+        for i in range(2 * m)
+    ]
 
 
 def _check_separated(positions, what):
@@ -706,7 +666,7 @@ def generate_block(u_i, v, m, j):
         raise BudgetInfeasibleError(
             f"|angle| {abs(phi):.6f} exceeds {m} times the gap {abs(delta):.6f}"
         )
-    return _shared_steps(n, [_plan_strand(phi, i, j, vangles, m)])
+    return _shared_steps(n, [_plan_strand(phi, i, _pair_at(vangles, j), m)])
 
 
 def generate_simultaneous(u, v, sources, targets, m):
@@ -751,28 +711,34 @@ def generate_simultaneous(u, v, sources, targets, m):
                 f"prefix angle {phi:.6f} at block {i} exceeds {m} times "
                 f"the gap at {j}"
             )
-        strands.append(_plan_strand(phi, i, j, vangles, m))
-    return _shared_steps(n, strands)
+        strands.append(_plan_strand(phi, i, _pair_at(vangles, j), m))
+    return _shared_steps(n, strands) if strands else []
 
 
 # ---------------------------------------------------------------------------
 # theorem-level generators
 
 
-def _chord_diameter(angles):
-    """Largest chord between the points e^{i angles}, in O(n log n) time and
-    O(n) memory: each point's farthest partner is a cyclic neighbour of its
-    antipode among the sorted angles."""
-    a = np.sort(np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi))
+def _diameter_pair(angles):
+    """Largest chord between the points e^{i angles} and the indices of its
+    two ends, in O(n log n) time and O(n) memory: each point's farthest
+    partner is a cyclic neighbour of its antipode among the sorted angles."""
+    a = np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi)
+    order = np.argsort(a, kind="stable")
+    a = a[order]
+    n = a.shape[0]
     ext = np.concatenate((a, a + 2.0 * math.pi))
     # a + pi lies strictly inside (ext[0], ext[n + i]), so both neighbours exist
     j = np.searchsorted(ext, a + math.pi)
-    near = np.maximum(chord(ext[j - 1] - a), chord(ext[j] - a))
-    return float(near.max())
+    lo, hi = chord(ext[j - 1] - a), chord(ext[j] - a)
+    near = np.maximum(lo, hi)
+    i = int(np.argmax(near))
+    partner = int(j[i]) - 1 if lo[i] >= hi[i] else int(j[i])
+    return float(near[i]), int(order[i]), int(order[partner % n])
 
 
 def _is_central(angles):
-    return _chord_diameter(angles) <= 1e-8
+    return _diameter_pair(angles)[0] <= 1e-8
 
 
 def _best_centering(spec):
@@ -826,48 +792,99 @@ def _trivial_certificate(urep, vrep, uspec, uframe, vspec, vframe, budget,
     return cert if resid <= tol else None
 
 
+def _matched_layout(angles):
+    """Base positions for the walks: the diameter pair at (0, 1), then the
+    other angles in sorted order, i paired with i + floor((n - 2) / 2) at
+    (2r, 2r + 1), and an odd one out last.
+
+    Each matched pair spans about half of the spectrum, so every even and
+    every odd factor of the target gets a wide source block of its own.
+    """
+    n = len(angles)
+    _, i, j = _diameter_pair(angles)
+    rest = [int(k) for k in np.argsort(angles, kind="stable") if k != i and k != j]
+    h = (n - 2) // 2
+    layout = [i, j]
+    for r in range(h):
+        layout += [rest[r], rest[r + h]]
+    return np.array(layout + rest[2 * h :], dtype=np.int64)
+
+
+def _plan_batches(factors, pairs, cap):
+    """Shared batches for one parity group of disjoint factors (phi, target).
+
+    Each round gives the largest remaining |phi| the widest pair (by class
+    angle; pairs[0], the diameter pair, is one of the widest), the next the
+    next widest, skipping vanishing gaps, and walks every factor whose walk
+    fits in L in one batch; the rest go to the next round.  L minimises
+    2L + sum of 2 * (diameter walk) over the factors left out: walking each
+    of those alone on pairs[0] bounds what the later rounds spend, so the
+    plan is never longer than one factor per batch on the widest gap.
+    """
+    ranked = sorted((p for p in pairs if p[1] is not None), key=lambda p: -p[1].theta)
+    alone = {f: _plan_strand(phi, f, pairs[0], cap).length for phi, f in factors}
+    rest = sorted(factors, key=lambda pf: -abs(pf[0]))
+    batches = []
+    while rest:
+        matched = [_strand(phi, f, p, cap) for (phi, f), p in zip(rest, ranked)]
+        matched += [None] * (len(rest) - len(matched))
+
+        def cost(length):
+            return 2 * length + sum(
+                2 * alone[f] for (_, f), s in zip(rest, matched)
+                if s is None or s.length > length
+            )
+
+        # the largest factor on the widest pair fits, so the batch is never empty
+        best = min(
+            {s.length for s in matched if s is not None},
+            key=lambda length: (cost(length), -length),
+        )
+        batches.append([s for s in matched if s is not None and s.length <= best])
+        rest = [pf for pf, s in zip(rest, matched) if s is None or s.length > best]
+    return batches
+
+
 def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
-                      theorem, params, metadata, sources_ranked=None,
-                      chunk=1):
+                      theorem, params, metadata):
     """Shared assembly for the theorem generators.
 
     Factors the centered, prefix-ordered target into two-by-two blocks and
-    walks them in batches against the chosen source gaps of the optimally
-    ordered base.  Each batch walks the shortest even length, at most mult,
-    that reaches all of its strands.  The steps stay in the eigenframes: the
-    certificate stores the target's frame in angle-sum order and the base's
-    frame in gap order once, and checks its product the way the verifier
-    does.
+    walks the even and the odd ones in batches against the matched source
+    pairs of the base (see _plan_batches).  Each batch walks the shortest
+    even length, at most mult, that reaches all of its strands.  The steps
+    stay in the eigenframes: the certificate stores the target's frame in
+    angle-sum order and the base's frame in the matched layout once, and
+    checks its product the way the verifier does.
     """
     n = urep.n
     centered, phase = _best_centering(uspec)
     order = angle_sum_optimalize(centered)
     theta = order.values
     aframe = uframe[:, order.sigma]
-    opt = optimalize(vspec)
-    gamma = opt.angles
-    bframe = vframe[:, opt.perm]
+    layout = _matched_layout(vspec.angles)
+    gamma = vspec.angles[layout]
+    bframe = vframe[:, layout]
+    pairs = [(j, source_block(gamma[j] - gamma[j + 1])) for j in range(0, n - 1, 2)]
 
-    if sources_ranked is None:
-        sources_ranked = [int(opt.sigma[0])]
     prefix = np.cumsum(theta)
     # skipping a factor moves the product by at most |phi| in operator norm,
     # so the skipped ones stay within half of eq_tol's rounding allowance
     skip = 0.5 * TOL.eq_ulps * EPS
-    live = [f for f in range(n - 1) if abs(canon_angle(prefix[f])) > skip]
-    evens = [f for f in live if f % 2 == 0]
-    odds = [f for f in live if f % 2 == 1]
     batches = []
-    for group in (evens, odds):
-        for k in range(0, len(group), chunk):
-            batches.append(group[k : k + chunk])
+    for parity in (0, 1):
+        phis = [(canon_angle(prefix[f]), f) for f in range(parity, n - 1, 2)]
+        live = [(phi, f) for phi, f in phis if abs(phi) > skip]
+        if live:
+            batches += _plan_batches(live, pairs, mult)
+    alone = sum(len(b) == 1 and b[0].source == 0 for b in batches)
+    planner = {
+        "batches": len(batches),
+        "matched_strands": sum(map(len, batches)) - alone,
+        "widest_gap_strands": alone,
+    }
     steps = []
-    for batch in batches:
-        strands = []
-        for rank, f in enumerate(batch):
-            j = sources_ranked[min(rank, len(sources_ranked) - 1)]
-            phi = canon_angle(prefix[f])
-            strands.append(_plan_strand(phi, f, j, gamma, mult))
+    for strands in batches:
         steps.extend(_shared_steps(n, strands))
     if len(steps) > budget:
         raise BudgetInfeasibleError(
@@ -883,7 +900,7 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
         budget,
         theorem,
         params,
-        {**metadata, "centering_phase": float(phase)},
+        {**metadata, "centering_phase": float(phase), "planner": planner},
     )
     resid, tol = product_check(cert)
     if not resid <= tol:
@@ -897,9 +914,11 @@ def generate_rank_dependent(u, v, m, seed=0):
     """Certificate with at most 8*m*n conjugates via single-gap walks.
 
     Requires ell_0(u) <= m * ell_0(v).  Every block factor of the target
-    walks against the widest gap of the base with the shortest even walk
-    that reaches it, of at most 4m steps (the walk multiplier), so a factor
-    costs at most 8m conjugates over at most n-1 factors.
+    walks with the shortest even walk that reaches it, of at most 4m steps
+    (the walk multiplier), either in a shared batch on its matched source
+    pair or alone on the widest gap of the base, whichever the planner
+    finds shorter; a factor costs at most 8m conjugates over at most n-1
+    factors.
     """
     m = int(m)
     if m <= 0:
@@ -932,10 +951,10 @@ def generate_rank_dependent(u, v, m, seed=0):
 def generate_rank_independent(u, v, m, s, seed=0):
     """Certificate with at most 24*m*ceil(n/s) conjugates via parallel walks.
 
-    Requires the hypothesis ell_0(u) <= m * ell_t(v) for t < s.  Factors are
-    split into even and odd positions and walked in batches of floor(s/2)
-    against separated wide gaps of the base, each batch sharing one
-    commutator schedule.  s = 1 falls back to the single-gap construction.
+    Requires the hypothesis ell_0(u) <= m * ell_t(v) for t < s.  The walks
+    are those of every walk generator: even and odd factors in shared
+    batches on the matched source pairs of the base, with walks of at most
+    4m steps; s enters through the hypothesis and the budget.
     """
     m = int(m)
     s = int(s)
@@ -961,37 +980,11 @@ def generate_rank_independent(u, v, m, s, seed=0):
         raise HypothesisError(
             "generation hypothesis fails; see attached report", report
         )
-    if s == 1:
-        inner = _walk_certificate(
-            urep, vrep, uspec, uframe, vspec, vframe,
-            mult=4 * m, budget=budget, theorem="rank_indep",
-            params={"m": m, "s": 1, "n": n},
-            metadata={"walk_multiplier": 4 * m, "fallback": "single_gap"},
-        )
-        return inner
-    opt = optimalize(vspec)
-    candidates = sorted(int(opt.sigma[t]) for t in range(s))
-    chosen = []
-    last = None
-    for pos in candidates:
-        if last is None or pos - last >= 2:
-            chosen.append(pos)
-            last = pos
-    rank_of = {int(p): r for r, p in enumerate(opt.sigma)}
-    chosen.sort(key=lambda p: rank_of[p])
-    chunk = max(1, s // 2)
-    chosen = chosen[:chunk]
     return _walk_certificate(
         urep, vrep, uspec, uframe, vspec, vframe,
         mult=4 * m, budget=budget, theorem="rank_indep",
         params={"m": m, "s": s, "n": n},
-        metadata={
-            "walk_multiplier": 4 * m,
-            "even_block_count": 2 * (s // 2),
-            "even_rounding": "batch width floor(s/2), walks of at most 4m",
-        },
-        sources_ranked=chosen,
-        chunk=len(chosen),
+        metadata={"walk_multiplier": 4 * m, "even_rounding": "4m is even"},
     )
 
 

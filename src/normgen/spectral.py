@@ -37,6 +37,11 @@ TWO_PI = 2.0 * math.pi
 
 def canon_angle(x):
     """Map angles to the canonical branch (-pi, pi]."""
+    if isinstance(x, (float, int, np.floating, np.integer)):
+        # scalars skip the array machinery; Python's float % and np.mod
+        # round alike, so both paths agree bit for bit
+        r = float(x) % TWO_PI
+        return r - TWO_PI if r > math.pi else r
     r = np.mod(np.asarray(x, dtype=float), TWO_PI)
     r = np.where(r > math.pi, r - TWO_PI, r)
     if np.ndim(x) == 0:

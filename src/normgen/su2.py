@@ -28,7 +28,36 @@ from .errors import (
 )
 from .spectral import canon_angle, unitarity_defect
 
-_SWAP = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+# 2x2 matrices on the walk path are (a, b, c, d) row-major tuples of Python
+# complex numbers: scalar arithmetic beats numpy's per-call cost at this size
+_EYE = (1 + 0j, 0j, 0j, 1 + 0j)
+_SWAP = (0j, 1 + 0j, -1 + 0j, 0j)
+
+
+def _mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _adj(x):
+    a, b, c, d = x
+    return (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
+
+
+def _defect(x):
+    """Max-norm of x @ x* - I, as unitarity_defect computes it."""
+    a, b, c, d = x
+    return max(
+        abs(abs(a) ** 2 + abs(b) ** 2 - 1.0),
+        abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
+        abs(a * c.conjugate() + b * d.conjugate()),
+    )
+
+
+def _array(x):
+    a, b, c, d = x
+    return np.array(((a, b), (c, d)), dtype=complex)
 
 
 def reference_rotation(angle):
@@ -39,8 +68,11 @@ def reference_rotation(angle):
 def rotation_class_angle(u):
     """Class angle in [0, pi] of an SU(2) element, from the real trace."""
     u = np.asarray(u, dtype=complex)
-    c = float(np.real(np.trace(u))) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
+    return _class_angle(float(np.real(np.trace(u))) / 2.0)
+
+
+def _class_angle(half_trace):
+    return math.acos(min(1.0, max(-1.0, half_trace)))
 
 
 @dataclass(frozen=True)
@@ -82,13 +114,19 @@ def conjugator_to_reference(vprime, theta):
     """Unitary g with g @ reference_rotation(theta) @ g* = vprime.
 
     Closed-form 2x2 eigenvector extraction; the phase is fixed by making the
-    largest-modulus entry of the first column real positive.  Scalar
-    arithmetic on the four entries: this runs twice per walk step.
+    largest-modulus entry of the first column real positive.
     """
     v = np.asarray(vprime, dtype=complex)
     if v.shape != (2, 2):
         raise DomainError("need a 2x2 matrix")
     (a, b), (c, d) = v.tolist()
+    return _array(_reference_frame((a, b, c, d), theta))
+
+
+def _reference_frame(v, theta):
+    """conjugator_to_reference on a scalar 2x2 tuple: this runs twice per
+    walk step."""
+    a, b, c, d = v
     want = 2.0 * math.cos(theta)
     tr = a + d
     if abs(tr.real - want) > 1e-9 or abs(tr.imag) > 1e-9:
@@ -108,16 +146,14 @@ def conjugator_to_reference(vprime, theta):
     # works.  Any larger nrm still gives the frame to rounding, since an
     # eigenvector error of eps / nrm costs eps / nrm * nrm in the rebuild.
     if nrm <= 8.0 * EPS:
-        return np.eye(2, dtype=complex)
+        return _EYE
     x0 /= nrm
     x1 /= nrm
     top = x0 if abs(x0) >= abs(x1) else x1
     ph = (top / abs(top)).conjugate()
     x0 *= ph
     x1 *= ph
-    return np.array(
-        [[x0, -x1.conjugate()], [x1, x0.conjugate()]], dtype=complex
-    )
+    return (x0, -x1.conjugate(), x1, x0.conjugate())
 
 
 def _reach(alpha, theta):
@@ -171,17 +207,20 @@ def _plan_waypoints(target, theta, m):
 
 
 def _step_to(alpha, beta, theta):
-    """Partial step v' with D(alpha) @ v' in the class of beta.
+    """Partial step v' with D(alpha) @ v' in the class of beta, as a scalar
+    2x2 tuple.
 
     The diagonal share sin(theta1) solves cos(beta) = cos(alpha)cos(theta)
     - sin(alpha)sin(theta1).  Both sin(theta) -+ sin(theta1) are computed in
     product form so a step landing on the reach boundary (a full step) comes
     out exactly diagonal instead of picking up a sqrt(eps) off-diagonal.
     """
+    c = math.cos(theta)
     sa = math.sin(alpha)
     if abs(sa) <= 1e-12:
         # from a central point the only reachable class is theta away
-        return su2_step_matrix(theta, theta)
+        s1 = math.sin(theta)
+        return (complex(c, s1), 0j, 0j, complex(c, -s1))
     d_hi = max(0.0, alpha + theta - beta)
     d_lo = max(0.0, beta - (alpha - theta))
     f_hi = max(0.0, 2.0 * math.sin(0.5 * (alpha + theta + beta))
@@ -195,29 +234,30 @@ def _step_to(alpha, beta, theta):
             raise NumericalDegeneracyError("step angle out of range")
         s1 = math.copysign(cap, s1)
     b = math.sqrt(f_hi * f_lo)
-    c = math.cos(theta)
-    return np.array([[c + 1j * s1, b], [-b, c - 1j * s1]], dtype=complex)
+    return (complex(c, s1), complex(b), complex(-b), complex(c, -s1))
 
 
 def _walk_positive(target, theta, m):
-    """Exact walk: m conjugators c_k with prod c_k D(theta) c_k* = D(target)."""
+    """Exact walk: m conjugators c_k with prod c_k D(theta) c_k* = D(target),
+    as scalar 2x2 tuples."""
     alphas = _plan_waypoints(target, theta, m)
     if alphas is None:
         return None
-    frame = np.eye(2, dtype=complex)
+    frame = _EYE
     conjugators = []
     prev = 0.0
     for alpha in alphas:
         vp = _step_to(prev, alpha, theta)
-        q = conjugator_to_reference(vp, theta)
-        conjugators.append(frame @ q)
-        mstep = reference_rotation(prev) @ vp
-        r = conjugator_to_reference(mstep, alpha)
-        frame = frame @ r
+        conjugators.append(_mul(frame, _reference_frame(vp, theta)))
+        # D(prev) @ vp scales the rows by e^{+-i prev}
+        z = cmath.exp(1j * prev)
+        a, b, c, d = vp
+        mstep = (z * a, z * b, z.conjugate() * c, z.conjugate() * d)
+        frame = _mul(frame, _reference_frame(mstep, alpha))
         prev = alpha
     # pull the whole walk back so the product is exactly D(target)
-    back = frame.conj().T
-    return [back @ g for g in conjugators]
+    back = _adj(frame)
+    return [_mul(back, g) for g in conjugators]
 
 
 def _walk_angles(phi, theta, m):
@@ -266,19 +306,12 @@ def walk_length(phi, theta, cap):
     )
 
 
-def su2_walk(phi, theta, m):
-    """Steps writing diag(e^{i phi}, e^{-i phi}) as m conjugates of the
-    generator rotation diag(e^{i theta}, e^{-i theta}), up to global sign.
-
-    Needs |phi| <= m|theta| (canonical branch moduli) and even m; with
-    opposite signs of phi and theta, the exponents flip.  The product of
-    conjugator @ generator^exponent @ conjugator* over the returned steps
-    equals the target up to a global factor of -1.
-    """
+def _walk(phi, theta, m):
+    """su2_walk on scalar 2x2 tuples: the conjugators, each checked unitary
+    to the Su2Step bound, and their shared exponent."""
     phi, theta, ph, th, central = _walk_angles(phi, theta, m)
     if central:
-        eye = np.eye(2, dtype=complex)
-        return [Su2Step(eye, 1) for _ in range(m)]
+        return [_EYE] * m, 1
 
     conjugators = _walk_positive(ph, th, m)
     if conjugators is None:
@@ -288,9 +321,87 @@ def su2_walk(phi, theta, m):
             raise BudgetInfeasibleError(
                 f"no {m}-step walk reaches class {ph:.6f} with angle {th:.6f}"
             )
-        conjugators = [_SWAP @ g for g in conjugators]
+        conjugators = [_mul(_SWAP, g) for g in conjugators]
+    if max(_defect(g) for g in conjugators) > 1e-9:
+        raise DomainError("step conjugator must be unitary")
 
     exponent = 1 if (phi >= 0.0) == (theta >= 0.0) else -1
     if phi < 0.0:
         conjugators.reverse()
-    return [Su2Step(g, exponent) for g in conjugators]
+    return conjugators, exponent
+
+
+def su2_walk(phi, theta, m):
+    """Steps writing diag(e^{i phi}, e^{-i phi}) as m conjugates of the
+    generator rotation diag(e^{i theta}, e^{-i theta}), up to global sign.
+
+    Needs |phi| <= m|theta| (canonical branch moduli) and even m; with
+    opposite signs of phi and theta, the exponents flip.  The product of
+    conjugator @ generator^exponent @ conjugator* over the returned steps
+    equals the target up to a global factor of -1.
+    """
+    conjugators, exponent = _walk(phi, theta, m)
+    return [Su2Step(_array(g), exponent) for g in conjugators]
+
+
+@dataclass(frozen=True)
+class SourceBlock:
+    """A source block diag(e^{ia}, e^{ib}) of the base and the block rotation
+    r that drives walks on it: the commutator D r D* r*, its class angle
+    theta, and ref_h, the adjoint of a frame taking the reference rotation
+    of angle theta to that commutator.
+
+    Made once per block by source_block; frames then walks any number of
+    block targets on it.
+    """
+
+    rotation: tuple
+    commutator: tuple
+    theta: float
+    ref_h: tuple
+
+    def frames(self, phi, m):
+        """Eigenframe blocks of an m-step walk to diag(e^{i phi}, e^{-i phi}),
+        as two (m, 2, 2) arrays: the y_q with prod y_q @ comm @ y_q* equal
+        to the target, and the y_q @ rotation."""
+        conjugators, exponent = _walk(phi, self.theta, m)
+        # conjugating by _SWAP flips the commutator's class to its inverse
+        ref_h = self.ref_h if exponent == 1 else _mul(_SWAP, self.ref_h)
+        ys = [_mul(g, ref_h) for g in conjugators]
+        # closed-loop guard: the frames must reassemble the target exactly
+        prod = _EYE
+        for y in ys:
+            prod = _mul(prod, _mul(_mul(y, self.commutator), _adj(y)))
+        z = cmath.exp(1j * phi)
+        if max(abs(p - w) for p, w in zip(prod, (z, 0j, 0j, z.conjugate()))) > 1e-9:
+            raise NumericalDegeneracyError("strand walk drifted off its target")
+        rotated = [_mul(y, self.rotation) for y in ys]
+        return (
+            np.array(ys, dtype=complex).reshape(m, 2, 2),
+            np.array(rotated, dtype=complex).reshape(m, 2, 2),
+        )
+
+
+def source_block(delta):
+    """The SourceBlock of a base block whose two angles differ by delta, or
+    None when the gap vanishes.
+
+    The commutator of the block with a rotation by t has class angle c(t)
+    with cos c = 1 - sin(t)^2 (1 - cos gap); a full swap gives the gap
+    itself, and when the gap passes a quarter turn a partial rotation pins
+    the class to pi/2, from which two steps reach any angle.
+    """
+    delta = canon_angle(delta)
+    if abs(delta) <= 1e-12:
+        return None
+    if abs(delta) <= 0.5 * math.pi + 1e-12:
+        t = 0.5 * math.pi
+    else:
+        t = math.asin(min(1.0, 1.0 / math.sqrt(1.0 - math.cos(delta))))
+    c, s = math.cos(t), math.sin(t)
+    rot = (complex(c), complex(s), complex(-s), complex(c))
+    # D @ rot @ D* scales entry (a, b) of rot by e^{i(g_a - g_b)}
+    z = cmath.exp(1j * delta)
+    comm = _mul((rot[0], rot[1] * z, rot[2] * z.conjugate(), rot[3]), _adj(rot))
+    theta = _class_angle(0.5 * (comm[0] + comm[3]).real)
+    return SourceBlock(rot, comm, theta, _adj(_reference_frame(comm, theta)))

@@ -129,6 +129,12 @@ class TestRunCorpus:
         assert ratios
         assert report["max_lower_bound_ratio"] == max(ratios)
 
+    def test_lower_bound_ratio_seed_seven(self):
+        # matched source pairs: 28.5 (one strand per batch gave 122.3)
+        report = run_corpus(seed=7)
+        assert report["all_pass"]
+        assert report["max_lower_bound_ratio"] <= 30.0
+
     def test_empty_run(self):
         report = run_corpus(seed=0, cases=0)
         assert report["all_pass"] is True

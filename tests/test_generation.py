@@ -22,7 +22,7 @@ from normgen.errors import (
 from normgen.generation import (
     CertStep,
     Certificate,
-    _chord_diameter,
+    _diameter_pair,
     _is_central,
     certificate_product,
     counterexample_pair,
@@ -36,7 +36,7 @@ from normgen.generation import (
     theorem_budgets,
     verify_certificate,
 )
-from normgen.spectral import canon_angle, projective_one_norm, projective_s_number
+from normgen.spectral import canon_angle, chord, projective_one_norm, projective_s_number
 from normgen.su2 import su2_walk, walk_length
 
 
@@ -531,13 +531,17 @@ def assert_shortest_batches(cert, seen):
 class TestShortestWalks:
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_admissible_pairs(self, n, batches):
+        # matched pairs: one 2-step batch per parity group, whatever n is
         from normgen import admissible_pair
 
         u, v = admissible_pair(n, 2, 1, np.random.default_rng(n))
         cert = generate_rank_dependent(u, v, 2)
-        assert_shortest_batches(cert, batches)
+        assert assert_shortest_batches(cert, batches) == [2, 2]
         assert cert.metadata["walk_multiplier"] == 8
-        assert len(cert) < 8 * 2 * (n - 1)
+        assert len(cert) == 8
+        assert cert.metadata["planner"] == {
+            "batches": 2, "matched_strands": n - 1, "widest_gap_strands": 0,
+        }
         assert_sound(cert)
 
     def test_narrow_gap_needs_longer_batch(self, batches):
@@ -550,15 +554,16 @@ class TestShortestWalks:
         assert_sound(cert)
 
     def test_rank_indep_batch_shares_one_length(self, batches):
-        # the first batch's two strands need 6 and 4 steps and both walk 6
+        # the even batch's four strands need 2, 2, 4 and 6 steps and all
+        # walk 6; the odd batch's four need 2 each
         v = diag_u([-0.12, -0.09, -0.09, -0.07, 0.04, 0.06, 0.08, 0.08, 0.11])
         u = diag_u([-0.03, 0.1, 0.1, -0.36, 0.01, 0.85, -0.27, 0.56, -0.96])
         m = hypothesis_check(u, v, 1, 4).min_feasible_m
         cert = generate_rank_independent(u, v, m, 4)
         lengths = assert_shortest_batches(cert, batches)
-        assert all(len(strands) == 2 for strands, _ in batches[:3])
+        assert [len(strands) for strands, _ in batches] == [4, 4]
         first = sorted(st.length for st in batches[0][0])
-        assert first[0] < first[1] == lengths[0]
+        assert first == [2, 2, 4, 6] and lengths == [6, 2]
         assert_sound(cert)
 
     def test_pipeline_and_full_use_shortest(self, batches):
@@ -574,6 +579,159 @@ class TestShortestWalks:
         cert = generate_full(haar(6, rng), haar(6, rng))
         assert_shortest_batches(cert, batches)
         assert_sound(cert)
+
+
+def frozen_pool():
+    """(generator, args) for 120 seeded cases of every walk generator, n 2-39:
+    admissible rank-dependent and rank-independent pairs, full generation
+    on admissible and on narrow bases, rank-dependent walks on repeated,
+    clustered, antipodal and one-wide-gap bases, and the pipeline."""
+    from normgen import (
+        admissible_pair,
+        admissible_rational_pair,
+        haar_unitary,
+        pipeline_generate,
+    )
+
+    for i in range(120):
+        rng = np.random.default_rng([31337, i])
+        kind = i % 6
+        n = int(rng.integers(2, 40))
+        if kind == 0:
+            m = int(rng.integers(1, 5))
+            u, v = admissible_pair(n, m, 1, rng)
+            yield generate_rank_dependent, (u, v, m)
+        elif kind == 1:
+            n = max(n, 5)
+            s = int(rng.integers(2, (n - 1) // 2 + 2))
+            m = int(rng.integers(1, 4))
+            u, v = admissible_pair(n, m, s, rng)
+            yield generate_rank_independent, (u, v, m, s)
+        elif kind == 2:
+            u = haar_unitary(n, rng)
+            _, v = admissible_pair(n, 1, 1, rng)
+            yield generate_full, (u, v)
+        elif kind == 3:
+            w = (1.0, 0.1)[i % 2]
+            yield generate_full, (haar_unitary(n, rng), diag_u(rng.uniform(-w, w, n)))
+        elif kind == 4:
+            family = ("repeated", "clustered", "antipodal", "wide")[(i // 6) % 4]
+            n = max(n, 4)
+            if family == "repeated":
+                b = rng.uniform(-math.pi, math.pi, 3)[rng.integers(0, 3, n)]
+            elif family == "clustered":
+                b = rng.uniform(-0.3, 0.3, n)
+            elif family == "antipodal":
+                half = rng.uniform(-math.pi, math.pi, n // 2)
+                b = np.concatenate((half, half + math.pi, rng.uniform(-1, 1, n % 2)))
+            else:
+                b = np.concatenate(([2.5], rng.uniform(-0.02, 0.02, n - 1)))
+            u = haar_unitary(n, rng)
+            ratio = projective_s_number(u, 0)[0] / projective_s_number(diag_u(b), 0)[0]
+            yield generate_rank_dependent, (u, diag_u(b), max(1, math.ceil(ratio - 1e-9)))
+        else:
+            m = int(rng.integers(1, 3))
+            s = Fraction(1, int(rng.integers(2, 4)))
+            u, v = admissible_rational_pair(m, s, rng)
+            yield pipeline_generate, (u, v, m, s)
+
+
+# k of each frozen_pool case with one strand per batch on the widest gap of
+# the optimalize order (rank-indep: floor(s/2) separated gaps per batch)
+PARENT_K = (
+    96, 24, 152, 236, 48, 16, 140, 72, 148, 364, 32, 40,
+    32, 140, 68, 88, 52, 0, 4, 100, 80, 344, 88, 0,
+    28, 48, 120, 316, 84, 12, 140, 16, 68, 268, 100, 0,
+    144, 52, 56, 236, 140, 0, 136, 24, 28, 44, 104, 12,
+    56, 24, 100, 324, 144, 0, 96, 16, 76, 304, 132, 0,
+    104, 28, 148, 248, 136, 12, 52, 40, 64, 304, 72, 20,
+    132, 24, 96, 216, 104, 0, 108, 24, 88, 308, 40, 28,
+    96, 16, 20, 92, 36, 20, 136, 24, 52, 316, 76, 24,
+    92, 20, 48, 236, 128, 36, 12, 20, 48, 68, 100, 44,
+    128, 48, 100, 108, 136, 60, 52, 32, 76, 344, 68, 8,
+)
+
+
+class TestMatchedPairs:
+    def test_never_longer_than_one_strand_per_batch(self):
+        ks = []
+        for gen, args in frozen_pool():
+            cert = gen(*args)
+            assert_sound(cert)
+            ks.append(len(cert))
+        assert len(ks) == len(PARENT_K)
+        assert all(k <= k0 for k, k0 in zip(ks, PARENT_K)), list(zip(ks, PARENT_K))
+        assert sum(ks) < sum(PARENT_K) / 3
+
+    def test_one_wide_gap_base(self, batches):
+        # the hypothesis promises one wide gap: the factors that no narrow
+        # matched pair reaches walk alone on the diameter pair
+        from normgen import haar_unitary
+
+        rng = np.random.default_rng(5)
+        v = diag_u(np.concatenate(([2.5], rng.uniform(-0.02, 0.02, 31))))
+        u = haar_unitary(32, rng)
+        cert = generate_rank_dependent(u, v, 2)
+        assert len(cert) <= 124
+        planner = cert.metadata["planner"]
+        assert planner["widest_gap_strands"] > 0 and planner["matched_strands"] > 0
+        assert planner["batches"] == len(batches)
+        assert planner["matched_strands"] + planner["widest_gap_strands"] == 31
+        alone = [strands[0] for strands, _ in batches if len(strands) == 1]
+        assert all(st.source == 0 for st in alone)
+        assert_shortest_batches(cert, batches)
+        assert_sound(cert)
+
+    @pytest.mark.parametrize(
+        "n, c, s, parent_k",
+        [(200, 150, 50, 32), (100, 80, 20, 40), (64, 48, 16, 32), (64, 60, 4, 128)],
+    )
+    def test_clustered_base_rank_indep(self, n, c, s, parent_k, batches):
+        # c > n/2 equal base angles: the matched pairs inside the cluster
+        # vanish, and the factors they would walk pack into further shared
+        # batches on the pairs crossing the cluster, within the 24m ceil(n/s)
+        # budget; parent_k is one batch of floor(s/2) separated gaps at a time
+        from normgen import haar_unitary
+        from normgen.spectral import projective_profile
+
+        rng = np.random.default_rng(n)
+        b = np.concatenate((np.full(c, 1.0), rng.uniform(-math.pi, math.pi, n - c)))
+        v = diag_u(rng.permutation(b))
+        # target angles spanning an arc with ell_0(u) = 0.99 ell_{s-1}(v)
+        w = 4.0 * math.asin(0.99 * projective_profile(v).values[s - 1] / 2.0)
+        a = np.concatenate(([-0.5 * w, 0.5 * w], rng.uniform(-0.5 * w, 0.5 * w, n - 2)))
+        q = haar_unitary(n, rng).matrix
+        cert = generate_rank_independent(q @ diag_u(a) @ q.conj().T, v, 1, s)
+        assert len(cert) <= parent_k
+        assert max(len(strands) for strands, _ in batches) > 1
+        assert_shortest_batches(cert, batches)
+        assert_sound(cert)
+
+    def test_repeated_base_eigenvalues(self):
+        # three distinct base angles at n = 32, one of them 20 times: some
+        # matched pairs have a vanishing gap, and the planner skips them
+        # instead of raising
+        from normgen import haar_unitary
+
+        rng = np.random.default_rng(32)
+        b = rng.permutation(np.repeat(rng.uniform(-math.pi, math.pi, 3), [20, 7, 5]))
+        layout = generation._matched_layout(b)
+        gaps = [abs(canon_angle(b[layout[j]] - b[layout[j + 1]])) for j in range(0, 32, 2)]
+        assert min(gaps) == 0.0
+        u = haar_unitary(32, rng)
+        ratio = projective_s_number(u, 0)[0] / projective_s_number(diag_u(b), 0)[0]
+        cert = generate_rank_dependent(u, diag_u(b), max(1, math.ceil(ratio)))
+        assert len(cert) <= cert.claimed_budget
+        assert_sound(cert)
+
+    def test_layout_puts_the_diameter_first(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 8, 9):
+            angles = rng.uniform(-math.pi, math.pi, n)
+            layout = generation._matched_layout(angles)
+            assert sorted(layout.tolist()) == list(range(n))
+            first = chord(angles[layout[0]] - angles[layout[1]])
+            assert first == pytest.approx(_diameter_pair(angles)[0], abs=1e-15)
 
 
 class TestVerifyCertificate:
@@ -749,18 +907,21 @@ class TestFactoredCertificates:
         assert not report["pass"]
 
     def test_moved_target_fails_product_at_n64(self):
-        # shortest walks give k = 252, so the tolerance is 6.3e-10 against a
-        # residual near 2e-9 (at k = 1008 it was 2.9e-9 and the move passed)
+        # matched pairs give k = 8, so the tolerance is 2.3e-11 at n = 64
+        # and 4.6e-11 at n = 128 against residuals near 2e-9 (at k = 508 it
+        # was 2.5e-9 at n = 128 and the move passed)
         from normgen import admissible_pair
 
-        u, v = admissible_pair(64, 2, 1, np.random.default_rng(64))
-        cert = generate_rank_dependent(u, v, 2)
-        bad = dataclasses.replace(
-            cert, target=moved(cert.target, 1e-8, np.random.default_rng(0))
-        )
-        report = verify_certificate(bad)
-        assert not report["checks"]["product"], report
-        assert not report["pass"]
+        for n in (64, 128):
+            u, v = admissible_pair(n, 2, 1, np.random.default_rng(n))
+            cert = generate_rank_dependent(u, v, 2)
+            bad = dataclasses.replace(
+                cert, target=moved(cert.target, 1e-8, np.random.default_rng(0))
+            )
+            report = verify_certificate(bad)
+            assert report["tolerance"] < 5e-11
+            assert not report["checks"]["product"], report
+            assert not report["pass"]
 
     def test_tampered_block_names_its_step(self):
         cert = POOL[3]
@@ -1017,14 +1178,18 @@ class TestChordDiameter:
         for trial in range(300):
             n = int(rng.integers(1, 40))
             angles = rng.uniform(-math.pi, math.pi, n)
-            assert _chord_diameter(angles) == pytest.approx(self.brute(angles), abs=1e-14)
+            diameter, i, j = _diameter_pair(angles)
+            assert diameter == pytest.approx(self.brute(angles), abs=1e-14)
+            # the returned ends realize it
+            assert chord(angles[i] - angles[j]) == pytest.approx(diameter, abs=1e-14)
+            assert n == 1 or i != j
 
     @pytest.mark.parametrize("center", [0.0, 1.0, math.pi, -math.pi + 1e-12])
     @pytest.mark.parametrize("width", [1e-12, 1e-9, 1e-3, 2.0])
     def test_clusters(self, center, width):
         rng = np.random.default_rng(81)
         angles = canon_angle(center + rng.uniform(-width, width, 25))
-        assert _chord_diameter(angles) == pytest.approx(self.brute(angles), abs=1e-14)
+        assert _diameter_pair(angles)[0] == pytest.approx(self.brute(angles), abs=1e-14)
         assert _is_central(angles) == (self.brute(angles) <= 1e-8)
 
 

@@ -544,3 +544,21 @@ class TestTypesAndJson:
         arr = ng.canon_angle(np.array([4.0 * math.pi + 0.1, -0.1]))
         assert arr[0] == pytest.approx(0.1)
         assert arr[1] == pytest.approx(-0.1)
+
+    @pytest.mark.parametrize("x", [
+        -0.0, 0.0, math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi,
+        3.0 * math.pi, 1e300, -1e300, -1e-320, 5e-324, math.nan, math.inf,
+        -math.inf, 0, 7, -9, 10**15, np.float64(-2.5), np.float64(-1e-320),
+        np.float32(3.3), np.int64(-4), 1.2345678,
+    ])
+    def test_canon_angle_scalar_path_matches_array_path(self, x):
+        # a scalar takes the fast path, a one-element array the numpy one
+        got = ng.canon_angle(x)
+        with np.errstate(invalid="ignore"):
+            want = float(ng.canon_angle(np.array([x], dtype=float))[0])
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
