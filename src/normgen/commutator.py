@@ -53,7 +53,13 @@ def cyclic_commutator_partner(u, seed=0):
     the conjugate of the last eigenvalue in u's optimal ordering, the phase
     at which the singular cage bounds mu_i(1 - lam*u) by the ordered gaps.
     """
-    spec = spectrum_of(u, seed=seed)
+    v, lam, _ = _partner(spectrum_of(u, seed=seed))
+    return v, lam
+
+
+def _partner(spec):
+    """cyclic_commutator_partner of a spectrum, with the optimal ordering
+    it reads lam from."""
     n = spec.n
     if n < 2:
         raise DomainError(f"need at least 2 eigenvalues, got {n}")
@@ -64,7 +70,7 @@ def cyclic_commutator_partner(u, seed=0):
     v[n : 2 * n, n : 2 * n] = cyc.conj().T
     v[2 * n :, 2 * n :] = np.eye(n)
     lam = complex(np.exp(-1j * order.angles[-1]))
-    return v, lam
+    return v, lam, order
 
 
 def aux_inequality_check(u, seed=0):
@@ -77,8 +83,7 @@ def aux_inequality_check(u, seed=0):
     """
     spec = spectrum_of(u, seed=seed)
     n = spec.n
-    v, lam = cyclic_commutator_partner(spec, seed=seed)
-    order = optimalize(spec)
+    v, lam, order = _partner(spec)
     eig = np.exp(1j * order.angles)
     u3 = np.diag(np.concatenate([eig, eig, eig]))
     comm = u3 @ v @ u3.conj().T @ v.conj().T

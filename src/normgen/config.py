@@ -23,7 +23,6 @@ class Tolerances:
     diag_residual: float = 1e-8  # reconstruction defect in eigendecompositions
     diag_retries: int = 8
     s0_max: int = 5040           # largest common-denominator embedding dimension
-    exhaustive_n: int = 8        # exhaustive ordering search up to this size
 
     def eq_tol(
         self, steps: int, n: int, defect: float = 0.0, target_defect: float = 0.0

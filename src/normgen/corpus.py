@@ -24,7 +24,7 @@ from .generation import (
     verify_certificate,
 )
 from .rational import RationalSpectrum, lcm_embed, pipeline_generate
-from .spectral import CircleSpectrum, UnitaryRep, canon_angle
+from .spectral import CircleSpectrum, UnitaryRep, canon_angle, spectrum_of
 from .symmetries import broise_kernel_certificate
 
 __all__ = [
@@ -209,9 +209,10 @@ def _run_case(mode, seed, index, sizes):
         "pass": bool(report["pass"]),
     }
     if diag is not None:
-        ll = llbound_diagnostic(diag)
+        spec = spectrum_of(diag)
+        ll = llbound_diagnostic(spec)
         out["llbound_ratio"] = ll["ratio"]
-        slacks = [row["slack"] for row in aux_inequality_check(diag)]
+        slacks = [row["slack"] for row in aux_inequality_check(spec)]
         out["aux_min_slack"] = min(slacks) if slacks else None
     return out
 

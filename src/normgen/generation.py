@@ -5,12 +5,17 @@ of conjugates of v or its inverse whose product equals u up to a global
 phase.  The construction decomposes the target into commuting two-by-two
 block factors, realizes each factor by a class-angle walk whose generator is
 a commutator of v with a block rotation, and charges every conjugate against
-a stated budget.  A certificate stores the eigenframes of target and base
-once and each conjugate as a permutation times small unitary blocks in those
-frames, so a conjugate costs O(n) space and O(n^2) checking time.  It
-carries everything needed for an independent recheck; verify_certificate
-redoes the multiplication and the bookkeeping from the stored factors and
-reports rather than raises.
+a stated budget.  All theorem-level generators share one walk path: the
+factors are planned in batches on matched source blocks of the base
+(_plan_batches, with su2.source_block making each block's commutator once)
+and every batch is walked by SourceBlock.frames (_shared_steps).
+
+A certificate stores the eigenframes of target and base once and each
+conjugate as a permutation times small unitary blocks in those frames, so a
+conjugate costs O(n) space and O(n^2) checking time.  It carries everything
+needed for an independent recheck; verify_certificate redoes the
+multiplication and the bookkeeping from the stored factors and reports
+rather than raises.
 
 Two conventions keep the walks honest.  First, a full block swap can leave
 the commutator class beyond a quarter turn, where fixed-length walks lose
@@ -38,7 +43,6 @@ from .errors import (
     DomainError,
     HypothesisError,
     NumericalDegeneracyError,
-    PreconditionError,
     ValidationError,
 )
 from .orderings import angle_sum_optimalize, center_phase
@@ -64,13 +68,10 @@ __all__ = [
     "HypothesisReport",
     "certificate_product",
     "counterexample_pair",
-    "generate_block",
     "generate_full",
     "generate_rank_dependent",
     "generate_rank_independent",
-    "generate_simultaneous",
     "hypothesis_check",
-    "swap_commutator",
     "theorem_budgets",
     "verify_certificate",
 ]
@@ -492,43 +493,7 @@ def hypothesis_check(u, v, m, s, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# commutator plumbing
-
-
-def _diag_angles(x, what):
-    rep = as_unitary(x, what=what)
-    m = rep.matrix
-    off = m - np.diag(np.diagonal(m))
-    if float(np.max(np.abs(off))) > 1e-9:
-        raise PreconditionError(f"{what} must be diagonal")
-    return np.angle(np.diagonal(m)), rep
-
-
-def swap_commutator(v, j):
-    """Commutator of a diagonal unitary with the swap at (j, j+1).
-
-    Returns (commutator, fragment, block_angle): the commutator equals the
-    two-step fragment product v * (g v* g*) for the swap g, supported on the
-    block where it rotates by the angle gap theta_j - theta_{j+1}.  The
-    fragment's steps are in the frame of the diagonal v (frames A = B = I).
-    """
-    angles, rep = _diag_angles(v, "base")
-    n = rep.n
-    j = int(j)
-    if not (0 <= j <= n - 2):
-        raise DomainError(f"block position {j} out of range for size {n}")
-    swap = np.arange(n)
-    swap[j], swap[j + 1] = j + 1, j
-    m = rep.matrix
-    comm = m @ m[np.ix_(swap, swap)].conj().T
-    fragment = (CertStep(np.arange(n), (), 1), CertStep(swap, (), -1))
-    check = certificate_product(angles, fragment)
-    # the fragment uses the unit phases of v's diagonal, while v may sit off
-    # the circle and off the diagonal by the unitarity tolerance
-    if float(np.max(np.abs(check - comm))) > 1e-12 + 4.0 * TOL.unitarity:
-        raise NumericalDegeneracyError("commutator fragment drifted")
-    block_angle = canon_angle(angles[j] - angles[j + 1])
-    return comm, fragment, block_angle
+# strand walks
 
 
 @dataclass(frozen=True)
@@ -575,13 +540,6 @@ def _plan_strand(phi, target, pair, cap):
     return strand
 
 
-def _pair_at(v_angles, source):
-    block = source_block(v_angles[source] - v_angles[source + 1])
-    if block is None:
-        raise DegenerateInputError(f"source gap at position {source} vanishes")
-    return source, block
-
-
 def _alignment(n, strands):
     """Permutation sending each source block onto its target block, as the
     array perm with perm[source index] = target index."""
@@ -619,102 +577,6 @@ def _shared_steps(n, strands):
     ]
 
 
-def _check_separated(positions, what):
-    seen = sorted(int(p) for p in positions)
-    for a, b in zip(seen, seen[1:]):
-        if b - a < 2:
-            raise DomainError(
-                f"layout: {what} blocks {a} and {b} overlap, need separation >= 2"
-            )
-
-
-# ---------------------------------------------------------------------------
-# lemma-level generators on diagonal inputs
-
-
-def generate_block(u_i, v, m, j):
-    """Steps moving one two-by-two block factor using the source gap at j.
-
-    u_i must be diagonal with a single conjugate pair of nontrivial entries
-    at adjacent positions; v must be diagonal.  Emits at most 2*m steps whose
-    product is exactly the factor; the identity factor yields no steps.
-    """
-    m = int(m)
-    if m <= 0 or m % 2 != 0:
-        raise DomainError("step multiplier must be a positive even integer")
-    fangles, frep = _diag_angles(u_i, "block factor")
-    vangles, vrep = _diag_angles(v, "base")
-    n = frep.n
-    if vrep.n != n:
-        raise DimensionError("factor and base sizes differ")
-    j = int(j)
-    if not (0 <= j <= n - 2):
-        raise DomainError(f"source block {j} out of range for size {n}")
-    live = [int(k) for k in np.nonzero(np.abs(canon_angle(fangles)) > 1e-12)[0]]
-    if not live:
-        return []
-    if len(live) != 2 or live[1] != live[0] + 1:
-        raise PreconditionError(
-            "factor must be supported on one adjacent block"
-        )
-    i = live[0]
-    phi = canon_angle(fangles[i])
-    if abs(canon_angle(fangles[i] + fangles[i + 1])) > 1e-9:
-        raise PreconditionError("block entries must be conjugate phases")
-    delta = canon_angle(vangles[j] - vangles[j + 1])
-    if abs(phi) > m * abs(delta) + 1e-9:
-        raise BudgetInfeasibleError(
-            f"|angle| {abs(phi):.6f} exceeds {m} times the gap {abs(delta):.6f}"
-        )
-    return _shared_steps(n, [_plan_strand(phi, i, _pair_at(vangles, j), m)])
-
-
-def generate_simultaneous(u, v, sources, targets, m):
-    """Steps moving several separated block factors with one shared schedule.
-
-    u and v are diagonal; the angle sum of u must vanish so its prefix
-    products close up.  targets[k] picks the block factor of u at that
-    position, sources[k] the gap of v driving it.  All walks share one
-    commutator per step, so the whole batch costs at most 2*m steps.
-    """
-    m = int(m)
-    if m <= 0 or m % 2 != 0:
-        raise DomainError("step multiplier must be a positive even integer")
-    uangles, urep = _diag_angles(u, "target")
-    vangles, vrep = _diag_angles(v, "base")
-    n = urep.n
-    if vrep.n != n:
-        raise DimensionError("target and base sizes differ")
-    sources = [int(x) for x in sources]
-    targets = [int(x) for x in targets]
-    if len(sources) != len(targets) or not sources:
-        raise DomainError("need matching nonempty source and target lists")
-    for pos in sources + targets:
-        if not (0 <= pos <= n - 2):
-            raise DomainError(f"block position {pos} out of range for size {n}")
-    _check_separated(sources, "source")
-    _check_separated(targets, "target")
-    total = canon_angle(float(uangles.sum()))
-    if abs(total) > 1e-9:
-        raise PreconditionError(
-            f"angle sum must vanish mod 2pi, residual {total:.3e}"
-        )
-    prefix = np.cumsum(uangles)
-    strands = []
-    for i, j in zip(targets, sources):
-        phi = canon_angle(prefix[i])
-        if abs(phi) <= 1e-12:
-            continue
-        delta = canon_angle(vangles[j] - vangles[j + 1])
-        if abs(phi) > m * abs(delta) + 1e-9:
-            raise BudgetInfeasibleError(
-                f"prefix angle {phi:.6f} at block {i} exceeds {m} times "
-                f"the gap at {j}"
-            )
-        strands.append(_plan_strand(phi, i, _pair_at(vangles, j), m))
-    return _shared_steps(n, strands) if strands else []
-
-
 # ---------------------------------------------------------------------------
 # theorem-level generators
 
@@ -739,33 +601,6 @@ def _diameter_pair(angles):
 
 def _is_central(angles):
     return _diameter_pair(angles)[0] <= 1e-8
-
-
-def _best_centering(spec):
-    """Sum-zero representative with the smallest largest angle modulus.
-
-    All candidates shift by the same phase up to roots of unity; the one
-    whose branch cut falls inside the widest spectral gap keeps every angle
-    modulus at most the covering arc, which the walk budget analysis needs.
-    """
-    angles = spec.angles
-    n = spec.n
-    s = float(angles.sum())
-    best = None
-    for k in range(n):
-        t = (-s + 2.0 * math.pi * k) / n
-        cand = canon_angle(angles + t)
-        resid = abs(float(cand.sum()))
-        if resid > 1e-9:
-            continue
-        peak = float(np.max(np.abs(cand)))
-        if best is None or peak < best[0] - 1e-15:
-            best = (peak, t, cand)
-    if best is None:
-        # counting argument: some shift always cancels the wrap corrections
-        centered, t = center_phase(spec)
-        return centered.angles, float(t)
-    return best[2], canon_angle(best[1])
 
 
 def _prepare_pair(u, v, seed=0):
@@ -858,8 +693,8 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
     checks its product the way the verifier does.
     """
     n = urep.n
-    centered, phase = _best_centering(uspec)
-    order = angle_sum_optimalize(centered)
+    centered, phase = center_phase(uspec)
+    order = angle_sum_optimalize(centered.angles)
     theta = order.values
     aframe = uframe[:, order.sigma]
     layout = _matched_layout(vspec.angles)

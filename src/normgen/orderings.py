@@ -8,7 +8,6 @@ diagonal unitary and the exact zero-sum phase centering.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -87,11 +86,15 @@ class AngleSumOrdering:
         object.__setattr__(self, "sigma", s)
 
 
+# tie-set entries kept per position of the greedy ordering search
+FRONTIER_CAP = 256
+
+
 def _tie_band(best):
     return TOL.tie_rel * max(best, 1.0)
 
 
-def optimalize(spec, frontier_cap=256):
+def optimalize(spec):
     """Reorder a spectrum so the adjacent-gap sequence is lexicographically
     maximal.
 
@@ -136,7 +139,7 @@ def optimalize(spec, frontier_cap=256):
     frontier = []
     root = ((), frozenset(range(n)), full)
     for i, j in pairs:
-        if (cls[i], cls[j]) not in seen and len(frontier) < frontier_cap:
+        if (cls[i], cls[j]) not in seen and len(frontier) < FRONTIER_CAP:
             seen.add((cls[i], cls[j]))
             frontier.append(extend(*extend(*root, i), j))
 
@@ -159,7 +162,7 @@ def optimalize(spec, frontier_cap=256):
         frontier_next = []
         for p, idx in nxt:
             key = (parent_ids[p], cls[idx])
-            if key not in seen and len(frontier_next) < frontier_cap:
+            if key not in seen and len(frontier_next) < FRONTIER_CAP:
                 seen.add(key)
                 frontier_next.append(extend(*frontier[p], idx))
         frontier = frontier_next
@@ -260,12 +263,15 @@ def product_decompose(spec):
 
 
 def center_phase(spec):
-    """Global phase making the canonical angle sum exactly zero.
+    """Zero-sum representative of a spectrum with the smallest peak angle.
 
-    Candidate phases shift the plain sum to each multiple of 2 pi; a counting
-    argument guarantees one of them cancels the wrap corrections, so the
-    canonicalized angles of the result sum to zero up to accumulated float
-    noise.  Returns (centered spectrum, applied phase angle).
+    The candidate phases (-s + 2 pi k) / n shift the plain angle sum s to
+    each multiple of 2 pi; a counting argument guarantees one of them
+    cancels the wrap corrections, so its canonical angles sum to zero up to
+    float noise.  Among those the one with the smallest largest angle
+    modulus wins: its branch cut falls inside the widest spectral gap, which
+    keeps every angle modulus at most the covering arc, as the walk budget
+    analysis needs.  Returns (centered spectrum, applied phase angle).
     """
     if not isinstance(spec, CircleSpectrum):
         spec = CircleSpectrum(spec)
@@ -273,16 +279,17 @@ def center_phase(spec):
     n = spec.n
     s = float(angles.sum())
     best = None
-    for j in range(n):
-        t = (-s + TWO_PI * j) / n
+    for k in range(n):
+        t = (-s + TWO_PI * k) / n
         cand = canon_angle(angles + t)
-        r = abs(float(cand.sum()))
-        if best is None or r < best[0]:
-            best = (r, t, cand)
-    r, t, cand = best
-    if r > 1e-9:
-        raise PreconditionError(f"phase centering failed, residual {r:.3e}")
-    return CircleSpectrum(cand), canon_angle(t)
+        if abs(float(cand.sum())) > 1e-9:
+            continue
+        peak = float(np.max(np.abs(cand)))
+        if best is None or peak < best[0] - 1e-15:
+            best = (peak, t, cand)
+    if best is None:
+        raise PreconditionError("phase centering failed: no shift sums to zero")
+    return CircleSpectrum(best[2]), canon_angle(best[1])
 
 
 def gap_sandwich_check(opt, tol=None):

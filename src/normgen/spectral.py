@@ -315,12 +315,12 @@ def projective_residual(a, b):
     b = _as_square(b)
     if a.shape != b.shape:
         raise DimensionError("shape mismatch")
-    w = b.conj().T @ a
-    tr = np.trace(w)
+    # the trace and diagonal of b* @ a, in O(n^2)
+    tr = np.vdot(b, a)
     if abs(tr) > 1e-8:
         lam = tr / abs(tr)
     else:
-        d = np.diagonal(w)
+        d = np.einsum("ij,ij->j", b.conj(), a)
         k = int(np.argmax(np.abs(d)))
         lam = d[k] / abs(d[k]) if abs(d[k]) > 0 else 1.0
     return float(np.max(np.abs(a - lam * b)))

@@ -9,6 +9,11 @@ waypoints, and then realizing each step with an explicit partial-step matrix
 whose off-diagonal entry spends exactly the right amount of the generator's
 angle.  The final frame correction makes the product land on the reference
 rotation exactly, not just up to conjugacy.
+
+The walks run on 2x2 matrices held as scalar tuples.  The public surface is
+walk_length, which reads the shortest walk off the reach intervals, and
+source_block, whose SourceBlock makes a base block's commutator once and
+then walks any number of block targets on it.
 """
 
 from dataclasses import dataclass
@@ -26,7 +31,7 @@ from .errors import (
     NumericalDegeneracyError,
     PreconditionError,
 )
-from .spectral import canon_angle, unitarity_defect
+from .spectral import canon_angle
 
 # 2x2 matrices on the walk path are (a, b, c, d) row-major tuples of Python
 # complex numbers: scalar arithmetic beats numpy's per-call cost at this size
@@ -55,77 +60,17 @@ def _defect(x):
     )
 
 
-def _array(x):
-    a, b, c, d = x
-    return np.array(((a, b), (c, d)), dtype=complex)
-
-
-def reference_rotation(angle):
-    """diag(e^{ia}, e^{-ia})."""
-    return np.diag([np.exp(1j * angle), np.exp(-1j * angle)])
-
-
-def rotation_class_angle(u):
-    """Class angle in [0, pi] of an SU(2) element, from the real trace."""
-    u = np.asarray(u, dtype=complex)
-    return _class_angle(float(np.real(np.trace(u))) / 2.0)
-
-
 def _class_angle(half_trace):
     return math.acos(min(1.0, max(-1.0, half_trace)))
 
 
-@dataclass(frozen=True)
-class Su2Step:
-    """One conjugate in a walk: contributes conjugator @ v^exponent @ conjugator*."""
-
-    conjugator: np.ndarray
-    exponent: int
-
-    def __post_init__(self):
-        g = np.asarray(self.conjugator, dtype=complex)
-        if g.shape != (2, 2):
-            raise DomainError("step conjugator must be 2x2")
-        if unitarity_defect(g) > 1e-9:
-            raise DomainError("step conjugator must be unitary")
-        if self.exponent not in (1, -1):
-            raise DomainError("step exponent must be +1 or -1")
-        g = g.copy()
-        g.setflags(write=False)
-        object.__setattr__(self, "conjugator", g)
-
-
-def su2_step_matrix(theta, theta1):
-    """Partial step: conjugate of diag(e^{i theta}, e^{-i theta}) that spends
-    only theta1 of the rotation diagonally, the rest going off-diagonal."""
-    st = math.sin(theta)
-    s1 = math.sin(theta1)
-    gap = st * st - s1 * s1
-    if gap < -1e-12:
-        raise DomainError(
-            f"step angle {theta1:.6f} exceeds the generator angle {theta:.6f}"
-        )
-    b = math.sqrt(max(gap, 0.0))
-    c = math.cos(theta)
-    return np.array([[c + 1j * s1, b], [-b, c - 1j * s1]], dtype=complex)
-
-
-def conjugator_to_reference(vprime, theta):
-    """Unitary g with g @ reference_rotation(theta) @ g* = vprime.
+def _reference_frame(v, theta):
+    """Unitary g with g @ diag(e^{i theta}, e^{-i theta}) @ g* = v.
 
     Closed-form 2x2 eigenvector extraction; the phase is fixed by making the
-    largest-modulus entry of the first column real positive.
+    largest-modulus entry of the first column real positive.  This runs
+    twice per walk step.
     """
-    v = np.asarray(vprime, dtype=complex)
-    if v.shape != (2, 2):
-        raise DomainError("need a 2x2 matrix")
-    (a, b), (c, d) = v.tolist()
-    return _array(_reference_frame((a, b, c, d), theta))
-
-
-def _reference_frame(v, theta):
-    """conjugator_to_reference on a scalar 2x2 tuple: this runs twice per
-    walk step."""
     a, b, c, d = v
     want = 2.0 * math.cos(theta)
     tr = a + d
@@ -262,7 +207,7 @@ def _walk_positive(target, theta, m):
 
 def _walk_angles(phi, theta, m):
     """Validated canonical (phi, theta) and their moduli, plus whether the
-    generator is projectively central; raises what su2_walk raises before
+    generator is projectively central; raises what _walk raises before
     planning."""
     if not isinstance(m, (int, np.integer)) or m <= 0 or m % 2 != 0:
         raise DomainError(f"step budget must be a positive even integer, got {m}")
@@ -284,13 +229,13 @@ def _walk_angles(phi, theta, m):
 
 
 def walk_length(phi, theta, cap):
-    """Smallest even m <= cap for which su2_walk(phi, theta, m) succeeds.
+    """Smallest even m <= cap for which _walk(phi, theta, m) succeeds.
 
     One pass over the reach intervals the walk planner iterates: m steps
     land when |phi| <= m|theta| and |phi| or its mirror pi - |phi| lies in
     the m-step interval.  From two steps on the interval starts at 0 (two
     steps can cancel), so a walk that lands at m lands at every larger even
-    length as well.  Raises what su2_walk(phi, theta, cap) raises when no
+    length as well.  Raises what _walk(phi, theta, cap) raises when no
     length up to cap lands.
     """
     _, _, ph, th, central = _walk_angles(phi, theta, cap)
@@ -307,8 +252,14 @@ def walk_length(phi, theta, cap):
 
 
 def _walk(phi, theta, m):
-    """su2_walk on scalar 2x2 tuples: the conjugators, each checked unitary
-    to the Su2Step bound, and their shared exponent."""
+    """Conjugators g_1..g_m and their shared exponent e writing
+    diag(e^{i phi}, e^{-i phi}) as the product of g @ D(theta)^e @ g*, with
+    D(theta) = diag(e^{i theta}, e^{-i theta}), up to a global factor of -1.
+
+    Needs |phi| <= m|theta| (canonical branch moduli) and even m; with
+    opposite signs of phi and theta the exponent is -1.  Every conjugator
+    is checked unitary to 1e-9.
+    """
     phi, theta, ph, th, central = _walk_angles(phi, theta, m)
     if central:
         return [_EYE] * m, 1
@@ -329,19 +280,6 @@ def _walk(phi, theta, m):
     if phi < 0.0:
         conjugators.reverse()
     return conjugators, exponent
-
-
-def su2_walk(phi, theta, m):
-    """Steps writing diag(e^{i phi}, e^{-i phi}) as m conjugates of the
-    generator rotation diag(e^{i theta}, e^{-i theta}), up to global sign.
-
-    Needs |phi| <= m|theta| (canonical branch moduli) and even m; with
-    opposite signs of phi and theta, the exponents flip.  The product of
-    conjugator @ generator^exponent @ conjugator* over the returned steps
-    equals the target up to a global factor of -1.
-    """
-    conjugators, exponent = _walk(phi, theta, m)
-    return [Su2Step(_array(g), exponent) for g in conjugators]
 
 
 @dataclass(frozen=True)

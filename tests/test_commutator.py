@@ -140,6 +140,24 @@ class TestAuxInequality:
             assert abs(ra["lhs"] - rb["lhs"]) <= 1e-7
             assert abs(ra["rhs"] - rb["rhs"]) <= 1e-7
 
+    def test_spectrum_input_matches_matrix(self, monkeypatch):
+        # a spectrum skips the diagonalization and gives the same report,
+        # ordering the spectrum once
+        from normgen import commutator
+        from normgen.spectral import spectrum_of
+
+        u = haar(6, np.random.default_rng(6))
+        want = aux_inequality_check(u)
+        calls = []
+        inner = commutator.optimalize
+        monkeypatch.setattr(
+            commutator, "optimalize", lambda spec: calls.append(1) or inner(spec)
+        )
+        spec = spectrum_of(u)
+        assert aux_inequality_check(spec) == want
+        assert len(calls) == 1
+        assert llbound_diagnostic(spec) == llbound_diagnostic(u)
+
 
 class TestLlbound:
     def test_identity_degenerate(self):

@@ -16,7 +16,6 @@ from normgen.errors import (
     DegenerateInputError,
     DomainError,
     HypothesisError,
-    PreconditionError,
     ValidationError,
 )
 from normgen.generation import (
@@ -26,18 +25,15 @@ from normgen.generation import (
     _is_central,
     certificate_product,
     counterexample_pair,
-    generate_block,
     generate_full,
     generate_rank_dependent,
     generate_rank_independent,
-    generate_simultaneous,
     hypothesis_check,
-    swap_commutator,
     theorem_budgets,
     verify_certificate,
 )
 from normgen.spectral import canon_angle, chord, projective_one_norm, projective_s_number
-from normgen.su2 import su2_walk, walk_length
+from normgen.su2 import _walk, source_block, walk_length
 
 
 def haar(n, rng):
@@ -66,6 +62,32 @@ def block_factor(n, i, phi):
     vec[i] = np.exp(1j * phi)
     vec[i + 1] = np.exp(-1j * phi)
     return np.diag(vec)
+
+
+def arr(x):
+    """A scalar 2x2 tuple as an array."""
+    a, b, c, d = x
+    return np.array(((a, b), (c, d)), dtype=complex)
+
+
+def swap_perm(n, j):
+    perm = np.arange(n)
+    perm[j], perm[j + 1] = j + 1, j
+    return perm
+
+
+def source_pair(v_angles, j):
+    """The source block at (j, j + 1) of a base with angles v_angles, as the
+    planner pairs it."""
+    return j, source_block(v_angles[j] - v_angles[j + 1])
+
+
+def walk_block(v, phi, target, source, cap):
+    """Steps walking the block factor of angle phi at target alone on the
+    source gap of the diagonal base v at source, in at most cap steps."""
+    vang = np.angle(np.diagonal(v))
+    strand = generation._plan_strand(phi, target, source_pair(vang, source), cap)
+    return generation._shared_steps(v.shape[0], [strand])
 
 
 def unpack(rec):
@@ -206,39 +228,61 @@ class TestHypothesisCheck:
 
 
 class TestSwapCommutator:
+    """The commutator of a diagonal base with the swap of two adjacent
+    positions, which drives the walks on gaps up to a quarter turn."""
+
     def test_quarter_turn_example(self):
-        comm, frag, angle = swap_commutator(np.diag([1.0, 1j]).astype(complex), 0)
-        assert angle == pytest.approx(-math.pi / 2)
+        # the block diag(1, i): gap -pi/2, commutator diag(-i, i)
+        block = source_block(-math.pi / 2)
+        assert block.theta == pytest.approx(math.pi / 2)
         want = np.diag([-1j, 1j]).astype(complex)
-        assert np.max(np.abs(comm - want)) < 1e-12
+        assert np.max(np.abs(arr(block.commutator) - want)) < 1e-12
 
     def test_fragment_multiplies_back(self):
-        rng = np.random.default_rng(7)
-        angles = rng.uniform(-math.pi, math.pi, size=5)
+        # two blockless steps, v and the swap-conjugate of v*
+        angles = np.array([0.3, -1.1, 0.9, 0.2, -2.0])
         v = diag_u(angles)
-        comm, frag, angle = swap_commutator(v, 2)
+        frag = (CertStep(np.arange(5), (), 1), CertStep(swap_perm(5, 2), (), -1))
+        comm = v @ v[np.ix_(swap_perm(5, 2), swap_perm(5, 2))].conj().T
         prod = product(v, frag)
         assert np.max(np.abs(prod - comm)) < 1e-12
-        assert len(frag) == 2
-        assert angle == pytest.approx(
-            math.remainder(angles[2] - angles[3], 2.0 * math.pi)
-        )
+        block = source_block(angles[2] - angles[3])
+        assert block.theta == pytest.approx(0.7)
+        assert np.max(np.abs(prod[2:4, 2:4] - arr(block.commutator))) < 1e-12
 
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            swap_commutator(np.eye(3, dtype=complex), 2)
-
-    def test_non_diagonal_rejected(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(PreconditionError):
-            swap_commutator(haar(3, rng), 0)
+    def test_blockless_steps_certificate(self):
+        # a hand-built certificate of pure-permutation steps survives the
+        # product, the JSON round trip and the verifier
+        angles = np.array([1.2, -0.4, 0.5, -1.3])
+        v = diag_u(angles)
+        swap = swap_perm(4, 1)
+        steps = (CertStep(np.arange(4), (), 1), CertStep(swap, (), -1))
+        comm = v @ v[np.ix_(swap, swap)].conj().T
+        eye = np.eye(4, dtype=complex)
+        cert = Certificate(comm, v, eye, eye, angles, steps, 2, "rank_dep")
+        assert np.max(np.abs(cert.product() - comm)) < 1e-12
+        obj = json.loads(json.dumps(cert.to_json()))
+        assert obj["perms"] == [list(range(4)), swap.tolist()]
+        for rec in obj["steps"]:
+            assert rec["offsets"] == [] and rec["widths"] == []
+            assert rec["blocks"]["shape"] == [0]
+        back = Certificate.from_json(obj)
+        assert [st.blocks for st in back.steps] == [(), ()]
+        assert np.array_equal(back.steps[1].perm, swap)
+        assert np.max(np.abs(certificate_product(angles, back.steps) - comm)) < 1e-12
+        report = verify_certificate(back)
+        assert report["pass"], report
+        assert report["margins"]["block_defect"] == 0.0
 
 
 class TestGenerateBlock:
+    """Block factors one at a time: one walked alone on one source gap of a
+    diagonal base, and an identity factor, which gets no strand."""
+
     def test_single_gap_product(self):
         v = diag_u([0.8, -0.3, -0.5])
         fac = block_factor(3, 0, 0.5)
-        steps = generate_block(fac, v, 2, 0)
+        steps = walk_block(v, 0.5, 0, 0, 2)
         assert len(steps) <= 4
         prod = product(v, steps)
         assert np.max(np.abs(prod - fac)) < 1e-9
@@ -246,83 +290,65 @@ class TestGenerateBlock:
     def test_offset_blocks(self):
         v = diag_u([1.0, 0.2, -0.4, -0.8])
         fac = block_factor(4, 2, -0.7)
-        steps = generate_block(fac, v, 4, 0)
+        steps = walk_block(v, -0.7, 2, 0, 4)
         prod = product(v, steps)
         assert np.max(np.abs(prod - fac)) < 1e-9
 
     def test_identity_factor_empty(self):
-        v = diag_u([0.8, -0.3, -0.5])
-        assert generate_block(np.eye(3, dtype=complex), v, 2, 0) == []
+        # the prefix angles of the factors are 0.3, 0 and -0.2, so the
+        # odd group holds only the identity factor and walks no batch
+        u = diag_u([0.3, -0.3, 0.2, -0.2])
+        cert = generate_rank_dependent(u, diag_u([1.0, -1.0, 2.5, 0.1]), 1)
+        assert cert.metadata["planner"] == {
+            "batches": 1, "matched_strands": 2, "widest_gap_strands": 0,
+        }
+        assert len(cert) == 4
+        assert_sound(cert)
 
     def test_odd_multiplier_rejected(self):
         v = diag_u([0.8, -0.3, -0.5])
         with pytest.raises(DomainError):
-            generate_block(block_factor(3, 0, 0.1), v, 3, 0)
+            walk_block(v, 0.1, 0, 0, 3)
 
     def test_budget_infeasible(self):
         v = diag_u([0.1, -0.05, -0.05])
         with pytest.raises(BudgetInfeasibleError):
-            generate_block(block_factor(3, 0, 2.0), v, 2, 0)
-
-    def test_scattered_support_rejected(self):
-        v = diag_u([0.8, -0.3, -0.2, -0.3])
-        bad = np.diag(np.exp(1j * np.array([0.3, 0.0, -0.3, 0.0])))
-        with pytest.raises(PreconditionError):
-            generate_block(bad, v, 2, 0)
+            walk_block(v, 2.0, 0, 0, 2)
 
     def test_wide_gap_partial_rotation(self):
         # gap beyond a quarter turn still reaches any block angle
         v = diag_u([1.7, -1.3, -0.4])
         fac = block_factor(3, 0, 3.0)
-        steps = generate_block(fac, v, 2, 0)
+        steps = walk_block(v, 3.0, 0, 0, 2)
         prod = product(v, steps)
         assert np.max(np.abs(prod - fac)) < 1e-9
 
 
 class TestGenerateSimultaneous:
+    """Several block factors walked in one batch, one shared commutator per
+    step."""
+
     def test_two_blocks_four_steps(self):
         ang = centered([0.4, -0.1, -0.3, 0.25, -0.15, -0.05, -0.05])
-        u = diag_u(ang)
         v = diag_u([1.2, -0.9, 0.3, -0.6, 0.8, -0.4, -0.4])
-        steps = generate_simultaneous(u, v, sources=[0, 3], targets=[1, 4], m=2)
-        assert len(steps) <= 4
+        vang = np.angle(np.diagonal(v))
         pref = np.cumsum(ang)
+        strands = [
+            generation._plan_strand(pref[1], 1, source_pair(vang, 0), 2),
+            generation._plan_strand(pref[4], 4, source_pair(vang, 3), 2),
+        ]
+        steps = generation._shared_steps(7, strands)
+        assert len(steps) <= 4
         want = block_factor(7, 1, pref[1]) @ block_factor(7, 4, pref[4])
         prod = product(v, steps)
         assert np.max(np.abs(prod - want)) < 1e-9
 
-    def test_single_strand_matches_block(self):
-        ang = centered([0.5, -0.2, -0.3])
-        u = diag_u(ang)
-        v = diag_u([0.9, -0.4, -0.5])
-        sim = generate_simultaneous(u, v, sources=[0], targets=[0], m=2)
-        blk = generate_block(block_factor(3, 0, np.cumsum(ang)[0]), v, 2, 0)
-        ps = product(v, sim)
-        pb = product(v, blk)
-        assert len(sim) == len(blk)
-        assert np.max(np.abs(ps - pb)) < 1e-12
-
-    def test_layout_error(self):
-        ang = centered([0.4, -0.1, -0.3, 0.2, -0.2, 0.1, -0.1])
-        u = diag_u(ang)
-        v = diag_u([1.2, -0.9, 0.3, -0.6, 0.8, -0.4, -0.4])
-        with pytest.raises(DomainError):
-            generate_simultaneous(u, v, sources=[0, 1], targets=[1, 4], m=2)
-        with pytest.raises(DomainError):
-            generate_simultaneous(u, v, sources=[0, 3], targets=[1, 2], m=2)
-
-    def test_angle_sum_must_vanish(self):
-        u = diag_u([0.4, 0.3, 0.1])
-        v = diag_u([0.9, -0.4, -0.5])
-        with pytest.raises(PreconditionError):
-            generate_simultaneous(u, v, sources=[0], targets=[0], m=2)
-
     def test_per_block_budget(self):
+        # the planner refuses a factor no source pair reaches within the cap
         ang = centered([2.0, -1.0, -1.0])
-        u = diag_u(ang)
-        v = diag_u([0.05, -0.02, -0.03])
+        vang = np.array([0.05, -0.02, -0.03])
         with pytest.raises(BudgetInfeasibleError):
-            generate_simultaneous(u, v, sources=[0], targets=[0], m=2)
+            generation._plan_batches([(ang[0], 0)], [source_pair(vang, 0)], 2)
 
 
 class TestRankDependent:
@@ -518,7 +544,7 @@ def assert_shortest_batches(cert, seen):
         widest = max(strands, key=lambda st: st.length)
         if m_b > 2:
             with pytest.raises(BudgetInfeasibleError):
-                su2_walk(widest.phi, widest.theta, m_b - 2)
+                _walk(widest.phi, widest.theta, m_b - 2)
         sources = sorted(st.source for st in strands)
         for step in out:
             assert sorted(o for o, _ in step.blocks) == sources

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import normgen as ng
+from normgen.spectral import canon_angle
 from normgen.orderings import (
     OptimalOrdering,
     angle_sum_optimalize,
@@ -227,6 +228,13 @@ class TestCenterPhase:
         spec, t = center_phase(ng.CircleSpectrum([3.0, 3.0, 3.0, -2.5]))
         assert abs(spec.angles.sum()) < 1e-12
 
+    def test_smallest_peak_wins(self):
+        # the unshifted [3, -3] already sums to zero, but the half-turn
+        # shift puts the branch cut in the wide gap and peaks at pi - 3
+        spec, t = center_phase(ng.CircleSpectrum([3.0, -3.0]))
+        assert t == pytest.approx(math.pi)
+        assert np.allclose(spec.angles, [3.0 - math.pi, math.pi - 3.0], atol=1e-12)
+
     def test_random(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
@@ -238,6 +246,11 @@ class TestCenterPhase:
             assert np.allclose(
                 np.exp(1j * spec.angles), np.exp(1j * (spec0.angles + t)), atol=1e-12
             )
+            # no other zero-sum shift has a smaller peak
+            for k in range(n):
+                cand = canon_angle(spec0.angles + t + 2.0 * math.pi * k / n)
+                if abs(cand.sum()) <= 1e-9:
+                    assert np.max(np.abs(spec.angles)) <= np.max(np.abs(cand)) + 1e-12
 
 
 class TestChecks:

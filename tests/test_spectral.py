@@ -562,3 +562,46 @@ class TestTypesAndJson:
         else:
             assert got == want
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_canon_angle_idempotent_on_its_outputs(self):
+        # a canonical angle comes back bit for bit, so a spectrum built
+        # from canonical angles keeps exactly those floats
+        rng = np.random.default_rng(53)
+        for scale in (1e-17, 1e-15, 1e-8, 1.0, 4.0, 1e3):
+            once = ng.canon_angle(rng.normal(size=2000) * scale)
+            assert np.array_equal(ng.canon_angle(once), once)
+            assert np.array_equal(ng.CircleSpectrum(once).angles, once)
+
+
+class TestProjectiveResidual:
+    @staticmethod
+    def dense_residual(a, b):
+        """The residual from the full product b* @ a."""
+        w = b.conj().T @ a
+        tr = np.trace(w)
+        if abs(tr) > 1e-8:
+            lam = tr / abs(tr)
+        else:
+            d = np.diagonal(w)
+            k = int(np.argmax(np.abs(d)))
+            lam = d[k] / abs(d[k]) if abs(d[k]) > 0 else 1.0
+        return float(np.max(np.abs(a - lam * b)))
+
+    def test_matches_the_dense_product(self):
+        rng = np.random.default_rng(59)
+        for n in (1, 2, 5, 16):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            assert ng.projective_residual(a, b) == pytest.approx(
+                self.dense_residual(a, b), abs=1e-13
+            )
+
+    def test_vanishing_trace_reads_the_diagonal(self):
+        a = np.diag([1.0, -1.0, 1j, -1j]).astype(complex)
+        b = np.eye(4, dtype=complex)
+        assert ng.projective_residual(a, b) == self.dense_residual(a, b) == 2.0
+
+    def test_exact_projective_equality(self):
+        rng = np.random.default_rng(61)
+        b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        assert ng.projective_residual(np.exp(0.7j) * b, b) <= 1e-14

@@ -1,4 +1,5 @@
-"""Step-engine tests: step matrices, reference conjugators, and full walks."""
+"""Step-engine tests: partial steps, reference frames, walks and source
+blocks."""
 
 import math
 
@@ -10,17 +11,19 @@ from normgen import (
     BudgetInfeasibleError,
     DegenerateInputError,
     DomainError,
+    NumericalDegeneracyError,
     PreconditionError,
     projective_residual,
 )
+from normgen import su2
 from normgen.config import EPS
 from normgen.su2 import (
-    Su2Step,
-    conjugator_to_reference,
-    reference_rotation,
-    rotation_class_angle,
-    su2_step_matrix,
-    su2_walk,
+    _class_angle,
+    _reach,
+    _reference_frame,
+    _step_to,
+    _walk,
+    source_block,
     walk_length,
 )
 
@@ -32,75 +35,115 @@ def haar_su2(rng):
     return q / np.sqrt(np.linalg.det(q))
 
 
-def walk_product(steps, theta):
-    v = reference_rotation(theta)
-    vinv = v.conj().T
+def rot(angle):
+    """diag(e^{ia}, e^{-ia})."""
+    return np.diag([np.exp(1j * angle), np.exp(-1j * angle)])
+
+
+def arr(x):
+    a, b, c, d = x
+    return np.array(((a, b), (c, d)), dtype=complex)
+
+
+def tup(m):
+    return tuple(complex(z) for z in np.asarray(m).ravel())
+
+
+def reference_frame(vp, theta):
+    return arr(_reference_frame(tup(vp), theta))
+
+
+def walk(phi, theta, m):
+    """_walk's conjugators as arrays, with their shared exponent."""
+    conjugators, exponent = _walk(phi, theta, m)
+    return [arr(g) for g in conjugators], exponent
+
+
+def walk_product(walked, theta):
+    conjugators, exponent = walked
+    core = rot(theta if exponent == 1 else -theta)
     out = np.eye(2, dtype=complex)
-    for s in steps:
-        core = v if s.exponent == 1 else vinv
-        out = out @ s.conjugator @ core @ s.conjugator.conj().T
+    for g in conjugators:
+        out = out @ g @ core @ g.conj().T
     return out
 
 
-def assert_walk_hits(steps, phi, theta, m):
-    assert len(steps) <= m
-    prod = walk_product(steps, theta)
-    target = reference_rotation(phi)
-    assert projective_residual(prod, target) <= 1e-9
+def assert_walk_hits(walked, phi, theta, m):
+    conjugators, exponent = walked
+    assert len(conjugators) == m
+    assert exponent in (1, -1)
+    prod = walk_product(walked, theta)
+    assert projective_residual(prod, rot(phi)) <= 1e-9
     want = 2.0 * math.cos(theta)
-    for s in steps:
-        assert s.exponent in (1, -1)
-        g = s.conjugator
+    core = rot(theta if exponent == 1 else -theta)
+    for g in conjugators:
         assert np.linalg.norm(g @ g.conj().T - np.eye(2)) < 1e-9
-        core = reference_rotation(theta if s.exponent == 1 else -theta)
         tr = np.trace(g @ core @ g.conj().T)
         assert abs(tr - want) < 1e-10
 
 
+def assert_step_lands(alpha, beta, theta):
+    """_step_to(alpha, beta, theta) is in the class of theta, and moves
+    D(alpha) into the class of beta."""
+    v = arr(_step_to(alpha, beta, theta))
+    assert abs(np.linalg.det(v) - 1.0) < 1e-12
+    assert abs(np.trace(v) - 2.0 * math.cos(theta)) < 1e-12
+    assert np.linalg.norm(v @ v.conj().T - np.eye(2)) < 1e-12
+    assert abs(np.trace(rot(alpha) @ v) - 2.0 * math.cos(beta)) < 1e-9
+    return v
+
+
 class TestStepMatrix:
+    """The partial step _step_to."""
+
     def test_full_step_is_diagonal(self):
-        v = su2_step_matrix(0.7, 0.7)
-        assert np.allclose(v, reference_rotation(0.7), atol=1e-14)
+        # from a central point and on the reach boundary beta = alpha + theta
+        for alpha, beta in ((0.0, 0.7), (0.3, 1.0)):
+            v = assert_step_lands(alpha, beta, 0.7)
+            assert v[0, 1] == 0.0 and v[1, 0] == 0.0
+            assert np.allclose(v, rot(0.7), atol=1e-14)
 
     def test_all_offdiagonal(self):
-        v = su2_step_matrix(math.pi / 2, 0.0)
+        # cos(beta) = cos(alpha) cos(theta): no diagonal share left
+        v = assert_step_lands(math.pi / 2, math.pi / 2, math.pi / 2)
         assert np.allclose(v, [[0, 1], [-1, 0]], atol=1e-14)
 
     def test_frozen_quarter_eighth(self):
-        v = su2_step_matrix(math.pi / 4, math.pi / 8)
-        assert abs(np.linalg.det(v) - 1.0) < 1e-12
+        v = assert_step_lands(math.pi / 8, math.pi / 4, math.pi / 4)
         assert abs(np.trace(v) - math.sqrt(2.0)) < 1e-12
 
     def test_determinant_trace_and_unitarity(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            th = rng.uniform(-math.pi, math.pi)
-            t1 = math.asin(rng.uniform(-1.0, 1.0) * abs(math.sin(th)))
-            v = su2_step_matrix(th, t1)
-            assert abs(np.linalg.det(v) - 1.0) < 1e-12
-            assert abs(np.trace(v) - 2.0 * math.cos(th)) < 1e-12
-            assert np.linalg.norm(v @ v.conj().T - np.eye(2)) < 1e-12
+            th = rng.uniform(0.0, math.pi)
+            alpha = rng.uniform(0.0, math.pi)
+            lo, hi = _reach(alpha, th)
+            assert_step_lands(alpha, rng.uniform(lo, hi), th)
 
     def test_oversized_partial_angle_rejected(self):
-        with pytest.raises(DomainError):
-            su2_step_matrix(0.2, 0.5)
+        # one 0.2-step from the class 0.5 reaches [0.3, 0.7] only
+        with pytest.raises(NumericalDegeneracyError):
+            _step_to(0.5, 2.0, 0.2)
 
     def test_offdiagonal_entry_real_nonnegative(self):
-        v = su2_step_matrix(1.1, 0.3)
+        v = assert_step_lands(0.6, 0.9, 1.1)
         assert v[0, 1].imag == 0.0
-        assert v[0, 1].real >= 0.0
+        assert v[0, 1].real > 0.0
 
 
 class TestConjugatorToReference:
+    """The frame _reference_frame taking the reference rotation to a given
+    conjugate of it."""
+
     def test_random_conjugates_recovered(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             th = rng.uniform(0.05, math.pi - 0.05)
             g0 = haar_su2(rng)
-            vp = g0 @ reference_rotation(th) @ g0.conj().T
-            g = conjugator_to_reference(vp, th)
+            vp = g0 @ rot(th) @ g0.conj().T
+            g = reference_frame(vp, th)
             assert np.linalg.norm(g @ g.conj().T - np.eye(2)) < 1e-12
-            res = g @ reference_rotation(th) @ g.conj().T - vp
+            res = g @ rot(th) @ g.conj().T - vp
             assert np.max(np.abs(res)) <= 1e-10
 
     def test_phase_convention(self):
@@ -108,38 +151,37 @@ class TestConjugatorToReference:
         for _ in range(50):
             th = rng.uniform(0.1, math.pi - 0.1)
             g0 = haar_su2(rng)
-            vp = g0 @ reference_rotation(th) @ g0.conj().T
-            g = conjugator_to_reference(vp, th)
+            vp = g0 @ rot(th) @ g0.conj().T
+            g = reference_frame(vp, th)
             k = int(np.argmax(np.abs(g[:, 0])))
             assert abs(g[k, 0].imag) < 1e-12
             assert g[k, 0].real > 0.0
 
     def test_diagonal_inputs(self):
-        g = conjugator_to_reference(reference_rotation(0.9), 0.9)
+        g = reference_frame(rot(0.9), 0.9)
         assert np.allclose(g, np.eye(2), atol=1e-12)
-        g = conjugator_to_reference(reference_rotation(-0.9), 0.9)
+        g = reference_frame(rot(-0.9), 0.9)
         assert np.allclose(np.abs(g), [[0, 1], [1, 0]], atol=1e-12)
 
     def test_central_class(self):
-        g = conjugator_to_reference(np.eye(2, dtype=complex), 0.0)
+        g = reference_frame(np.eye(2, dtype=complex), 0.0)
         assert np.allclose(g, np.eye(2))
-        g = conjugator_to_reference(-np.eye(2, dtype=complex), math.pi)
+        g = reference_frame(-np.eye(2, dtype=complex), math.pi)
         assert np.allclose(g, np.eye(2))
 
     def test_trace_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
-            conjugator_to_reference(reference_rotation(0.5), 1.0)
+            reference_frame(rot(0.5), 1.0)
 
     def test_partial_step_matrix_recovered(self):
-        vp = su2_step_matrix(0.8, 0.2)
-        g = conjugator_to_reference(vp, 0.8)
-        res = g @ reference_rotation(0.8) @ g.conj().T - vp
+        vp = arr(_step_to(0.4, 0.9, 0.8))
+        g = reference_frame(vp, 0.8)
+        res = g @ rot(0.8) @ g.conj().T - vp
         assert np.max(np.abs(res)) <= 1e-10
-
 
     @staticmethod
     def numpy_conjugator(vprime, theta):
-        """The 2x2 numpy formulation the scalar version replaced."""
+        """The same frame by 2x2 numpy linear algebra."""
         v = np.asarray(vprime, dtype=complex)
         want = 2.0 * math.cos(theta)
         got = float(np.real(np.trace(v)))
@@ -166,60 +208,56 @@ class TestConjugatorToReference:
                 spread = 10.0 ** -rng.uniform(10, 15)
                 th = spread if kind == "near_zero" else math.pi - spread
             g0 = haar_su2(rng)
-            vp = g0 @ reference_rotation(th) @ g0.conj().T
-            got = conjugator_to_reference(vp, th)
+            vp = g0 @ rot(th) @ g0.conj().T
+            got = reference_frame(vp, th)
             want = self.numpy_conjugator(vp, th)
             assert np.max(np.abs(got - want)) <= 1e-14, (th, got, want)
         with pytest.raises(PreconditionError):
-            conjugator_to_reference(vp, th + 0.1)
+            reference_frame(vp, th + 0.1)
 
 
 class TestStepType:
-    def test_rejects_nonunitary(self):
-        with pytest.raises(DomainError):
-            Su2Step(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), 1)
+    """The unitarity bound every walk conjugator is held to."""
 
-    def test_rejects_bad_exponent(self):
+    def test_rejects_nonunitary(self, monkeypatch):
+        sheared = (1 + 0j, 1 + 0j, 0j, 1 + 0j)
+        monkeypatch.setattr(su2, "_walk_positive", lambda target, theta, m: [sheared] * m)
         with pytest.raises(DomainError):
-            Su2Step(np.eye(2, dtype=complex), 2)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(DomainError):
-            Su2Step(np.eye(3, dtype=complex), 1)
+            _walk(0.5, 0.3, 2)
 
 
 class TestWalkFrozen:
     def test_two_full_steps(self):
-        steps = su2_walk(math.pi / 2, math.pi / 4, 2)
-        assert len(steps) == 2
-        for s in steps:
-            assert s.exponent == 1
-            assert np.allclose(s.conjugator, np.eye(2), atol=1e-12)
-        assert_walk_hits(steps, math.pi / 2, math.pi / 4, 2)
+        walked = walk(math.pi / 2, math.pi / 4, 2)
+        conjugators, exponent = walked
+        assert len(conjugators) == 2 and exponent == 1
+        for g in conjugators:
+            assert np.allclose(g, np.eye(2), atol=1e-12)
+        assert_walk_hits(walked, math.pi / 2, math.pi / 4, 2)
 
     def test_zero_target_cancelling_pair(self):
-        steps = su2_walk(0.0, 0.6, 2)
-        assert len(steps) == 2
+        steps = walk(0.0, 0.6, 2)
+        assert len(steps[0]) == 2
         prod = walk_product(steps, 0.6)
         assert np.max(np.abs(prod - np.eye(2))) <= 1e-12
         assert_walk_hits(steps, 0.0, 0.6, 2)
 
     def test_four_step_walk(self):
-        steps = su2_walk(0.9, 0.25, 4)
-        assert len(steps) == 4
+        steps = walk(0.9, 0.25, 4)
+        assert len(steps[0]) == 4
         assert_walk_hits(steps, 0.9, 0.25, 4)
 
     def test_budget_boundary_all_full_steps(self):
         # dyadic angle so the waypoint sums carry no float drift
-        steps = su2_walk(1.0, 0.25, 4)
-        for s in steps:
-            assert np.allclose(s.conjugator, np.eye(2), atol=1e-10)
+        steps = walk(1.0, 0.25, 4)
+        for g in steps[0]:
+            assert np.allclose(g, np.eye(2), atol=1e-10)
         assert_walk_hits(steps, 1.0, 0.25, 4)
 
     def test_exact_product_not_just_projective(self):
-        steps = su2_walk(0.8, 0.3, 4)
+        steps = walk(0.8, 0.3, 4)
         prod = walk_product(steps, 0.3)
-        assert np.max(np.abs(prod - reference_rotation(0.8))) <= 1e-12
+        assert np.max(np.abs(prod - rot(0.8))) <= 1e-12
 
 
 class TestWalkSigns:
@@ -227,41 +265,39 @@ class TestWalkSigns:
         (0.8, 0.3), (0.8, -0.3), (-0.8, 0.3), (-0.8, -0.3),
     ])
     def test_four_sign_cases(self, phi, theta):
-        steps = su2_walk(phi, theta, 4)
+        steps = walk(phi, theta, 4)
         assert_walk_hits(steps, phi, theta, 4)
-        want = 1 if (phi >= 0) == (theta >= 0) else -1
-        for s in steps:
-            assert s.exponent == want
+        assert steps[1] == (1 if (phi >= 0) == (theta >= 0) else -1)
 
 
 class TestWalkErrors:
     def test_budget_too_small(self):
         with pytest.raises(BudgetInfeasibleError):
-            su2_walk(2.0, 0.3, 4)
+            walk(2.0, 0.3, 4)
 
     def test_zero_generator_nonzero_target(self):
         with pytest.raises(DegenerateInputError):
-            su2_walk(0.5, 0.0, 2)
+            walk(0.5, 0.0, 2)
 
     def test_odd_budget_rejected(self):
         with pytest.raises(DomainError):
-            su2_walk(0.5, 0.3, 3)
+            walk(0.5, 0.3, 3)
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(DomainError):
-            su2_walk(0.5, 0.3, 0)
+            walk(0.5, 0.3, 0)
 
     def test_central_generator_noncentral_target(self):
         with pytest.raises(DegenerateInputError):
-            su2_walk(0.4, math.pi, 2)
+            walk(0.4, math.pi, 2)
 
     def test_central_generator_central_target(self):
-        steps = su2_walk(math.pi, math.pi, 2)
-        assert len(steps) == 2
+        steps = walk(math.pi, math.pi, 2)
+        assert len(steps[0]) == 2
         assert_walk_hits(steps, math.pi, math.pi, 2)
 
     def test_zero_generator_zero_target(self):
-        steps = su2_walk(0.0, 0.0, 2)
+        steps = walk(0.0, 0.0, 2)
         assert_walk_hits(steps, 0.0, 0.0, 2)
 
 
@@ -269,33 +305,36 @@ class TestWalkGeometry:
     def test_mirror_class_needed(self):
         # one theta-conjugate cannot raise the class angle past pi - theta,
         # so these targets are only reachable through the mirrored class
-        steps = su2_walk(2.4, 2.4, 2)
+        steps = walk(2.4, 2.4, 2)
         assert_walk_hits(steps, 2.4, 2.4, 2)
-        steps = su2_walk(2.9, 2.0, 2)
+        steps = walk(2.9, 2.0, 2)
         assert_walk_hits(steps, 2.9, 2.0, 2)
 
     def test_target_equals_generator_even_budget(self):
-        steps = su2_walk(0.7, 0.7, 2)
+        steps = walk(0.7, 0.7, 2)
         assert_walk_hits(steps, 0.7, 0.7, 2)
 
     def test_small_target_large_budget(self):
-        steps = su2_walk(0.05, 0.9, 6)
+        steps = walk(0.05, 0.9, 6)
         assert_walk_hits(steps, 0.05, 0.9, 6)
 
     def test_near_pi_target(self):
-        steps = su2_walk(3.1, 0.8, 4)
+        steps = walk(3.1, 0.8, 4)
         assert_walk_hits(steps, 3.1, 0.8, 4)
 
     def test_wide_generator_small_target(self):
-        steps = su2_walk(0.3, 2.8, 4)
+        steps = walk(0.3, 2.8, 4)
         assert_walk_hits(steps, 0.3, 2.8, 4)
 
     def test_class_angle_helper(self):
-        assert abs(rotation_class_angle(reference_rotation(1.3)) - 1.3) < 1e-12
-        assert abs(rotation_class_angle(np.eye(2))) < 1e-12
+        def class_angle(u):
+            return _class_angle(float(np.real(np.trace(u))) / 2.0)
+
+        assert abs(class_angle(rot(1.3)) - 1.3) < 1e-12
+        assert abs(class_angle(np.eye(2))) < 1e-12
         g = haar_su2(np.random.default_rng(3))
-        m = g @ reference_rotation(0.4) @ g.conj().T
-        assert abs(rotation_class_angle(m) - 0.4) < 1e-12
+        m = g @ rot(0.4) @ g.conj().T
+        assert abs(class_angle(m) - 0.4) < 1e-12
 
 
 class TestWalkRandomized:
@@ -311,7 +350,7 @@ class TestWalkRandomized:
                 theta = -theta
             lim = min(math.pi, m * abs(theta))
             phi = float(rng.uniform(-lim, lim))
-            steps = su2_walk(phi, theta, m)
+            steps = walk(phi, theta, m)
             assert_walk_hits(steps, phi, theta, m)
 
     def test_random_wide_generators(self):
@@ -325,7 +364,7 @@ class TestWalkRandomized:
             theta = float(rng.uniform(math.pi / 2, math.pi - 0.02))
             phi = float(rng.uniform(-math.pi, math.pi))
             try:
-                steps = su2_walk(phi, theta, m)
+                steps = walk(phi, theta, m)
             except BudgetInfeasibleError:
                 continue
             produced += 1
@@ -345,14 +384,14 @@ class TestWalkLength:
             m0 = walk_length(phi, theta, cap)
         except (BudgetInfeasibleError, DegenerateInputError) as exc:
             with pytest.raises(type(exc)):
-                su2_walk(phi, theta, cap)
+                walk(phi, theta, cap)
             return
         assert 2 <= m0 <= cap and m0 % 2 == 0
         for m in range(m0, cap + 1, 2):
-            assert_walk_hits(su2_walk(phi, theta, m), phi, theta, m)
+            assert_walk_hits(walk(phi, theta, m), phi, theta, m)
         if m0 > 2:
             with pytest.raises(BudgetInfeasibleError):
-                su2_walk(phi, theta, m0 - 2)
+                walk(phi, theta, m0 - 2)
 
     def test_frozen_lengths(self):
         assert walk_length(0.9, 0.25, 8) == 4
@@ -370,3 +409,38 @@ class TestWalkLength:
             walk_length(0.5, 0.0, 2)
         with pytest.raises(DomainError):
             walk_length(0.5, 0.3, 3)
+
+
+class TestSourceBlock:
+    def test_vanishing_gap_has_no_block(self):
+        assert source_block(0.0) is None
+        assert source_block(2.0 * math.pi) is None
+
+    def test_class_angle_capped_at_quarter_turn(self):
+        # a full swap up to a quarter turn, a partial rotation beyond it
+        for delta in (0.1, -0.9, math.pi / 2):
+            assert abs(source_block(delta).theta - abs(delta)) < 1e-12
+        for delta in (1.7, -2.5, math.pi):
+            assert abs(source_block(delta).theta - math.pi / 2) < 1e-9
+
+    def test_frames_reassemble_the_target(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            # gaps of at least 0.2 reach any phi within 16 steps
+            block = source_block(rng.choice((-1, 1)) * rng.uniform(0.2, math.pi))
+            phi = rng.uniform(-math.pi, math.pi)
+            m = walk_length(phi, block.theta, 16)
+            ys, rotated = block.frames(phi, m)
+            assert ys.shape == rotated.shape == (m, 2, 2)
+            prod = np.eye(2, dtype=complex)
+            for y in ys:
+                prod = prod @ y @ arr(block.commutator) @ y.conj().T
+            assert np.max(np.abs(prod - rot(phi))) <= 1e-10
+            assert np.max(np.abs(rotated - ys @ arr(block.rotation))) <= 1e-15
+
+    def test_frames_refuse_what_the_walk_refuses(self):
+        block = source_block(0.2)
+        with pytest.raises(BudgetInfeasibleError):
+            block.frames(2.0, 4)
+        with pytest.raises(DomainError):
+            block.frames(0.1, 3)
