@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .orderings import optimalize
 from .spectral import (
+    CircleSpectrum,
     as_unitary,
     profile_mean,
     proj_distance,
@@ -53,41 +54,41 @@ def cyclic_commutator_partner(u, seed=0):
     the conjugate of the last eigenvalue in u's optimal ordering, the phase
     at which the singular cage bounds mu_i(1 - lam*u) by the ordered gaps.
     """
-    v, lam, _ = _partner(spectrum_of(u, seed=seed))
-    return v, lam
-
-
-def _partner(spec):
-    """cyclic_commutator_partner of a spectrum, with the optimal ordering
-    it reads lam from."""
-    n = spec.n
-    if n < 2:
-        raise DomainError(f"need at least 2 eigenvalues, got {n}")
-    order = optimalize(spec)
+    lam, order = _optimal_phase(spectrum_of(u, seed=seed))
+    n = order.n
     cyc = _cycle_matrix(n)
     v = np.zeros((3 * n, 3 * n), dtype=complex)
     v[:n, :n] = cyc
     v[n : 2 * n, n : 2 * n] = cyc.conj().T
     v[2 * n :, 2 * n :] = np.eye(n)
-    lam = complex(np.exp(-1j * order.angles[-1]))
-    return v, lam, order
+    return v, lam
+
+
+def _optimal_phase(spec):
+    """The partner phase lam of a spectrum, with the optimal ordering it is
+    read from."""
+    if spec.n < 2:
+        raise DomainError(f"need at least 2 eigenvalues, got {spec.n}")
+    order = optimalize(spec)
+    return complex(np.exp(-1j * order.angles[-1])), order
 
 
 def aux_inequality_check(u, seed=0):
     """Per-index report comparing mu_i(1 - lam*u) to sqrt(2)*ell_i([U, v]).
 
-    Builds the commutator of U = diag(u,u,u) with the cyclic partner
-    explicitly, takes its projective profile in U(3n), and reports lhs, rhs
-    and slack = rhs - lhs for i = 0..n-2.  Negative slack beyond roundoff
+    The commutator of U = diag(u,u,u) with the cyclic partner v is diagonal,
+    so its projective profile in U(3n) is read off its 3n eigenvalues: the
+    consecutive ratios e^{i a_k} conj(e^{i a_(k-1)}) of the optimal ordering
+    (cyclically), their conjugates and n ones.  Reports lhs, rhs and
+    slack = rhs - lhs for i = 0..n-2.  Negative slack beyond roundoff
     indicates an implementation bug, not a tight input.
     """
-    spec = spectrum_of(u, seed=seed)
-    n = spec.n
-    v, lam, order = _partner(spec)
+    lam, order = _optimal_phase(spectrum_of(u, seed=seed))
+    n = order.n
     eig = np.exp(1j * order.angles)
-    u3 = np.diag(np.concatenate([eig, eig, eig]))
-    comm = u3 @ v @ u3.conj().T @ v.conj().T
-    prof = projective_profile(comm, seed=seed)
+    ratios = np.angle(eig * np.roll(eig, 1).conj())
+    comm = CircleSpectrum(np.concatenate([ratios, -ratios, np.zeros(n)]))
+    prof = projective_profile(comm)
     mus = np.sort(np.abs(1.0 - lam * eig))[::-1]
     out = []
     for i in range(n - 1):

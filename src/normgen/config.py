@@ -30,17 +30,18 @@ class Tolerances:
         """Entrywise tolerance for an n x n product of `steps` conjugates
         compared with a target.
 
-        Each factor may add eq_ulps * n * eps of rounding plus n * defect,
-        where defect sums the max-norm defects of the factors' unitary frames
-        and of the stored base diagonalization (n times a max-norm bounds the
-        operator norm); one more factor covers the final change of frame.
-        Honest certificates of the test and corpus pools stay below 24 units
-        of (steps + 1) * n * eps, the worst at n = 2.  The product is
-        unitary, so it cannot come closer to the target than the target's
-        distance to the nearest unitary, which n * target_defect bounds for
-        the target's max-norm unitarity defect.
+        Each factor may add eq_ulps * n * eps of rounding plus defect, an
+        operator-norm bound summed over the defect matrices of the factors'
+        unitary frames and of the stored base diagonalization (their
+        Frobenius norms, which bound the operator norm and never exceed n
+        times the max-norm); one more factor covers the final change of
+        frame.  Honest certificates of the test and corpus pools stay below
+        24 units of (steps + 1) * n * eps, the worst at n = 2.  The product
+        is unitary, so it cannot come closer to the target than the
+        target's distance to the nearest unitary, which target_defect, the
+        Frobenius norm of T T* - I, bounds.
         """
-        return (steps + 1) * n * (self.eq_ulps * EPS + defect) + n * target_defect
+        return (steps + 1) * (n * self.eq_ulps * EPS + defect) + target_defect
 
 
 TOL = Tolerances()

@@ -866,34 +866,47 @@ def _profile_of_matrix(mat, seed=0):
     return spec, projective_profile(spec).values
 
 
+def _defect_norms(d):
+    """Max-norm and Frobenius norm of a defect matrix."""
+    return float(np.max(np.abs(d))), float(np.linalg.norm(d))
+
+
+def _gram_defect(m):
+    """m @ m* - I."""
+    m = np.asarray(m, dtype=complex)
+    return m @ m.conj().T - np.eye(m.shape[0])
+
+
 def _frame_defects(cert):
-    """Max-norm defects of the stored frames: unitarity of A, of B, and
-    B @ diag(e^{i base_angles}) @ B* against the base."""
+    """(max-norm, Frobenius norm) of each stored frame's defect matrix:
+    A A* - I, B B* - I, and B @ diag(e^{i base_angles}) @ B* - base."""
     b = cert.bframe
     rebuilt = (b * np.exp(1j * cert.base_angles)) @ b.conj().T
-    return (
-        unitarity_defect(cert.aframe),
-        unitarity_defect(b),
-        float(np.max(np.abs(rebuilt - cert.base))),
-    )
+    return [
+        _defect_norms(d)
+        for d in (_gram_defect(cert.aframe), _gram_defect(b), rebuilt - cert.base)
+    ]
 
 
 def product_check(cert, defect=None):
     """Residual of the recomputed product against the target, and its
-    tolerance TOL.eq_tol for a summed per-factor defect (by default that of
-    the stored frames) and the target's own unitarity defect."""
+    tolerance TOL.eq_tol for a summed per-factor operator-norm defect (by
+    default the Frobenius norms of the stored frames' defects) and the
+    Frobenius norm of the target's T T* - I."""
     if defect is None:
-        defect = sum(_frame_defects(cert))
+        defect = sum(fro for _, fro in _frame_defects(cert))
     resid = projective_residual(cert.product(), cert.target)
-    tol = TOL.eq_tol(len(cert), cert.n, defect, unitarity_defect(cert.target))
+    target_defect = float(np.linalg.norm(_gram_defect(cert.target)))
+    tol = TOL.eq_tol(len(cert), cert.n, defect, target_defect)
     return resid, tol
 
 
 def _step_defects(steps, n):
-    """Largest block unitarity defect of each step, nan where the step is
-    malformed: e not +-1, perm not a permutation of range(n), or a block not
-    square, out of range, overlapping another or not finite."""
-    out = np.zeros(len(steps))
+    """Largest block unitarity defect of each step, in max-norm (row 0) and
+    Frobenius norm (row 1), nan where the step is malformed: e not +-1, perm
+    not a permutation of range(n), or a block not square, out of range,
+    overlapping another or not finite."""
+    out = np.zeros((2, len(steps)))
     perm_ok = {}
     blocks = {}
     for i, st in enumerate(steps):
@@ -909,7 +922,7 @@ def _step_defects(steps, n):
             ok = ok and 0 < w and b.shape == (w, w) and end <= offset <= n - w
             end = offset + w
         if not ok:
-            out[i] = np.nan
+            out[:, i] = np.nan
             continue
         for _, b in st.blocks:
             idx, mats = blocks.setdefault(b.shape[0], ([], []))
@@ -919,11 +932,12 @@ def _step_defects(steps, n):
     for w, (idx, mats) in blocks.items():
         stack = np.stack(mats)
         gram = stack @ stack.conj().transpose(0, 2, 1) - np.eye(w)
-        defect = np.abs(gram).max(axis=(1, 2))
-        finite = np.isfinite(defect)
+        norms = (np.abs(gram).max(axis=(1, 2)), np.linalg.norm(gram, axis=(1, 2)))
+        finite = np.isfinite(norms[0])
         idx = np.asarray(idx)
-        np.maximum.at(out, idx[finite], defect[finite])
-        out[idx[~finite]] = np.nan
+        for row, defect in zip(out, norms):
+            np.maximum.at(row, idx[finite], defect[finite])
+        out[:, idx[~finite]] = np.nan
     return out
 
 
@@ -980,10 +994,11 @@ def verify_certificate(cert, seed=0, tol=None):
             unitarity_defect(target) <= TOL.unitarity
             and unitarity_defect(base) <= TOL.unitarity
         )
-        a_def, b_def, base_def = _frame_defects(cert)
+        frames = _frame_defects(cert)
+        (a_def, _), (b_def, _), (base_def, _) = frames
         margins["frame_defect"] = max(a_def, b_def)
         margins["base_defect"] = base_def
-        defects = _step_defects(steps, n)
+        defects, block_fro = _step_defects(steps, n)
         malformed = np.isnan(defects)
         well_formed = not malformed.any()
         failing = np.flatnonzero(~(defects <= TOL.unitarity))
@@ -1003,9 +1018,8 @@ def verify_certificate(cert, seed=0, tol=None):
         )
         checks["product"] = False
         if well_formed:
-            resid, auto_tol = product_check(
-                cert, a_def + b_def + base_def + block_def
-            )
+            defect = sum(fro for _, fro in frames) + block_fro.max(initial=0.0)
+            resid, auto_tol = product_check(cert, defect)
             tol = auto_tol if tol is None else float(tol)
             report["residual"] = resid
             report["tolerance"] = tol

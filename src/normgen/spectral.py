@@ -483,18 +483,35 @@ def _eigen_residual(w, mw):
 def diagonalize_normal(u, seed=0):
     """Spectrum and eigenvector frame of a unitary matrix.
 
-    Returns (spectrum, w) with w unitary, u = w diag(e^{i angles}) w*.  Works
-    through a random Hermitian combination of u + u* and (u - u*)/i so
-    eigenspaces for distinct angles separate.  A reconstruction residual
-    above a few n * eps means the combination mixed some pairs, which are
-    then separated so that w rebuilds u to rounding.  If the residual is
-    still above TOL.diag_residual, retries with fresh combinations.
+    Returns (spectrum, w) with w unitary, u = w diag(e^{i angles}) w*, the
+    angles sorted.
+
+    An exactly diagonal u (every off-diagonal entry 0, which is tested in
+    O(n^2) without a copy) is read off in closed form: the angles of its
+    diagonal in sorted order, and w the permutation frame that sorts them.
+    No residual check is needed there: u passed UnitaryRep, whose max-norm
+    unitarity defect is at most TOL.unitarity = 1e-9, so every diagonal
+    entry z has ||z| - 1| <= 5e-10, and w rebuilds u to within that, below
+    TOL.diag_residual, by construction.
+
+    Any other u goes through a random Hermitian combination of u + u* and
+    (u - u*)/i so eigenspaces for distinct angles separate.  A
+    reconstruction residual above a few n * eps means the combination mixed
+    some pairs, which are then separated so that w rebuilds u to rounding.
+    If the residual is still above TOL.diag_residual, retries with fresh
+    combinations.
     """
     if isinstance(u, CircleSpectrum):
         return u, np.eye(u.n, dtype=complex)
     rep = as_unitary(u)
     m = rep.matrix
     n = rep.n
+    d = np.diagonal(m)
+    # the counts agree exactly when every off-diagonal entry is 0
+    if np.count_nonzero(m) == np.count_nonzero(d):
+        angles = canon_angle(np.angle(d))
+        order = np.argsort(angles, kind="stable")
+        return CircleSpectrum(angles[order]), np.eye(n, dtype=complex)[:, order]
     cut = 4.0 * n * EPS
     rng = np.random.default_rng(seed)
     hre = (m + m.conj().T) / 2.0

@@ -11,8 +11,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normgen import CircleSpectrum, DomainError, canon_angle, optimalize
+from normgen import (
+    CircleSpectrum,
+    DomainError,
+    canon_angle,
+    optimalize,
+    projective_profile,
+)
 from normgen.commutator import (
     aux_inequality_check,
     commutator_norm_search,
@@ -157,6 +165,48 @@ class TestAuxInequality:
         assert aux_inequality_check(spec) == want
         assert len(calls) == 1
         assert llbound_diagnostic(spec) == llbound_diagnostic(u)
+
+
+def dense_aux(spec):
+    """aux_inequality_check by the explicit 3n x 3n commutator."""
+    v, lam = cyclic_commutator_partner(spec)
+    order = optimalize(spec)
+    eig = np.exp(1j * order.angles)
+    u3 = np.diag(np.concatenate([eig, eig, eig]))
+    comm = u3 @ v @ u3.conj().T @ v.conj().T
+    prof = projective_profile(comm)
+    mus = np.sort(np.abs(1.0 - lam * eig))[::-1]
+    rows = []
+    for i in range(spec.n - 1):
+        rhs = float(math.sqrt(2.0) * prof.values[i])
+        rows.append({"index": i, "lhs": float(mus[i]), "rhs": rhs, "slack": rhs - float(mus[i])})
+    return rows
+
+
+class TestAuxClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_matches_dense_commutator(self, angles):
+        spec = CircleSpectrum(angles)
+        got = aux_inequality_check(spec)
+        want = dense_aux(spec)
+        assert [row["index"] for row in got] == [row["index"] for row in want]
+        for g, w in zip(got, want):
+            for key in ("lhs", "rhs", "slack"):
+                assert abs(g[key] - w[key]) <= 1e-15, (key, g, w)
+
+    def test_skips_eigh(self, eigh_calls):
+        angles = np.random.default_rng(11).uniform(-math.pi, math.pi, 64)
+        rows = aux_inequality_check(CircleSpectrum(angles))
+        rows_u = aux_inequality_check(np.diag(np.exp(1j * angles)))
+        assert len(rows) == len(rows_u) == 63
+        assert eigh_calls == []
 
 
 class TestLlbound:

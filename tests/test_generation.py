@@ -880,6 +880,22 @@ def pool_certificates():
 POOL = pool_certificates()
 
 
+def max_norm_tolerance(cert):
+    """The product tolerance with every defect bounded by n times its
+    max-norm: a ceiling that TOL.eq_tol's Frobenius norms never exceed."""
+    n = cert.n
+
+    def gram(m):
+        return np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+
+    b = cert.bframe
+    rebuilt = (b * np.exp(1j * cert.base_angles)) @ b.conj().T
+    block = max((gram(blk) for st in cert.steps for _, blk in st.blocks), default=0.0)
+    defect = gram(cert.aframe) + gram(b) + np.max(np.abs(rebuilt - cert.base)) + block
+    eps = np.finfo(float).eps
+    return (len(cert) + 1) * n * (128.0 * eps + defect) + n * gram(cert.target)
+
+
 def with_step(cert, i, **changes):
     steps = list(cert.steps)
     steps[i] = dataclasses.replace(steps[i], **changes)
@@ -894,6 +910,12 @@ class TestFactoredCertificates:
         assert report["margins"]["residual_ratio"] < 0.5
         assert report["margins"]["first_failing_step"] is None
         assert report["margins"]["lower_bound_slack"] >= -1e-6
+
+    @pytest.mark.parametrize("idx", range(len(POOL)))
+    def test_tolerance_never_above_max_norm_bound(self, idx):
+        cert = POOL[idx]
+        report = verify_certificate(cert)
+        assert report["residual"] <= report["tolerance"] <= max_norm_tolerance(cert)
 
     @pytest.mark.parametrize("idx", range(len(POOL)))
     def test_json_bytes_round_trip(self, idx):
@@ -933,9 +955,10 @@ class TestFactoredCertificates:
         assert not report["pass"]
 
     def test_moved_target_fails_product_at_n64(self):
-        # matched pairs give k = 8, so the tolerance is 2.3e-11 at n = 64
-        # and 4.6e-11 at n = 128 against residuals near 2e-9 (at k = 508 it
-        # was 2.5e-9 at n = 128 and the move passed)
+        # matched pairs give k = 8, so the tolerance is 1.8e-11 at n = 64
+        # and 3.9e-11 at n = 128 against residuals near 2e-9 (at k = 508 it
+        # was 2.5e-9 at n = 128 and the move passed; with n times max-norm
+        # defects it was 5.5e-11 at n = 128 under one BLAS thread)
         from normgen import admissible_pair
 
         for n in (64, 128):

@@ -245,6 +245,16 @@ class TestPipelineGenerate:
         report = verify_certificate(cert)
         assert report["pass"], report
 
+    def test_diagonal_embedding_skips_eigh(self, eigh_calls):
+        # the lcm embedding is diagonal, so neither generation nor the
+        # verifier's spectra go through the eigensolver
+        u, v = self.target_base_pair()
+        cert = pipeline_generate(u, v, m=2, s=F(1, 3), seed=5)
+        assert len(cert) > 0
+        assert eigh_calls == []
+        assert verify_certificate(cert)["pass"]
+        assert eigh_calls == []
+
     def test_float_window_coerced(self):
         u, v = self.target_base_pair()
         cert = pipeline_generate(u, v, m=2, s=0.5, seed=1)

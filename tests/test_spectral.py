@@ -471,6 +471,78 @@ class TestDiagonalize:
         assert np.allclose(got, [-2.0, -2.0, 0.4, 0.4, 0.4], atol=1e-8)
 
 
+def diagonal_cases():
+    """(name, diagonal entries) for the closed-form diagonalization."""
+    rng = np.random.default_rng(48)
+    n = 64
+    four = rng.choice([0.0, 1.0, -2.0, math.pi], n) + rng.normal(0.0, 1e-3, n)
+    half = rng.uniform(-math.pi, math.pi, n // 2 - 2)
+    antipodal = np.concatenate(
+        (
+            np.exp(1j * np.concatenate((half, half + math.pi))),
+            # -1 reached from both sides of the branch cut, and +-pi/2
+            [complex(-1.0, 0.0), complex(-1.0, -0.0), 1j, -1j],
+        )
+    )
+    signed_zeros = np.array(
+        [complex(1.0, -0.0), complex(-1.0, -0.0), complex(1.0, 0.0),
+         complex(-1.0, 0.0), complex(0.0, -1.0), complex(-0.0, 1.0)]
+    )
+    return [
+        ("random", np.exp(1j * rng.uniform(-math.pi, math.pi, n))),
+        ("repeated", np.exp(1j * rng.uniform(-math.pi, math.pi, 3)[rng.integers(0, 3, n)])),
+        ("four-clusters", np.exp(1j * four)),
+        ("antipodal", antipodal),
+        ("n=1", np.exp(1j * np.array([2.0]))),
+        ("signed-zeros", signed_zeros),
+    ]
+
+
+class TestDiagonalClosedForm:
+    @pytest.mark.parametrize("d", [d for _, d in diagonal_cases()],
+                             ids=[name for name, _ in diagonal_cases()])
+    def test_exact_angles_and_permutation_frame(self, d, eigh_calls):
+        n = d.shape[0]
+        spec, w = ng.diagonalize_normal(np.diag(d))
+        want = ng.canon_angle(np.angle(d))
+        order = np.argsort(want, kind="stable")
+        assert np.array_equal(spec.angles, want[order])
+        assert np.all(np.diff(spec.angles) >= 0.0)
+        assert np.array_equal(w, np.eye(n)[:, order])
+        rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
+        assert np.max(np.abs(rebuilt - np.diag(d))) <= 4 * np.finfo(float).eps
+        assert eigh_calls == []
+
+    def test_modulus_defect_rebuilds_within_diag_residual(self):
+        # UnitaryRep admits a max-norm defect of 1e-9, so |z| - 1 up to 5e-10
+        d = np.exp(1j * np.array([0.3, -1.1, 2.5])) * (1.0 + 4.9e-10)
+        spec, w = ng.diagonalize_normal(np.diag(d))
+        rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
+        assert np.max(np.abs(rebuilt - np.diag(d))) <= ng.TOL.diag_residual
+
+    def test_profiles_of_angle_built_unitaries_skip_eigh(self, eigh_calls):
+        angles = np.random.default_rng(49).uniform(-math.pi, math.pi, 128)
+        spec = ng.CircleSpectrum(angles)
+        u = spec.to_unitary()
+        got = ng.projective_profile(u).values
+        assert np.max(np.abs(got - ng.projective_profile(spec).values)) <= 1e-14
+        value, _ = ng.projective_one_norm(u)
+        assert abs(value - ng.projective_one_norm(spec)[0]) <= 1e-14
+        assert eigh_calls == []
+
+    def test_tiny_off_diagonal_entry_takes_eigh_path(self, eigh_calls):
+        angles = np.random.default_rng(50).uniform(-math.pi, math.pi, 16)
+        m = np.diag(np.exp(1j * angles))
+        want, _ = ng.diagonalize_normal(m)
+        assert eigh_calls == []
+        m[3, 7] = 1e-300
+        spec, w = ng.diagonalize_normal(m)
+        assert len(eigh_calls) >= 1
+        assert np.max(np.abs(spec.angles - want.angles)) <= 8 * np.finfo(float).eps
+        rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
+        assert np.max(np.abs(rebuilt - m)) <= 8 * 16 * np.finfo(float).eps
+
+
 class TestTypesAndJson:
     def test_unitary_validation(self):
         with pytest.raises(ng.ValidationError):
