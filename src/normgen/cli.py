@@ -144,7 +144,7 @@ def cmd_generate(args):
     if mode == "broise":
         if isinstance(u, RationalSpectrum):
             raise ValidationError("kernel mode takes a unitary operand")
-        cert = broise_kernel_certificate(u, seed=args.seed)
+        cert = broise_kernel_certificate(u)
     else:
         if args.base is None:
             raise _ParseFailure(f"mode {mode} needs a base operand")
@@ -158,24 +158,22 @@ def cmd_generate(args):
                     "pipeline mode needs rational-spectrum operands"
                 )
             cert = pipeline_generate(
-                u, v, args.m, window if window is not None else 1, seed=args.seed
+                u, v, args.m, window if window is not None else 1
             )
         elif rational:
             raise ValidationError(
                 f"mode {mode} takes unitary operands, not rational spectra"
             )
         elif mode == "rank-dep":
-            cert = generate_rank_dependent(u, v, args.m, seed=args.seed)
+            cert = generate_rank_dependent(u, v, args.m)
         elif mode == "rank-indep":
             if window is None:
                 raise _ParseFailure("rank-indep mode needs --s")
             if window.denominator != 1:
                 raise ValidationError("rank-indep block count must be integral")
-            cert = generate_rank_independent(
-                u, v, args.m, int(window), seed=args.seed
-            )
+            cert = generate_rank_independent(u, v, args.m, int(window))
         else:
-            cert = generate_full(u, v, seed=args.seed)
+            cert = generate_full(u, v)
     report = verify_certificate(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -194,7 +192,7 @@ def cmd_verify(args):
         cert = Certificate.from_json(obj)
     except CertificateFormatError as exc:
         raise _ParseFailure(f"{args.certificate}: {exc}") from None
-    report = verify_certificate(cert, tol=args.tol)
+    report = verify_certificate(cert)
     _emit(report)
     return EXIT_OK if report["pass"] else EXIT_VERIFY
 
@@ -265,13 +263,11 @@ def build_parser():
     )
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--s", default=None, help="block count or rational window")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="certificate JSON path")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="recheck a certificate file")
     p.add_argument("certificate", help="certificate JSON file")
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("corpus", help="seeded aggregate generator run")

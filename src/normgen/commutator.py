@@ -47,14 +47,14 @@ def _cycle_matrix(n):
     return m
 
 
-def cyclic_commutator_partner(u, seed=0):
+def cyclic_commutator_partner(u):
     """Block partner (v, lam) whose commutator with diag(u,u,u) cages u.
 
     v = diag(cycle, cycle^{-1}, 1_n) in U(3n) with exact 0/1 entries; lam is
     the conjugate of the last eigenvalue in u's optimal ordering, the phase
     at which the singular cage bounds mu_i(1 - lam*u) by the ordered gaps.
     """
-    lam, order = _optimal_phase(spectrum_of(u, seed=seed))
+    lam, order = _optimal_phase(spectrum_of(u))
     n = order.n
     cyc = _cycle_matrix(n)
     v = np.zeros((3 * n, 3 * n), dtype=complex)
@@ -73,7 +73,7 @@ def _optimal_phase(spec):
     return complex(np.exp(-1j * order.angles[-1])), order
 
 
-def aux_inequality_check(u, seed=0):
+def aux_inequality_check(u):
     """Per-index report comparing mu_i(1 - lam*u) to sqrt(2)*ell_i([U, v]).
 
     The commutator of U = diag(u,u,u) with the cyclic partner v is diagonal,
@@ -83,7 +83,7 @@ def aux_inequality_check(u, seed=0):
     slack = rhs - lhs for i = 0..n-2.  Negative slack beyond roundoff
     indicates an implementation bug, not a tight input.
     """
-    lam, order = _optimal_phase(spectrum_of(u, seed=seed))
+    lam, order = _optimal_phase(spectrum_of(u))
     n = order.n
     eig = np.exp(1j * order.angles)
     ratios = np.angle(eig * np.roll(eig, 1).conj())
@@ -100,13 +100,13 @@ def aux_inequality_check(u, seed=0):
     return out
 
 
-def llbound_diagnostic(u, seed=0):
+def llbound_diagnostic(u):
     """Ratio of the projective one-norm to the profile mean, report-only.
 
     A central input has both quantities zero and reports "degenerate".
     """
-    ell, _ = projective_one_norm(u, seed=seed)
-    mean = profile_mean(u, seed=seed)
+    ell, _ = projective_one_norm(u)
+    mean = profile_mean(u)
     report = {
         "ell_one_norm": float(ell),
         "profile_mean": float(mean),

@@ -463,14 +463,14 @@ class HypothesisReport:
         }
 
 
-def hypothesis_check(u, v, m, s, seed=0):
+def hypothesis_check(u, v, m, s):
     """Check ell_0(u) <= m * ell_t(v) for t < s, with slack reporting."""
     m = int(m)
     s = int(s)
     if m <= 0 or s <= 0:
         raise DomainError("multiplier and block count must be positive")
-    ell_u = projective_s_number(u, 0, seed=seed)[0]
-    prof_v = projective_profile(v, seed=seed).values
+    ell_u = projective_s_number(u, 0)[0]
+    prof_v = projective_profile(v).values
     n = prof_v.shape[0]
     if s > n:
         raise DomainError(f"block count {s} exceeds size {n}")
@@ -603,13 +603,13 @@ def _is_central(angles):
     return _diameter_pair(angles)[0] <= 1e-8
 
 
-def _prepare_pair(u, v, seed=0):
+def _prepare_pair(u, v):
     urep = as_unitary(u, what="target")
     vrep = as_unitary(v, what="base")
     if urep.n != vrep.n:
         raise DimensionError("target and base sizes differ")
-    uspec, uframe = diagonalize_normal(urep, seed=seed)
-    vspec, vframe = diagonalize_normal(vrep, seed=seed)
+    uspec, uframe = diagonalize_normal(urep)
+    vspec, vframe = diagonalize_normal(vrep)
     return urep, vrep, uspec, uframe, vspec, vframe
 
 
@@ -745,7 +745,7 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
     return cert
 
 
-def generate_rank_dependent(u, v, m, seed=0):
+def generate_rank_dependent(u, v, m):
     """Certificate with at most 8*m*n conjugates via single-gap walks.
 
     Requires ell_0(u) <= m * ell_0(v).  Every block factor of the target
@@ -758,7 +758,7 @@ def generate_rank_dependent(u, v, m, seed=0):
     m = int(m)
     if m <= 0:
         raise DomainError("multiplier must be positive")
-    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v, seed=seed)
+    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v)
     n = urep.n
     budget = 8 * m * n
     trivial = _trivial_certificate(
@@ -783,7 +783,7 @@ def generate_rank_dependent(u, v, m, seed=0):
     )
 
 
-def generate_rank_independent(u, v, m, s, seed=0):
+def generate_rank_independent(u, v, m, s):
     """Certificate with at most 24*m*ceil(n/s) conjugates via parallel walks.
 
     Requires the hypothesis ell_0(u) <= m * ell_t(v) for t < s.  The walks
@@ -795,7 +795,7 @@ def generate_rank_independent(u, v, m, s, seed=0):
     s = int(s)
     if m <= 0:
         raise DomainError("multiplier must be positive")
-    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v, seed=seed)
+    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v)
     n = urep.n
     if not (1 <= s <= (n - 1) // 2 + 1):
         raise DomainError(
@@ -823,14 +823,14 @@ def generate_rank_independent(u, v, m, s, seed=0):
     )
 
 
-def generate_full(u, v, seed=0):
+def generate_full(u, v):
     """Certificate with at most 8*n*ceil(2/ell_0(v)) conjugates.
 
     Works for every noncentral base: ell_0 of any unitary is at most 2, so
     the multiplier ceil(2/ell_0(v)) always satisfies the single-gap
     hypothesis.
     """
-    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v, seed=seed)
+    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v)
     n = urep.n
     ell_v = projective_s_number(vspec, 0)[0]
     if ell_v <= TOL.rank:
@@ -861,8 +861,8 @@ def generate_full(u, v, seed=0):
 # verification
 
 
-def _profile_of_matrix(mat, seed=0):
-    spec = spectrum_of(np.asarray(mat, dtype=complex), seed=seed)
+def _profile_of_matrix(mat):
+    spec = spectrum_of(np.asarray(mat, dtype=complex))
     return spec, projective_profile(spec).values
 
 
@@ -941,7 +941,7 @@ def _step_defects(steps, n):
     return out
 
 
-def verify_certificate(cert, seed=0, tol=None):
+def verify_certificate(cert):
     """Recheck a certificate from its stored factors; reports, never raises.
 
     Checks unitarity of the inputs; unitarity of both frames and of every
@@ -951,10 +951,11 @@ def verify_certificate(cert, seed=0, tol=None):
     recomputed in the eigenframe and conjugated by the target frame, against
     the target up to one phase; the length against the budget; the
     easy-direction profile inequality; and the one-norm lower bound on the
-    length.  tol overrides the product tolerance TOL.eq_tol, which grows
-    with the measured frame and block defects and the target's unitarity
-    defect.  lower_bound is the length that bound forces, ell(target) /
-    ell(base), or None when ell(base) is 0.
+    length.  The product tolerance is always TOL.eq_tol, which grows with
+    the measured frame and block defects and the target's unitarity defect,
+    so the report depends on the certificate alone.  lower_bound is the
+    length that bound forces, ell(target) / ell(base), or None when
+    ell(base) is 0.
 
     margins says how close each check came: the largest frame and block
     unitarity defects (with the block's step), the base rebuild defect,
@@ -1019,15 +1020,14 @@ def verify_certificate(cert, seed=0, tol=None):
         checks["product"] = False
         if well_formed:
             defect = sum(fro for _, fro in frames) + block_fro.max(initial=0.0)
-            resid, auto_tol = product_check(cert, defect)
-            tol = auto_tol if tol is None else float(tol)
+            resid, tol = product_check(cert, defect)
             report["residual"] = resid
             report["tolerance"] = tol
-            margins["residual_ratio"] = resid / tol if tol > 0 else None
+            margins["residual_ratio"] = resid / tol
             checks["product"] = bool(resid <= tol)
         checks["length"] = bool(k <= cert.claimed_budget)
-        tspec, tprof = _profile_of_matrix(target, seed=seed)
-        bspec, bprof = _profile_of_matrix(base, seed=seed)
+        tspec, tprof = _profile_of_matrix(target)
+        bspec, bprof = _profile_of_matrix(base)
         ok_easy = True
         if k == 0:
             ok_easy = bool(tprof[0] <= 1e-7)

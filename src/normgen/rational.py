@@ -289,7 +289,7 @@ def lcm_embed(a, b):
     return build(a), build(b), s0
 
 
-def pipeline_generate(u, v, m, s, seed=0):
+def pipeline_generate(u, v, m, s):
     """Certificate for u as conjugates of v^{+-1}, budget 48*m*ceil(1/s).
 
     Both spectra embed in dimension s0 = lcm of their denominators; the
@@ -314,7 +314,7 @@ def pipeline_generate(u, v, m, s, seed=0):
     window = int(s * (s0 - 1) / 2) + 1
     window = min(window, (s0 - 1) // 2 + 1)
     budget = 48 * m * math.ceil(1 / s)
-    inner = generate_rank_independent(ua, va, m, window, seed=seed)
+    inner = generate_rank_independent(ua, va, m, window)
     if inner.claimed_budget > budget:
         raise NumericalDegeneracyError(
             f"inner budget {inner.claimed_budget} exceeds pipeline budget {budget}"

@@ -144,9 +144,6 @@ class CircleSpectrum:
     def n(self):
         return self.angles.shape[0]
 
-    def sorted(self):
-        return CircleSpectrum(np.sort(self.angles))
-
     def to_unitary(self):
         return UnitaryRep(np.diag(np.exp(1j * self.angles)))
 
@@ -255,11 +252,11 @@ def as_unitary(u, what="unitary"):
     return UnitaryRep(_as_square(u, what))
 
 
-def spectrum_of(u, seed=0):
+def spectrum_of(u):
     """Eigenvalue angles of u; diagonalizes unless u already is a spectrum."""
     if isinstance(u, CircleSpectrum):
         return u
-    spec, _ = diagonalize_normal(u, seed=seed)
+    spec, _ = diagonalize_normal(u)
     return spec
 
 
@@ -351,9 +348,9 @@ def _narrowest_window(ext, width):
     return value, complex(math.cos(mid), -math.sin(mid))
 
 
-def projective_profile(u, seed=0):
+def projective_profile(u):
     """Full projective singular value profile of a unitary, with witnesses."""
-    ext = _doubled_sorted(spectrum_of(u, seed=seed).angles)
+    ext = _doubled_sorted(spectrum_of(u).angles)
     n = ext.shape[0] // 2
     vals = np.empty(n)
     wits = np.empty(n, dtype=complex)
@@ -362,18 +359,18 @@ def projective_profile(u, seed=0):
     return SpectralProfile("ell", vals, wits)
 
 
-def projective_s_number(u, i, seed=0):
+def projective_s_number(u, i):
     """i-th projective singular value of u and a phase attaining it."""
-    spec = spectrum_of(u, seed=seed)
+    spec = spectrum_of(u)
     n = spec.n
     if not (0 <= i < n):
         raise IndexError(f"index {i} out of range for size {n}")
     return _narrowest_window(_doubled_sorted(spec.angles), n - i)
 
 
-def projective_one_norm(u, seed=0):
+def projective_one_norm(u):
     """min over unit lam of the trace-normalized one-norm of 1 - lam*u."""
-    a = np.sort(spectrum_of(u, seed=seed).angles)
+    a = np.sort(spectrum_of(u).angles)
     s, c = np.sin(0.5 * a), np.cos(0.5 * a)
     # exclusive prefix sums; for sorted a in (-pi, pi] the sum over k of
     # |sin((a_k - a_j)/2)| splits at j into two sums with fixed signs
@@ -387,19 +384,19 @@ def projective_one_norm(u, seed=0):
     return value, complex(math.cos(a[j]), -math.sin(a[j]))
 
 
-def profile_mean(u, seed=0):
+def profile_mean(u):
     """Mean of the projective profile values."""
-    prof = projective_profile(u, seed=seed)
+    prof = projective_profile(u)
     return float(np.mean(prof.values))
 
 
-def projective_rank(u, seed=0):
+def projective_rank(u):
     """Least s with all profile values from index s on below the rank cutoff.
 
     For a unitary the last profile value always vanishes (some phase lands on
     an eigenvalue), so the result is at most n-1.
     """
-    return rank_of_profile(projective_profile(u, seed=seed).values)
+    return rank_of_profile(projective_profile(u).values)
 
 
 def rank_of_profile(values):
@@ -480,7 +477,7 @@ def _eigen_residual(w, mw):
     return angles, float(np.sqrt(np.max(rows)))
 
 
-def diagonalize_normal(u, seed=0):
+def diagonalize_normal(u):
     """Spectrum and eigenvector frame of a unitary matrix.
 
     Returns (spectrum, w) with w unitary, u = w diag(e^{i angles}) w*, the
@@ -499,7 +496,8 @@ def diagonalize_normal(u, seed=0):
     reconstruction residual above a few n * eps means the combination mixed
     some pairs, which are then separated so that w rebuilds u to rounding.
     If the residual is still above TOL.diag_residual, retries with fresh
-    combinations.
+    combinations.  The combinations come from one fixed stream, made fresh
+    per call, so the result depends on u alone.
     """
     if isinstance(u, CircleSpectrum):
         return u, np.eye(u.n, dtype=complex)
@@ -513,7 +511,7 @@ def diagonalize_normal(u, seed=0):
         order = np.argsort(angles, kind="stable")
         return CircleSpectrum(angles[order]), np.eye(n, dtype=complex)[:, order]
     cut = 4.0 * n * EPS
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     hre = (m + m.conj().T) / 2.0
     him = (m - m.conj().T) / 2j
     last = None

@@ -88,14 +88,14 @@ def _as_matrix(x, what="matrix"):
     return as_unitary(x, what).matrix
 
 
-def sqrt_unitary(w, seed=0):
+def sqrt_unitary(w):
     """Principal square root: halve the eigenangles on the (-pi, pi] branch.
 
     Returns a UnitaryRep u with u @ u equal to w up to diagonalization
     residual; eigenvalue -1 maps to +i.
     """
     m = _as_matrix(w, "unitary")
-    spec, frame = diagonalize_normal(m, seed=seed)
+    spec, frame = diagonalize_normal(m)
     half = np.exp(0.5j * spec.angles)
     root = (frame * half[None, :]) @ frame.conj().T
     drift = float(np.max(np.abs(root @ root - m)))
@@ -106,7 +106,7 @@ def sqrt_unitary(w, seed=0):
     return UnitaryRep(root)
 
 
-def block_symmetry_factors(w, seed=0):
+def block_symmetry_factors(w):
     """Four trace-zero symmetries in U(2k) whose product is diag(w, w*).
 
     Returns (s, t, s, t) with s = [[0, u], [u*, 0]] for the principal square
@@ -115,7 +115,7 @@ def block_symmetry_factors(w, seed=0):
     """
     m = _as_matrix(w, "unitary")
     k = m.shape[0]
-    u = sqrt_unitary(m, seed=seed).matrix
+    u = sqrt_unitary(m).matrix
     zero = np.zeros((k, k), dtype=complex)
     eye = np.eye(k, dtype=complex)
     s = Symmetry(np.block([[zero, u], [u.conj().T, zero]]))
@@ -172,7 +172,7 @@ def symmetry_conjugator(s1, s2):
     return g
 
 
-def broise_kernel_certificate(w, reference=None, seed=0):
+def broise_kernel_certificate(w, reference=None):
     """Write diag(w, w*) as four conjugates of one trace-zero symmetry.
 
     The four s t s t factors are each moved onto the reference symmetry
@@ -218,7 +218,7 @@ def broise_kernel_certificate(w, reference=None, seed=0):
     # with B the reference's involution frame, the conjugator
     # symmetry_conjugator(ref, f) is frame(f) @ B*: each step is the one
     # dense block frame(f), the degenerate case of the factored form
-    factors = block_symmetry_factors(m, seed=seed)
+    factors = block_symmetry_factors(m)
     return certificate(
         tuple(
             CertStep(np.arange(n), ((0, _involution_frame(f.matrix)),), 1)

@@ -66,7 +66,7 @@ def rank_dep_pool():
         n = int(rng.integers(2, 11))
         m = int(rng.integers(1, 5))
         u, v = admissible_pair(n, m, 1, rng)
-        cert = generate_rank_dependent(u, v, m, seed=i)
+        cert = generate_rank_dependent(u, v, m)
         report = verify_certificate(cert)
         items.append({"cert": cert, "report": report, "n": n, "m": m})
     return items, time.monotonic() - t0
@@ -83,7 +83,7 @@ def rank_indep_pool():
         s = int(rng.integers(2, smax + 1))
         m = int(rng.integers(1, 4))
         u, v = admissible_pair(n, m, s, rng)
-        cert = generate_rank_independent(u, v, m, s, seed=i)
+        cert = generate_rank_independent(u, v, m, s)
         report = verify_certificate(cert)
         items.append(
             {"cert": cert, "report": report, "n": n, "m": m, "s": s}
@@ -103,7 +103,7 @@ def full_pool():
         while ell0 < 0.25:
             _, v = admissible_pair(n, 1, 1, rng)
             ell0 = projective_s_number(v, 0)[0]
-        cert = generate_full(u, v, seed=i)
+        cert = generate_full(u, v)
         report = verify_certificate(cert)
         items.append(
             {"cert": cert, "report": report, "n": n, "ell0v": ell0}
@@ -120,7 +120,7 @@ def pipeline_pool():
         m = int(rng.integers(1, 3))
         s = F(1, int(rng.integers(2, 4)))
         u, v = admissible_rational_pair(m, s, rng)
-        cert = pipeline_generate(u, v, m, s, seed=i)
+        cert = pipeline_generate(u, v, m, s)
         report = verify_certificate(cert)
         items.append({"cert": cert, "report": report, "m": m, "s": s})
     return items, time.monotonic() - t0
@@ -248,7 +248,7 @@ def test_criterion_07_broise_kernel():
         want[:k, :k] = w.matrix
         want[k:, k:] = w.matrix.conj().T
         assert np.max(np.abs(prod - want)) <= 1e-9
-        cert = broise_kernel_certificate(w, seed=i)
+        cert = broise_kernel_certificate(w)
         assert len(cert.steps) == 4
         assert verify_certificate(cert)["pass"]
 

@@ -208,13 +208,27 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
 
-    def test_tolerance_override(self, tmp_path, diag_file, capsys):
+    def test_tolerance_override(self, tmp_path, diag_file):
+        # the product tolerance is always the measured one, and generation
+        # takes no seed: both options are usage errors
         out = self.emitted(tmp_path, diag_file)
+        assert main(["verify", str(out), "--tol", "1"]) == 2
+        assert main(["generate", diag_file, diag_file, "--seed", "0"]) == 2
+
+    def test_moved_target_fails_only_product(self, tmp_path, diag_file, capsys):
+        out = self.emitted(tmp_path, diag_file)
+        blob = json.loads(out.read_text())
+        # expm(i eps H) for the unit-norm Hermitian H = [[0, 1], [1, 0]]
+        lam, w = np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        move = (w * np.exp(1e-6j * lam)) @ w.conj().T
+        blob["target"] = pack(move @ unpack(blob["target"]))
+        out.write_text(json.dumps(blob))
         capsys.readouterr()
-        assert main(["verify", str(out), "--tol", "1e-30"]) == 1
+        assert main(["verify", str(out)]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["checks"]["product"] is False
-        assert report["tolerance"] == 1e-30
+        failed = [name for name, ok in report["checks"].items() if not ok]
+        assert failed == ["product"], report
+        assert report["residual"] > report["tolerance"]
 
     def test_malformed_cert(self, tmp_path):
         path = write_json(tmp_path / "c.json", {"version": "other/9"})

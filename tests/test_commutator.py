@@ -133,7 +133,7 @@ class TestAuxInequality:
         for k in range(100):
             n = int(rng.integers(2, 13))
             u = haar(n, rng)
-            rep = aux_inequality_check(u, seed=k)
+            rep = aux_inequality_check(u)
             assert len(rep) == n - 1
             for row in rep:
                 assert row["lhs"] <= row["rhs"] + 1e-8, (k, row)

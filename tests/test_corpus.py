@@ -150,6 +150,11 @@ class TestRunCorpus:
         with pytest.raises(DomainError):
             run_corpus(sizes=(1, 2), cases=1)
 
+    def test_rejects_empty_sizes(self):
+        with pytest.raises(DomainError):
+            run_corpus(sizes=(), cases=3)
+        assert run_corpus(sizes=(), cases=0)["all_pass"] is True
+
     def test_results_sorted_by_case(self):
         report = run_corpus(seed=2, cases=8)
         ids = [row["case"] for row in report["results"]]

@@ -224,7 +224,7 @@ class TestPipelineGenerate:
 
     def test_budget_and_params_frozen(self):
         u, v = self.target_base_pair()
-        cert = pipeline_generate(u, v, m=2, s=F(1, 3), seed=5)
+        cert = pipeline_generate(u, v, m=2, s=F(1, 3))
         assert cert.claimed_budget == 288
         assert cert.theorem == "pipeline"
         assert cert.params == {
@@ -241,7 +241,7 @@ class TestPipelineGenerate:
 
     def test_certificate_verifies(self):
         u, v = self.target_base_pair()
-        cert = pipeline_generate(u, v, m=2, s=F(1, 3), seed=5)
+        cert = pipeline_generate(u, v, m=2, s=F(1, 3))
         report = verify_certificate(cert)
         assert report["pass"], report
 
@@ -249,7 +249,7 @@ class TestPipelineGenerate:
         # the lcm embedding is diagonal, so neither generation nor the
         # verifier's spectra go through the eigensolver
         u, v = self.target_base_pair()
-        cert = pipeline_generate(u, v, m=2, s=F(1, 3), seed=5)
+        cert = pipeline_generate(u, v, m=2, s=F(1, 3))
         assert len(cert) > 0
         assert eigh_calls == []
         assert verify_certificate(cert)["pass"]
@@ -257,7 +257,7 @@ class TestPipelineGenerate:
 
     def test_float_window_coerced(self):
         u, v = self.target_base_pair()
-        cert = pipeline_generate(u, v, m=2, s=0.5, seed=1)
+        cert = pipeline_generate(u, v, m=2, s=0.5)
         assert cert.params["s_num"] == 1
         assert cert.params["s_den"] == 2
         assert cert.claimed_budget == 48 * 2 * 2
@@ -269,7 +269,7 @@ class TestPipelineGenerate:
         v = RationalSpectrum(
             tuple((k * math.pi / 6, F(1, 12)) for k in range(-5, 7))
         )
-        cert = pipeline_generate(u, v, m=2, s=1, seed=2)
+        cert = pipeline_generate(u, v, m=2, s=1)
         assert cert.params["window"] == (12 - 1) // 2 + 1
         assert cert.claimed_budget == 96
         assert verify_certificate(cert)["pass"]
@@ -277,7 +277,7 @@ class TestPipelineGenerate:
     def test_trivial_target(self):
         u = RationalSpectrum(((0.0, 1),))
         v = RationalSpectrum(((math.pi / 2, F(1, 2)), (-math.pi / 2, F(1, 2))))
-        cert = pipeline_generate(u, v, m=1, s=F(1, 2), seed=0)
+        cert = pipeline_generate(u, v, m=1, s=F(1, 2))
         assert len(cert.steps) == 0
         assert cert.metadata.get("trivial_target") is True
         assert cert.metadata["s0"] == 2
@@ -287,7 +287,7 @@ class TestPipelineGenerate:
         u = RationalSpectrum(((0.0, F(1, 2)), (math.pi, F(1, 2))))
         v = RationalSpectrum(((0.0, F(1, 2)), (0.05, F(1, 2))))
         with pytest.raises(HypothesisError) as err:
-            pipeline_generate(u, v, m=1, s=1, seed=0)
+            pipeline_generate(u, v, m=1, s=1)
         assert err.value.report is not None
 
     def test_rejects_bad_window(self):
@@ -304,7 +304,7 @@ class TestPipelineGenerate:
 
     def test_easy_direction_on_pipeline_cert(self):
         u, v = self.target_base_pair()
-        cert = pipeline_generate(u, v, m=2, s=F(1, 3), seed=5)
+        cert = pipeline_generate(u, v, m=2, s=F(1, 3))
         k = len(cert.steps)
         if k == 0:
             return

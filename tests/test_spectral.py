@@ -425,7 +425,7 @@ class TestDiagonalize:
         for trial in range(100):
             n = int(rng.integers(1, 17))
             u = haar_unitary(n, rng)
-            spec, w = ng.diagonalize_normal(u, seed=trial)
+            spec, w = ng.diagonalize_normal(u)
             rebuilt = w @ np.diag(np.exp(1j * spec.angles)) @ w.conj().T
             assert np.max(np.abs(rebuilt - u)) <= 1e-8
             assert np.max(np.abs(w @ w.conj().T - np.eye(n))) <= 1e-9
@@ -436,9 +436,10 @@ class TestDiagonalize:
             assert np.max(diff) < 1e-7
 
     def test_collision_pair_rebuilds_to_rounding(self):
-        # the first Hermitian combination of seed 0, cos(t) Re u + sin(t) Im u,
-        # maps e^{ia} and e^{ib} 1e-6 apart when a + b = 2t + 1e-6; eigh then
-        # mixes their eigenvectors and the rebuild was off by 5e4 n eps
+        # the first Hermitian combination of the fixed stream (seed 0),
+        # cos(t) Re u + sin(t) Im u, maps e^{ia} and e^{ib} 1e-6 apart when
+        # a + b = 2t + 1e-6; eigh then mixes their eigenvectors and the
+        # rebuild was off by 5e4 n eps
         n = 8
         eps = np.finfo(float).eps
         t = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
@@ -447,7 +448,7 @@ class TestDiagonalize:
         angles[1] = 2.0 * t - angles[0] + 1e-6
         w0 = haar_unitary(n, rng)
         u = (w0 * np.exp(1j * angles)) @ w0.conj().T
-        spec, w = ng.diagonalize_normal(u, seed=0)
+        spec, w = ng.diagonalize_normal(u)
         rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
         assert np.max(np.abs(rebuilt - u)) <= 8 * n * eps
 
@@ -457,7 +458,7 @@ class TestDiagonalize:
         for trial in range(120):
             n = (2, 4, 8, 16, 32)[trial % 5]
             u = haar_unitary(n, rng)
-            spec, w = ng.diagonalize_normal(u, seed=trial)
+            spec, w = ng.diagonalize_normal(u)
             rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
             assert np.max(np.abs(rebuilt - u)) <= 8 * n * eps
             assert np.max(np.abs(w @ w.conj().T - np.eye(n))) <= 8 * n * eps
