@@ -199,7 +199,7 @@ def cmd_verify(args):
 
 def cmd_corpus(args):
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
         sizes = tuple(int(tok) for tok in args.sizes.split(","))
     report = run_corpus(seed=args.seed, sizes=sizes, cases=args.cases)
     blob = json.dumps(report, sort_keys=True)

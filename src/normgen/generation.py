@@ -47,6 +47,7 @@ from .errors import (
 )
 from .orderings import angle_sum_optimalize, center_phase
 from .spectral import (
+    CircleSpectrum,
     UnitaryRep,
     as_unitary,
     canon_angle,
@@ -54,11 +55,8 @@ from .spectral import (
     diagonalize_normal,
     projective_one_norm,
     projective_profile,
-    projective_residual,
     projective_s_number,
     rank_distance,
-    spectrum_of,
-    unitarity_defect,
 )
 from .su2 import SourceBlock, source_block, walk_length
 
@@ -78,7 +76,7 @@ __all__ = [
 
 THEOREM_TAGS = ("rank_dep", "rank_indep", "full_gen", "pipeline", "broise_kernel")
 
-CERT_VERSION = "normgen-cert/3"
+CERT_VERSION = "normgen-cert/4"
 
 # ---------------------------------------------------------------------------
 # certificate container
@@ -194,13 +192,16 @@ def _unpack(rec, shape, what):
 class Certificate:
     """Explicit product of conjugates of base^{+-1} realizing target.
 
-    base = B @ diag(e^{i base_angles}) @ B* with bframe B, and every step
-    conjugates base^e by A @ y @ B* with aframe A (see CertStep), so the
-    product of the steps, in order, is A @ M @ A* with M the product of
-    y @ diag(e^{i e base_angles}) @ y* computed in the eigenframe.  It
-    equals target up to one global phase.  claimed_budget is the
-    theorem-level bound the length is charged against; params and metadata
-    record how the steps were found.
+    base = B @ diag(e^{i base_angles}) @ B* with bframe B and target =
+    A @ diag(e^{i target_angles}) @ A* with aframe A, and every step
+    conjugates base^e by A @ y @ B* (see CertStep), so the product of the
+    steps, in order, is A @ M @ A* with M the product of
+    y @ diag(e^{i e base_angles}) @ y* computed in the eigenframe.  M equals
+    diag(e^{i target_angles}) up to one global phase, which is how the
+    verifier checks it.  claimed_budget is the theorem-level bound the
+    length is charged against; params and metadata record how the steps
+    were found.  target_angles defaults to the angles of the diagonal of
+    A* @ target @ A.
     """
 
     target: np.ndarray
@@ -213,6 +214,7 @@ class Certificate:
     theorem: str
     params: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+    target_angles: np.ndarray = None
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=complex)
@@ -226,12 +228,18 @@ class Certificate:
                     f"{name} shape {m.shape} does not match target {t.shape}"
                 )
             mats[name] = m
-        angles = np.asarray(self.base_angles, dtype=float)
-        if angles.shape != (t.shape[0],):
-            raise DimensionError(
-                f"need {t.shape[0]} base angles, got shape {angles.shape}"
-            )
-        mats["base_angles"] = angles
+        a = mats["aframe"]
+        if self.target_angles is None:
+            phi = np.angle(np.einsum("ij,ij->j", a.conj(), t @ a))
+        else:
+            phi = self.target_angles
+        for name, angles in (("base_angles", self.base_angles), ("target_angles", phi)):
+            angles = np.asarray(angles, dtype=float)
+            if angles.shape != (t.shape[0],):
+                raise DimensionError(
+                    f"need {t.shape[0]} {name}, got shape {angles.shape}"
+                )
+            mats[name] = angles
         if self.theorem not in THEOREM_TAGS:
             raise ValidationError(f"unknown theorem tag {self.theorem!r}")
         budget = int(self.claimed_budget)
@@ -266,6 +274,7 @@ class Certificate:
         return self.aframe[:, st.perm] @ y @ self.bframe.conj().T
 
     def product(self):
+        """The dense product of the steps, A @ M @ A*."""
         a = self.aframe
         return a @ certificate_product(self.base_angles, self.steps) @ a.conj().T
 
@@ -284,6 +293,7 @@ class Certificate:
             "aframe": _pack(self.aframe),
             "bframe": _pack(self.bframe),
             "base_angles": self.base_angles.tolist(),
+            "target_angles": self.target_angles.tolist(),
             "perms": perms,
             "steps": steps,
             "claimed_budget": self.claimed_budget,
@@ -316,9 +326,10 @@ class Certificate:
                 _unpack(obj[name], [n, n], name)
                 for name in ("target", "base", "aframe", "bframe")
             ]
-            angles = obj["base_angles"]
-            if type(angles) is not list or not all(type(a) is float for a in angles):
-                raise TypeError("base_angles must be a list of floats")
+            angles = [obj["base_angles"], obj["target_angles"]]
+            for name, a in zip(("base_angles", "target_angles"), angles):
+                if type(a) is not list or not all(type(x) is float for x in a):
+                    raise TypeError(f"{name} must be a list of floats")
             perms = []
             for p in obj["perms"]:
                 if type(p) is not list or not _all_ints(*p):
@@ -336,7 +347,8 @@ class Certificate:
                 if not _all_ints(obj["s0"]):
                     raise TypeError("s0 must be an integer")
                 metadata.setdefault("s0", obj["s0"])
-            return cls(*mats, angles, steps, budget, theorem, params, metadata)
+            return cls(*mats, angles[0], steps, budget, theorem, params, metadata,
+                       angles[1])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateFormatError(f"malformed certificate: {exc}") from exc
 
@@ -363,9 +375,11 @@ def certificate_product(angles, steps):
 
     The running product is kept with its columns permuted by the current
     step's P, so steps sharing a perm need no permutation in between; D^e
-    scales columns and each block of Y mixes only its own columns, so a step
-    costs O(n^2) plus O(n w^2) per block of width w.  The steps must be well
-    formed (perm a permutation, blocks square, in range and disjoint).
+    scales columns and each block b of Y mixes only its own columns, by
+    b @ D^e @ b* on them.  The blocks of one width in a step are applied as
+    one stacked matmul, so a step costs O(n^2) plus O(n w^2) per block of
+    width w in a few numpy calls.  The steps must be well formed (perm a
+    permutation, blocks square, in range and disjoint).
     """
     d = np.exp(1j * np.asarray(angles, dtype=float))
     n = d.shape[0]
@@ -376,14 +390,19 @@ def certificate_product(angles, steps):
             acc = acc[:, np.argsort(cur)[st.perm]]
             cur = st.perm
         core = d if st.e == 1 else d.conj()
-        mixed = [
-            (offset, acc[:, offset : offset + b.shape[0]]
-             @ ((b * core[offset : offset + b.shape[0]]) @ b.conj().T))
-            for offset, b in st.blocks
-        ]
+        widths = {}
+        for offset, b in st.blocks:
+            widths.setdefault(b.shape[0], []).append((offset, b))
+        mixed = []
+        for w, group in widths.items():
+            cols = np.add.outer([offset for offset, _ in group], np.arange(w))
+            b = np.array([b for _, b in group])
+            kernel = (b * core[cols][:, None, :]) @ b.conj().transpose(0, 2, 1)
+            # (blocks, n, w): each block's columns times its kernel
+            mixed.append((cols, acc[:, cols].transpose(1, 0, 2) @ kernel))
         acc *= core
-        for offset, cols in mixed:
-            acc[:, offset : offset + cols.shape[1]] = cols
+        for cols, new in mixed:
+            acc[:, cols] = new.transpose(1, 0, 2)
     out = np.empty_like(acc)
     out[:, cur] = acc
     return out
@@ -621,10 +640,9 @@ def _trivial_certificate(urep, vrep, uspec, uframe, vspec, vframe, budget,
         return None
     cert = Certificate(
         urep.matrix, vrep.matrix, uframe, vframe, vspec.angles, (),
-        budget, theorem, params, {"trivial_target": True},
+        budget, theorem, params, {"trivial_target": True}, uspec.angles,
     )
-    resid, tol = product_check(cert)
-    return cert if resid <= tol else None
+    return cert if product_check(cert)[0] else None
 
 
 def _matched_layout(angles):
@@ -736,9 +754,10 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
         theorem,
         params,
         {**metadata, "centering_phase": float(phase), "planner": planner},
+        uspec.angles[order.sigma],
     )
-    resid, tol = product_check(cert)
-    if not resid <= tol:
+    passed, resid, tol = product_check(cert)
+    if not passed:
         raise NumericalDegeneracyError(
             f"assembled certificate residual {resid:.3e} over tolerance {tol:.3e}"
         )
@@ -861,44 +880,63 @@ def generate_full(u, v):
 # verification
 
 
-def _profile_of_matrix(mat):
-    spec = spectrum_of(np.asarray(mat, dtype=complex))
-    return spec, projective_profile(spec).values
+def _defects(cert, names):
+    """(max-norm, Frobenius norm) of each named defect matrix, one dense
+    product each: the Gram defect X X* - I of "target", "base", "aframe"
+    or "bframe", and the rebuild defects B diag(e^{i base_angles}) B* - base
+    ("base_rebuild") and A diag(e^{i target_angles}) A* - target
+    ("target_rebuild")."""
+    rebuilds = {
+        "base_rebuild": (cert.bframe, cert.base_angles, cert.base),
+        "target_rebuild": (cert.aframe, cert.target_angles, cert.target),
+    }
+    out = {}
+    for name in names:
+        if name in rebuilds:
+            f, angles, m = rebuilds[name]
+            d = (f * np.exp(1j * angles)) @ f.conj().T - m
+        else:
+            m = getattr(cert, name)
+            d = m @ m.conj().T - np.eye(cert.n)
+        out[name] = (float(np.max(np.abs(d))), float(np.linalg.norm(d)))
+    return out
 
 
-def _defect_norms(d):
-    """Max-norm and Frobenius norm of a defect matrix."""
-    return float(np.max(np.abs(d))), float(np.linalg.norm(d))
+_PRODUCT_DEFECTS = ("target", "aframe", "bframe", "base_rebuild", "target_rebuild")
 
 
-def _gram_defect(m):
-    """m @ m* - I."""
-    m = np.asarray(m, dtype=complex)
-    return m @ m.conj().T - np.eye(m.shape[0])
+def product_check(cert, norms=None, block_defect=0.0):
+    """The product check, in the eigenframe: (passed, residual, tolerance).
 
-
-def _frame_defects(cert):
-    """(max-norm, Frobenius norm) of each stored frame's defect matrix:
-    A A* - I, B B* - I, and B @ diag(e^{i base_angles}) @ B* - base."""
-    b = cert.bframe
-    rebuilt = (b * np.exp(1j * cert.base_angles)) @ b.conj().T
-    return [
-        _defect_norms(d)
-        for d in (_gram_defect(cert.aframe), _gram_defect(b), rebuilt - cert.base)
-    ]
-
-
-def product_check(cert, defect=None):
-    """Residual of the recomputed product against the target, and its
-    tolerance TOL.eq_tol for a summed per-factor operator-norm defect (by
-    default the Frobenius norms of the stored frames' defects) and the
-    Frobenius norm of the target's T T* - I."""
-    if defect is None:
-        defect = sum(fro for _, fro in _frame_defects(cert))
-    resid = projective_residual(cert.product(), cert.target)
-    target_defect = float(np.linalg.norm(_gram_defect(cert.target)))
-    tol = TOL.eq_tol(len(cert), cert.n, defect, target_defect)
-    return resid, tol
+    M, the product in the eigenframe, is compared with lam * D, where
+    D = diag(e^{i target_angles}) and lam is the best unit phase, at
+    O(n^2) beyond the product.  Since A M A* - lam T is
+    A (M - lam D) A* + lam (A D A* - T) and ||A||^2 <= 1 + ||A A* - I||,
+    the residual (1 + ||A A* - I||_F) ||M - lam D||_F + max|A D A* - T|
+    bounds the max-norm of A M A* - lam T.  It passes when that residual is
+    at most TOL.eq_tol, for the summed Frobenius defects of both frames, the
+    base rebuild and block_defect (the largest block's, 0 by default), and
+    the Frobenius norm of the target's T T* - I; and when the target
+    rebuild, like the base rebuild, is within TOL.diag_residual.  norms
+    holds _defects of at least _PRODUCT_DEFECTS, computed when omitted.
+    """
+    if norms is None:
+        norms = _defects(cert, _PRODUCT_DEFECTS)
+    m = certificate_product(cert.base_angles, cert.steps)
+    d = np.exp(1j * cert.target_angles)
+    diag = np.diagonal(m) * d.conj()
+    tr = diag.sum()
+    if abs(tr) > 1e-8:
+        lam = tr / abs(tr)
+    else:
+        j = int(np.argmax(np.abs(diag)))
+        lam = diag[j] / abs(diag[j]) if abs(diag[j]) > 0 else 1.0
+    np.fill_diagonal(m, np.diagonal(m) - lam * d)
+    rebuild = norms["target_rebuild"][0]
+    resid = (1.0 + norms["aframe"][1]) * float(np.linalg.norm(m)) + rebuild
+    defect = sum(norms[name][1] for name in ("aframe", "bframe", "base_rebuild"))
+    tol = TOL.eq_tol(len(cert), cert.n, defect + block_defect, norms["target"][1])
+    return bool(resid <= tol and rebuild <= TOL.diag_residual), resid, tol
 
 
 def _step_defects(steps, n):
@@ -948,19 +986,25 @@ def verify_certificate(cert):
     block, with every perm a permutation (steps_unitary); that the base
     frame and angles rebuild the base and every exponent is +-1, which makes
     each step a conjugate of base^{+-1} (step_conjugacy); the product,
-    recomputed in the eigenframe and conjugated by the target frame, against
-    the target up to one phase; the length against the budget; the
-    easy-direction profile inequality; and the one-norm lower bound on the
-    length.  The product tolerance is always TOL.eq_tol, which grows with
-    the measured frame and block defects and the target's unitarity defect,
-    so the report depends on the certificate alone.  lower_bound is the
-    length that bound forces, ell(target) / ell(base), or None when
-    ell(base) is 0.
+    recomputed in the eigenframe, against diag(e^{i target_angles}) up to
+    one phase, with the target frame and angles rebuilding the target (see
+    product_check); the length against the budget; the easy-direction
+    profile inequality; and the one-norm lower bound on the length.  The
+    product tolerance is always TOL.eq_tol, which grows with the measured
+    frame and block defects and the target's unitarity defect, so the
+    report depends on the certificate alone.  lower_bound is the length
+    that bound forces, ell(target) / ell(base), or None when ell(base) is 0.
+
+    No eigensolver runs: every profile and one-norm is read off the stored
+    angles, which the two rebuild checks tie to target and base.  Each
+    operand (target, base and both frames) gets one Gram product, read in
+    max-norm for the unitarity checks and in Frobenius norm for the product
+    tolerance.
 
     margins says how close each check came: the largest frame and block
-    unitarity defects (with the block's step), the base rebuild defect,
-    residual / tolerance, the lower-bound slack k * ell(base) - ell(target)
-    and the first step failing a per-step check.
+    unitarity defects (with the block's step), the base and target rebuild
+    defects, residual / tolerance, the lower-bound slack
+    k * ell(base) - ell(target) and the first step failing a per-step check.
     """
     report = {
         "version": "normgen-report/1",
@@ -974,6 +1018,7 @@ def verify_certificate(cert):
         "margins": {
             "frame_defect": None,
             "base_defect": None,
+            "target_defect": None,
             "block_defect": None,
             "block_defect_step": None,
             "residual_ratio": None,
@@ -984,21 +1029,20 @@ def verify_certificate(cert):
     checks = report["checks"]
     margins = report["margins"]
     try:
-        target = np.asarray(cert.target, dtype=complex)
-        base = np.asarray(cert.base, dtype=complex)
         steps = tuple(cert.steps)
-        n = target.shape[0]
+        n = cert.n
         k = len(steps)
         report["length"] = k
         report["budget"] = int(cert.claimed_budget)
+        norms = _defects(cert, ("base",) + _PRODUCT_DEFECTS)
         checks["inputs_unitary"] = bool(
-            unitarity_defect(target) <= TOL.unitarity
-            and unitarity_defect(base) <= TOL.unitarity
+            norms["target"][0] <= TOL.unitarity and norms["base"][0] <= TOL.unitarity
         )
-        frames = _frame_defects(cert)
-        (a_def, _), (b_def, _), (base_def, _) = frames
-        margins["frame_defect"] = max(a_def, b_def)
+        frame_def = max(norms["aframe"][0], norms["bframe"][0])
+        base_def = norms["base_rebuild"][0]
+        margins["frame_defect"] = frame_def
         margins["base_defect"] = base_def
+        margins["target_defect"] = norms["target_rebuild"][0]
         defects, block_fro = _step_defects(steps, n)
         malformed = np.isnan(defects)
         well_formed = not malformed.any()
@@ -1011,39 +1055,41 @@ def verify_certificate(cert):
         margins["block_defect"] = block_def
         margins["block_defect_step"] = block_step
         margins["first_failing_step"] = first_bad
-        checks["steps_unitary"] = bool(
-            max(a_def, b_def) <= TOL.unitarity and first_bad is None
-        )
+        checks["steps_unitary"] = bool(frame_def <= TOL.unitarity and first_bad is None)
         checks["step_conjugacy"] = bool(
             base_def <= TOL.diag_residual and well_formed
         )
         checks["product"] = False
         if well_formed:
-            defect = sum(fro for _, fro in frames) + block_fro.max(initial=0.0)
-            resid, tol = product_check(cert, defect)
+            ok, resid, tol = product_check(cert, norms, block_fro.max(initial=0.0))
             report["residual"] = resid
             report["tolerance"] = tol
             margins["residual_ratio"] = resid / tol
-            checks["product"] = bool(resid <= tol)
+            checks["product"] = ok
         checks["length"] = bool(k <= cert.claimed_budget)
-        tspec, tprof = _profile_of_matrix(target)
-        bspec, bprof = _profile_of_matrix(base)
-        ok_easy = True
-        if k == 0:
-            ok_easy = bool(tprof[0] <= 1e-7)
-        else:
-            for i in range(n):
-                if k * i > n - 1:
-                    break
-                lhs = tprof[min(k * i, n - 1)]
-                if lhs > k * bprof[i] + 1e-7:
-                    ok_easy = False
-        checks["easy_direction"] = bool(ok_easy)
-        ell_t = projective_one_norm(tspec)[0]
-        ell_b = projective_one_norm(bspec)[0]
-        report["lower_bound"] = float(ell_t / ell_b) if ell_b > 0.0 else None
-        margins["lower_bound_slack"] = float(k * ell_b - ell_t)
-        checks["lower_bound"] = bool(k * ell_b >= ell_t - 1e-6)
+        checks["easy_direction"] = checks["lower_bound"] = False
+        # non-finite angles have no profile; they fail a rebuild check
+        if np.isfinite(np.r_[cert.target_angles, cert.base_angles]).all():
+            tspec = CircleSpectrum(cert.target_angles)
+            bspec = CircleSpectrum(cert.base_angles)
+            tprof = projective_profile(tspec).values
+            bprof = projective_profile(bspec).values
+            ok_easy = True
+            if k == 0:
+                ok_easy = bool(tprof[0] <= 1e-7)
+            else:
+                for i in range(n):
+                    if k * i > n - 1:
+                        break
+                    lhs = tprof[min(k * i, n - 1)]
+                    if lhs > k * bprof[i] + 1e-7:
+                        ok_easy = False
+            checks["easy_direction"] = bool(ok_easy)
+            ell_t = projective_one_norm(tspec)[0]
+            ell_b = projective_one_norm(bspec)[0]
+            report["lower_bound"] = float(ell_t / ell_b) if ell_b > 0.0 else None
+            margins["lower_bound_slack"] = float(k * ell_b - ell_t)
+            checks["lower_bound"] = bool(k * ell_b >= ell_t - 1e-6)
         report["pass"] = all(checks.values())
     except Exception as exc:  # noqa: BLE001 - verification must not raise
         checks["exception"] = False

@@ -195,12 +195,16 @@ def broise_kernel_certificate(w, reference=None):
     zero = np.zeros((k, k), dtype=complex)
     target = np.block([[m, zero], [zero, m.conj().T]])
     bframe = _involution_frame(ref.matrix)
+    # w = F diag(e^{i alpha}) F* gives target = A diag(e^{i phi}) A* with
+    # A = diag(F, F) and phi = (alpha, -alpha)
+    spec, f = diagonalize_normal(m)
+    aframe = np.block([[f, zero], [zero, f]])
 
     def certificate(steps, metadata):
         return Certificate(
             target=target,
             base=ref.matrix,
-            aframe=np.eye(n, dtype=complex),
+            aframe=aframe,
             bframe=bframe,
             base_angles=np.r_[np.zeros(k), np.full(k, np.pi)],
             steps=steps,
@@ -209,20 +213,16 @@ def broise_kernel_certificate(w, reference=None):
             params={"m": None, "s": None, "n": n},
             metadata={"construction": "stst", "square_root": "principal",
                       **metadata},
+            target_angles=np.r_[spec.angles, -spec.angles],
         )
 
     trivial = certificate((), {"trivial_target": True})
-    resid, tol = product_check(trivial)
-    if resid <= tol:
+    if product_check(trivial)[0]:
         return trivial
     # with B the reference's involution frame, the conjugator
     # symmetry_conjugator(ref, f) is frame(f) @ B*: each step is the one
-    # dense block frame(f), the degenerate case of the factored form
-    factors = block_symmetry_factors(m)
-    return certificate(
-        tuple(
-            CertStep(np.arange(n), ((0, _involution_frame(f.matrix)),), 1)
-            for f in factors
-        ),
-        {},
-    )
+    # dense block A* @ frame(f), the degenerate case of the factored form,
+    # so that its conjugator A @ A* @ frame(f) @ B* is that one
+    blocks = [aframe.conj().T @ _involution_frame(f.matrix)
+              for f in block_symmetry_factors(m)]
+    return certificate(tuple(CertStep(np.arange(n), ((0, b),), 1) for b in blocks), {})

@@ -284,6 +284,12 @@ class TestCorpus:
     def test_bad_sizes_token(self, capsys):
         assert main(["corpus", "--cases", "1", "--sizes", "3,x"]) == 2
 
+    @pytest.mark.parametrize("sizes", ["", ","])
+    def test_empty_sizes_is_a_usage_error(self, sizes, capsys):
+        # an empty list is malformed, not a request for the default sizes
+        assert main(["corpus", "--cases", "1", "--sizes", sizes]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestCounterexample:
     def test_bound_and_feasibility(self, capsys):

@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
@@ -32,7 +33,16 @@ from normgen.generation import (
     theorem_budgets,
     verify_certificate,
 )
-from normgen.spectral import canon_angle, chord, projective_one_norm, projective_s_number
+from normgen.config import TOL
+from normgen.spectral import (
+    CircleSpectrum,
+    canon_angle,
+    chord,
+    projective_one_norm,
+    projective_profile,
+    projective_s_number,
+    spectrum_of,
+)
 from normgen.su2 import _walk, source_block, walk_length
 
 
@@ -662,6 +672,12 @@ def frozen_pool():
             yield pipeline_generate, (u, v, m, s)
 
 
+@functools.lru_cache(maxsize=None)
+def frozen_certificates():
+    """The certificates of frozen_pool, generated once per session."""
+    return tuple(gen(*args) for gen, args in frozen_pool())
+
+
 # k of each frozen_pool case with one strand per batch on the widest gap of
 # the optimalize order (rank-indep: floor(s/2) separated gaps per batch)
 PARENT_K = (
@@ -681,8 +697,7 @@ PARENT_K = (
 class TestMatchedPairs:
     def test_never_longer_than_one_strand_per_batch(self):
         ks = []
-        for gen, args in frozen_pool():
-            cert = gen(*args)
+        for cert in frozen_certificates():
             assert_sound(cert)
             ks.append(len(cert))
         assert len(ks) == len(PARENT_K)
@@ -1056,6 +1071,96 @@ class TestFactoredCertificates:
         obj["version"] = "normgen-cert/2"
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
+
+    def test_cert3_rejected(self):
+        obj = POOL[0].to_json()
+        obj["version"] = "normgen-cert/3"
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
+    @pytest.mark.parametrize("bad", [[0.0], "x", [1, 2], {}])
+    def test_target_angles_must_be_n_floats(self, bad):
+        obj = POOL[3].to_json()
+        obj["target_angles"] = bad
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
+    def test_target_angles_are_required(self):
+        obj = POOL[3].to_json()
+        obj["target_angles"].pop()
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+        del obj["target_angles"]
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
+    def test_tampered_target_angle_fails_product(self):
+        cert = POOL[3]
+        honest = verify_certificate(cert)
+        assert honest["margins"]["target_defect"] < 1e-13
+        angles = np.array(cert.target_angles, copy=True)
+        angles[2] += 1e-6
+        report = verify_certificate(dataclasses.replace(cert, target_angles=angles))
+        assert [c for c, ok in report["checks"].items() if not ok] == ["product"]
+        assert report["margins"]["target_defect"] > 1e-8
+        assert report["residual"] > report["margins"]["target_defect"]
+
+    @pytest.mark.parametrize("name, check", [
+        ("target_angles", "product"), ("base_angles", "step_conjugacy"),
+    ])
+    def test_non_finite_angle_loads_then_fails(self, name, check):
+        obj = POOL[3].to_json()
+        obj[name][1] = float("nan")
+        report = verify_certificate(Certificate.from_json(json.loads(json.dumps(obj))))
+        assert "error" not in report
+        assert not report["checks"][check]
+        assert not report["checks"]["easy_direction"]
+        assert not report["pass"]
+
+    def test_verify_runs_no_eigensolver(self, eigh_calls):
+        kinds = {cert.theorem for cert in POOL}
+        assert kinds == set(generation.THEOREM_TAGS)
+        assert any(cert.metadata.get("trivial_target") for cert in POOL)
+        for cert in POOL:
+            assert verify_certificate(cert)["pass"]
+        assert eigh_calls == []
+
+    def test_angle_profiles_match_the_matrices(self):
+        # the verifier reads profiles and one-norms off the stored angles;
+        # the rebuild checks keep them within rounding of the matrices'
+        for cert in frozen_certificates():
+            for angles, mat in (
+                (cert.target_angles, cert.target), (cert.base_angles, cert.base)
+            ):
+                spec, want = CircleSpectrum(angles), spectrum_of(mat)
+                got = projective_profile(spec).values
+                assert np.max(np.abs(got - projective_profile(want).values)) < 1e-9
+                assert projective_one_norm(spec)[0] == pytest.approx(
+                    projective_one_norm(want)[0], abs=1e-9
+                )
+
+    def test_batched_product_mixed_widths(self):
+        # blocks of widths 2 and 3 in one step, and a step with no block
+        rng = np.random.default_rng(48)
+        n = 7
+        theta = rng.uniform(-math.pi, math.pi, n)
+        a, b = haar(n, rng), haar(n, rng)
+        base = (b * np.exp(1j * theta)) @ b.conj().T
+        steps = (
+            CertStep(
+                rng.permutation(n),
+                ((0, haar(2, rng)), (4, haar(3, rng)), (2, haar(2, rng))),
+                1,
+            ),
+            CertStep(rng.permutation(n), (), -1),
+            CertStep(np.arange(n), ((1, haar(3, rng)),), -1),
+        )
+        cert = Certificate(base, base, a, b, theta, steps, 3, "rank_dep")
+        dense = np.eye(n, dtype=complex)
+        for i, st in enumerate(steps):
+            g = cert.conjugator(i)
+            dense = dense @ g @ (base if st.e == 1 else base.conj().T) @ g.conj().T
+        assert np.max(np.abs(cert.product() - dense)) < 1e-11
 
     def test_malformed_step_json(self):
         obj = POOL[0].to_json()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from normgen import (
+    TOL,
     Certificate,
     DimensionError,
     PreconditionError,
@@ -256,6 +257,20 @@ class TestBroiseKernel:
         ref = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
         with pytest.raises(ValidationError):
             broise_kernel_certificate(haar(2, np.random.default_rng(0)), ref)
+
+    @pytest.mark.parametrize("k,seed", [(1, 0), (2, 1), (3, 2), (5, 3)])
+    def test_target_frame(self, k, seed):
+        # A = diag(F, F) and its angles rebuild diag(w, w*), and each step's
+        # block A* frame(f) keeps the conjugator frame(f) B* of the factor f
+        w = haar(k, np.random.default_rng(seed))
+        cert = broise_kernel_certificate(w)
+        assert len(cert) == 4
+        a = cert.aframe
+        rebuilt = (a * np.exp(1j * cert.target_angles)) @ a.conj().T
+        assert np.max(np.abs(rebuilt - cert.target)) <= TOL.diag_residual
+        for i, f in enumerate(block_symmetry_factors(w)):
+            want = symmetry_conjugator(cert.base, f)
+            assert np.max(np.abs(cert.conjugator(i) - want)) <= 1e-12
 
     def test_json_round_trip(self):
         w = haar(2, np.random.default_rng(8))
