@@ -46,7 +46,9 @@ from .spectral import (
     projective_one_norm,
     projective_profile,
     projective_rank,
+    rank_of_profile,
     singular_values,
+    spectrum_of,
     SpectralProfile,
 )
 from .symmetries import broise_kernel_certificate
@@ -107,7 +109,9 @@ def cmd_lengths(args):
     if isinstance(op, RationalSpectrum):
         raise ValidationError("profiles need a unitary or angle spectrum")
     if args.kind == "ell":
-        prof = projective_profile(op)
+        # one diagonalization serves the profile, the one-norm and the rank
+        spec = spectrum_of(op)
+        prof = projective_profile(spec)
     else:
         m = op.matrix
         eye = np.eye(m.shape[0], dtype=complex)
@@ -116,14 +120,17 @@ def cmd_lengths(args):
     out = prof.to_json()
     if args.one_norm:
         if args.kind == "ell":
-            value, phase = projective_one_norm(op)
+            value, phase = projective_one_norm(spec)
             out["one_norm"] = value
             out["phase"] = [phase.real, phase.imag]
         else:
             m = op.matrix
             out["one_norm"] = one_norm(np.eye(m.shape[0], dtype=complex) - m)
     if args.rank:
-        out["rank"] = projective_rank(op)
+        if args.kind == "ell":
+            out["rank"] = rank_of_profile(prof.values)
+        else:
+            out["rank"] = projective_rank(op)
     _emit(out)
     return EXIT_OK
 

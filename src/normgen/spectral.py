@@ -17,6 +17,12 @@ circle, where both projective quantities have closed forms:
 * each chord term is concave in the phase between its zeros, so the
   projective one-norm is attained at a phase cancelling some eigenvalue:
   min_j mean_k |1 - e^{i(a_k - a_j)}|.
+
+The full profile takes every window width in one pass over a strided
+(n, n) view of the sorted angles, reduced in row blocks: O(n^2) time and
+O(n) memory plus one block of _BLOCK span entries.  Exactly diagonal
+unitaries are read off their diagonal, with no eigensolver, and spectrum_of
+builds no eigenvector frame for them.
 """
 
 from dataclasses import dataclass, field
@@ -253,10 +259,15 @@ def as_unitary(u, what="unitary"):
 
 
 def spectrum_of(u):
-    """Eigenvalue angles of u; diagonalizes unless u already is a spectrum."""
+    """Eigenvalue angles of u: a spectrum as it is, an exactly diagonal u read
+    off its diagonal with no frame built, any other u diagonalized."""
     if isinstance(u, CircleSpectrum):
         return u
-    spec, _ = diagonalize_normal(u)
+    rep = as_unitary(u)
+    diagonal = _diagonal_angles(rep.matrix)
+    if diagonal is not None:
+        return CircleSpectrum(diagonal[0])
+    spec, _ = diagonalize_normal(rep)
     return spec
 
 
@@ -334,29 +345,50 @@ def _doubled_sorted(angles):
     return np.concatenate((a, a + TWO_PI))
 
 
-def _narrowest_window(ext, width):
-    """Projective value and witness phase for windows of `width` eigenvalues.
+# span entries per row block of the one-pass profile: 2 MB of float64, so a
+# profile at n = 5040 never holds its 203 MB span matrix at once
+_BLOCK = 1 << 18
 
-    The value is 2 sin(span / 4) for the narrowest cyclic window; the witness
-    conj(e^{i mid}) centers the arc on the window's midpoint.
+
+def _narrowest_windows(ext, first, stop):
+    """Projective values and witness phases for window widths first..stop-1.
+
+    Row r of the strided (n, n) view over ext holds ext[r : r + n], the far
+    ends of the n cyclic windows of r + 1 eigenvalues, so subtracting the
+    near ends ext[:n] gives every span of that width.  Rows are reduced in
+    blocks of about _BLOCK entries: O(n) time per row and O(n + _BLOCK)
+    memory in all.  argmin keeps the first narrowest window, and the value
+    2 sin(span / 4) and witness conj(e^{i mid}), which centers the arc on
+    the window's midpoint, are read off the gathered ends.
     """
     n = ext.shape[0] // 2
-    spans = ext[width - 1 : width - 1 + n] - ext[:n]
-    j = int(np.argmin(spans))
-    mid = 0.5 * (ext[j] + ext[j + width - 1])
-    value = 2.0 * math.sin(0.25 * float(spans[j]))
-    return value, complex(math.cos(mid), -math.sin(mid))
+    # a view, not a copy; the constructor checks it stays inside ext, and
+    # costs a third of as_strided, which matters at small n
+    far = np.ndarray((n, n), dtype=float, buffer=ext, strides=ext.strides * 2)
+    starts = np.empty(stop - first, dtype=np.intp)
+    step = max(1, _BLOCK // n)
+    for w in range(first, stop, step):
+        block = far[w - 1 : min(w + step, stop) - 1] - ext[:n]
+        starts[w - first : w - first + block.shape[0]] = block.argmin(axis=1)
+    near = ext[starts]
+    far_end = ext[starts + np.arange(first - 1, stop - 1)]
+    mid = 0.5 * (near + far_end)
+    values = 2.0 * np.sin(0.25 * (far_end - near))
+    # set the parts directly: cos - 1j * sin would turn an imaginary -0.0
+    # into +0.0
+    witnesses = np.empty(stop - first, dtype=complex)
+    witnesses.real = np.cos(mid)
+    witnesses.imag = -np.sin(mid)
+    return values, witnesses
 
 
 def projective_profile(u):
     """Full projective singular value profile of a unitary, with witnesses."""
     ext = _doubled_sorted(spectrum_of(u).angles)
     n = ext.shape[0] // 2
-    vals = np.empty(n)
-    wits = np.empty(n, dtype=complex)
-    for i in range(n):
-        vals[i], wits[i] = _narrowest_window(ext, n - i)
-    return SpectralProfile("ell", vals, wits)
+    # index i asks for windows of n - i eigenvalues: the widths run backwards
+    vals, wits = _narrowest_windows(ext, 1, n + 1)
+    return SpectralProfile("ell", vals[::-1], wits[::-1])
 
 
 def projective_s_number(u, i):
@@ -365,7 +397,8 @@ def projective_s_number(u, i):
     n = spec.n
     if not (0 <= i < n):
         raise IndexError(f"index {i} out of range for size {n}")
-    return _narrowest_window(_doubled_sorted(spec.angles), n - i)
+    vals, wits = _narrowest_windows(_doubled_sorted(spec.angles), n - i, n - i + 1)
+    return float(vals[0]), complex(wits[0])
 
 
 def projective_one_norm(u):
@@ -477,6 +510,21 @@ def _eigen_residual(w, mw):
     return angles, float(np.sqrt(np.max(rows)))
 
 
+def _diagonal_angles(m):
+    """Sorted eigenvalue angles of an exactly diagonal m and the stable
+    order that sorts its diagonal; None when an off-diagonal entry is not 0.
+    """
+    n = m.shape[0]
+    # the n entries that follow each diagonal entry in row-major order are
+    # off-diagonal: a strided view of all of them, and any() reads them
+    # without a temporary, several times faster than counting nonzeros
+    if m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return None
+    angles = canon_angle(np.angle(np.diagonal(m)))
+    order = np.argsort(angles, kind="stable")
+    return angles[order], order
+
+
 def diagonalize_normal(u):
     """Spectrum and eigenvector frame of a unitary matrix.
 
@@ -504,12 +552,15 @@ def diagonalize_normal(u):
     rep = as_unitary(u)
     m = rep.matrix
     n = rep.n
-    d = np.diagonal(m)
-    # the counts agree exactly when every off-diagonal entry is 0
-    if np.count_nonzero(m) == np.count_nonzero(d):
-        angles = canon_angle(np.angle(d))
-        order = np.argsort(angles, kind="stable")
-        return CircleSpectrum(angles[order]), np.eye(n, dtype=complex)[:, order]
+    diagonal = _diagonal_angles(m)
+    if diagonal is not None:
+        angles, order = diagonal
+        # column j is e_order[j], stored column-major as a column gather of
+        # the identity is: BLAS products with w pick their kernel, and with
+        # it the sign of an all-zero sum, by layout
+        w = np.zeros((n, n), dtype=complex, order="F")
+        w[order, np.arange(n)] = 1.0
+        return CircleSpectrum(angles), w
     cut = 4.0 * n * EPS
     rng = np.random.default_rng(0)
     hre = (m + m.conj().T) / 2.0

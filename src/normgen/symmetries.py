@@ -95,7 +95,11 @@ def sqrt_unitary(w):
     residual; eigenvalue -1 maps to +i.
     """
     m = _as_matrix(w, "unitary")
-    spec, frame = diagonalize_normal(m)
+    return _principal_root(m, *diagonalize_normal(m))
+
+
+def _principal_root(m, spec, frame):
+    """sqrt_unitary of m from its diagonalization m = frame diag(e^{i a}) frame*."""
     half = np.exp(0.5j * spec.angles)
     root = (frame * half[None, :]) @ frame.conj().T
     drift = float(np.max(np.abs(root @ root - m)))
@@ -114,8 +118,12 @@ def block_symmetry_factors(w):
     telescopes to diag(w, w*).
     """
     m = _as_matrix(w, "unitary")
+    return _stst_factors(m, sqrt_unitary(m).matrix)
+
+
+def _stst_factors(m, u):
+    """block_symmetry_factors of m, given the principal square root u of m."""
     k = m.shape[0]
-    u = sqrt_unitary(m).matrix
     zero = np.zeros((k, k), dtype=complex)
     eye = np.eye(k, dtype=complex)
     s = Symmetry(np.block([[zero, u], [u.conj().T, zero]]))
@@ -223,6 +231,7 @@ def broise_kernel_certificate(w, reference=None):
     # symmetry_conjugator(ref, f) is frame(f) @ B*: each step is the one
     # dense block A* @ frame(f), the degenerate case of the factored form,
     # so that its conjugator A @ A* @ frame(f) @ B* is that one
-    blocks = [aframe.conj().T @ _involution_frame(f.matrix)
-              for f in block_symmetry_factors(m)]
+    root = _principal_root(m, spec, f).matrix
+    blocks = [aframe.conj().T @ _involution_frame(x.matrix)
+              for x in _stst_factors(m, root)]
     return certificate(tuple(CertStep(np.arange(n), ((0, b),), 1) for b in blocks), {})

@@ -7,7 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from normgen import Certificate, counterexample_pair, haar_unitary
+from normgen import (
+    Certificate,
+    counterexample_pair,
+    diagonalize_normal,
+    haar_unitary,
+)
 from normgen.cli import main
 
 
@@ -91,6 +96,19 @@ class TestLengths:
         assert out["values"][1] == pytest.approx(0.0, abs=1e-12)
         assert out["one_norm"] == pytest.approx(1.0, abs=1e-8)
         assert out["rank"] == 1
+
+    def test_dense_operand_diagonalized_once(self, tmp_path, capsys, eigh_calls):
+        # profile, one-norm and rank all read one spectrum
+        n = 6
+        op = haar_unitary(n, np.random.default_rng(3))
+        path = write_json(tmp_path / "dense.json", op.to_json())
+        assert main(["lengths", path, "--one-norm", "--rank"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["rank"] == n - 1
+        lengths_calls = eigh_calls.count((n, n))
+        eigh_calls.clear()
+        diagonalize_normal(op)
+        assert 1 <= lengths_calls <= eigh_calls.count((n, n))
 
     def test_mu_kind(self, diag_file, capsys):
         assert main(["lengths", diag_file, "--kind", "mu", "--one-norm"]) == 0

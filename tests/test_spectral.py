@@ -7,6 +7,7 @@ closed-form values are derived in comments next to each test.
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normgen as ng
-from normgen.spectral import matrix_from_json, matrix_to_json
+from normgen.spectral import _BLOCK, matrix_from_json, matrix_to_json, spectrum_of
 
 ORACLE_GRID = 1_000_000
 # oracle minimum sits within half a grid cell of the truth (1-Lipschitz)
@@ -514,6 +515,13 @@ class TestDiagonalClosedForm:
         assert np.max(np.abs(rebuilt - np.diag(d))) <= 4 * np.finfo(float).eps
         assert eigh_calls == []
 
+    def test_negative_zero_off_diagonal_is_diagonal(self, eigh_calls):
+        m = -np.diag(np.exp(1j * np.array([0.3, -1.1, 2.5])))
+        assert np.signbit(m[0, 1].real)
+        spec, _ = ng.diagonalize_normal(m)
+        assert np.array_equal(spectrum_of(m).angles, spec.angles)
+        assert eigh_calls == []
+
     def test_modulus_defect_rebuilds_within_diag_residual(self):
         # UnitaryRep admits a max-norm defect of 1e-9, so |z| - 1 up to 5e-10
         d = np.exp(1j * np.array([0.3, -1.1, 2.5])) * (1.0 + 4.9e-10)
@@ -678,3 +686,100 @@ class TestProjectiveResidual:
         rng = np.random.default_rng(61)
         b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         assert ng.projective_residual(np.exp(0.7j) * b, b) <= 1e-14
+
+
+def per_width_profile(angles):
+    """Profile values and witnesses one window width at a time: the reference
+    the one-pass profile must reproduce bit for bit."""
+    a = np.sort(np.asarray(angles, dtype=float))
+    n = a.shape[0]
+    ext = np.concatenate((a, a + 2.0 * math.pi))
+    vals = np.empty(n)
+    wits = np.empty(n, dtype=complex)
+    for i in range(n):
+        width = n - i
+        spans = ext[width - 1 : width - 1 + n] - ext[:n]
+        j = int(np.argmin(spans))
+        mid = 0.5 * (ext[j] + ext[j + width - 1])
+        vals[i] = 2.0 * math.sin(0.25 * float(spans[j]))
+        wits[i] = complex(math.cos(mid), -math.sin(mid))
+    return vals, wits
+
+
+def profile_family(family, n, rng):
+    """Eigenvalue angles of one of the hard spectrum families."""
+    if family == "uniform":
+        return rng.uniform(-math.pi, math.pi, n)
+    if family == "clustered":
+        return rng.uniform(-0.3, 0.3, n)
+    if family == "four-clusters":
+        return rng.choice([0.0, 1.0, -2.0, math.pi], n) + rng.normal(0.0, 1e-3, n)
+    if family == "antipodal":
+        half = rng.uniform(-math.pi, math.pi, (n + 1) // 2)
+        return np.concatenate((half, half + math.pi))[:n]
+    if family == "repeated":
+        return rng.uniform(-math.pi, math.pi, 3)[rng.integers(0, 3, n)]
+    # windows centered on 0 give witnesses with a -0.0 imaginary part
+    return rng.choice([0.0, -0.0, math.pi, -math.pi], n)
+
+
+PROFILE_FAMILIES = (
+    "uniform", "clustered", "four-clusters", "antipodal", "repeated", "signed-zeros"
+)
+PROFILE_SIZES = (1, 2, 3, 31, 128, 513, ng.TOL.s0_max)
+
+
+class TestOnePassProfile:
+    def test_sizes_include_partial_row_blocks(self):
+        # 513 and 5040 take several row blocks, the last one partial
+        several = [n for n in PROFILE_SIZES if n > _BLOCK // n and n % (_BLOCK // n)]
+        assert several == [513, ng.TOL.s0_max]
+
+    @pytest.mark.parametrize("n", PROFILE_SIZES)
+    @pytest.mark.parametrize("family", PROFILE_FAMILIES)
+    def test_bit_identical_to_per_width_windows(self, family, n):
+        spec = ng.CircleSpectrum(profile_family(family, n, np.random.default_rng(n)))
+        prof = ng.projective_profile(spec)
+        vals, wits = per_width_profile(spec.angles)
+        assert np.array_equal(prof.values, vals)
+        assert np.array_equal(prof.witnesses, wits)
+        # and the signs of zero parts
+        assert prof.values.tobytes() == vals.tobytes()
+        assert prof.witnesses.tobytes() == wits.tobytes()
+
+    @pytest.mark.parametrize("family", PROFILE_FAMILIES)
+    def test_s_number_reads_the_profile(self, family):
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 31, 513):
+            spec = ng.CircleSpectrum(profile_family(family, n, rng))
+            prof = ng.projective_profile(spec)
+            for i in sorted({0, n // 3, n // 2, n - 1}):
+                value, phase = ng.projective_s_number(spec, i)
+                assert value == prof.values[i]
+                assert phase == prof.witnesses[i]
+
+    def test_profile_memory_at_s0_max(self):
+        # the full (n, n) span matrix would be 203 MB
+        spec = ng.CircleSpectrum(profile_family("uniform", ng.TOL.s0_max,
+                                                np.random.default_rng(72)))
+        tracemalloc.start()
+        try:
+            ng.projective_profile(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_diagonal_spectrum_builds_no_frame(self, eigh_calls):
+        # a permutation frame at n = 1024 would be 16 MB
+        u = ng.CircleSpectrum(profile_family("uniform", 1024,
+                                             np.random.default_rng(73))).to_unitary()
+        tracemalloc.start()
+        try:
+            spec = spectrum_of(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert eigh_calls == []
+        assert np.array_equal(spec.angles, ng.diagonalize_normal(u)[0].angles)

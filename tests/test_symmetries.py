@@ -272,6 +272,14 @@ class TestBroiseKernel:
             want = symmetry_conjugator(cert.base, f)
             assert np.max(np.abs(cert.conjugator(i) - want)) <= 1e-12
 
+    def test_diagonalizes_w_once(self, eigh_calls):
+        # the target frame and the principal root share one eigh of w; the
+        # other eigh calls are on 2k x 2k involutions
+        k = 4
+        cert = broise_kernel_certificate(haar(k, np.random.default_rng(9)))
+        assert len(cert) == 4
+        assert eigh_calls.count((k, k)) == 1
+
     def test_json_round_trip(self):
         w = haar(2, np.random.default_rng(8))
         cert = broise_kernel_certificate(w)
