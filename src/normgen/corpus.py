@@ -24,7 +24,7 @@ from .generation import (
     verify_certificate,
 )
 from .rational import RationalSpectrum, lcm_embed, pipeline_generate
-from .spectral import CircleSpectrum, UnitaryRep, canon_angle, spectrum_of
+from .spectral import CircleSpectrum, Monomial, UnitaryRep, canon_angle
 from .symmetries import broise_kernel_certificate
 
 __all__ = [
@@ -89,7 +89,8 @@ def admissible_pair(n, m, s, rng, conjugate=True):
 
     The base's gaps are scaled to cover nearly the whole circle; the
     target's angles are contracted toward zero until the hypothesis holds.
-    Returns UnitaryRep values, Haar-conjugated unless conjugate is False.
+    Returns UnitaryRep values, Haar-conjugated unless conjugate is False,
+    when they are diagonal Monomials.
     """
     n = int(n)
     s = int(s)
@@ -108,10 +109,11 @@ def admissible_pair(n, m, s, rng, conjugate=True):
         raise NumericalDegeneracyError(
             f"no admissible target found for n={n}, m={m}, s={s}"
         )
-    ud = np.diag(np.exp(1j * u_angles))
-    vd = np.diag(np.exp(1j * v_angles))
+    ud = np.exp(1j * u_angles)
+    vd = np.exp(1j * v_angles)
     if not conjugate:
-        return UnitaryRep(ud), UnitaryRep(vd)
+        return UnitaryRep(Monomial(np.arange(n), ud)), UnitaryRep(Monomial(np.arange(n), vd))
+    ud, vd = np.diag(ud), np.diag(vd)
     g = haar_unitary(n, rng)
     h = haar_unitary(n, rng)
     return (
@@ -161,13 +163,11 @@ def _case_rng(seed, index):
 
 def _run_case(mode, seed, index, sizes):
     rng = _case_rng(seed, index)
-    diag = None
     if mode == "rank-dep":
         n = int(rng.choice(sizes))
         m = int(rng.integers(1, 5))
         u, v = admissible_pair(n, m, 1, rng)
         cert = generate_rank_dependent(u, v, m)
-        diag = u
     elif mode == "rank-indep":
         n = max(5, int(rng.choice(sizes)))
         smax = (n - 1) // 2 + 1
@@ -175,13 +175,11 @@ def _run_case(mode, seed, index, sizes):
         m = int(rng.integers(1, 4))
         u, v = admissible_pair(n, m, s, rng)
         cert = generate_rank_independent(u, v, m, s)
-        diag = u
     elif mode == "full":
         n = int(rng.choice(sizes))
         u = haar_unitary(n, rng)
         _, v = admissible_pair(n, 1, 1, rng)
         cert = generate_full(u, v)
-        diag = u
     elif mode == "pipeline":
         m = int(rng.integers(1, 3))
         s = Fraction(1, int(rng.integers(2, 4)))
@@ -197,7 +195,7 @@ def _run_case(mode, seed, index, sizes):
     out = {
         "case": int(index),
         "mode": mode,
-        "n": int(np.asarray(cert.target).shape[0]),
+        "n": cert.n,
         "length": len(cert.steps),
         "budget": int(cert.claimed_budget),
         "residual": report["residual"],
@@ -208,8 +206,9 @@ def _run_case(mode, seed, index, sizes):
         ),
         "pass": bool(report["pass"]),
     }
-    if diag is not None:
-        spec = spectrum_of(diag)
+    if mode in ("rank-dep", "rank-indep", "full"):
+        # the target's own angles, which the certificate stores
+        spec = CircleSpectrum(np.sort(cert.target_angles))
         ll = llbound_diagnostic(spec)
         out["llbound_ratio"] = ll["ratio"]
         slacks = [row["slack"] for row in aux_inequality_check(spec)]

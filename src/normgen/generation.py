@@ -12,7 +12,9 @@ and every batch is walked by SourceBlock.frames (_shared_steps).
 
 A certificate stores the eigenframes of target and base once and each
 conjugate as a permutation times small unitary blocks in those frames, so a
-conjugate costs O(n) space and O(n^2) checking time.  It carries everything
+conjugate costs O(n) space and O(n^2) checking time.  Operands that are
+Monomials (diagonal targets and bases, permutation frames) are stored as n
+phases and a perm and checked in O(n).  It carries everything
 needed for an independent recheck; verify_certificate redoes the
 multiplication and the bookkeeping from the stored factors and reports
 rather than raises.
@@ -48,7 +50,9 @@ from .errors import (
 from .orderings import angle_sum_optimalize, center_phase
 from .spectral import (
     CircleSpectrum,
+    Monomial,
     UnitaryRep,
+    as_operator,
     as_unitary,
     canon_angle,
     chord,
@@ -76,7 +80,7 @@ __all__ = [
 
 THEOREM_TAGS = ("rank_dep", "rank_indep", "full_gen", "pipeline", "broise_kernel")
 
-CERT_VERSION = "normgen-cert/4"
+CERT_VERSION = "normgen-cert/5"
 
 # ---------------------------------------------------------------------------
 # certificate container
@@ -171,9 +175,32 @@ def _pack(arr):
     }
 
 
-def _unpack(rec, shape, what):
+def _pack_operand(x, perm_index):
+    """_pack of a dense operand; a Monomial packs its n phases, with its
+    perm as perm_index(perm), an index into the certificate's perm table."""
+    if not isinstance(x, Monomial):
+        return _pack(x)
+    return {**_pack(x.phases), "shape": list(x.shape), "perm": perm_index(x.perm)}
+
+
+def _unpack_operand(rec, n, perms, what):
+    """Decode an [n, n] operand record: a Monomial when it names a perm,
+    which must index the table and hold n entries, with n phases; else a
+    dense record."""
+    if type(rec) is not dict or "perm" not in rec:
+        return _unpack(rec, [n, n], what)
+    idx = rec["perm"]
+    if not _all_ints(idx) or not 0 <= idx < len(perms):
+        raise ValueError(f"{what} perm index {idx!r} outside a table of {len(perms)}")
+    if perms[idx].shape != (n,):
+        raise ValueError(f"{what} perm has {perms[idx].shape[0]} entries, need {n}")
+    return Monomial(perms[idx], _unpack(rec, [n, n], what, n))
+
+
+def _unpack(rec, shape, what, size=None):
     """Decode a packed record whose shape must equal shape, checking the
-    dtype tag, the base64 alphabet and the decoded byte count."""
+    dtype tag, the base64 alphabet and the decoded byte count: one entry
+    per element of shape, or size entries, returned flat."""
     if type(rec) is not dict:
         raise TypeError(f"{what} must be a packed record")
     if rec.get("dtype") != _DTYPE:
@@ -182,10 +209,11 @@ def _unpack(rec, shape, what):
     if type(got) is not list or not _all_ints(*got) or got != shape:
         raise ValueError(f"{what} shape must be {shape}, got {got!r}")
     raw = base64.b64decode(rec.get("b64"), validate=True)
-    want = 16 * math.prod(shape)
+    want = 16 * (math.prod(shape) if size is None else size)
     if len(raw) != want:
         raise ValueError(f"{what} payload holds {len(raw)} bytes, need {want}")
-    return np.frombuffer(raw, dtype=_DTYPE).reshape(shape)
+    arr = np.frombuffer(raw, dtype=_DTYPE)
+    return arr if size is not None else arr.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -201,7 +229,8 @@ class Certificate:
     verifier checks it.  claimed_budget is the theorem-level bound the
     length is charged against; params and metadata record how the steps
     were found.  target_angles defaults to the angles of the diagonal of
-    A* @ target @ A.
+    A* @ target @ A.  target, base and both frames are each a dense array
+    or a Monomial; np.asarray gives the dense matrix of either.
     """
 
     target: np.ndarray
@@ -217,20 +246,20 @@ class Certificate:
     target_angles: np.ndarray = None
 
     def __post_init__(self):
-        t = np.asarray(self.target, dtype=complex)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        t = _operand(self.target)
+        if len(t.shape) != 2 or t.shape[0] != t.shape[1]:
             raise DimensionError(f"target must be square, got {t.shape}")
         mats = {"target": t}
         for name in ("base", "aframe", "bframe"):
-            m = np.asarray(getattr(self, name), dtype=complex)
+            m = _operand(getattr(self, name))
             if m.shape != t.shape:
                 raise DimensionError(
                     f"{name} shape {m.shape} does not match target {t.shape}"
                 )
             mats[name] = m
-        a = mats["aframe"]
         if self.target_angles is None:
-            phi = np.angle(np.einsum("ij,ij->j", a.conj(), t @ a))
+            a = np.asarray(mats["aframe"])
+            phi = np.angle(np.einsum("ij,ij->j", a.conj(), np.asarray(t) @ a))
         else:
             phi = self.target_angles
         for name, angles in (("base_angles", self.base_angles), ("target_angles", phi)):
@@ -250,7 +279,8 @@ class Certificate:
             if not isinstance(st, CertStep):
                 raise ValidationError("steps must be CertStep instances")
         for name, m in mats.items():
-            m.setflags(write=False)
+            if isinstance(m, np.ndarray):
+                m.setflags(write=False)
             object.__setattr__(self, name, m)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "claimed_budget", budget)
@@ -265,33 +295,39 @@ class Certificate:
         return len(self.steps)
 
     def conjugator(self, i):
-        """Dense conjugator g = A @ P @ Y @ B* of step i (A @ P permutes the
-        columns of A)."""
+        """Dense conjugator g = A @ P @ Y @ B* of step i, formed as
+        (B @ (A @ P @ Y)*)*."""
         st = self.steps[i]
         y = np.eye(self.n, dtype=complex)
         for offset, b in st.blocks:
             y[offset : offset + b.shape[0], offset : offset + b.shape[0]] = b
-        return self.aframe[:, st.perm] @ y @ self.bframe.conj().T
+        py = np.empty_like(y)
+        py[st.perm] = y
+        g = as_operator(self.aframe).apply(py)
+        return as_operator(self.bframe).apply(g.conj().T).conj().T
 
     def product(self):
-        """The dense product of the steps, A @ M @ A*."""
-        a = self.aframe
-        return a @ certificate_product(self.base_angles, self.steps) @ a.conj().T
+        """The dense product of the steps, A @ M @ A*, formed as
+        A @ (A @ M*)*."""
+        a = as_operator(self.aframe)
+        m = certificate_product(self.base_angles, self.steps)
+        return a.apply(a.apply(m.conj().T).conj().T)
 
     def to_json(self):
-        perms, index, steps = [], {}, []
-        for st in self.steps:
-            key = st.perm.tobytes()
+        perms, index = [], {}
+
+        def perm_index(perm):
+            key = perm.tobytes()
             if key not in index:
                 index[key] = len(perms)
-                perms.append(st.perm.tolist())
-            steps.append(st.to_json(index[key]))
+                perms.append(perm.tolist())
+            return index[key]
+
+        steps = [st.to_json(perm_index(st.perm)) for st in self.steps]
         out = {
             "version": CERT_VERSION,
-            "target": _pack(self.target),
-            "base": _pack(self.base),
-            "aframe": _pack(self.aframe),
-            "bframe": _pack(self.bframe),
+            **{name: _pack_operand(getattr(self, name), perm_index)
+               for name in ("target", "base", "aframe", "bframe")},
             "base_angles": self.base_angles.tolist(),
             "target_angles": self.target_angles.tolist(),
             "perms": perms,
@@ -322,19 +358,19 @@ class Certificate:
             n = shape[0] if type(shape) is list and shape else 0
             if not _all_ints(n) or n < 1:
                 raise ValueError(f"target shape must be [n, n] with n >= 1, got {shape!r}")
+            perms = []
+            for p in obj["perms"]:
+                if type(p) is not list or not _all_ints(*p):
+                    raise TypeError("perm table entries must be lists of integers")
+                perms.append(np.array(p, dtype=np.int64))
             mats = [
-                _unpack(obj[name], [n, n], name)
+                _unpack_operand(obj[name], n, perms, name)
                 for name in ("target", "base", "aframe", "bframe")
             ]
             angles = [obj["base_angles"], obj["target_angles"]]
             for name, a in zip(("base_angles", "target_angles"), angles):
                 if type(a) is not list or not all(type(x) is float for x in a):
                     raise TypeError(f"{name} must be a list of floats")
-            perms = []
-            for p in obj["perms"]:
-                if type(p) is not list or not _all_ints(*p):
-                    raise TypeError("perm table entries must be lists of integers")
-                perms.append(np.array(p, dtype=np.int64))
             steps = tuple(CertStep.from_json(s, perms, n) for s in obj["steps"])
             budget, theorem = obj["claimed_budget"], obj["theorem"]
             if not _all_ints(budget):
@@ -353,6 +389,10 @@ class Certificate:
             raise CertificateFormatError(f"malformed certificate: {exc}") from exc
 
 
+def _operand(x):
+    return x if isinstance(x, Monomial) else np.asarray(x, dtype=complex)
+
+
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
@@ -369,6 +409,74 @@ def _json_safe(obj):
     return obj
 
 
+def _step_kernels(angles, steps):
+    """What the steps do to the columns of the running product in
+    certificate_product, run by run.  A step permutes the columns from the
+    previous perm to its own, scales every column by its core D^e and
+    mixes each block's columns by b @ D^e @ b*, so a run of steps that
+    share a perm and a block layout, as the steps of one walk batch do,
+    acts as one step whose core and kernels are the products of theirs.
+    Per run: the column gather from the previous perm (None when it is
+    the same), the core and, per block width, the block columns and their
+    kernels.  Also returns the last perm."""
+    d = np.exp(1j * np.asarray(angles, dtype=float))
+    n = d.shape[0]
+    cur = np.arange(n)
+    runs = []
+    for st in steps:
+        gather = None
+        if not np.array_equal(st.perm, cur):
+            gather = np.argsort(cur)[st.perm]
+            cur = st.perm
+        core = d if st.e == 1 else d.conj()
+        widths = {}
+        for offset, b in st.blocks:
+            widths.setdefault(b.shape[0], []).append((offset, b))
+        mixes = []
+        for w, group in widths.items():
+            cols = np.add.outer([offset for offset, _ in group], np.arange(w))
+            b = np.array([b for _, b in group])
+            mixes.append((cols, (b * core[cols][:, None, :]) @ b.conj().transpose(0, 2, 1)))
+        if runs and gather is None and _same_columns(runs[-1][2], mixes):
+            prev_gather, prev_core, prev = runs[-1]
+            mixes = [(cols, k0 @ k1) for (cols, k0), (_, k1) in zip(prev, mixes)]
+            runs[-1] = (prev_gather, prev_core * core, mixes)
+        else:
+            runs.append((gather, core, mixes))
+    return runs, cur
+
+
+def _same_columns(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(ca, cb) for (ca, _), (cb, _) in zip(a, b)
+    )
+
+
+def _product_rows(kernels, n, start, stop):
+    """Rows start..stop-1 of the eigenframe product of certificate_product,
+    with their columns permuted by the last perm.  Each run acts on columns
+    only, so a block of rows needs only those rows of the identity to
+    start from."""
+    acc = np.zeros((stop - start, n), dtype=complex)
+    acc[np.arange(stop - start), np.arange(start, stop)] = 1.0
+    for gather, core, mixes in kernels:
+        if gather is not None:
+            # take keeps rows contiguous, where acc[:, gather] would not
+            acc = np.take(acc, gather, axis=1)
+        # (blocks, rows, w): each block's columns times its kernel
+        mixed = [(cols, acc[:, cols].transpose(1, 0, 2) @ k) for cols, k in mixes]
+        acc *= core
+        for cols, new in mixed:
+            acc[:, cols] = new.transpose(1, 0, 2)
+    return acc
+
+
+# entries per row block of the eigenframe product in product_check: 16 MB
+# of complex128, so up to n = 1024 the product is one block, and at
+# n = 5040 its 406 MB are never held at once
+_PRODUCT_BLOCK = 1 << 20
+
+
 def certificate_product(angles, steps):
     """Multiply out y @ D^e @ y* over the steps, left to right, where
     D = diag(e^{i angles}) and y = P @ Y is each step's eigenframe conjugator.
@@ -376,35 +484,17 @@ def certificate_product(angles, steps):
     The running product is kept with its columns permuted by the current
     step's P, so steps sharing a perm need no permutation in between; D^e
     scales columns and each block b of Y mixes only its own columns, by
-    b @ D^e @ b* on them.  The blocks of one width in a step are applied as
-    one stacked matmul, so a step costs O(n^2) plus O(n w^2) per block of
-    width w in a few numpy calls.  The steps must be well formed (perm a
-    permutation, blocks square, in range and disjoint).
+    b @ D^e @ b* on them.  Consecutive steps that share a perm and a block
+    layout are merged first (see _step_kernels), and the blocks of one
+    width are applied as one stacked matmul, so each such run costs O(n^2)
+    plus O(n w^2) per block of width w in a few numpy calls.  The steps
+    must be well formed (perm a permutation, blocks square, in range and
+    disjoint).
     """
-    d = np.exp(1j * np.asarray(angles, dtype=float))
-    n = d.shape[0]
-    cur = np.arange(n)
-    acc = np.eye(n, dtype=complex)  # the product so far, times P_cur
-    for st in steps:
-        if not np.array_equal(st.perm, cur):
-            acc = acc[:, np.argsort(cur)[st.perm]]
-            cur = st.perm
-        core = d if st.e == 1 else d.conj()
-        widths = {}
-        for offset, b in st.blocks:
-            widths.setdefault(b.shape[0], []).append((offset, b))
-        mixed = []
-        for w, group in widths.items():
-            cols = np.add.outer([offset for offset, _ in group], np.arange(w))
-            b = np.array([b for _, b in group])
-            kernel = (b * core[cols][:, None, :]) @ b.conj().transpose(0, 2, 1)
-            # (blocks, n, w): each block's columns times its kernel
-            mixed.append((cols, acc[:, cols].transpose(1, 0, 2) @ kernel))
-        acc *= core
-        for cols, new in mixed:
-            acc[:, cols] = new.transpose(1, 0, 2)
-    out = np.empty_like(acc)
-    out[:, cur] = acc
+    kernels, last = _step_kernels(angles, steps)
+    n = len(angles)
+    out = np.empty((n, n), dtype=complex)
+    out[:, last] = _product_rows(kernels, n, 0, n)
     return out
 
 
@@ -639,10 +729,10 @@ def _trivial_certificate(urep, vrep, uspec, uframe, vspec, vframe, budget,
     if not _is_central(uspec.angles):
         return None
     cert = Certificate(
-        urep.matrix, vrep.matrix, uframe, vframe, vspec.angles, (),
+        urep.op, vrep.op, uframe, vframe, vspec.angles, (),
         budget, theorem, params, {"trivial_target": True}, uspec.angles,
     )
-    return cert if product_check(cert)[0] else None
+    return cert if _generated_check(cert, urep)[0] else None
 
 
 def _matched_layout(angles):
@@ -714,10 +804,10 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
     centered, phase = center_phase(uspec)
     order = angle_sum_optimalize(centered.angles)
     theta = order.values
-    aframe = uframe[:, order.sigma]
+    aframe = as_operator(uframe).columns(order.sigma)
     layout = _matched_layout(vspec.angles)
     gamma = vspec.angles[layout]
-    bframe = vframe[:, layout]
+    bframe = as_operator(vframe).columns(layout)
     pairs = [(j, source_block(gamma[j] - gamma[j + 1])) for j in range(0, n - 1, 2)]
 
     prefix = np.cumsum(theta)
@@ -744,8 +834,8 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
             f"construction used {len(steps)} conjugates, over budget {budget}"
         )
     cert = Certificate(
-        urep.matrix,
-        vrep.matrix,
+        urep.op,
+        vrep.op,
         aframe,
         bframe,
         gamma,
@@ -756,7 +846,7 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
         {**metadata, "centering_phase": float(phase), "planner": planner},
         uspec.angles[order.sigma],
     )
-    passed, resid, tol = product_check(cert)
+    passed, resid, tol = _generated_check(cert, urep)
     if not passed:
         raise NumericalDegeneracyError(
             f"assembled certificate residual {resid:.3e} over tolerance {tol:.3e}"
@@ -881,11 +971,12 @@ def generate_full(u, v):
 
 
 def _defects(cert, names):
-    """(max-norm, Frobenius norm) of each named defect matrix, one dense
-    product each: the Gram defect X X* - I of "target", "base", "aframe"
-    or "bframe", and the rebuild defects B diag(e^{i base_angles}) B* - base
-    ("base_rebuild") and A diag(e^{i target_angles}) A* - target
-    ("target_rebuild")."""
+    """(max-norm, Frobenius norm) of each named defect, from the operands'
+    gram_defect and rebuild: the Gram defect X X* - I of "target", "base",
+    "aframe" or "bframe", and the rebuild defects B diag(e^{i base_angles})
+    B* - base ("base_rebuild") and A diag(e^{i target_angles}) A* - target
+    ("target_rebuild").  Dense operands take one dense product each,
+    Monomials O(n)."""
     rebuilds = {
         "base_rebuild": (cert.bframe, cert.base_angles, cert.base),
         "target_rebuild": (cert.aframe, cert.target_angles, cert.target),
@@ -894,11 +985,9 @@ def _defects(cert, names):
     for name in names:
         if name in rebuilds:
             f, angles, m = rebuilds[name]
-            d = (f * np.exp(1j * angles)) @ f.conj().T - m
+            out[name] = as_operator(f).rebuild(angles, m)
         else:
-            m = getattr(cert, name)
-            d = m @ m.conj().T - np.eye(cert.n)
-        out[name] = (float(np.max(np.abs(d))), float(np.linalg.norm(d)))
+            out[name] = as_operator(getattr(cert, name)).gram_defect()
     return out
 
 
@@ -909,9 +998,11 @@ def product_check(cert, norms=None, block_defect=0.0):
     """The product check, in the eigenframe: (passed, residual, tolerance).
 
     M, the product in the eigenframe, is compared with lam * D, where
-    D = diag(e^{i target_angles}) and lam is the best unit phase, at
-    O(n^2) beyond the product.  Since A M A* - lam T is
-    A (M - lam D) A* + lam (A D A* - T) and ||A||^2 <= 1 + ||A A* - I||,
+    D = diag(e^{i target_angles}) and lam is the best unit phase.  M is
+    formed in row blocks of about _PRODUCT_BLOCK entries, each reduced to
+    its diagonal and the squared Frobenius norm of its off-diagonal
+    entries, so the check holds O(n) plus one block.  Since A M A* - lam T
+    is A (M - lam D) A* + lam (A D A* - T) and ||A||^2 <= 1 + ||A A* - I||,
     the residual (1 + ||A A* - I||_F) ||M - lam D||_F + max|A D A* - T|
     bounds the max-norm of A M A* - lam T.  It passes when that residual is
     at most TOL.eq_tol, for the summed Frobenius defects of both frames, the
@@ -922,21 +1013,40 @@ def product_check(cert, norms=None, block_defect=0.0):
     """
     if norms is None:
         norms = _defects(cert, _PRODUCT_DEFECTS)
-    m = certificate_product(cert.base_angles, cert.steps)
+    n = cert.n
+    kernels, last = _step_kernels(cert.base_angles, cert.steps)
+    where = np.argsort(last)  # M[i, i] is in column where[i] of its block
+    diag = np.empty(n, dtype=complex)
+    off = 0.0
+    rows = max(1, _PRODUCT_BLOCK // n)
+    for start in range(0, n, rows):
+        block = _product_rows(kernels, n, start, min(start + rows, n))
+        i = np.arange(block.shape[0])
+        diag[start + i] = block[i, where[start + i]]
+        block[i, where[start + i]] = 0.0
+        off += np.vdot(block, block).real
     d = np.exp(1j * cert.target_angles)
-    diag = np.diagonal(m) * d.conj()
-    tr = diag.sum()
+    scaled = diag * d.conj()
+    tr = scaled.sum()
     if abs(tr) > 1e-8:
         lam = tr / abs(tr)
     else:
-        j = int(np.argmax(np.abs(diag)))
-        lam = diag[j] / abs(diag[j]) if abs(diag[j]) > 0 else 1.0
-    np.fill_diagonal(m, np.diagonal(m) - lam * d)
+        j = int(np.argmax(np.abs(scaled)))
+        lam = scaled[j] / abs(scaled[j]) if abs(scaled[j]) > 0 else 1.0
+    diag -= lam * d
     rebuild = norms["target_rebuild"][0]
-    resid = (1.0 + norms["aframe"][1]) * float(np.linalg.norm(m)) + rebuild
+    resid = (1.0 + norms["aframe"][1]) * math.sqrt(off + np.vdot(diag, diag).real) + rebuild
     defect = sum(norms[name][1] for name in ("aframe", "bframe", "base_rebuild"))
-    tol = TOL.eq_tol(len(cert), cert.n, defect + block_defect, norms["target"][1])
+    tol = TOL.eq_tol(len(cert), n, defect + block_defect, norms["target"][1])
     return bool(resid <= tol and rebuild <= TOL.diag_residual), resid, tol
+
+
+def _generated_check(cert, urep):
+    """product_check of a generated certificate, reusing the Gram defect of
+    the target that validating urep measured."""
+    norms = _defects(cert, _PRODUCT_DEFECTS[1:])
+    norms["target"] = urep.gram
+    return product_check(cert, norms)
 
 
 def _step_defects(steps, n):
@@ -1038,7 +1148,8 @@ def verify_certificate(cert):
         checks["inputs_unitary"] = bool(
             norms["target"][0] <= TOL.unitarity and norms["base"][0] <= TOL.unitarity
         )
-        frame_def = max(norms["aframe"][0], norms["bframe"][0])
+        # a nan defect (a perm entry outside range(n)) must not be maxed away
+        frame_def = float(np.max([norms["aframe"][0], norms["bframe"][0]]))
         base_def = norms["base_rebuild"][0]
         margins["frame_defect"] = frame_def
         margins["base_defect"] = base_def
@@ -1123,13 +1234,13 @@ def counterexample_pair(n, lam=None, mu=None):
     for z, name in ((lam, "lam"), (mu, "mu")):
         if abs(abs(z) - 1.0) > 1e-12:
             raise DomainError(f"{name} must lie on the unit circle")
-    u = np.diag([lam ** (-(n - 1))] + [lam] * (n - 1)).astype(complex)
-    v = np.diag([mu ** (-(n - 1))] + [mu] * (n - 1)).astype(complex)
-    aligned = u * (lam ** (n - 1))
+    u = np.array([lam ** (-(n - 1))] + [lam] * (n - 1), dtype=complex)
+    v = np.array([mu ** (-(n - 1))] + [mu] * (n - 1), dtype=complex)
+    aligned = np.diag(u) * (lam ** (n - 1))
     dr = rank_distance(aligned, np.eye(n, dtype=complex))
     return {
-        "u": UnitaryRep(u),
-        "v": UnitaryRep(v),
+        "u": UnitaryRep(Monomial(np.arange(n), u)),
+        "v": UnitaryRep(Monomial(np.arange(n), v)),
         "lower_bound": n - 1,
         "aligned_rank_distance": dr,
         "lam": lam,

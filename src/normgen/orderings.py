@@ -8,6 +8,7 @@ diagonal unitary and the exact zero-sum phase centering.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -269,27 +270,57 @@ def center_phase(spec):
     each multiple of 2 pi; a counting argument guarantees one of them
     cancels the wrap corrections, so its canonical angles sum to zero up to
     float noise.  Among those the one with the smallest largest angle
-    modulus wins: its branch cut falls inside the widest spectral gap, which
+    modulus wins (the first, unless a later one is smaller by more than
+    1e-15): its branch cut falls inside the widest spectral gap, which
     keeps every angle modulus at most the covering arc, as the walk budget
     analysis needs.  Returns (centered spectrum, applied phase angle).
+
+    Every candidate is read off the sorted angles in O(log n).  Shifting
+    by t moves the sorted angles up to the cut c = canon(pi - t) to the top
+    of (-pi, pi] and the rest below them, each group keeping one wrap
+    count, so the largest and smallest centered angles are those of the
+    two sorted neighbours of c, and their wrap counts give the sum, which
+    is 2 pi times an integer.  A candidate whose cut lies within 1e-12 of
+    an angle, where rounding could move that angle across, is evaluated in
+    full.  The winner is canonicalized exactly as a full evaluation would,
+    so the result is the one of testing every candidate in full, in
+    O(n log n).
     """
     if not isinstance(spec, CircleSpectrum):
         spec = CircleSpectrum(spec)
     angles = spec.angles
     n = spec.n
     s = float(angles.sum())
+    t = (-s + TWO_PI * np.arange(n)) / n
+    a = np.sort(angles)
+    cut = canon_angle(math.pi - t)
+    # p[k] angles lie at or below the cut: the top one is the largest of
+    # them (the largest angle if there are none), the bottom one the
+    # smallest of the rest
+    p = np.searchsorted(a, cut, side="right")
+    shifted = a[np.stack(((p - 1) % n, p % n))] + t
+    ends = canon_angle(shifted)
+    wraps = np.rint((shifted - ends) / TWO_PI)
+    # the centered sum is 2 pi (k - wraps): zero exactly when wraps == k
+    valid = p * wraps[0] + (n - p) * wraps[1] == np.arange(n)
+    peaks = np.abs(ends).max(axis=0)
+    near = (
+        (np.searchsorted(a, cut - 1e-12) != np.searchsorted(a, cut + 1e-12, side="right"))
+        | (a[-1] > cut + TWO_PI - 1e-12)
+        | (a[0] < cut - TWO_PI + 1e-12)
+    )
+    for k in np.flatnonzero(near).tolist():
+        cand = canon_angle(angles + t[k])
+        valid[k] = abs(float(cand.sum())) <= 1e-9
+        peaks[k] = np.max(np.abs(cand))
     best = None
-    for k in range(n):
-        t = (-s + TWO_PI * k) / n
-        cand = canon_angle(angles + t)
-        if abs(float(cand.sum())) > 1e-9:
-            continue
-        peak = float(np.max(np.abs(cand)))
+    for k, peak in zip(np.flatnonzero(valid).tolist(), peaks[valid].tolist()):
         if best is None or peak < best[0] - 1e-15:
-            best = (peak, t, cand)
+            best = (peak, k)
     if best is None:
         raise PreconditionError("phase centering failed: no shift sums to zero")
-    return CircleSpectrum(best[2]), canon_angle(best[1])
+    shift = float(t[best[1]])
+    return CircleSpectrum(canon_angle(angles + shift)), canon_angle(shift)
 
 
 def gap_sandwich_check(opt, tol=None):

@@ -29,6 +29,7 @@ from .errors import (
 from .generation import generate_rank_independent
 from .spectral import (
     CircleSpectrum,
+    Monomial,
     UnitaryRep,
     as_unitary,
     canon_angle,
@@ -266,9 +267,9 @@ def lcm_embed(a, b):
     """Embed two rational spectra as diagonal unitaries in one dimension.
 
     s0 is the least common multiple of every weight denominator; each atom
-    repeats weight*s0 times, sorted by angle.  Both outputs are diagonal in
-    the same M_{s0}, so the matching conjugator between the embedded
-    projections is the identity.
+    repeats weight*s0 times, sorted by angle.  Both outputs are diagonal
+    Monomials in the same M_{s0}, O(s0) to build and check, so the matching
+    conjugator between the embedded projections is the identity.
     """
     a = _as_rational(a, "first spectrum")
     b = _as_rational(b, "second spectrum")
@@ -284,7 +285,7 @@ def lcm_embed(a, b):
         for angle, weight in spec.atoms:
             count = weight * s0
             reps.extend([angle] * int(count))
-        return UnitaryRep(np.diag(np.exp(1j * np.array(reps))))
+        return UnitaryRep(Monomial(np.arange(s0), np.exp(1j * np.array(reps))))
 
     return build(a), build(b), s0
 

@@ -23,6 +23,11 @@ The full profile takes every window width in one pass over a strided
 O(n) memory plus one block of _BLOCK span entries.  Exactly diagonal
 unitaries are read off their diagonal, with no eigensolver, and spectrum_of
 builds no eigenvector frame for them.
+
+A unitary is dense or a Monomial, a perm plus n phases: diagonal unitaries
+and permutation frames are built as Monomials wherever the structure is
+known, and their Gram and rebuild checks and spectra take O(n) or
+O(n log n) instead of dense products.
 """
 
 from dataclasses import dataclass, field
@@ -71,12 +76,6 @@ def _as_square(x, what="matrix"):
     return m
 
 
-def unitarity_defect(m):
-    """Max-norm of m m* - I."""
-    m = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
-
-
 def matrix_to_json(m):
     m = np.asarray(m, dtype=complex)
     return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
@@ -101,26 +100,189 @@ def matrix_from_json(obj, what="matrix"):
     return out
 
 
-@dataclass(frozen=True)
-class UnitaryRep:
-    """A validated unitary matrix."""
+def _norms(d):
+    """(max-norm, Frobenius norm) of a defect."""
+    return float(np.max(np.abs(d))), float(np.linalg.norm(d))
 
-    matrix: np.ndarray
 
-    def __post_init__(self):
-        m = _as_square(self.matrix, "unitary")
-        defect = unitarity_defect(m)
-        if defect > TOL.unitarity:
-            raise ValidationError(
-                f"matrix is not unitary: defect {defect:.3e} > {TOL.unitarity:g}"
-            )
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+class Monomial:
+    """An n x n matrix with one entry per column: column j is phases[j]
+    times basis vector perm[j], so it is P @ diag(phases) with P sending
+    basis vector j to perm[j].  Diagonal unitaries (the identity perm) and
+    permutation frames (unit phases) are monomial.  phase_angles, when
+    given, are canonical angles with phases = e^{i phase_angles}, kept by
+    whoever made the phases from them so that spectra read them back
+    exactly.
+
+    gram_defect and rebuild run in O(n), apply in O(n) per column of its
+    argument and spectrum in O(n log n); none forms an n x n array.  matrix, and np.asarray, build
+    the dense matrix on request.  Only the shapes are checked, so a damaged
+    certificate record loads and then fails its Gram check.
+    """
+
+    def __init__(self, perm, phases, phase_angles=None):
+        p = np.array(perm, dtype=np.int64)
+        z = np.array(phases, dtype=complex)
+        a = None if phase_angles is None else np.array(phase_angles, dtype=float)
+        shapes = {z.shape, p.shape if a is None else a.shape}
+        if p.ndim != 1 or p.shape[0] == 0 or shapes != {p.shape}:
+            raise DimensionError(f"need one phase per perm entry, got {p.shape} and {z.shape}")
+        for x in (p, z, a):
+            if x is not None:
+                x.setflags(write=False)
+        self.perm, self.phases, self.phase_angles = p, z, a
+        self.diagonal = np.array_equal(p, np.arange(p.shape[0]))
 
     @property
     def n(self):
-        return self.matrix.shape[0]
+        return self.perm.shape[0]
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    @property
+    def matrix(self):
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.perm, np.arange(self.n)] = self.phases
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.matrix if dtype is None else self.matrix.astype(dtype)
+
+    def _in_range(self):
+        return bool(self.perm.min() >= 0 and self.perm.max() < self.n)
+
+    def _squares(self):
+        return self.phases.real**2 + self.phases.imag**2
+
+    def gram_defect(self):
+        """(max-norm, Frobenius norm) of X X* - I.  X X* is diagonal for
+        any perm: entry r sums |phases[j]|^2 over the j that perm sends to r.
+        A perm entry outside range(n) makes no matrix and gives nan, which
+        fails every check."""
+        if not self._in_range():
+            return math.nan, math.nan
+        return _norms(np.bincount(self.perm, self._squares(), self.n) - 1.0)
+
+    def rebuild(self, angles, other):
+        """(max-norm, Frobenius norm) of X diag(e^{i angles}) X* - other.
+        That product is diagonal, entry r summing |phases[j]|^2 e^{i
+        angles[j]} over the j that perm sends to r, and a monomial other
+        has one entry per column, so the difference has at most 2n nonzero
+        entries; a dense other is compared densely.  A perm entry outside
+        range(n) gives nan."""
+        monomial = isinstance(other, Monomial)
+        if not (self._in_range() and (not monomial or other._in_range())):
+            return math.nan, math.nan
+        if not monomial:
+            return Dense(self.matrix).rebuild(angles, other)
+        rot = self._squares() * np.exp(1j * np.asarray(angles, dtype=float))
+        d = np.bincount(self.perm, rot.real, self.n) + 1j * np.bincount(
+            self.perm, rot.imag, self.n
+        )
+        on = other.perm == np.arange(self.n)
+        d[on] -= other.phases[on]
+        return _norms(np.concatenate((d, other.phases[~on])))
+
+    def apply(self, x):
+        """X @ x for a dense n x m matrix x; perm must be a permutation."""
+        out = np.empty(np.shape(x), dtype=complex)
+        out[self.perm] = self.phases[:, None] * x
+        return out
+
+    def _phase_angles(self):
+        """Canonical angles of the phases, in column order."""
+        if self.phase_angles is not None:
+            return self.phase_angles
+        return canon_angle(np.angle(self.phases))
+
+    def columns(self, order):
+        """X with its columns reordered: column j of the result is column
+        order[j] of X."""
+        return Monomial(self.perm[order], self.phases[order])
+
+    def spectrum(self):
+        """The sorted eigenvalue angles of a unitary X, in O(n log n): each
+        cycle of the perm, of length L and phase product p, contributes the
+        L-th roots of p, so a diagonal X gives the angles of its phases."""
+        if self.diagonal:
+            return CircleSpectrum(np.sort(self._phase_angles(), kind="stable"))
+        perm = self.perm.tolist()
+        seen = [False] * self.n
+        parts = []
+        for start in range(self.n):
+            cycle = []
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                cycle.append(j)
+                j = perm[j]
+            if cycle:
+                p = np.prod(self.phases[cycle])
+                parts.append((np.angle(p) + TWO_PI * np.arange(len(cycle))) / len(cycle))
+        return CircleSpectrum(np.sort(canon_angle(np.concatenate(parts))))
+
+
+class Dense:
+    """A dense matrix with the methods of Monomial, so that Gram, rebuild
+    and frame code takes one path for both kinds of operand."""
+
+    def __init__(self, m):
+        self.matrix = np.asarray(m, dtype=complex)
+
+    def gram_defect(self):
+        m = self.matrix
+        return _norms(m @ m.conj().T - np.eye(m.shape[0]))
+
+    def rebuild(self, angles, other):
+        m = self.matrix
+        return _norms((m * np.exp(1j * angles)) @ m.conj().T - np.asarray(other))
+
+    def apply(self, x):
+        return self.matrix @ x
+
+    def columns(self, order):
+        return self.matrix[:, order]
+
+
+def as_operator(x):
+    """A Monomial as it is, anything else as a Dense matrix."""
+    return x if isinstance(x, Monomial) else Dense(x)
+
+
+@dataclass(frozen=True)
+class UnitaryRep:
+    """A validated unitary: a dense matrix or a Monomial.
+
+    gram holds the (max-norm, Frobenius norm) Gram defect of op op* - I
+    measured by the validation, so callers need not form it again; matrix
+    is the dense matrix, built on request for a Monomial.
+    """
+
+    op: object
+    gram: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        op = self.op
+        if not isinstance(op, Monomial):
+            op = _as_square(op, "unitary").copy()
+            op.setflags(write=False)
+        gram = as_operator(op).gram_defect()
+        if not gram[0] <= TOL.unitarity:
+            raise ValidationError(
+                f"matrix is not unitary: defect {gram[0]:.3e} > {TOL.unitarity:g}"
+            )
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "gram", gram)
+
+    @property
+    def matrix(self):
+        return np.asarray(self.op)
+
+    @property
+    def n(self):
+        return self.op.shape[0]
 
     def to_json(self):
         return matrix_to_json(self.matrix)
@@ -151,7 +313,8 @@ class CircleSpectrum:
         return self.angles.shape[0]
 
     def to_unitary(self):
-        return UnitaryRep(np.diag(np.exp(1j * self.angles)))
+        a = self.angles
+        return UnitaryRep(Monomial(np.arange(self.n), np.exp(1j * a), a))
 
     def to_json(self):
         return {"angles": [float(a) for a in self.angles]}
@@ -255,16 +418,19 @@ def as_unitary(u, what="unitary"):
         return u
     if isinstance(u, CircleSpectrum):
         return u.to_unitary()
-    return UnitaryRep(_as_square(u, what))
+    return UnitaryRep(u if isinstance(u, Monomial) else _as_square(u, what))
 
 
 def spectrum_of(u):
-    """Eigenvalue angles of u: a spectrum as it is, an exactly diagonal u read
-    off its diagonal with no frame built, any other u diagonalized."""
+    """Eigenvalue angles of u: a spectrum as it is, a monomial u read off
+    its phases and an exactly diagonal dense u off its diagonal, with no
+    frame built, any other u diagonalized."""
     if isinstance(u, CircleSpectrum):
         return u
     rep = as_unitary(u)
-    diagonal = _diagonal_angles(rep.matrix)
+    if isinstance(rep.op, Monomial):
+        return rep.op.spectrum()
+    diagonal = _diagonal_angles(rep.op)
     if diagonal is not None:
         return CircleSpectrum(diagonal[0])
     spec, _ = diagonalize_normal(rep)
@@ -510,19 +676,22 @@ def _eigen_residual(w, mw):
     return angles, float(np.sqrt(np.max(rows)))
 
 
+def _sorted_angles(angles):
+    """angles in sorted order, and the stable order that sorts them."""
+    order = np.argsort(angles, kind="stable")
+    return angles[order], order
+
+
 def _diagonal_angles(m):
-    """Sorted eigenvalue angles of an exactly diagonal m and the stable
-    order that sorts its diagonal; None when an off-diagonal entry is not 0.
-    """
+    """_sorted_angles of the diagonal of an exactly diagonal m; None when an
+    off-diagonal entry is not 0."""
     n = m.shape[0]
     # the n entries that follow each diagonal entry in row-major order are
     # off-diagonal: a strided view of all of them, and any() reads them
     # without a temporary, several times faster than counting nonzeros
     if m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
         return None
-    angles = canon_angle(np.angle(np.diagonal(m)))
-    order = np.argsort(angles, kind="stable")
-    return angles[order], order
+    return _sorted_angles(canon_angle(np.angle(np.diagonal(m))))
 
 
 def diagonalize_normal(u):
@@ -531,13 +700,15 @@ def diagonalize_normal(u):
     Returns (spectrum, w) with w unitary, u = w diag(e^{i angles}) w*, the
     angles sorted.
 
-    An exactly diagonal u (every off-diagonal entry 0, which is tested in
-    O(n^2) without a copy) is read off in closed form: the angles of its
-    diagonal in sorted order, and w the permutation frame that sorts them.
-    No residual check is needed there: u passed UnitaryRep, whose max-norm
-    unitarity defect is at most TOL.unitarity = 1e-9, so every diagonal
-    entry z has ||z| - 1| <= 5e-10, and w rebuilds u to within that, below
-    TOL.diag_residual, by construction.
+    A diagonal Monomial u is read off in closed form: the angles of its
+    phases in sorted order, and w the Monomial permutation frame that sorts
+    them, built in O(n log n).  So is an exactly diagonal dense u (every
+    off-diagonal entry 0, which is tested in O(n^2) without a copy), with w
+    the same frame as a dense matrix.  No residual check is needed there:
+    u passed UnitaryRep, whose max-norm unitarity defect is at most
+    TOL.unitarity = 1e-9, so every diagonal entry z has ||z| - 1| <= 5e-10,
+    and w rebuilds u to within that, below TOL.diag_residual, by
+    construction.  A spectrum gets the identity frame as a Monomial.
 
     Any other u goes through a random Hermitian combination of u + u* and
     (u - u*)/i so eigenspaces for distinct angles separate.  A
@@ -548,10 +719,14 @@ def diagonalize_normal(u):
     per call, so the result depends on u alone.
     """
     if isinstance(u, CircleSpectrum):
-        return u, np.eye(u.n, dtype=complex)
+        return u, Monomial(np.arange(u.n), np.ones(u.n))
     rep = as_unitary(u)
-    m = rep.matrix
     n = rep.n
+    if isinstance(rep.op, Monomial) and rep.op.diagonal:
+        angles, order = _sorted_angles(rep.op._phase_angles())
+        return CircleSpectrum(angles), Monomial(order, np.ones(n))
+    # a monomial with a nontrivial perm is diagonalized densely
+    m = rep.matrix
     diagonal = _diagonal_angles(m)
     if diagonal is not None:
         angles, order = diagonal

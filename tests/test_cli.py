@@ -3,15 +3,18 @@
 import base64
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from normgen import (
     Certificate,
+    CircleSpectrum,
     counterexample_pair,
     diagonalize_normal,
     haar_unitary,
+    projective_one_norm,
 )
 from normgen.cli import main
 
@@ -109,6 +112,27 @@ class TestLengths:
         eigh_calls.clear()
         diagonalize_normal(op)
         assert 1 <= lengths_calls <= eigh_calls.count((n, n))
+
+    def test_angle_operand_at_s0_max(self, tmp_path, capsys, eigh_calls):
+        # the operand is a diagonal Monomial: no dense 406 MB matrix, no
+        # O(n^3) unitarity check, no eigensolver
+        n = 5040
+        angles = np.random.default_rng(5040).uniform(-math.pi, math.pi, n)
+        path = write_json(tmp_path / "big.json", {"angles": angles.tolist()})
+        tracemalloc.start()
+        try:
+            code = main(["lengths", path, "--one-norm"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
+        assert eigh_calls == []
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["values"]) == n
+        assert out["one_norm"] == pytest.approx(
+            projective_one_norm(CircleSpectrum(angles))[0], abs=1e-12
+        )
 
     def test_mu_kind(self, diag_file, capsys):
         assert main(["lengths", diag_file, "--kind", "mu", "--one-norm"]) == 0
@@ -268,6 +292,57 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(out)]) == 2
         assert str(out) in capsys.readouterr().err
+
+
+def monomial_cert(tmp_path):
+    """A certificate generated from angle operands, whose four operands are
+    monomial records."""
+    rng = np.random.default_rng(17)
+    u = write_json(tmp_path / "u.json", {"angles": rng.uniform(-0.3, 0.3, 8).tolist()})
+    v = write_json(tmp_path / "v.json", {"angles": rng.uniform(-3.0, 3.0, 8).tolist()})
+    out = tmp_path / "mono.json"
+    assert main(["generate", u, v, "--m", "2", "--out", str(out)]) == 0
+    return out
+
+
+MALFORMED_MONOMIAL = {
+    "perm index outside the table": lambda blob: blob["target"].update(perm=len(blob["perms"])),
+    "phase count other than n": lambda blob: blob["base"].update(b64=pack(np.ones(7))["b64"]),
+    "record not a dict": lambda blob: blob.update(aframe=[1.0, 0.0]),
+}
+
+
+class TestMonomialCertificates:
+    def test_generate_and_verify(self, tmp_path, capsys):
+        out = monomial_cert(tmp_path)
+        blob = json.loads(out.read_text())
+        assert blob["version"] == "normgen-cert/5"
+        assert all("perm" in blob[name] for name in ("target", "base", "aframe", "bframe"))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MONOMIAL))
+    def test_malformed_record_is_a_parse_error(self, tmp_path, capsys, name):
+        out = monomial_cert(tmp_path)
+        blob = json.loads(out.read_text())
+        MALFORMED_MONOMIAL[name](blob)
+        out.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
+    def test_tampered_phase_fails_verification(self, tmp_path, capsys):
+        out = monomial_cert(tmp_path)
+        blob = json.loads(out.read_text())
+        phases = unpack(dict(blob["target"], shape=[8]))
+        phases[0] *= 1.001
+        blob["target"]["b64"] = pack(phases)["b64"]
+        out.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"]["inputs_unitary"] is False
 
 
 class TestCorpus:

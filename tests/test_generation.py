@@ -34,6 +34,7 @@ from normgen.generation import (
     verify_certificate,
 )
 from normgen.config import TOL
+from normgen.orderings import center_phase
 from normgen.spectral import (
     CircleSpectrum,
     canon_angle,
@@ -694,6 +695,71 @@ PARENT_K = (
 )
 
 
+def loop_center_phase(spec):
+    """center_phase as it was: every candidate shift canonicalized in full."""
+    angles, n = spec.angles, spec.n
+    s = float(angles.sum())
+    best = None
+    for k in range(n):
+        t = (-s + 2.0 * math.pi * k) / n
+        cand = canon_angle(angles + t)
+        if abs(float(cand.sum())) > 1e-9:
+            continue
+        peak = float(np.max(np.abs(cand)))
+        if best is None or peak < best[0] - 1e-15:
+            best = (peak, t, cand)
+    return CircleSpectrum(best[2]), canon_angle(best[1])
+
+
+def assert_same_centering(spec):
+    want, want_phase = loop_center_phase(spec)
+    got, phase = center_phase(spec)
+    assert got.angles.tobytes() == want.angles.tobytes()
+    assert repr(phase) == repr(want_phase)
+
+
+CENTERING_FAMILIES = (
+    "uniform", "clustered", "four-clusters", "antipodal", "repeated",
+    "signed-zeros", "equispaced",
+)  # repeated and signed-zero spectra put cuts on eigenvalues
+
+
+def centering_angles(family, n, rng):
+    if family == "uniform":
+        return rng.uniform(-math.pi, math.pi, n)
+    if family == "clustered":
+        return rng.uniform(-0.3, 0.3, n)
+    if family == "four-clusters":
+        return rng.choice([0.0, 1.0, -2.0, math.pi], n) + rng.normal(0.0, 1e-3, n)
+    if family == "antipodal":
+        half = rng.uniform(-math.pi, math.pi, (n + 1) // 2)
+        return np.concatenate((half, half + math.pi))[:n]
+    if family == "repeated":
+        return rng.uniform(-math.pi, math.pi, 3)[rng.integers(0, 3, n)]
+    if family == "signed-zeros":
+        return rng.choice([0.0, -0.0, math.pi, -math.pi], n)
+    # every shift has the same peak up to rounding, so the 1e-15 tie rule
+    # picks the winner
+    return 2.0 * math.pi * np.arange(n) / n
+
+
+class TestCenterPhaseClosedForm:
+    """center_phase reads each shift off the sorted angles; it must pick the
+    shift of the full loop, with bit-identical angles and phase."""
+
+    def test_frozen_pool_targets(self):
+        for cert in frozen_certificates():
+            if len(cert):
+                assert_same_centering(CircleSpectrum(np.sort(cert.target_angles)))
+
+    @pytest.mark.parametrize("n", [2, 3, 32, 2520, 5040])
+    @pytest.mark.parametrize("family", CENTERING_FAMILIES)
+    def test_sizes(self, family, n):
+        rng = np.random.default_rng([n, CENTERING_FAMILIES.index(family)])
+        for _ in range(20 if n <= 32 else 1):
+            assert_same_centering(CircleSpectrum(centering_angles(family, n, rng)))
+
+
 class TestMatchedPairs:
     def test_never_longer_than_one_strand_per_batch(self):
         ks = []
@@ -901,9 +967,10 @@ def max_norm_tolerance(cert):
     n = cert.n
 
     def gram(m):
+        m = np.asarray(m)
         return np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
 
-    b = cert.bframe
+    b = np.asarray(cert.bframe)
     rebuilt = (b * np.exp(1j * cert.base_angles)) @ b.conj().T
     block = max((gram(blk) for st in cert.steps for _, blk in st.blocks), default=0.0)
     defect = gram(cert.aframe) + gram(b) + np.max(np.abs(rebuilt - cert.base)) + block
@@ -942,9 +1009,10 @@ class TestFactoredCertificates:
     def test_product_matches_dense_conjugates(self, idx):
         cert = POOL[idx]
         dense = np.eye(cert.n, dtype=complex)
+        base = np.asarray(cert.base)
         for i, st in enumerate(cert.steps):
             g = cert.conjugator(i)
-            core = cert.base if st.e == 1 else cert.base.conj().T
+            core = base if st.e == 1 else base.conj().T
             dense = dense @ g @ core @ g.conj().T
         assert np.max(np.abs(dense - cert.product())) < 1e-11
 
@@ -1075,6 +1143,12 @@ class TestFactoredCertificates:
     def test_cert3_rejected(self):
         obj = POOL[0].to_json()
         obj["version"] = "normgen-cert/3"
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
+    def test_cert4_rejected(self):
+        obj = POOL[0].to_json()
+        obj["version"] = "normgen-cert/4"
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
 
@@ -1414,3 +1488,147 @@ class TestGenerationInvariants:
             if k * i > 5:
                 break
             assert pt[min(k * i, 5)] <= k * pb[i] + 1e-7
+
+
+def monomial_certificate(n=12, seed=990):
+    """A rank-dependent certificate of diagonal Monomial operands: target,
+    base and both frames are stored as monomial records."""
+    from normgen import admissible_pair
+
+    u, v = admissible_pair(n, 2, 1, np.random.default_rng(seed), conjugate=False)
+    return generate_rank_dependent(u, v, 2)
+
+
+MONO = monomial_certificate()
+OPERANDS = ("target", "base", "aframe", "bframe")
+
+
+class TestMonomialRecords:
+    """normgen-cert/5 stores a Monomial operand as its n phases and an index
+    into the perm table, and checks those records as strictly as dense
+    ones."""
+
+    def fresh(self):
+        return json.loads(json.dumps(MONO.to_json()))
+
+    def test_operands_are_monomial_records(self):
+        obj = self.fresh()
+        assert obj["version"] == "normgen-cert/5"
+        for name in OPERANDS:
+            x, rec = getattr(MONO, name), obj[name]
+            assert isinstance(x, generation.Monomial)
+            assert rec["shape"] == [MONO.n, MONO.n] and rec["dtype"] == "<c16"
+            assert obj["perms"][rec["perm"]] == x.perm.tolist()
+            assert np.array_equal(unpack(dict(rec, shape=[MONO.n])), x.phases)
+        # the step perms come first in the table, as before
+        steps = {rec["perm"] for rec in obj["steps"]}
+        assert steps == set(range(len(steps)))
+
+    def test_round_trip_and_verify(self, eigh_calls):
+        text = json.dumps(MONO.to_json())
+        back = Certificate.from_json(json.loads(text))
+        assert json.dumps(back.to_json()) == text
+        for name in OPERANDS:
+            assert isinstance(getattr(back, name), generation.Monomial)
+        report = assert_sound(back)
+        assert report["residual"] < 1e-13
+        assert eigh_calls == []
+
+    def test_dense_matrices_on_request(self):
+        for name in OPERANDS:
+            x = getattr(MONO, name)
+            assert np.array_equal(np.asarray(x), x.matrix)
+        a = np.asarray(MONO.aframe)
+        dense = a @ certificate_product(MONO.base_angles, MONO.steps) @ a.conj().T
+        prod, t = MONO.product(), MONO.target.matrix
+        assert np.max(np.abs(prod - dense)) < 1e-14
+        lam = np.vdot(t, prod) / abs(np.vdot(t, prod))
+        assert np.max(np.abs(prod - lam * t)) < 1e-12
+
+    @pytest.mark.parametrize("idx", [-1, 99, 0.5, "0", True, None])
+    def test_perm_index_outside_table(self, idx):
+        obj = self.fresh()
+        obj["target"]["perm"] = idx
+        assert_format_error(obj)
+
+    @pytest.mark.parametrize("count", [1, -1, 12 * 11])
+    def test_phase_count_other_than_n(self, count):
+        obj = self.fresh()
+        n = MONO.n
+        obj["bframe"]["b64"] = pack(np.ones(n + count))["b64"]
+        assert_format_error(obj)
+
+    @pytest.mark.parametrize("rec", ["x", 3, None, [1, 2], []])
+    def test_record_not_a_dict(self, rec):
+        obj = self.fresh()
+        obj["aframe"] = rec
+        assert_format_error(obj)
+
+    def test_short_perm_in_table(self):
+        obj = self.fresh()
+        obj["perms"].append(list(range(MONO.n - 1)))
+        obj["base"]["perm"] = len(obj["perms"]) - 1
+        assert_format_error(obj)
+
+    @pytest.mark.parametrize("name, check", [
+        ("target", "inputs_unitary"), ("base", "inputs_unitary"),
+        ("aframe", "steps_unitary"), ("bframe", "steps_unitary"),
+    ])
+    def test_tampered_phase_fails(self, name, check):
+        obj = self.fresh()
+        phases = unpack(dict(obj[name], shape=[MONO.n]))
+        phases[3] *= 1.0 + 1e-6
+        obj[name]["b64"] = pack(phases)["b64"]
+        report = verify_certificate(Certificate.from_json(obj))
+        assert "error" not in report
+        assert not report["checks"][check]
+        assert not report["pass"]
+
+    @pytest.mark.parametrize("entry", [0, 99, -1])
+    @pytest.mark.parametrize("name, check", [
+        ("target", "inputs_unitary"), ("bframe", "steps_unitary"),
+    ])
+    def test_perm_not_a_permutation_fails(self, name, check, entry):
+        obj = self.fresh()
+        # a table entry of its own, so that no other record shares it
+        perm = list(obj["perms"][obj[name]["perm"]])
+        perm[1] = entry if entry != perm[1] else perm[0]
+        obj["perms"].append(perm)
+        obj[name]["perm"] = len(obj["perms"]) - 1
+        report = verify_certificate(Certificate.from_json(obj))
+        assert "error" not in report
+        assert not report["checks"][check]
+        assert not report["pass"]
+
+    def test_mixed_dense_and_monomial_operands(self):
+        # a dense target against a monomial frame rebuilds densely
+        mixed = dataclasses.replace(MONO, target=MONO.target.matrix)
+        report = verify_certificate(mixed)
+        assert report["pass"], report
+        moved_t = moved(MONO.target.matrix, 1e-6, np.random.default_rng(1))
+        report = verify_certificate(dataclasses.replace(MONO, target=moved_t))
+        assert not report["checks"]["product"]
+
+
+class TestTargetGramReuse:
+    def test_generators_form_the_target_gram_once(self, monkeypatch):
+        # validation measures T T* - I once; product_check reuses it
+        from normgen import spectral
+
+        grams = []
+        inner = spectral.Dense.gram_defect
+
+        def counting(self):
+            grams.append(self.matrix)
+            return inner(self)
+
+        monkeypatch.setattr(spectral.Dense, "gram_defect", counting)
+        rng = np.random.default_rng(995)
+        u, v = haar(8, rng), haar(8, rng)
+        m = max(1, math.ceil(projective_s_number(u, 0)[0] / projective_s_number(v, 0)[0]))
+        for gen, args in ((generate_rank_dependent, (u, v, m)), (generate_full, (u, v))):
+            grams.clear()
+            cert = gen(*args)
+            assert len(cert) > 0
+            assert sum(g is cert.target for g in grams) == 1
+            assert sum(np.array_equal(g, u) for g in grams) == 1

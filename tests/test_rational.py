@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from normgen import (
     DomainError,
     EmbeddingBlowupError,
     HypothesisError,
+    Monomial,
     PreconditionError,
     RationalSpectrum,
     ValidationError,
@@ -204,6 +210,24 @@ class TestLcmEmbed:
         angles = np.angle(np.diag(vb.matrix))
         assert np.all(np.diff(angles) >= -1e-12)
 
+    def test_embedding_is_monomial(self):
+        # at s0 = 5040 a dense embedding would be 406 MB per operand
+        a = RationalSpectrum(((-0.3, F(1, 7)), (0.2, F(1, 16)), (0.25, F(89, 112))))
+        b = RationalSpectrum(((-0.8, F(1, 9)), (0.8, F(3, 10)), (2.4, F(53, 90))))
+        tracemalloc.start()
+        try:
+            ua, vb, s0 = lcm_embed(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s0 == 5040
+        assert peak < 2**20
+        for rep, spec in ((ua, a), (vb, b)):
+            assert isinstance(rep.op, Monomial) and rep.op.diagonal
+            want = np.repeat(spec.angles(), [int(w * s0) for w in spec.weights()])
+            assert np.array_equal(rep.op.phases, np.exp(1j * want))
+            assert rep.gram[0] <= 4 * np.finfo(float).eps
+
     def test_blowup_guard(self):
         a = RationalSpectrum(((0.0, F(1, 71)), (1.0, F(70, 71))))
         b = RationalSpectrum(((0.0, F(1, 72)), (1.0, F(71, 72))))
@@ -313,6 +337,56 @@ class TestPipelineGenerate:
         n = cert.target.shape[0]
         for i in range(n):
             assert pu[min(k * i, n - 1)] <= k * pv[i] + 1e-7
+
+
+LARGE_PIPELINE = """
+import json, resource, sys, time
+from fractions import Fraction as F
+import normgen as ng
+
+u = ng.RationalSpectrum(((-0.3, F(1, 7)), (-0.1, F(1, 16)), (0.2, F(1, 9)),
+                         (0.25, F(689, 1008))))
+v = ng.RationalSpectrum(((-2.4, F(3, 10)), (-0.8, F(1, 5)), (0.8, F(1, 5)),
+                         (2.4, F(3, 10))))
+t0 = time.perf_counter()
+cert = ng.pipeline_generate(u, v, 4, F(1, 2))
+t1 = time.perf_counter()
+text = json.dumps(cert.to_json())
+back = ng.Certificate.from_json(json.loads(text))
+t2 = time.perf_counter()
+report = ng.verify_certificate(back)
+t3 = time.perf_counter()
+json.dump({
+    "n": back.n, "k": len(back), "pass": report["pass"],
+    "round_trip": json.dumps(back.to_json()) == text, "mb": len(text) / 1e6,
+    "generate_s": t1 - t0, "json_s": t2 - t1, "verify_s": t3 - t2,
+    "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}, sys.stdout)
+"""
+
+
+class TestLargePipeline:
+    def test_pipeline_at_s0_max(self):
+        """The pipeline at n = TOL.s0_max = 5040, in a fresh process: every
+        operand is monomial, so generate, the JSON round trip and verify
+        hold O(n) plus one 16 MB row block of the eigenframe product.  On a
+        2-core x86-64 host with one BLAS thread it takes about 2.7 s to
+        generate, 0.1 s to dump and load and 1.9 s to verify, at 135 MB
+        peak RSS and a 2.6 MB certificate (dense operands needed 2.2 GB of
+        JSON for the four records alone)."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", LARGE_PIPELINE], capture_output=True, text=True,
+            env=env, timeout=600, check=True,
+        )
+        out = json.loads(proc.stdout)
+        print(out)
+        assert out["n"] == 5040 and out["k"] == 8
+        assert out["pass"] and out["round_trip"]
+        assert out["mb"] < 5.0
+        assert out["rss_mb"] < 1024
 
 
 class TestApproxStability:

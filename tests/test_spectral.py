@@ -783,3 +783,124 @@ class TestOnePassProfile:
         assert peak < 2**20
         assert eigh_calls == []
         assert np.array_equal(spec.angles, ng.diagonalize_normal(u)[0].angles)
+
+
+def random_monomial(n, rng, unit=True):
+    """A Monomial with a random perm, and phases on the unit circle unless
+    unit is False."""
+    z = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    if not unit:
+        z = z * rng.uniform(0.5, 1.5, n)
+    return ng.Monomial(rng.permutation(n), z)
+
+
+def dense_norms(d):
+    return float(np.max(np.abs(d))), float(np.linalg.norm(d))
+
+
+class TestMonomial:
+    """A perm plus n phases: column j is phases[j] e_perm[j].  Its methods
+    agree with the dense matrix they stand for."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_matrix_is_perm_times_phases(self, n):
+        rng = np.random.default_rng(80 + n)
+        x = random_monomial(n, rng)
+        p = np.zeros((n, n))
+        p[x.perm, np.arange(n)] = 1.0
+        assert np.array_equal(x.matrix, p @ np.diag(x.phases))
+        assert np.array_equal(np.asarray(x), x.matrix)
+        assert x.shape == (n, n) and x.n == n
+
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_gram_rebuild_and_apply_match_dense(self, unit):
+        rng = np.random.default_rng(81)
+        for n in (1, 3, 8, 17):
+            x, y = random_monomial(n, rng, unit), random_monomial(n, rng, unit)
+            m, other = x.matrix, y.matrix
+            angles = rng.uniform(-math.pi, math.pi, n)
+            want = dense_norms(m @ m.conj().T - np.eye(n))
+            assert np.allclose(x.gram_defect(), want, rtol=1e-12, atol=1e-15)
+            want = dense_norms((m * np.exp(1j * angles)) @ m.conj().T - other)
+            assert np.allclose(x.rebuild(angles, y), want, rtol=1e-12, atol=1e-15)
+            assert x.rebuild(angles, other) == ng.spectral.Dense(m).rebuild(angles, other)
+            v = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+            assert np.allclose(x.apply(v), m @ v, rtol=0, atol=1e-15)
+            order = rng.permutation(n)
+            assert np.array_equal(x.columns(order).matrix, m[:, order])
+
+    def test_diagonal_rebuild_is_exact(self):
+        # a diagonal target rebuilt from its own angles and the sorting frame
+        z = np.exp(1j * np.random.default_rng(82).uniform(-math.pi, math.pi, 64))
+        spec, frame = ng.diagonalize_normal(ng.Monomial(np.arange(64), z))
+        target = ng.Monomial(np.arange(64), z)
+        got = frame.rebuild(spec.angles, target)
+        want = dense_norms((frame.matrix * np.exp(1j * spec.angles)) @ frame.matrix.T - np.diag(z))
+        assert got[0] == want[0] and got[1] == pytest.approx(want[1], rel=1e-12)
+        assert got[0] <= 4 * np.finfo(float).eps
+
+    def test_non_permutation_perms(self):
+        # X X* stays diagonal; a repeated entry leaves a row empty, an entry
+        # outside range(n) is no matrix at all
+        x = ng.Monomial([0, 0, 2], np.ones(3))
+        m = x.matrix
+        assert x.gram_defect() == dense_norms(m @ m.T - np.eye(3))
+        assert x.gram_defect()[0] == 1.0
+        bad = ng.Monomial([0, 3, 1], np.ones(3))
+        assert np.isnan(bad.gram_defect()).all()
+        assert np.isnan(bad.rebuild(np.zeros(3), x)).all()
+        with pytest.raises(ng.DimensionError):
+            ng.Monomial([0, 1], np.ones(3))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cycle_spectrum_matches_eigvals(self, seed, eigh_calls):
+        rng = np.random.default_rng(83 + seed)
+        n = (1, 2, 7, 12, 30, 64)[seed]
+        x = random_monomial(n, rng)
+        got = spectrum_of(ng.UnitaryRep(x)).angles
+        want = np.linalg.eigvals(x.matrix)
+        # every eigenvalue is matched, up to the sort's branch cut
+        for a in got:
+            assert np.min(np.abs(want - np.exp(1j * a))) < 1e-9
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.array_equal(np.sort(got), got)
+        assert eigh_calls == []
+
+    def test_unitary_rep_keeps_its_gram(self):
+        rng = np.random.default_rng(84)
+        u = haar_unitary(6, rng)
+        rep = ng.UnitaryRep(u)
+        m = rep.matrix
+        assert rep.gram == dense_norms(m @ m.conj().T - np.eye(6))
+        x = random_monomial(6, rng)
+        assert ng.UnitaryRep(x).gram == x.gram_defect()
+
+    @pytest.mark.parametrize("perm, scale", [
+        ([0, 1, 2], [1.0, 1.0 + 1e-6, 1.0]),
+        ([0, 0, 2], [1.0, 1.0, 1.0]),
+        ([0, 1, 3], [1.0, 1.0, 1.0]),
+        ([0, 1, 2], [1.0, np.nan, 1.0]),
+    ])
+    def test_unitary_rep_rejects_bad_monomials(self, perm, scale):
+        with pytest.raises(ng.ValidationError):
+            ng.UnitaryRep(ng.Monomial(perm, np.exp(0.3j) * np.asarray(scale)))
+
+    def test_angle_operands_are_monomial(self, eigh_calls):
+        angles = np.random.default_rng(85).uniform(-math.pi, math.pi, 9)
+        u = ng.CircleSpectrum(angles).to_unitary()
+        assert isinstance(u.op, ng.Monomial) and u.op.diagonal
+        want = np.diag(np.exp(1j * ng.CircleSpectrum(angles).angles))
+        assert np.array_equal(u.matrix, want)
+        spec, frame = ng.diagonalize_normal(u)
+        assert isinstance(frame, ng.Monomial)
+        dense_spec, dense_frame = ng.diagonalize_normal(u.matrix)
+        assert np.array_equal(spec.angles, dense_spec.angles)
+        assert np.array_equal(frame.matrix, dense_frame)
+        assert eigh_calls == []
+
+    def test_permuted_monomial_diagonalizes_densely(self):
+        x = random_monomial(7, np.random.default_rng(86))
+        spec, w = ng.diagonalize_normal(ng.UnitaryRep(x))
+        rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
+        assert np.max(np.abs(rebuilt - x.matrix)) < 1e-12
+        assert np.max(np.abs(spec.angles - spectrum_of(x).angles)) < 1e-9
