@@ -32,7 +32,9 @@ shared length serves them all.
 import base64
 from dataclasses import dataclass, field
 from fractions import Fraction
+import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +64,7 @@ from .spectral import (
     projective_s_number,
     rank_distance,
 )
-from .su2 import SourceBlock, source_block, walk_length
+from .su2 import SourceBlock, source_block
 
 __all__ = [
     "CertStep",
@@ -86,7 +88,7 @@ CERT_VERSION = "normgen-cert/5"
 # certificate container
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CertStep:
     """One conjugate in a certificate, stored in the certificate's eigenframes.
 
@@ -95,35 +97,65 @@ class CertStep:
     basis vector a to perm[a].  With the certificate's frames A and B the
     step is the conjugate g @ base^e @ g* by g = A @ y @ B*.
 
+    The blocks are held the way the step's record stores them: block i is
+    widths[i] square at offsets[i], and data holds the blocks' entries
+    row-major, back to back, as one complex128 array, so the blocks of one
+    width are one (nb, w, w) view of data.  CertStep(perm, blocks, e)
+    packs (offset, block) pairs, and blocks gives them back as views; a
+    block that is not a square matrix is packed as width 0 with no entries,
+    which marks the step malformed.  The packed arrays can be passed as
+    offsets, widths and data instead; blocks, when given, replaces them,
+    so dataclasses.replace(step, blocks=...) repacks.
+
     Deliberately unvalidated so that damaged certificates can still be
-    loaded and then fail verification instead of failing to parse.
+    loaded and then fail verification instead of failing to parse; only
+    the packing itself must hold (one width per offset, none negative, and
+    sum(widths**2) entries), else ValueError.
     """
 
     perm: np.ndarray
-    blocks: tuple
+    offsets: np.ndarray
+    widths: np.ndarray
+    data: np.ndarray
     e: int
 
-    def __post_init__(self):
-        p = np.asarray(self.perm, dtype=np.int64)
-        p.setflags(write=False)
-        blocks = []
-        for offset, blk in self.blocks:
-            b = np.asarray(blk, dtype=complex)
-            b.setflags(write=False)
-            blocks.append((int(offset), b))
-        object.__setattr__(self, "perm", p)
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "e", int(self.e))
+    def __init__(self, perm, blocks=None, e=None, *, offsets=(), widths=(), data=()):
+        if blocks is not None:
+            blocks = [(int(o), np.asarray(b, dtype=complex)) for o, b in blocks]
+            offsets = [o for o, _ in blocks]
+            widths = [b.shape[0] if b.ndim == 2 and b.shape[0] == b.shape[1] else 0
+                      for _, b in blocks]
+            data = [b.ravel() for (_, b), w in zip(blocks, widths) if w]
+            data = np.concatenate(data) if data else ()
+        p = np.asarray(perm, dtype=np.int64)
+        o = np.asarray(offsets, dtype=np.int64)
+        w = np.asarray(widths, dtype=np.int64)
+        d = np.asarray(data, dtype=complex)
+        wl = w.tolist() if w.ndim == 1 else [-1]
+        if o.shape != w.shape or min(wl, default=0) < 0 or d.shape != (sum(x * x for x in wl),):
+            raise ValueError(f"widths {wl}, {o.size} offsets and {d.size} entries disagree")
+        for name, a in (("perm", p), ("offsets", o), ("widths", w), ("data", d)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "e", int(e))
+
+    @property
+    def blocks(self):
+        """The (offset, block) pairs in record order, as views of data."""
+        out, start = [], 0
+        for offset, w in zip(self.offsets.tolist(), self.widths.tolist()):
+            out.append((offset, self.data[start : start + w * w].reshape(w, w)))
+            start += w * w
+        return tuple(out)
 
     def to_json(self, perm_index):
         """The step's record, with its perm as an index into the certificate's
         perm table and its blocks packed row-major, back to back."""
-        flat = [b.ravel() for _, b in self.blocks]
         return {
             "perm": perm_index,
-            "offsets": [offset for offset, _ in self.blocks],
-            "widths": [b.shape[0] for _, b in self.blocks],
-            "blocks": _pack(np.concatenate(flat) if flat else np.empty(0)),
+            "offsets": self.offsets.tolist(),
+            "widths": self.widths.tolist(),
+            "blocks": _pack(self.data),
             "e": self.e,
         }
 
@@ -145,15 +177,29 @@ class CertStep:
                 raise ValueError(f"perm index {idx} outside a table of {len(perms)}")
             if len(offsets) != len(widths) or not all(0 < w <= n for w in widths):
                 raise ValueError(f"block widths {widths} do not fit size {n}")
-            sizes = [w * w for w in widths]
-            flat = _unpack(obj["blocks"], [sum(sizes)], "step blocks")
-            blocks, start = [], 0
-            for offset, w, size in zip(offsets, widths, sizes):
-                blocks.append((offset, flat[start : start + size].reshape(w, w)))
-                start += size
-            return cls(perms[idx], blocks, e)
-        except (KeyError, TypeError, ValueError) as exc:
+            data = _unpack(obj["blocks"], [sum(w * w for w in widths)], "step blocks")
+            return cls(perms[idx], e=e, offsets=offsets, widths=widths, data=data)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateFormatError(f"malformed step: {exc}") from exc
+
+
+def _by_width(steps):
+    """The blocks of steps that share one block layout (offsets and widths),
+    per width w in order of first appearance: (w, offsets, stack), with
+    stack[r] the (nb, w, w) blocks of steps[r] in record order.  For one
+    step of one width the stack is a view of its data."""
+    first = steps[0]
+    widths = first.widths
+    if widths.shape[0] and (widths == widths[0]).all():
+        w = int(widths[0])
+        data = first.data[None] if len(steps) == 1 else np.stack([st.data for st in steps])
+        return [(w, first.offsets, data.reshape(len(steps), -1, w, w))]
+    out = []
+    for w in dict.fromkeys(widths.tolist()):
+        mine = widths == w
+        stack = [[b for (_, b), keep in zip(st.blocks, mine) if keep] for st in steps]
+        out.append((w, first.offsets[mine], np.array(stack).reshape(len(steps), -1, w, w)))
+    return out
 
 
 def _all_ints(*values):
@@ -420,36 +466,36 @@ def _step_kernels(angles, steps):
     the same), the core and, per block width, the block columns and their
     kernels.  Also returns the last perm."""
     d = np.exp(1j * np.asarray(angles, dtype=float))
-    n = d.shape[0]
-    cur = np.arange(n)
+    cur = np.arange(d.shape[0])
     runs = []
-    for st in steps:
+    for group in _layout_runs(steps):
         gather = None
-        if not np.array_equal(st.perm, cur):
-            gather = np.argsort(cur)[st.perm]
-            cur = st.perm
-        core = d if st.e == 1 else d.conj()
-        widths = {}
-        for offset, b in st.blocks:
-            widths.setdefault(b.shape[0], []).append((offset, b))
+        if not np.array_equal(group[0].perm, cur):
+            gather = np.argsort(cur)[group[0].perm]
+            cur = group[0].perm
+        cores = np.array([d if st.e == 1 else d.conj() for st in group])
+        core = cores[0]
+        for c in cores[1:]:
+            core = core * c
         mixes = []
-        for w, group in widths.items():
-            cols = np.add.outer([offset for offset, _ in group], np.arange(w))
-            b = np.array([b for _, b in group])
-            mixes.append((cols, (b * core[cols][:, None, :]) @ b.conj().transpose(0, 2, 1)))
-        if runs and gather is None and _same_columns(runs[-1][2], mixes):
-            prev_gather, prev_core, prev = runs[-1]
-            mixes = [(cols, k0 @ k1) for (cols, k0), (_, k1) in zip(prev, mixes)]
-            runs[-1] = (prev_gather, prev_core * core, mixes)
-        else:
-            runs.append((gather, core, mixes))
+        for w, offsets, b in _by_width(group):
+            cols = np.add.outer(offsets, np.arange(w))
+            kernels = (b * cores[:, cols][:, :, None, :]) @ b.conj().swapaxes(-1, -2)
+            k = kernels[0]
+            for k1 in kernels[1:]:
+                k = k @ k1
+            mixes.append((cols, k))
+        runs.append((gather, core, mixes))
     return runs, cur
 
 
-def _same_columns(a, b):
-    return len(a) == len(b) and all(
-        np.array_equal(ca, cb) for (ca, _), (cb, _) in zip(a, b)
-    )
+def _layout_runs(steps):
+    """steps cut into runs of consecutive steps that share a perm and a
+    block layout, as the steps of one walk batch do."""
+    def layout(st):
+        return st.perm.shape, st.perm.tobytes(), st.offsets.tobytes(), st.widths.tobytes()
+
+    return [list(run) for _, run in itertools.groupby(steps, layout)]
 
 
 def _product_rows(kernels, n, start, stop):
@@ -605,8 +651,7 @@ def hypothesis_check(u, v, m, s):
 # strand walks
 
 
-@dataclass(frozen=True)
-class _Strand:
+class _Strand(NamedTuple):
     """One block walk inside a shared commutator schedule: the factor angle
     phi, the target block it moves, the source block at (source, source + 1)
     driving it and the shortest even walk length that reaches phi."""
@@ -633,7 +678,7 @@ def _strand(phi, target, pair, cap):
             return None
         mag = cap * block.theta
     phi_w = math.copysign(mag, phi) if phi != 0.0 else 0.0
-    length = walk_length(phi_w, block.theta, cap)
+    length = block.walk_length(phi_w, cap)
     return _Strand(phi_w, target, source, block, length)
 
 
@@ -652,14 +697,11 @@ def _plan_strand(phi, target, pair, cap):
 def _alignment(n, strands):
     """Permutation sending each source block onto its target block, as the
     array perm with perm[source index] = target index."""
-    src, dst = [], []
+    perm = [None] * n
     for st in strands:
-        src.extend((st.source, st.source + 1))
-        dst.extend((st.target, st.target + 1))
-    perm = np.empty(n, dtype=np.int64)
-    perm[src] = dst
-    perm[sorted(set(range(n)) - set(src))] = sorted(set(range(n)) - set(dst))
-    return perm
+        perm[st.source], perm[st.source + 1] = st.target, st.target + 1
+    rest = iter(sorted(set(range(n)).difference(perm)))
+    return np.array([next(rest) if p is None else p for p in perm], dtype=np.int64)
 
 
 def _shared_steps(n, strands):
@@ -674,14 +716,15 @@ def _shared_steps(n, strands):
     target blocks: 2 * m_b steps in all.
     """
     m = max(st.length for st in strands)
-    walked, rotated = zip(*(st.block.frames(st.phi, m) for st in strands))
-    # per q, the walked blocks of every strand, then the rotated ones
-    blocks = np.stack((np.stack(walked, 1), np.stack(rotated, 1)), 1)
-    blocks = blocks.reshape(2 * m, len(strands), 2, 2)
+    # (strand, step, entry), made one row of packed blocks per step
+    blocks = np.array([st.block.frames(st.phi, m) for st in strands], dtype=complex)
+    blocks = blocks.transpose(1, 0, 2).reshape(2 * m, -1)
     perm = _alignment(n, strands)
-    sources = [st.source for st in strands]
+    offsets = np.array([st.source for st in strands])
+    widths = np.full(len(strands), 2)
     return [
-        CertStep(perm, list(zip(sources, blocks[i])), 1 if i % 2 == 0 else -1)
+        CertStep(perm, e=1 if i % 2 == 0 else -1, offsets=offsets, widths=widths,
+                 data=blocks[i])
         for i in range(2 * m)
     ]
 
@@ -1054,39 +1097,47 @@ def _step_defects(steps, n):
     Frobenius norm (row 1), nan where the step is malformed: e not +-1, perm
     not a permutation of range(n), or a block not square, out of range,
     overlapping another or not finite."""
-    out = np.zeros((2, len(steps)))
-    perm_ok = {}
+    out = np.full((2, len(steps)), np.nan)
     blocks = {}
-    for i, st in enumerate(steps):
-        ok = st.e in (-1, 1) and st.perm.shape == (n,)
-        if ok:
-            key = st.perm.tobytes()
-            if key not in perm_ok:
-                perm_ok[key] = np.array_equal(np.sort(st.perm), np.arange(n))
-            ok = perm_ok[key]
-        end = 0
-        for offset, b in sorted(st.blocks, key=lambda ob: ob[0]):
-            w = b.shape[0] if b.ndim == 2 else 0
-            ok = ok and 0 < w and b.shape == (w, w) and end <= offset <= n - w
-            end = offset + w
-        if not ok:
-            out[:, i] = np.nan
+    start = 0
+    for run in _layout_runs(steps):
+        first = run[0]
+        good = [i for i, st in enumerate(run, start) if st.e in (-1, 1)]
+        start += len(run)
+        if not (
+            good
+            and first.perm.shape == (n,)
+            and np.array_equal(np.sort(first.perm), np.arange(n))
+            and _layout_fits(first.offsets, first.widths, n)
+        ):
             continue
-        for _, b in st.blocks:
-            idx, mats = blocks.setdefault(b.shape[0], ([], []))
-            idx.append(i)
-            mats.append(b)
+        out[:, good] = 0.0
+        for w, _, stack in _by_width([steps[i] for i in good]):
+            where, mats = blocks.setdefault(w, ([], []))
+            where.append(np.repeat(good, stack.shape[1]))
+            mats.append(stack.reshape(-1, w, w))
     # one batched Gram product per block width
     for w, (idx, mats) in blocks.items():
-        stack = np.stack(mats)
+        stack = np.concatenate(mats)
         gram = stack @ stack.conj().transpose(0, 2, 1) - np.eye(w)
         norms = (np.abs(gram).max(axis=(1, 2)), np.linalg.norm(gram, axis=(1, 2)))
         finite = np.isfinite(norms[0])
-        idx = np.asarray(idx)
+        idx = np.concatenate(idx)
         for row, defect in zip(out, norms):
             np.maximum.at(row, idx[finite], defect[finite])
         out[:, idx[~finite]] = np.nan
     return out
+
+
+def _layout_fits(offsets, widths, n):
+    """Whether blocks of these widths at these offsets are nonempty, lie in
+    range(n) and do not overlap."""
+    end = 0
+    for offset, w in sorted(zip(offsets.tolist(), widths.tolist())):
+        if not (w > 0 and end <= offset <= n - w):
+            return False
+        end = offset + w
+    return True
 
 
 def verify_certificate(cert):

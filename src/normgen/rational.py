@@ -344,6 +344,20 @@ def pipeline_generate(u, v, m, s):
     )
 
 
+def _distance(a, b):
+    """two_norm(a - b), in O(n) when a and b are both Monomials: the
+    squared Frobenius norm of the difference sums, over the columns j,
+    |a_j - b_j|^2 where the perms agree and |a_j|^2 + |b_j|^2 where they
+    differ, a_j and b_j being the phases."""
+    if not (isinstance(a, Monomial) and isinstance(b, Monomial)):
+        return two_norm(np.asarray(a) - np.asarray(b))
+    diff = a.phases - b.phases
+    squares = np.where(
+        a.perm == b.perm, diff.real**2 + diff.imag**2, a._squares() + b._squares()
+    )
+    return math.sqrt(squares.sum()) / math.sqrt(a.n)
+
+
 def approx_stability_check(u, uprime, eps):
     """Report whether u' is close enough that u's profile doubles u'.
 
@@ -362,7 +376,7 @@ def approx_stability_check(u, uprime, eps):
     if ur.n != vr.n:
         raise DimensionError(f"dimension mismatch: {ur.n} vs {vr.n}")
     n = ur.n
-    dist = two_norm(ur.matrix - vr.matrix)
+    dist = _distance(ur.op, vr.op)
     pu = projective_profile(ur).values
     pv = projective_profile(vr).values
     violations = [

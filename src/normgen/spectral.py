@@ -627,43 +627,48 @@ def _separate_mixed_pairs(w, mw, cut):
     by up to eps over the small gap, which leaves d = w* u w coupling the
     pair beyond rounding.  Each sweep takes the strongest couplings above
     cut on disjoint pairs and rotates each pair by the 2 x 2 unitary that
-    diagonalizes its block of the normal matrix d, applied to w and to
-    mw = u w alike.
+    diagonalizes its block of the normal matrix d, applied to the columns
+    of w, of mw = u w and of d alike, as one stack, and to the rows of d.
     """
-    d = w.conj().T @ mw
+    n = w.shape[0]
+    x = np.stack((w, mw, w.conj().T @ mw))
+    d = x[2]
+    upper = np.arange(n)[:, None] < np.arange(n)
     for _ in range(3):
-        off = np.abs(np.triu(d, 1))
-        pairs = np.argwhere(off > cut)
-        if pairs.shape[0] == 0:
+        off = np.abs(d)
+        rows, cols = np.nonzero((off > cut) & upper)
+        if rows.shape[0] == 0:
             break
-        used, chosen = set(), []
-        for a, b in pairs[np.argsort(-off[pairs[:, 0], pairs[:, 1]])].tolist():
-            if a not in used and b not in used:
-                used.update((a, b))
-                chosen.append((a, b))
-        a, b = np.array(chosen).T
+        strongest = np.argsort(-off[rows, cols])
+        used, a, b = set(), [], []
+        for i, j in zip(rows[strongest].tolist(), cols[strongest].tolist()):
+            if i not in used and j not in used:
+                used.update((i, j))
+                a.append(i)
+                b.append(j)
+        a, b = np.array(a), np.array(b)
         # the traceless part of a normal 2 x 2 block is mu times a
         # Hermitian involution, whose eigenvectors diagonalize the block
+        dab, dba = d[a, b], d[b, a]
         half = 0.5 * (d[a, a] - d[b, b])
-        mu = np.sqrt(half * half + d[a, b] * d[b, a])
+        mu = np.sqrt(half * half + dab * dba)
         ph = np.ones_like(mu)
         np.divide(np.abs(mu), mu, out=ph, where=mu != 0)
-        cross = 0.5 * (d[a, b] * ph + np.conj(d[b, a] * ph))
+        cross = 0.5 * (dab * ph + np.conj(dba * ph))
         h = np.empty((a.shape[0], 2, 2), dtype=complex)
         h[:, 0, 0] = (half * ph).real
         h[:, 1, 1] = -h[:, 0, 0]
         h[:, 0, 1] = cross
         h[:, 1, 0] = np.conj(cross)
         _, v = np.linalg.eigh(h)
-        for x in (w, mw, d):
-            xa, xb = x[:, a], x[:, b]
-            x[:, a] = xa * v[:, 0, 0] + xb * v[:, 1, 0]
-            x[:, b] = xa * v[:, 0, 1] + xb * v[:, 1, 1]
+        xa, xb = x[:, :, a], x[:, :, b]
+        x[:, :, a] = xa * v[:, 0, 0] + xb * v[:, 1, 0]
+        x[:, :, b] = xa * v[:, 0, 1] + xb * v[:, 1, 1]
         da, db = d[a, :], d[b, :]
         vc = v.conj()[:, :, :, None]
         d[a, :] = vc[:, 0, 0] * da + vc[:, 1, 0] * db
         d[b, :] = vc[:, 0, 1] * da + vc[:, 1, 1] * db
-    return w, mw
+    return x[0], x[1]
 
 
 def _eigen_residual(w, mw):
@@ -694,6 +699,15 @@ def _diagonal_angles(m):
     return _sorted_angles(canon_angle(np.angle(np.diagonal(m))))
 
 
+# the angles t of diagonalize_normal's Hermitian combinations, one per try:
+# the first draws of np.random.default_rng(0).uniform(0, 2 pi), fixed here so
+# that a call neither builds a generator nor imports numpy.random
+_COMBINATION_ANGLES = (
+    4.002148315014479, 1.6951199159934145, 0.25744424357926954, 0.10384619671527331,
+    5.109927617709579, 5.735012432197602, 3.811604993109835, 4.583562073612696,
+)
+
+
 def diagonalize_normal(u):
     """Spectrum and eigenvector frame of a unitary matrix.
 
@@ -710,13 +724,13 @@ def diagonalize_normal(u):
     and w rebuilds u to within that, below TOL.diag_residual, by
     construction.  A spectrum gets the identity frame as a Monomial.
 
-    Any other u goes through a random Hermitian combination of u + u* and
-    (u - u*)/i so eigenspaces for distinct angles separate.  A
+    Any other u goes through a Hermitian combination cos(t) (u + u*)/2 +
+    sin(t) (u - u*)/2i so eigenspaces for distinct angles separate.  A
     reconstruction residual above a few n * eps means the combination mixed
     some pairs, which are then separated so that w rebuilds u to rounding.
-    If the residual is still above TOL.diag_residual, retries with fresh
-    combinations.  The combinations come from one fixed stream, made fresh
-    per call, so the result depends on u alone.
+    If the residual is still above TOL.diag_residual, retries with the next
+    combination.  The angles t are the fixed _COMBINATION_ANGLES, so the
+    result depends on u alone.
     """
     if isinstance(u, CircleSpectrum):
         return u, Monomial(np.arange(u.n), np.ones(u.n))
@@ -737,12 +751,10 @@ def diagonalize_normal(u):
         w[order, np.arange(n)] = 1.0
         return CircleSpectrum(angles), w
     cut = 4.0 * n * EPS
-    rng = np.random.default_rng(0)
     hre = (m + m.conj().T) / 2.0
     him = (m - m.conj().T) / 2j
     last = None
-    for _ in range(TOL.diag_retries):
-        t = rng.uniform(0.0, TWO_PI)
+    for t in _COMBINATION_ANGLES[: TOL.diag_retries]:
         h = math.cos(t) * hre + math.sin(t) * him
         _, w = np.linalg.eigh(h)
         mw = m @ w

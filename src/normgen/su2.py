@@ -13,12 +13,12 @@ rotation exactly, not just up to conjugacy.
 The walks run on 2x2 matrices held as scalar tuples.  The public surface is
 walk_length, which reads the shortest walk off the reach intervals, and
 source_block, whose SourceBlock makes a base block's commutator once and
-then walks any number of block targets on it.
+then plans and walks any number of block targets on it, off one table of
+reach intervals.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import cmath
-import itertools
 import math
 
 import numpy as np
@@ -51,7 +51,7 @@ def _adj(x):
 
 
 def _defect(x):
-    """Max-norm of x @ x* - I, as unitarity_defect computes it."""
+    """Max-norm of x @ x* - I, the max-norm half of Dense.gram_defect."""
     a, b, c, d = x
     return max(
         abs(abs(a) ** 2 + abs(b) ** 2 - 1.0),
@@ -118,30 +118,34 @@ def _reach_interval(lo, hi, theta):
     return new_lo, new_hi
 
 
-def _reach_intervals(theta):
-    """Intervals (lo, hi) of class angles reachable by exactly 1, 2, 3, ...
-    theta-conjugates."""
-    lo = hi = theta
-    while True:
-        yield lo, hi
-        lo, hi = _reach_interval(lo, hi, theta)
+def _reach_table(table, theta, m):
+    """table, the intervals (lo, hi) of class angles reachable by exactly
+    1, 2, 3, ... theta-conjugates computed so far, extended to at least m
+    entries."""
+    if not table:
+        table.append((theta, theta))
+    while len(table) < m:
+        table.append(_reach_interval(*table[-1], theta))
+    return table
 
 
 def _lands(target, lo, hi):
     return lo - 1e-12 <= target <= hi + 1e-12
 
 
-def _plan_waypoints(target, theta, m):
+def _plan_waypoints(target, theta, m, table):
     """Class-angle waypoints alpha_1..alpha_m with alpha_m = target, each
-    consecutive pair one conjugate apart.  None if m steps cannot land."""
-    los, his = zip(*itertools.islice(_reach_intervals(theta), m))
-    if not _lands(target, los[-1], his[-1]):
+    consecutive pair one conjugate apart, read off table, the reach table
+    of theta (see _reach_table).  None if m steps cannot land."""
+    reach = _reach_table(table, theta, m)
+    lo, hi = reach[m - 1]
+    if not _lands(target, lo, hi):
         return None
-    alphas = [min(max(target, los[-1]), his[-1])]
+    alphas = [min(max(target, lo), hi)]
     for k in range(m - 2, -1, -1):
         r_lo, r_hi = _reach(alphas[-1], theta)
-        lo = max(los[k], r_lo)
-        hi = min(his[k], r_hi)
+        lo = max(reach[k][0], r_lo)
+        hi = min(reach[k][1], r_hi)
         if lo > hi:
             if lo - hi > 1e-9:
                 raise NumericalDegeneracyError("waypoint backtracking failed")
@@ -182,10 +186,10 @@ def _step_to(alpha, beta, theta):
     return (complex(c, s1), complex(b), complex(-b), complex(c, -s1))
 
 
-def _walk_positive(target, theta, m):
+def _walk_positive(target, theta, m, table):
     """Exact walk: m conjugators c_k with prod c_k D(theta) c_k* = D(target),
-    as scalar 2x2 tuples."""
-    alphas = _plan_waypoints(target, theta, m)
+    as scalar 2x2 tuples; table is the reach table of theta."""
+    alphas = _plan_waypoints(target, theta, m, table)
     if alphas is None:
         return None
     frame = _EYE
@@ -228,46 +232,49 @@ def _walk_angles(phi, theta, m):
     return phi, theta, ph, th, central
 
 
-def walk_length(phi, theta, cap):
+def walk_length(phi, theta, cap, table=None):
     """Smallest even m <= cap for which _walk(phi, theta, m) succeeds.
 
-    One pass over the reach intervals the walk planner iterates: m steps
-    land when |phi| <= m|theta| and |phi| or its mirror pi - |phi| lies in
-    the m-step interval.  From two steps on the interval starts at 0 (two
+    One pass over the reach intervals the walk planner reads: m steps land
+    when |phi| <= m|theta| and |phi| or its mirror pi - |phi| lies in the
+    m-step interval.  From two steps on the interval starts at 0 (two
     steps can cancel), so a walk that lands at m lands at every larger even
     length as well.  Raises what _walk(phi, theta, cap) raises when no
-    length up to cap lands.
+    length up to cap lands.  table, when given, is the reach table of
+    |theta| to read and extend (see SourceBlock).
     """
     _, _, ph, th, central = _walk_angles(phi, theta, cap)
     if central:
         return 2
-    for m, (lo, hi) in enumerate(itertools.islice(_reach_intervals(th), cap), 1):
-        if m % 2 == 0 and ph <= m * th + 1e-12 and (
-            _lands(ph, lo, hi) or _lands(math.pi - ph, lo, hi)
-        ):
+    table = [] if table is None else table
+    for m in range(2, cap + 1, 2):
+        lo, hi = _reach_table(table, th, m)[m - 1]
+        if ph <= m * th + 1e-12 and (_lands(ph, lo, hi) or _lands(math.pi - ph, lo, hi)):
             return m
     raise BudgetInfeasibleError(
         f"no walk of at most {cap} steps reaches class {ph:.6f} with angle {th:.6f}"
     )
 
 
-def _walk(phi, theta, m):
+def _walk(phi, theta, m, table=None):
     """Conjugators g_1..g_m and their shared exponent e writing
     diag(e^{i phi}, e^{-i phi}) as the product of g @ D(theta)^e @ g*, with
     D(theta) = diag(e^{i theta}, e^{-i theta}), up to a global factor of -1.
 
     Needs |phi| <= m|theta| (canonical branch moduli) and even m; with
     opposite signs of phi and theta the exponent is -1.  Every conjugator
-    is checked unitary to 1e-9.
+    is checked unitary to 1e-9.  table, when given, is the reach table of
+    |theta| to read and extend.
     """
     phi, theta, ph, th, central = _walk_angles(phi, theta, m)
     if central:
         return [_EYE] * m, 1
 
-    conjugators = _walk_positive(ph, th, m)
+    table = [] if table is None else table
+    conjugators = _walk_positive(ph, th, m, table)
     if conjugators is None:
         # same projective target through the mirrored class angle
-        conjugators = _walk_positive(math.pi - ph, th, m)
+        conjugators = _walk_positive(math.pi - ph, th, m, table)
         if conjugators is None:
             raise BudgetInfeasibleError(
                 f"no {m}-step walk reaches class {ph:.6f} with angle {th:.6f}"
@@ -289,35 +296,39 @@ class SourceBlock:
     theta, and ref_h, the adjoint of a frame taking the reference rotation
     of angle theta to that commutator.
 
-    Made once per block by source_block; frames then walks any number of
-    block targets on it.
+    Made once per block by source_block; walk_length and frames then plan
+    and walk any number of block targets on it.  Both read the block's
+    reach table, the reach intervals of theta for 1, 2, 3, ... conjugates,
+    computed once and extended as far as any walk on the block asks.
     """
 
     rotation: tuple
     commutator: tuple
     theta: float
     ref_h: tuple
+    reach: list = field(default_factory=list, repr=False, compare=False)
+
+    def walk_length(self, phi, cap):
+        """walk_length(phi, self.theta, cap), off the reach table."""
+        return walk_length(phi, self.theta, cap, self.reach)
 
     def frames(self, phi, m):
         """Eigenframe blocks of an m-step walk to diag(e^{i phi}, e^{-i phi}),
-        as two (m, 2, 2) arrays: the y_q with prod y_q @ comm @ y_q* equal
-        to the target, and the y_q @ rotation."""
-        conjugators, exponent = _walk(phi, self.theta, m)
+        as 2m scalar 2x2 tuples in step order: y_q, then y_q @ rotation, for
+        the y_q with prod y_q @ comm @ y_q* equal to the target."""
+        conjugators, exponent = _walk(phi, self.theta, m, self.reach)
         # conjugating by _SWAP flips the commutator's class to its inverse
         ref_h = self.ref_h if exponent == 1 else _mul(_SWAP, self.ref_h)
-        ys = [_mul(g, ref_h) for g in conjugators]
         # closed-loop guard: the frames must reassemble the target exactly
-        prod = _EYE
-        for y in ys:
+        prod, out = _EYE, []
+        for g in conjugators:
+            y = _mul(g, ref_h)
             prod = _mul(prod, _mul(_mul(y, self.commutator), _adj(y)))
+            out += (y, _mul(y, self.rotation))
         z = cmath.exp(1j * phi)
         if max(abs(p - w) for p, w in zip(prod, (z, 0j, 0j, z.conjugate()))) > 1e-9:
             raise NumericalDegeneracyError("strand walk drifted off its target")
-        rotated = [_mul(y, self.rotation) for y in ys]
-        return (
-            np.array(ys, dtype=complex).reshape(m, 2, 2),
-            np.array(rotated, dtype=complex).reshape(m, 2, 2),
-        )
+        return out
 
 
 def source_block(delta):

@@ -3,7 +3,11 @@
 import base64
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,3 +410,33 @@ class TestCounterexample:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
+
+
+GENERATE_IN_FRESH_PROCESS = """
+import sys
+from normgen.cli import main
+code = main(sys.argv[1:])
+print("exit", code, "numpy.random" in sys.modules)
+"""
+
+
+def test_dense_generate_leaves_numpy_random_unloaded(tmp_path):
+    """Dense operands are diagonalized through Hermitian combinations at
+    fixed angles, so generate never imports numpy.random."""
+    from normgen import admissible_pair
+
+    u, v = admissible_pair(16, 2, 1, np.random.default_rng(18))
+    upath = write_json(tmp_path / "u.json", u.to_json())
+    vpath = write_json(tmp_path / "v.json", v.to_json())
+    out = tmp_path / "cert.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", GENERATE_IN_FRESH_PROCESS,
+         "generate", upath, vpath, "--m", "2", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "exit 0 False", proc.stdout + proc.stderr
+    blob = json.loads(out.read_text())
+    assert "perm" not in blob["target"] and blob["target"]["shape"] == [16, 16]

@@ -1395,6 +1395,191 @@ class TestPackedRecords:
         assert_format_error(obj)
 
 
+def per_block_record(st, perm_index):
+    """A step record packed block by block: each block raveled on its own
+    and the pieces concatenated, with offsets and widths read off the
+    (offset, block) pairs."""
+    flat = [np.asarray(b).ravel() for _, b in st.blocks]
+    return {
+        "perm": perm_index,
+        "offsets": [offset for offset, _ in st.blocks],
+        "widths": [b.shape[0] for _, b in st.blocks],
+        "blocks": pack(np.concatenate(flat) if flat else np.empty(0)),
+        "e": st.e,
+    }
+
+
+def per_step_defects(steps, n):
+    """_step_defects step by step and block by block, as it was before the
+    blocks were packed: the reference for the run-wise version."""
+    out = np.zeros((2, len(steps)))
+    for i, st in enumerate(steps):
+        ok = st.e in (-1, 1) and st.perm.shape == (n,)
+        ok = ok and np.array_equal(np.sort(st.perm), np.arange(n))
+        end = 0
+        for offset, b in sorted(st.blocks, key=lambda ob: ob[0]):
+            w = b.shape[0]
+            ok = ok and 0 < w and end <= offset <= n - w
+            end = offset + w
+        if not ok:
+            out[:, i] = np.nan
+            continue
+        for _, b in st.blocks:
+            gram = b[None] @ b[None].conj().transpose(0, 2, 1) - np.eye(b.shape[0])
+            for row, d in zip(out, (np.abs(gram).max(), np.linalg.norm(gram, axis=(1, 2))[0])):
+                row[i] = np.nan if not np.isfinite(d) or np.isnan(row[i]) else max(row[i], d)
+    return out
+
+
+def per_step_kernels(angles, steps):
+    """_step_kernels step by step, merging each step into the run before it
+    when perm and block columns agree, as it was before the blocks were
+    packed: the reference for the run-wise version."""
+    d = np.exp(1j * np.asarray(angles, dtype=float))
+    cur = np.arange(d.shape[0])
+    runs = []
+    for st in steps:
+        gather = None
+        if not np.array_equal(st.perm, cur):
+            gather = np.argsort(cur)[st.perm]
+            cur = st.perm
+        core = d if st.e == 1 else d.conj()
+        widths = {}
+        for offset, b in st.blocks:
+            widths.setdefault(b.shape[0], []).append((offset, b))
+        mixes = []
+        for w, group in widths.items():
+            cols = np.add.outer([offset for offset, _ in group], np.arange(w))
+            b = np.array([b for _, b in group])
+            mixes.append((cols, (b * core[cols][:, None, :]) @ b.conj().transpose(0, 2, 1)))
+        same = runs and len(runs[-1][2]) == len(mixes) and all(
+            np.array_equal(c0, c1) for (c0, _), (c1, _) in zip(runs[-1][2], mixes)
+        )
+        if gather is None and same:
+            prev_gather, prev_core, prev = runs[-1]
+            mixes = [(cols, k0 @ k1) for (cols, k0), (_, k1) in zip(prev, mixes)]
+            runs[-1] = (prev_gather, prev_core * core, mixes)
+        else:
+            runs.append((gather, core, mixes))
+    return runs, cur
+
+
+def tampered_steps(cert):
+    """Step lists of cert with one step damaged in each way the verifier
+    must catch."""
+    steps = list(cert.steps)
+    st = steps[1]
+    offset, blk = st.blocks[0]
+    nan_blk = np.array(blk, copy=True)
+    nan_blk[0, 0] = np.nan
+    dup = st.perm.copy()
+    dup[0] = dup[1]
+    changes = (
+        {"e": 2},
+        {"perm": dup},
+        {"blocks": ((offset, 1.001 * blk),) + st.blocks[1:]},
+        {"blocks": ((offset, nan_blk),) + st.blocks[1:]},
+        {"blocks": st.blocks + ((offset + 1, blk),)},
+        {"blocks": ((cert.n - 1, blk),) + st.blocks[1:]},
+    )
+    for change in changes:
+        bad = list(steps)
+        bad[1] = dataclasses.replace(st, **change)
+        yield tuple(bad)
+
+
+class TestPackedSteps:
+    """CertStep holds its blocks the way the record stores them: offsets,
+    widths and one packed complex128 array."""
+
+    def test_step_defects_match_the_per_step_checks(self):
+        for cert in POOL + list(frozen_certificates()[::7]):
+            cases = [cert.steps] + (list(tampered_steps(cert)) if len(cert) > 1 else [])
+            for steps in cases:
+                got = generation._step_defects(steps, cert.n)
+                np.testing.assert_array_equal(got, per_step_defects(steps, cert.n))
+
+    def test_product_kernels_match_the_per_step_merge(self):
+        for cert in POOL + list(frozen_certificates()):
+            got, last = generation._step_kernels(cert.base_angles, cert.steps)
+            want, want_last = per_step_kernels(cert.base_angles, cert.steps)
+            assert np.array_equal(last, want_last) and len(got) == len(want)
+            n = cert.n
+            assert np.array_equal(
+                generation._product_rows(got, n, 0, n), generation._product_rows(want, n, 0, n)
+            )
+
+    def test_records_match_per_block_packing(self):
+        for cert in frozen_certificates():
+            for i, st in enumerate(cert.steps):
+                want = json.dumps(per_block_record(st, i))
+                assert json.dumps(st.to_json(i)) == want
+
+    def test_blocks_are_views_of_the_packed_data(self):
+        st = POOL[3].steps[0]
+        start = 0
+        for (offset, b), o, w in zip(st.blocks, st.offsets, st.widths):
+            assert offset == o and b.shape == (w, w)
+            assert np.shares_memory(b, st.data)
+            assert np.array_equal(b.ravel(), st.data[start : start + w * w])
+            start += w * w
+        assert start == st.data.shape[0]
+        assert not st.data.flags.writeable
+
+    def test_mixed_widths_round_trip_in_their_order(self):
+        rng = np.random.default_rng(49)
+        n = 10
+        theta = rng.uniform(-math.pi, math.pi, n)
+        a, b = haar(n, rng), haar(n, rng)
+        base = (b * np.exp(1j * theta)) @ b.conj().T
+        blocks = ((7, haar(3, rng)), (0, haar(2, rng)), (4, haar(3, rng)), (2, haar(2, rng)))
+        steps = (
+            CertStep(rng.permutation(n), blocks, 1),
+            CertStep(rng.permutation(n), blocks[::-1], -1),
+        )
+        cert = Certificate(base, base, a, b, theta, steps, 2, "rank_dep")
+        back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+        for st, orig in zip(back.steps, steps):
+            assert st.offsets.tolist() == [offset for offset, _ in orig.blocks]
+            assert st.widths.tolist() == [blk.shape[0] for _, blk in orig.blocks]
+            for (o1, b1), (o2, b2) in zip(st.blocks, orig.blocks):
+                assert o1 == o2 and np.array_equal(b1, b2)
+        dense = np.eye(n, dtype=complex)
+        for i, st in enumerate(back.steps):
+            g = back.conjugator(i)
+            dense = dense @ g @ (base if st.e == 1 else base.conj().T) @ g.conj().T
+        assert np.max(np.abs(back.product() - dense)) < 1e-11
+        assert np.max(np.abs(cert.product() - dense)) < 1e-11
+
+    def test_non_square_block_is_malformed(self):
+        cert = POOL[3]
+        st = cert.steps[1]
+        blocks = ((st.blocks[0][0], np.zeros((2, 3))),) + st.blocks[1:]
+        bad = with_step(cert, 1, blocks=blocks)
+        assert bad.steps[1].widths.tolist() == [0] + st.widths.tolist()[1:]
+        report = verify_certificate(bad)
+        assert "error" not in report
+        assert report["margins"]["first_failing_step"] == 1
+        assert not report["checks"]["steps_unitary"]
+        assert not report["checks"]["step_conjugacy"]
+        assert not report["pass"]
+
+    def test_replace_keeps_the_packed_blocks(self):
+        st = POOL[3].steps[2]
+        flipped = dataclasses.replace(st, e=-st.e)
+        assert flipped.e == -st.e
+        assert flipped.data is st.data and flipped.offsets is st.offsets
+
+    @pytest.mark.parametrize(
+        "offsets, widths, size",
+        [([0], [2], 3), ([0, 2], [2], 4), ([0], [-2], 4), ([[0]], [[2]], 4)],
+    )
+    def test_packed_arrays_must_agree(self, offsets, widths, size):
+        with pytest.raises(ValueError):
+            CertStep(np.arange(4), e=1, offsets=offsets, widths=widths,
+                     data=np.zeros(size, dtype=complex))
+
+
 class TestChordDiameter:
     @staticmethod
     def brute(angles):

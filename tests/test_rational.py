@@ -22,12 +22,14 @@ from normgen import (
     Monomial,
     PreconditionError,
     RationalSpectrum,
+    UnitaryRep,
     ValidationError,
     approx_stability_check,
     lcm_embed,
     pipeline_generate,
     projective_profile,
     rational_approximate,
+    two_norm,
     verify_certificate,
 )
 
@@ -444,6 +446,49 @@ class TestApproxStability:
         report = approx_stability_check(q, q, 0.1)
         assert report["status"] == "ok"
         assert len(calls) == 2
+
+    def test_monomial_distance_matches_the_dense_one(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 5, 12):
+            angles = rng.uniform(-math.pi, math.pi, (2, n))
+            diagonal = [CircleSpectrum(a).to_unitary() for a in angles]
+            permuted = [
+                UnitaryRep(Monomial(rng.permutation(n), np.exp(1j * a))) for a in angles
+            ]
+            # mostly agreeing perms: one transposition apart
+            swapped = np.arange(n)
+            swapped[[0, n - 1]] = swapped[[n - 1, 0]]
+            near = [UnitaryRep(Monomial(p, np.exp(1j * a)))
+                    for p, a in zip((np.arange(n), swapped), angles)]
+            for u, v in (diagonal, permuted, near, (diagonal[0], diagonal[0])):
+                assert isinstance(u.op, Monomial) and isinstance(v.op, Monomial)
+                got = approx_stability_check(u, v, 1.0)["two_norm"]
+                want = two_norm(u.matrix - v.matrix)
+                assert abs(got - want) <= 1e-15, (n, got, want)
+
+    def test_monomial_distance_in_linear_memory(self):
+        # two dense 5040 x 5040 operands and their difference would take
+        # 1.2 GB; the diagonal pair needs a few arrays of n phases
+        from normgen.rational import _distance
+
+        rng = np.random.default_rng(14)
+        n = 5040
+        u, v = (CircleSpectrum(rng.uniform(-3.0, 3.0, n)).to_unitary() for _ in range(2))
+        tracemalloc.start()
+        try:
+            dist = _distance(u.op, v.op)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = approx_stability_check(u, v, 2.0)
+            _, check_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        # the rest is the two profiles, one row block of spans each
+        assert check_peak < 16 * 2**20
+        assert report["two_norm"] == dist
+        z = np.exp(1j * u.op.phase_angles) - np.exp(1j * v.op.phase_angles)
+        assert dist == pytest.approx(np.linalg.norm(z) / math.sqrt(n), abs=1e-15)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(DomainError):

@@ -436,11 +436,20 @@ class TestDiagonalize:
             diff = np.abs(ng.canon_angle(got - ref))
             assert np.max(diff) < 1e-7
 
+    def test_combination_angles_are_the_seed_zero_draws(self):
+        from normgen.config import TOL
+        from normgen.spectral import _COMBINATION_ANGLES
+
+        rng = np.random.default_rng(0)
+        draws = tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(8))
+        assert _COMBINATION_ANGLES == draws
+        assert len(_COMBINATION_ANGLES) == TOL.diag_retries
+
     def test_collision_pair_rebuilds_to_rounding(self):
-        # the first Hermitian combination of the fixed stream (seed 0),
-        # cos(t) Re u + sin(t) Im u, maps e^{ia} and e^{ib} 1e-6 apart when
-        # a + b = 2t + 1e-6; eigh then mixes their eigenvectors and the
-        # rebuild was off by 5e4 n eps
+        # the first Hermitian combination, at the first draw of
+        # default_rng(0), cos(t) Re u + sin(t) Im u, maps e^{ia} and e^{ib}
+        # 1e-6 apart when a + b = 2t + 1e-6; eigh then mixes their
+        # eigenvectors and the rebuild was off by 5e4 n eps
         n = 8
         eps = np.finfo(float).eps
         t = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
@@ -471,6 +480,69 @@ class TestDiagonalize:
         spec, _ = ng.diagonalize_normal(w @ d @ w.conj().T)
         got = np.sort(spec.angles)
         assert np.allclose(got, [-2.0, -2.0, 0.4, 0.4, 0.4], atol=1e-8)
+
+
+def loop_separate_mixed_pairs(w, mw, cut):
+    """_separate_mixed_pairs as it was, rotating w, u w and d one array at
+    a time: the reference for the stacked version."""
+    d = w.conj().T @ mw
+    for _ in range(3):
+        off = np.abs(np.triu(d, 1))
+        pairs = np.argwhere(off > cut)
+        if pairs.shape[0] == 0:
+            break
+        used, chosen = set(), []
+        for a, b in pairs[np.argsort(-off[pairs[:, 0], pairs[:, 1]])].tolist():
+            if a not in used and b not in used:
+                used.update((a, b))
+                chosen.append((a, b))
+        a, b = np.array(chosen).T
+        half = 0.5 * (d[a, a] - d[b, b])
+        mu = np.sqrt(half * half + d[a, b] * d[b, a])
+        ph = np.ones_like(mu)
+        np.divide(np.abs(mu), mu, out=ph, where=mu != 0)
+        cross = 0.5 * (d[a, b] * ph + np.conj(d[b, a] * ph))
+        h = np.empty((a.shape[0], 2, 2), dtype=complex)
+        h[:, 0, 0] = (half * ph).real
+        h[:, 1, 1] = -h[:, 0, 0]
+        h[:, 0, 1] = cross
+        h[:, 1, 0] = np.conj(cross)
+        _, v = np.linalg.eigh(h)
+        for x in (w, mw, d):
+            xa, xb = x[:, a], x[:, b]
+            x[:, a] = xa * v[:, 0, 0] + xb * v[:, 1, 0]
+            x[:, b] = xa * v[:, 0, 1] + xb * v[:, 1, 1]
+        da, db = d[a, :], d[b, :]
+        vc = v.conj()[:, :, :, None]
+        d[a, :] = vc[:, 0, 0] * da + vc[:, 1, 0] * db
+        d[b, :] = vc[:, 0, 1] * da + vc[:, 1, 1] * db
+    return w, mw
+
+
+class TestSeparateMixedPairs:
+    def test_matches_the_one_array_at_a_time_sweeps(self):
+        from normgen.spectral import _COMBINATION_ANGLES, _separate_mixed_pairs
+
+        t = _COMBINATION_ANGLES[0]
+        rng = np.random.default_rng(51)
+        swept = 0
+        for trial in range(60):
+            n = (4, 8, 16, 32)[trial % 4]
+            angles = rng.uniform(-math.pi, math.pi, n)
+            # pairs that the first combination maps within 1e-7 of each other
+            for k in range(0, min(n, 2 + trial % 6), 2):
+                angles[k + 1] = 2.0 * t - angles[k] + rng.uniform(-1e-7, 1e-7)
+            w0 = haar_unitary(n, rng)
+            u = (w0 * np.exp(1j * angles)) @ w0.conj().T
+            h = math.cos(t) * (u + u.conj().T) / 2.0 + math.sin(t) * (u - u.conj().T) / 2j
+            _, w = np.linalg.eigh(h)
+            cut = 4.0 * n * np.finfo(float).eps
+            got = _separate_mixed_pairs(w.copy(), u @ w, cut)
+            want = loop_separate_mixed_pairs(w.copy(), u @ w, cut)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            swept += not np.array_equal(got[0], w)
+        assert swept > 30
 
 
 def diagonal_cases():

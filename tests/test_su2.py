@@ -221,7 +221,9 @@ class TestStepType:
 
     def test_rejects_nonunitary(self, monkeypatch):
         sheared = (1 + 0j, 1 + 0j, 0j, 1 + 0j)
-        monkeypatch.setattr(su2, "_walk_positive", lambda target, theta, m: [sheared] * m)
+        monkeypatch.setattr(
+            su2, "_walk_positive", lambda target, theta, m, table: [sheared] * m
+        )
         with pytest.raises(DomainError):
             _walk(0.5, 0.3, 2)
 
@@ -430,13 +432,41 @@ class TestSourceBlock:
             block = source_block(rng.choice((-1, 1)) * rng.uniform(0.2, math.pi))
             phi = rng.uniform(-math.pi, math.pi)
             m = walk_length(phi, block.theta, 16)
-            ys, rotated = block.frames(phi, m)
-            assert ys.shape == rotated.shape == (m, 2, 2)
+            blocks = block.frames(phi, m)
+            assert len(blocks) == 2 * m
+            ys, rotated = np.array(blocks).reshape(m, 2, 2, 2).transpose(1, 0, 2, 3)
             prod = np.eye(2, dtype=complex)
             for y in ys:
                 prod = prod @ y @ arr(block.commutator) @ y.conj().T
             assert np.max(np.abs(prod - rot(phi))) <= 1e-10
             assert np.max(np.abs(rotated - ys @ arr(block.rotation))) <= 1e-15
+
+    def test_reach_table_grows_as_far_as_asked(self):
+        block = source_block(0.3)
+        assert block.reach == []
+        m = block.walk_length(1.0, 16)
+        assert m == walk_length(1.0, block.theta, 16) == 4
+        assert len(block.reach) == m
+        block.frames(1.0, m + 4)
+        assert len(block.reach) == m + 4
+        # the table holds the intervals of 1, 2, 3, ... conjugates
+        lo, hi = block.theta, block.theta
+        for got in block.reach:
+            assert got == (lo, hi)
+            lo, hi = su2._reach_interval(lo, hi, block.theta)
+
+    def test_table_lengths_match_fresh_ones(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            block = source_block(rng.choice((-1, 1)) * rng.uniform(0.05, math.pi))
+            for phi in rng.uniform(-math.pi, math.pi, 20):
+                try:
+                    want = walk_length(phi, block.theta, 12)
+                except BudgetInfeasibleError:
+                    with pytest.raises(BudgetInfeasibleError):
+                        block.walk_length(phi, 12)
+                    continue
+                assert block.walk_length(phi, 12) == want
 
     def test_frames_refuse_what_the_walk_refuses(self):
         block = source_block(0.2)
