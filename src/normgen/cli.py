@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .corpus import run_corpus
+from .corpus import MODES, run_corpus
 from .errors import (
     BudgetInfeasibleError,
     CertificateFormatError,
@@ -263,11 +263,7 @@ def build_parser():
     p = sub.add_parser("generate", help="emit a conjugacy certificate")
     p.add_argument("target", help="target operand JSON file")
     p.add_argument("base", nargs="?", help="base operand JSON file")
-    p.add_argument(
-        "--mode",
-        choices=("rank-dep", "rank-indep", "full", "pipeline", "broise"),
-        default="rank-dep",
-    )
+    p.add_argument("--mode", choices=MODES, default="rank-dep")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--s", default=None, help="block count or rational window")
     p.add_argument("--out", default=None, help="certificate JSON path")

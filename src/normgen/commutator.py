@@ -19,6 +19,7 @@ from .orderings import optimalize
 from .spectral import (
     CircleSpectrum,
     as_unitary,
+    haar_unitary,
     profile_mean,
     proj_distance,
     projective_one_norm,
@@ -124,13 +125,6 @@ def llbound_diagnostic(u):
     return report
 
 
-def _random_unitary(n, rng):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
-
-
 def commutator_norm_search(u, trials=32, seed=0):
     """Best-effort search for a large commutator, no pass/fail contract.
 
@@ -147,7 +141,7 @@ def commutator_norm_search(u, trials=32, seed=0):
     eye = np.eye(n, dtype=complex)
     best = 0.0
     for _ in range(trials):
-        g = _random_unitary(n, rng)
+        g = haar_unitary(n, rng).matrix
         c = m @ g @ m.conj().T @ g.conj().T
         best = max(best, two_norm(eye - c))
     report = {

@@ -21,7 +21,6 @@ class Tolerances:
     hyp_slack: float = 1e-9      # slack in hypothesis inequalities
     tie_rel: float = 1e-9        # relative tie window in gap orderings
     diag_residual: float = 1e-8  # reconstruction defect in eigendecompositions
-    diag_retries: int = 8
     s0_max: int = 5040           # largest common-denominator embedding dimension
 
     def eq_tol(

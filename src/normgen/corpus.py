@@ -24,7 +24,7 @@ from .generation import (
     verify_certificate,
 )
 from .rational import RationalSpectrum, lcm_embed, pipeline_generate
-from .spectral import CircleSpectrum, Monomial, UnitaryRep, canon_angle
+from .spectral import CircleSpectrum, Monomial, UnitaryRep, canon_angle, haar_unitary
 from .symmetries import broise_kernel_certificate
 
 __all__ = [
@@ -38,15 +38,6 @@ __all__ = [
 REPORT_VERSION = "normgen-report/1"
 
 MODES = ("rank-dep", "rank-indep", "full", "pipeline", "broise")
-
-
-def haar_unitary(n, rng):
-    """Haar-distributed unitary via QR with the phase convention fixed."""
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))[None, :]
-    return UnitaryRep(q)
 
 
 def random_spectrum(n, rng, span=None):

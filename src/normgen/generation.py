@@ -567,20 +567,19 @@ def theorem_budgets(m, n=None, s=None, ell=None, coeff=None):
     if m <= 0:
         raise DomainError("multiplier must be positive")
     out = {}
+    if n is not None:
+        n = int(n)
+        out["rank_dependent"] = 8 * m * n
     if s is not None:
         s_frac = Fraction(s) if not isinstance(s, float) else Fraction(s).limit_denominator(10**9)
         if s_frac <= 0:
             raise DomainError("block parameter must be positive")
         if n is not None:
-            n = int(n)
-            out["rank_dependent"] = 8 * m * n
             out["rank_independent"] = 24 * m * _ceil_div(n, s_frac)
         inv = _ceil_div(1, s_frac)
         out["pipeline"] = 48 * m * inv
         out["kernel_factor"] = 18432 * m * inv
         out["general_factor"] = 589824 * m * inv
-    elif n is not None:
-        out["rank_dependent"] = 8 * m * int(n)
     if ell is not None:
         ell = float(ell)
         if ell <= 0:
@@ -629,14 +628,12 @@ def hypothesis_check(u, v, m, s):
     n = prof_v.shape[0]
     if s > n:
         raise DomainError(f"block count {s} exceeds size {n}")
-    slacks = tuple(float(ell_u - m * prof_v[t]) for t in range(s))
-    satisfied = all(x <= TOL.hyp_slack for x in slacks)
-    feas = 0
-    for t in range(n):
-        if ell_u - m * prof_v[t] <= TOL.hyp_slack:
-            feas = t + 1
-        else:
-            break
+    slack = ell_u - m * prof_v
+    fits = slack <= TOL.hyp_slack
+    slacks = tuple(slack[:s].tolist())
+    satisfied = bool(fits[:s].all())
+    # the longest run of fitting slacks from t = 0
+    feas = n if fits.all() else int(np.argmin(fits))
     floor = float(prof_v[s - 1])
     if ell_u <= TOL.hyp_slack:
         min_m = 1
@@ -751,8 +748,23 @@ def _diameter_pair(angles):
     return float(near[i]), int(order[i]), int(order[partner % n])
 
 
+# diameter at or below which a spectrum counts as central
+_CENTRAL = 1e-8
+
+
 def _is_central(angles):
-    return _diameter_pair(angles)[0] <= 1e-8
+    return _diameter_pair(angles)[0] <= _CENTRAL
+
+
+class _Pair(NamedTuple):
+    """A validated target and base with their spectra and eigenframes."""
+
+    urep: UnitaryRep
+    vrep: UnitaryRep
+    uspec: CircleSpectrum
+    uframe: object
+    vspec: CircleSpectrum
+    vframe: object
 
 
 def _prepare_pair(u, v):
@@ -760,34 +772,19 @@ def _prepare_pair(u, v):
     vrep = as_unitary(v, what="base")
     if urep.n != vrep.n:
         raise DimensionError("target and base sizes differ")
-    uspec, uframe = diagonalize_normal(urep)
-    vspec, vframe = diagonalize_normal(vrep)
-    return urep, vrep, uspec, uframe, vspec, vframe
+    return _Pair(urep, vrep, *diagonalize_normal(urep), *diagonalize_normal(vrep))
 
 
-def _trivial_certificate(urep, vrep, uspec, uframe, vspec, vframe, budget,
-                         theorem, params):
-    """The empty certificate if the target is central and passes the product
-    check against the identity as it stands, else None."""
-    if not _is_central(uspec.angles):
-        return None
-    cert = Certificate(
-        urep.op, vrep.op, uframe, vframe, vspec.angles, (),
-        budget, theorem, params, {"trivial_target": True}, uspec.angles,
-    )
-    return cert if _generated_check(cert, urep)[0] else None
-
-
-def _matched_layout(angles):
-    """Base positions for the walks: the diameter pair at (0, 1), then the
-    other angles in sorted order, i paired with i + floor((n - 2) / 2) at
-    (2r, 2r + 1), and an odd one out last.
+def _matched_layout(angles, diameter):
+    """Base positions for the walks: the ends of diameter (the _diameter_pair
+    of angles) at (0, 1), then the other angles in sorted order, i paired
+    with i + floor((n - 2) / 2) at (2r, 2r + 1), and an odd one out last.
 
     Each matched pair spans about half of the spectrum, so every even and
     every odd factor of the target gets a wide source block of its own.
     """
     n = len(angles)
-    _, i, j = _diameter_pair(angles)
+    _, i, j = diameter
     rest = [int(k) for k in np.argsort(angles, kind="stable") if k != i and k != j]
     h = (n - 2) // 2
     layout = [i, j]
@@ -831,24 +828,41 @@ def _plan_batches(factors, pairs, cap):
     return batches
 
 
-def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
-                      theorem, params, metadata):
-    """Shared assembly for the theorem generators.
+def _walk_certificate(pair, theorem, m, s, budget, admit, metadata):
+    """The one gate and assembly of the walk generators.
 
-    Factors the centered, prefix-ordered target into two-by-two blocks and
-    walks the even and the odd ones in batches against the matched source
-    pairs of the base (see _plan_batches).  Each batch walks the shortest
-    even length, at most mult, that reaches all of its strands.  The steps
-    stay in the eigenframes: the certificate stores the target's frame in
-    angle-sum order and the base's frame in the matched layout once, and
-    checks its product the way the verifier does.
+    In order: a central target gets the empty certificate if that passes
+    the product check; a central base raises DegenerateInputError; admit,
+    the generator's own hypothesis check on the two spectra, raises if it
+    fails (generate_full has none and passes None); then the walk.
+
+    The walk factors the centered, prefix-ordered target into two-by-two
+    blocks and walks the even and the odd ones in batches against the
+    matched source pairs of the base (see _plan_batches).  Each batch walks
+    the shortest even length, at most 4m, that reaches all of its strands.
+    The steps stay in the eigenframes: the certificate stores the target's
+    frame in angle-sum order and the base's frame in the matched layout
+    once, and checks its product the way the verifier does.
     """
+    urep, vrep, uspec, uframe, vspec, vframe = pair
     n = urep.n
+    params = {"m": m, "s": s, "n": n}
+    if _is_central(uspec.angles):
+        cert = Certificate(urep.op, vrep.op, uframe, vframe, vspec.angles, (), budget,
+                           theorem, params, {"trivial_target": True}, uspec.angles)
+        if _generated_check(cert, urep)[0]:
+            return cert
+    diameter = _diameter_pair(vspec.angles)
+    if diameter[0] <= _CENTRAL:
+        raise DegenerateInputError("base is central and generates nothing")
+    if admit is not None:
+        admit(uspec, vspec)
+    mult = 4 * m
     centered, phase = center_phase(uspec)
     order = angle_sum_optimalize(centered.angles)
     theta = order.values
     aframe = as_operator(uframe).columns(order.sigma)
-    layout = _matched_layout(vspec.angles)
+    layout = _matched_layout(vspec.angles, diameter)
     gamma = vspec.angles[layout]
     bframe = as_operator(vframe).columns(layout)
     pairs = [(j, source_block(gamma[j] - gamma[j + 1])) for j in range(0, n - 1, 2)]
@@ -876,19 +890,10 @@ def _walk_certificate(urep, vrep, uspec, uframe, vspec, vframe, mult, budget,
         raise BudgetInfeasibleError(
             f"construction used {len(steps)} conjugates, over budget {budget}"
         )
-    cert = Certificate(
-        urep.op,
-        vrep.op,
-        aframe,
-        bframe,
-        gamma,
-        steps,
-        budget,
-        theorem,
-        params,
-        {**metadata, "centering_phase": float(phase), "planner": planner},
-        uspec.angles[order.sigma],
-    )
+    metadata = {"walk_multiplier": mult, **metadata, "centering_phase": float(phase),
+                "planner": planner}
+    cert = Certificate(urep.op, vrep.op, aframe, bframe, gamma, steps, budget, theorem,
+                       params, metadata, uspec.angles[order.sigma])
     passed, resid, tol = _generated_check(cert, urep)
     if not passed:
         raise NumericalDegeneracyError(
@@ -910,29 +915,19 @@ def generate_rank_dependent(u, v, m):
     m = int(m)
     if m <= 0:
         raise DomainError("multiplier must be positive")
-    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v)
-    n = urep.n
-    budget = 8 * m * n
-    trivial = _trivial_certificate(
-        urep, vrep, uspec, uframe, vspec, vframe, budget, "rank_dep",
-        {"m": m, "s": None, "n": n},
-    )
-    if trivial is not None:
-        return trivial
-    if _is_central(vspec.angles):
-        raise DegenerateInputError("base is central and generates nothing")
-    ell_u = projective_s_number(uspec, 0)[0]
-    ell_v = projective_s_number(vspec, 0)[0]
-    if ell_u > m * ell_v + TOL.hyp_slack:
-        raise BudgetInfeasibleError(
-            f"ell_0(target) {ell_u:.6f} exceeds {m} * ell_0(base) {ell_v:.6f}"
-        )
-    return _walk_certificate(
-        urep, vrep, uspec, uframe, vspec, vframe,
-        mult=4 * m, budget=budget, theorem="rank_dep",
-        params={"m": m, "s": None, "n": n},
-        metadata={"walk_multiplier": 4 * m, "even_rounding": "4m is even"},
-    )
+    pair = _prepare_pair(u, v)
+
+    def admit(uspec, vspec):
+        ell_u = projective_s_number(uspec, 0)[0]
+        ell_v = projective_s_number(vspec, 0)[0]
+        if ell_u > m * ell_v + TOL.hyp_slack:
+            raise BudgetInfeasibleError(
+                f"ell_0(target) {ell_u:.6f} exceeds {m} * ell_0(base) {ell_v:.6f}"
+            )
+
+    budget = theorem_budgets(m, n=pair.urep.n)["rank_dependent"]
+    return _walk_certificate(pair, "rank_dep", m, None, budget, admit,
+                             {"even_rounding": "4m is even"})
 
 
 def generate_rank_independent(u, v, m, s):
@@ -947,32 +942,19 @@ def generate_rank_independent(u, v, m, s):
     s = int(s)
     if m <= 0:
         raise DomainError("multiplier must be positive")
-    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v)
-    n = urep.n
+    pair = _prepare_pair(u, v)
+    n = pair.urep.n
     if not (1 <= s <= (n - 1) // 2 + 1):
-        raise DomainError(
-            f"block count {s} out of range for size {n}"
-        )
-    budget = 24 * m * _ceil_div(n, s)
-    trivial = _trivial_certificate(
-        urep, vrep, uspec, uframe, vspec, vframe, budget, "rank_indep",
-        {"m": m, "s": s, "n": n},
-    )
-    if trivial is not None:
-        return trivial
-    if _is_central(vspec.angles):
-        raise DegenerateInputError("base is central and generates nothing")
-    report = hypothesis_check(uspec, vspec, m, s)
-    if not report.satisfied:
-        raise HypothesisError(
-            "generation hypothesis fails; see attached report", report
-        )
-    return _walk_certificate(
-        urep, vrep, uspec, uframe, vspec, vframe,
-        mult=4 * m, budget=budget, theorem="rank_indep",
-        params={"m": m, "s": s, "n": n},
-        metadata={"walk_multiplier": 4 * m, "even_rounding": "4m is even"},
-    )
+        raise DomainError(f"block count {s} out of range for size {n}")
+
+    def admit(uspec, vspec):
+        report = hypothesis_check(uspec, vspec, m, s)
+        if not report.satisfied:
+            raise HypothesisError("generation hypothesis fails; see attached report", report)
+
+    budget = theorem_budgets(m, n=n, s=s)["rank_independent"]
+    return _walk_certificate(pair, "rank_indep", m, s, budget, admit,
+                             {"even_rounding": "4m is even"})
 
 
 def generate_full(u, v):
@@ -982,31 +964,16 @@ def generate_full(u, v):
     the multiplier ceil(2/ell_0(v)) always satisfies the single-gap
     hypothesis.
     """
-    urep, vrep, uspec, uframe, vspec, vframe = _prepare_pair(u, v)
-    n = urep.n
-    ell_v = projective_s_number(vspec, 0)[0]
+    pair = _prepare_pair(u, v)
+    ell_v = projective_s_number(pair.vspec, 0)[0]
     if ell_v <= TOL.rank:
         raise DegenerateInputError(
             "base has vanishing projective length and generates nothing"
         )
     m = int(math.ceil(2.0 / ell_v - 1e-12))
-    budget = 8 * m * n
-    trivial = _trivial_certificate(
-        urep, vrep, uspec, uframe, vspec, vframe, budget, "full_gen",
-        {"m": m, "s": None, "n": n},
-    )
-    if trivial is not None:
-        return trivial
-    cert = _walk_certificate(
-        urep, vrep, uspec, uframe, vspec, vframe,
-        mult=4 * m, budget=budget, theorem="full_gen",
-        params={"m": m, "s": None, "n": n},
-        metadata={
-            "walk_multiplier": 4 * m,
-            "derived_multiplier": f"ceil(2/{ell_v:.6f})",
-        },
-    )
-    return cert
+    budget = theorem_budgets(m, n=pair.urep.n)["rank_dependent"]
+    return _walk_certificate(pair, "full_gen", m, None, budget, None,
+                             {"derived_multiplier": f"ceil(2/{ell_v:.6f})"})
 
 
 # ---------------------------------------------------------------------------

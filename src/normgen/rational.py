@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .generation import generate_rank_independent
+from .generation import generate_rank_independent, theorem_budgets
 from .spectral import (
     CircleSpectrum,
     Monomial,
@@ -314,7 +314,7 @@ def pipeline_generate(u, v, m, s):
     ua, va, s0 = lcm_embed(u, v)
     window = int(s * (s0 - 1) / 2) + 1
     window = min(window, (s0 - 1) // 2 + 1)
-    budget = 48 * m * math.ceil(1 / s)
+    budget = theorem_budgets(m, s=s)["pipeline"]
     inner = generate_rank_independent(ua, va, m, window)
     if inner.claimed_budget > budget:
         raise NumericalDegeneracyError(

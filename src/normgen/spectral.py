@@ -421,6 +421,14 @@ def as_unitary(u, what="unitary"):
     return UnitaryRep(u if isinstance(u, Monomial) else _as_square(u, what))
 
 
+def haar_unitary(n, rng):
+    """Haar-distributed unitary via QR with the phase convention fixed."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return UnitaryRep(q * (d / np.abs(d))[None, :])
+
+
 def spectrum_of(u):
     """Eigenvalue angles of u: a spectrum as it is, a monomial u read off
     its phases and an exactly diagonal dense u off its diagonal, with no
@@ -754,7 +762,7 @@ def diagonalize_normal(u):
     hre = (m + m.conj().T) / 2.0
     him = (m - m.conj().T) / 2j
     last = None
-    for t in _COMBINATION_ANGLES[: TOL.diag_retries]:
+    for t in _COMBINATION_ANGLES:
         h = math.cos(t) * hre + math.sin(t) * him
         _, w = np.linalg.eigh(h)
         mw = m @ w
@@ -767,6 +775,6 @@ def diagonalize_normal(u):
             order = np.argsort(angles)
             return CircleSpectrum(angles[order]), np.ascontiguousarray(w[:, order])
     raise NumericalDegeneracyError(
-        f"diagonalization failed after {TOL.diag_retries} tries, "
+        f"diagonalization failed after {len(_COMBINATION_ANGLES)} tries, "
         f"best residual {last:.3e}"
     )

@@ -88,14 +88,21 @@ def _as_matrix(x, what="matrix"):
     return as_unitary(x, what).matrix
 
 
+def _dense_rep(x, what):
+    """x validated once as a UnitaryRep of a dense matrix, which
+    diagonalize_normal takes as it is and gives a dense frame."""
+    rep = as_unitary(x.matrix if isinstance(x, Symmetry) else x, what)
+    return rep if isinstance(rep.op, np.ndarray) else UnitaryRep(rep.matrix)
+
+
 def sqrt_unitary(w):
     """Principal square root: halve the eigenangles on the (-pi, pi] branch.
 
     Returns a UnitaryRep u with u @ u equal to w up to diagonalization
     residual; eigenvalue -1 maps to +i.
     """
-    m = _as_matrix(w, "unitary")
-    return _principal_root(m, *diagonalize_normal(m))
+    rep = _dense_rep(w, "unitary")
+    return _principal_root(rep.matrix, *diagonalize_normal(rep))
 
 
 def _principal_root(m, spec, frame):
@@ -117,8 +124,8 @@ def block_symmetry_factors(w):
     root u of w and t the block swap; s t = diag(u, u*) so the product
     telescopes to diag(w, w*).
     """
-    m = _as_matrix(w, "unitary")
-    return _stst_factors(m, sqrt_unitary(m).matrix)
+    rep = _dense_rep(w, "unitary")
+    return _stst_factors(rep.matrix, sqrt_unitary(rep).matrix)
 
 
 def _stst_factors(m, u):
@@ -187,7 +194,8 @@ def broise_kernel_certificate(w, reference=None):
     (default diag(I_k, -I_k)), giving a certificate with budget exactly 4.
     A projectively trivial target yields an empty step list.
     """
-    m = _as_matrix(w, "unitary")
+    rep = _dense_rep(w, "unitary")
+    m = rep.matrix
     k = m.shape[0]
     n = 2 * k
     if reference is None:
@@ -205,7 +213,7 @@ def broise_kernel_certificate(w, reference=None):
     bframe = _involution_frame(ref.matrix)
     # w = F diag(e^{i alpha}) F* gives target = A diag(e^{i phi}) A* with
     # A = diag(F, F) and phi = (alpha, -alpha)
-    spec, f = diagonalize_normal(m)
+    spec, f = diagonalize_normal(rep)
     aframe = np.block([[f, zero], [zero, f]])
 
     def certificate(steps, metadata):

@@ -237,6 +237,27 @@ class TestHypothesisCheck:
         json.dumps(obj)
         assert obj["m"] == 2 and obj["s"] == 2
 
+    def test_matches_the_loop(self):
+        # the slacks, satisfied and max_feasible_s as a loop over t computed them
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            n = int(rng.integers(2, 12))
+            u, v = haar(n, rng), haar(n, rng)
+            ell_u = projective_s_number(u, 0)[0]
+            prof_v = projective_profile(v).values
+            for m in (1, 2, 5):
+                s = int(rng.integers(1, n + 1))
+                slacks = tuple(float(ell_u - m * prof_v[t]) for t in range(s))
+                feas = 0
+                for t in range(n):
+                    if ell_u - m * prof_v[t] > TOL.hyp_slack:
+                        break
+                    feas = t + 1
+                rep = hypothesis_check(u, v, m, s)
+                assert rep.slacks == slacks
+                assert rep.satisfied is all(x <= TOL.hyp_slack for x in slacks)
+                assert rep.max_feasible_s == feas
+
 
 class TestSwapCommutator:
     """The commutator of a diagonal base with the swap of two adjacent
@@ -526,6 +547,85 @@ class TestGenerateFull:
         u = haar(3, rng)
         with pytest.raises(DegenerateInputError):
             generate_full(u, np.exp(0.3j) * np.eye(3, dtype=complex))
+
+
+EYE4 = np.eye(4, dtype=complex)
+CENTRAL4 = 1j * EYE4
+WIDE4 = diag_u(centered([0.9, -0.2, -0.4, -0.3]))
+# ell_0 = 3e-9 is above TOL.rank, so generate_full's own check passes, but
+# the diameter 6e-9 makes the base central
+NEAR_CENTRAL4 = diag_u([3e-9, -3e-9, 0.0, 0.0])
+
+
+def gate_case(call, expected, name):
+    return pytest.param(call, expected, id=name)
+
+
+class TestGateOrder:
+    """Which refusal or shortcut wins at n = 4: the parameters, then a
+    trivial target, then a central base, then the generator's hypothesis."""
+
+    @pytest.mark.parametrize("call,expected", [
+        gate_case(lambda: generate_rank_dependent(EYE4, CENTRAL4, 1), None,
+                  "rank_dep-trivial-target-central-base"),
+        gate_case(lambda: generate_rank_independent(EYE4, CENTRAL4, 1, 1), None,
+                  "rank_indep-trivial-target-central-base"),
+        # full's multiplier needs ell_0(v) before any certificate exists
+        gate_case(lambda: generate_full(EYE4, CENTRAL4), DegenerateInputError,
+                  "full-trivial-target-central-base"),
+        gate_case(lambda: generate_rank_dependent(WIDE4, CENTRAL4, 1), DegenerateInputError,
+                  "rank_dep-central-base"),
+        gate_case(lambda: generate_rank_independent(WIDE4, CENTRAL4, 1, 1),
+                  DegenerateInputError, "rank_indep-central-base"),
+        gate_case(lambda: generate_full(WIDE4, CENTRAL4), DegenerateInputError,
+                  "full-central-base"),
+        gate_case(lambda: generate_rank_dependent(WIDE4, NEAR_CENTRAL4, 1),
+                  DegenerateInputError, "rank_dep-numerically-central-base"),
+        gate_case(lambda: generate_rank_independent(WIDE4, NEAR_CENTRAL4, 1, 1),
+                  DegenerateInputError, "rank_indep-numerically-central-base"),
+        gate_case(lambda: generate_full(WIDE4, NEAR_CENTRAL4), DegenerateInputError,
+                  "full-numerically-central-base"),
+        gate_case(lambda: generate_rank_dependent(EYE4, CENTRAL4, 0), DomainError,
+                  "rank_dep-m-zero"),
+        gate_case(lambda: generate_rank_dependent(WIDE4, WIDE4, -1), DomainError,
+                  "rank_dep-m-negative"),
+        gate_case(lambda: generate_rank_independent(EYE4, CENTRAL4, 0, 1), DomainError,
+                  "rank_indep-m-zero"),
+        gate_case(lambda: generate_rank_independent(EYE4, CENTRAL4, 1, 0), DomainError,
+                  "rank_indep-s-zero"),
+        gate_case(lambda: generate_rank_independent(EYE4, CENTRAL4, 1, 3), DomainError,
+                  "rank_indep-s-over-range"),
+    ])
+    def test_gate_order(self, call, expected):
+        if expected is not None:
+            with pytest.raises(expected):
+                call()
+            return
+        cert = call()
+        assert len(cert) == 0
+        assert cert.metadata == {"trivial_target": True}
+        assert_sound(cert)
+
+    @pytest.mark.parametrize("generate", [
+        lambda u, v: generate_rank_dependent(u, v, 2),
+        lambda u, v: generate_rank_independent(u, v, 2, 1),
+        generate_full,
+    ], ids=["rank_dep", "rank_indep", "full"])
+    def test_one_diameter_per_generate(self, generate, monkeypatch):
+        seen = []
+        inner = generation._diameter_pair
+
+        def spy(angles):
+            seen.append(np.array(angles))
+            return inner(angles)
+
+        monkeypatch.setattr(generation, "_diameter_pair", spy)
+        rng = np.random.default_rng(41)
+        u, v = haar(6, rng), haar(6, rng)
+        assert len(generate(u, v)) > 0
+        base = spectrum_of(v).angles
+        assert sum(np.array_equal(a, base) for a in seen) == 1
+        assert len(seen) == 2
 
 
 @pytest.fixture
@@ -822,7 +922,7 @@ class TestMatchedPairs:
 
         rng = np.random.default_rng(32)
         b = rng.permutation(np.repeat(rng.uniform(-math.pi, math.pi, 3), [20, 7, 5]))
-        layout = generation._matched_layout(b)
+        layout = generation._matched_layout(b, _diameter_pair(b))
         gaps = [abs(canon_angle(b[layout[j]] - b[layout[j + 1]])) for j in range(0, 32, 2)]
         assert min(gaps) == 0.0
         u = haar_unitary(32, rng)
@@ -835,7 +935,7 @@ class TestMatchedPairs:
         rng = np.random.default_rng(3)
         for n in (2, 3, 8, 9):
             angles = rng.uniform(-math.pi, math.pi, n)
-            layout = generation._matched_layout(angles)
+            layout = generation._matched_layout(angles, _diameter_pair(angles))
             assert sorted(layout.tolist()) == list(range(n))
             first = chord(angles[layout[0]] - angles[layout[1]])
             assert first == pytest.approx(_diameter_pair(angles)[0], abs=1e-15)

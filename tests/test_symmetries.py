@@ -280,6 +280,23 @@ class TestBroiseKernel:
         assert len(cert) == 4
         assert eigh_calls.count((k, k)) == 1
 
+    @pytest.mark.parametrize("build", [broise_kernel_certificate, sqrt_unitary,
+                                       block_symmetry_factors])
+    def test_validates_w_once(self, build, monkeypatch):
+        from normgen.spectral import UnitaryRep
+
+        w = haar(4, np.random.default_rng(10))
+        checks = []
+        inner = UnitaryRep.__post_init__
+
+        def spy(self):
+            inner(self)
+            checks.append(np.array_equal(np.asarray(self.op), w))
+
+        monkeypatch.setattr(UnitaryRep, "__post_init__", spy)
+        build(w)
+        assert sum(checks) == 1
+
     def test_json_round_trip(self):
         w = haar(2, np.random.default_rng(8))
         cert = broise_kernel_certificate(w)
