@@ -20,7 +20,6 @@ from .errors import (
     BudgetInfeasibleError,
     CertificateFormatError,
     DegenerateInputError,
-    DimensionError,
     DomainError,
     EmbeddingBlowupError,
     HypothesisError,
@@ -42,7 +41,6 @@ from .rational import RationalSpectrum, pipeline_generate
 from .spectral import (
     CircleSpectrum,
     UnitaryRep,
-    one_norm,
     projective_one_norm,
     projective_profile,
     projective_rank,
@@ -61,7 +59,6 @@ EXIT_HYPOTHESIS = 4
 
 _VALIDATION_ERRORS = (
     ValidationError,
-    DimensionError,
     DomainError,
     PreconditionError,
     DegenerateInputError,
@@ -112,24 +109,20 @@ def cmd_lengths(args):
         # one diagonalization serves the profile, the one-norm and the rank
         spec = spectrum_of(op)
         prof = projective_profile(spec)
-    else:
-        m = op.matrix
-        eye = np.eye(m.shape[0], dtype=complex)
-        vals = singular_values(eye - m)
-        prof = SpectralProfile("mu", vals)
-    out = prof.to_json()
-    if args.one_norm:
-        if args.kind == "ell":
+        out = prof.to_json()
+        if args.one_norm:
             value, phase = projective_one_norm(spec)
             out["one_norm"] = value
             out["phase"] = [phase.real, phase.imag]
-        else:
-            m = op.matrix
-            out["one_norm"] = one_norm(np.eye(m.shape[0], dtype=complex) - m)
-    if args.rank:
-        if args.kind == "ell":
+        if args.rank:
             out["rank"] = rank_of_profile(prof.values)
-        else:
+    else:
+        # one SVD serves the profile and the one-norm, their mean
+        vals = singular_values(np.eye(op.n, dtype=complex) - op.matrix)
+        out = SpectralProfile("mu", vals).to_json()
+        if args.one_norm:
+            out["one_norm"] = float(np.mean(vals))
+        if args.rank:
             out["rank"] = projective_rank(op)
     _emit(out)
     return EXIT_OK
@@ -140,6 +133,8 @@ def _parse_window(text):
         return None
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise _ParseFailure(f"window {text} has a zero denominator")
         return Fraction(int(num), int(den))
     return Fraction(text)
 

@@ -106,8 +106,9 @@ def llbound_diagnostic(u):
 
     A central input has both quantities zero and reports "degenerate".
     """
-    ell, _ = projective_one_norm(u)
-    mean = profile_mean(u)
+    spec = spectrum_of(u)
+    ell, _ = projective_one_norm(spec)
+    mean = profile_mean(spec)
     report = {
         "ell_one_norm": float(ell),
         "profile_mean": float(mean),

@@ -23,7 +23,7 @@ from .generation import (
     hypothesis_check,
     verify_certificate,
 )
-from .rational import RationalSpectrum, lcm_embed, pipeline_generate
+from .rational import RationalSpectrum, lcm_embed, pipeline_generate, profile_window
 from .spectral import CircleSpectrum, Monomial, UnitaryRep, canon_angle, haar_unitary
 from .symmetries import broise_kernel_certificate
 
@@ -40,33 +40,28 @@ REPORT_VERSION = "normgen-report/1"
 MODES = ("rank-dep", "rank-indep", "full", "pipeline", "broise")
 
 
-def random_spectrum(n, rng, span=None):
-    """Sorted uniform angles over a random arc, jittered.
-
-    span is the arc length the raw draw covers; omitted, it is drawn
-    uniformly from [pi/2, 2*pi).
-    """
+def random_spectrum(n, rng):
+    """Sorted uniform angles over an arc of length drawn uniformly from
+    [pi/2, 2*pi), jittered."""
     n = int(n)
     if n < 1:
         raise DomainError("need at least one angle")
-    if span is None:
-        span = float(rng.uniform(0.5 * math.pi, 2.0 * math.pi))
+    span = float(rng.uniform(0.5 * math.pi, 2.0 * math.pi))
     start = float(rng.uniform(-math.pi, math.pi))
     raw = np.sort(rng.uniform(0.0, span, size=n))
     jitter = rng.normal(scale=span * 0.01 / max(n, 1), size=n)
     return CircleSpectrum(canon_angle(start + raw + jitter))
 
 
-def _spread_gaps(angles, coverage=None):
-    """Rescale consecutive gaps so the spectrum spans most of the circle."""
+def _spread_gaps(angles):
+    """Rescale consecutive gaps so the spectrum spans (n-1)/n of the circle."""
     srt = np.sort(angles)
     n = srt.shape[0]
     if n == 1:
         return srt
     gaps = np.diff(srt)
     total = float(gaps.sum())
-    if coverage is None:
-        coverage = 2.0 * math.pi * (n - 1) / n
+    coverage = 2.0 * math.pi * (n - 1) / n
     if total <= 1e-12:
         gaps = np.full(n - 1, coverage / (n - 1))
     else:
@@ -88,18 +83,11 @@ def admissible_pair(n, m, s, rng, conjugate=True):
     if not (1 <= s <= (n - 1) // 2 + 1):
         raise DomainError(f"block count {s} out of range for size {n}")
     v_angles = _spread_gaps(random_spectrum(n, rng).angles)
-    u_angles = random_spectrum(n, rng).angles
-    for _ in range(80):
-        report = hypothesis_check(
-            CircleSpectrum(u_angles), CircleSpectrum(v_angles), m, s
-        )
-        if report.satisfied:
-            break
-        u_angles = u_angles * 0.7
-    else:
-        raise NumericalDegeneracyError(
-            f"no admissible target found for n={n}, m={m}, s={s}"
-        )
+    u_angles = _contracted(
+        random_spectrum(n, rng).angles,
+        lambda a: hypothesis_check(CircleSpectrum(a), CircleSpectrum(v_angles), m, s).satisfied,
+        f"no admissible target found for n={n}, m={m}, s={s}",
+    )
     ud = np.exp(1j * u_angles)
     vd = np.exp(1j * v_angles)
     if not conjugate:
@@ -113,8 +101,17 @@ def admissible_pair(n, m, s, rng, conjugate=True):
     )
 
 
-def _random_weights(rng, dens=(2, 3, 4, 6)):
-    den = int(rng.choice(dens))
+def _contracted(angles, admits, failure):
+    """The angles, shrunk by 0.7 until admits(angles) holds, in 80 tries."""
+    for _ in range(80):
+        if admits(angles):
+            return angles
+        angles = angles * 0.7
+    raise NumericalDegeneracyError(failure)
+
+
+def _random_weights(rng):
+    den = int(rng.choice((2, 3, 4, 6)))
     k = int(rng.integers(1, den + 1))
     cuts = np.sort(rng.choice(np.arange(1, den), size=k - 1, replace=False))
     parts = np.diff(np.concatenate(([0], cuts, [den])))
@@ -136,16 +133,16 @@ def admissible_rational_pair(m, s, rng):
     v = RationalSpectrum(
         tuple((float(a), Fraction(1, len(v_angles))) for a in v_angles)
     )
-    for _ in range(80):
-        u = RationalSpectrum(tuple(zip(map(float, u_angles), wu)))
-        ua, va, s0 = lcm_embed(u, v)
-        window = min(int(s * (s0 - 1) / 2) + 1, (s0 - 1) // 2 + 1)
-        if hypothesis_check(ua, va, int(m), window).satisfied:
-            return u, v
-        u_angles = u_angles * 0.7
-    raise NumericalDegeneracyError(
-        f"no admissible rational target found for m={m}, s={s}"
-    )
+
+    def target(angles):
+        return RationalSpectrum(tuple(zip(map(float, angles), wu)))
+
+    def admits(angles):
+        ua, va, s0 = lcm_embed(target(angles), v)
+        return hypothesis_check(ua, va, int(m), profile_window(s, s0)).satisfied
+
+    failure = f"no admissible rational target found for m={m}, s={s}"
+    return target(_contracted(u_angles, admits, failure)), v
 
 
 def _case_rng(seed, index):
@@ -207,6 +204,19 @@ def _run_case(mode, seed, index, sizes):
     return out
 
 
+def _extremes(rows):
+    """The report's extremes, each over the rows that have the value."""
+    columns = {
+        "max_residual": (max, lambda r: r["residual"]),
+        "max_budget_ratio": (max, lambda r: r["length"] / r["budget"] if r["budget"] else None),
+        "max_lower_bound_ratio": (max, lambda r: r["lower_bound_ratio"]),
+        "llbound_max_ratio": (max, lambda r: r.get("llbound_ratio")),
+        "aux_min_slack": (min, lambda r: r.get("aux_min_slack")),
+    }
+    return {name: pick((x for x in map(key, rows) if x is not None), default=None)
+            for name, (pick, key) in columns.items()}
+
+
 def run_corpus(seed=0, sizes=None, cases=25):
     """Run seeded instances across every generator and aggregate.
 
@@ -226,7 +236,6 @@ def run_corpus(seed=0, sizes=None, cases=25):
     results = [
         _run_case(MODES[i % len(MODES)], seed, i, sizes) for i in range(cases)
     ]
-    results.sort(key=lambda row: row["case"])
     suites = {}
     for row in results:
         bucket = suites.setdefault(
@@ -237,25 +246,6 @@ def run_corpus(seed=0, sizes=None, cases=25):
             bucket["passes"] += 1
         else:
             bucket["failures"].append(row["case"])
-    residuals = [r["residual"] for r in results if r["residual"] is not None]
-    ratios = [
-        r["length"] / r["budget"] for r in results if r["budget"]
-    ]
-    lb_ratios = [
-        r["lower_bound_ratio"]
-        for r in results
-        if r["lower_bound_ratio"] is not None
-    ]
-    ll = [
-        r["llbound_ratio"]
-        for r in results
-        if r.get("llbound_ratio") is not None
-    ]
-    aux = [
-        r["aux_min_slack"]
-        for r in results
-        if r.get("aux_min_slack") is not None
-    ]
     return {
         "version": REPORT_VERSION,
         "kind": "corpus",
@@ -264,10 +254,6 @@ def run_corpus(seed=0, sizes=None, cases=25):
         "cases": cases,
         "suites": suites,
         "results": results,
-        "max_residual": max(residuals) if residuals else None,
-        "max_budget_ratio": max(ratios) if ratios else None,
-        "max_lower_bound_ratio": max(lb_ratios) if lb_ratios else None,
-        "llbound_max_ratio": max(ll) if ll else None,
-        "aux_min_slack": min(aux) if aux else None,
+        **_extremes(results),
         "all_pass": all(r["pass"] for r in results),
     }

@@ -56,6 +56,7 @@ from .spectral import (
     UnitaryRep,
     as_operator,
     as_unitary,
+    best_phase,
     canon_angle,
     chord,
     diagonalize_normal,
@@ -553,6 +554,11 @@ def _ceil_div(num, den):
     return -((-f.numerator) // f.denominator)
 
 
+def as_fraction(s):
+    """s as a Fraction; a float is read with denominator at most 10**9."""
+    return Fraction(s).limit_denominator(10**9) if isinstance(s, float) else Fraction(s)
+
+
 def theorem_budgets(m, n=None, s=None, ell=None, coeff=None):
     """Conjugate-count budgets of the various generation routes.
 
@@ -571,7 +577,7 @@ def theorem_budgets(m, n=None, s=None, ell=None, coeff=None):
         n = int(n)
         out["rank_dependent"] = 8 * m * n
     if s is not None:
-        s_frac = Fraction(s) if not isinstance(s, float) else Fraction(s).limit_denominator(10**9)
+        s_frac = as_fraction(s)
         if s_frac <= 0:
             raise DomainError("block parameter must be positive")
         if n is not None:
@@ -1037,13 +1043,7 @@ def product_check(cert, norms=None, block_defect=0.0):
         off += np.vdot(block, block).real
     d = np.exp(1j * cert.target_angles)
     scaled = diag * d.conj()
-    tr = scaled.sum()
-    if abs(tr) > 1e-8:
-        lam = tr / abs(tr)
-    else:
-        j = int(np.argmax(np.abs(scaled)))
-        lam = scaled[j] / abs(scaled[j]) if abs(scaled[j]) > 0 else 1.0
-    diag -= lam * d
+    diag -= best_phase(scaled.sum(), scaled) * d
     rebuild = norms["target_rebuild"][0]
     resid = (1.0 + norms["aframe"][1]) * math.sqrt(off + np.vdot(diag, diag).real) + rebuild
     defect = sum(norms[name][1] for name in ("aframe", "bframe", "base_rebuild"))
@@ -1105,6 +1105,14 @@ def _layout_fits(offsets, widths, n):
             return False
         end = offset + w
     return True
+
+
+def easy_violations(target_profile, base_profile, k):
+    """The indices i, k i <= n - 1 (i = 0 when k = 0), where a product of k
+    conjugates of the base breaks ell_{k i} <= k ell_i(base), up to 10^-7."""
+    n = len(target_profile)
+    i = np.arange((n - 1) // k + 1 if k else 1)
+    return np.flatnonzero(target_profile[k * i] > k * base_profile[i] + 1e-7).tolist()
 
 
 def verify_certificate(cert):
@@ -1201,19 +1209,9 @@ def verify_certificate(cert):
         if np.isfinite(np.r_[cert.target_angles, cert.base_angles]).all():
             tspec = CircleSpectrum(cert.target_angles)
             bspec = CircleSpectrum(cert.base_angles)
-            tprof = projective_profile(tspec).values
-            bprof = projective_profile(bspec).values
-            ok_easy = True
-            if k == 0:
-                ok_easy = bool(tprof[0] <= 1e-7)
-            else:
-                for i in range(n):
-                    if k * i > n - 1:
-                        break
-                    lhs = tprof[min(k * i, n - 1)]
-                    if lhs > k * bprof[i] + 1e-7:
-                        ok_easy = False
-            checks["easy_direction"] = bool(ok_easy)
+            checks["easy_direction"] = not easy_violations(
+                projective_profile(tspec).values, projective_profile(bspec).values, k
+            )
             ell_t = projective_one_norm(tspec)[0]
             ell_b = projective_one_norm(bspec)[0]
             report["lower_bound"] = float(ell_t / ell_b) if ell_b > 0.0 else None

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .generation import generate_rank_independent, theorem_budgets
+from .generation import as_fraction, easy_violations, generate_rank_independent, theorem_budgets
 from .spectral import (
     CircleSpectrum,
     Monomial,
@@ -115,7 +115,7 @@ class RationalSpectrum:
                 (entry["angle"], Fraction(int(entry["num"]), int(entry["den"])))
                 for entry in obj["atoms"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"malformed rational spectrum: {exc}") from None
         return cls(atoms)
 
@@ -290,6 +290,11 @@ def lcm_embed(a, b):
     return build(a), build(b), s0
 
 
+def profile_window(s, s0):
+    """How many profile indices the window [0, s] covers in dimension s0."""
+    return min(int(s * (s0 - 1) / 2) + 1, (s0 - 1) // 2 + 1)
+
+
 def pipeline_generate(u, v, m, s):
     """Certificate for u as conjugates of v^{+-1}, budget 48*m*ceil(1/s).
 
@@ -305,15 +310,11 @@ def pipeline_generate(u, v, m, s):
     m = int(m)
     if m <= 0:
         raise DomainError("multiplier must be positive")
-    if isinstance(s, float):
-        s = Fraction(s).limit_denominator(10**9)
-    else:
-        s = Fraction(s)
+    s = as_fraction(s)
     if not (0 < s <= 1):
         raise DomainError(f"window {s} outside (0, 1]")
     ua, va, s0 = lcm_embed(u, v)
-    window = int(s * (s0 - 1) / 2) + 1
-    window = min(window, (s0 - 1) // 2 + 1)
+    window = profile_window(s, s0)
     budget = theorem_budgets(m, s=s)["pipeline"]
     inner = generate_rank_independent(ua, va, m, window)
     if inner.claimed_budget > budget:
@@ -362,10 +363,11 @@ def approx_stability_check(u, uprime, eps):
     """Report whether u' is close enough that u's profile doubles u'.
 
     Verifies |u - u'|_2 < eps and the index inequality
-    ell_{min(2i, n-1)}(u) <= 2*ell_i(u') + 1e-7, and reports the threshold
-    below which closeness forces the inequality: min(delta*s/4,
-    delta*delta0/2) with s the projective rank of u in trace scale, delta a
-    third of the profile at 3s/4, and delta0 the right-continuity modulus.
+    ell_{2i}(u) <= 2*ell_i(u') for 2i <= n-1 (the verifier's easy direction
+    at k = 2), and reports the threshold below which closeness
+    forces the inequality: min(delta*s/4, delta*delta0/2) with s the
+    projective rank of u in trace scale, delta a third of the profile at
+    3s/4, and delta0 the right-continuity modulus.
     Central u has no such threshold and reports "degenerate".
     """
     eps = float(eps)
@@ -379,9 +381,7 @@ def approx_stability_check(u, uprime, eps):
     dist = _distance(ur.op, vr.op)
     pu = projective_profile(ur).values
     pv = projective_profile(vr).values
-    violations = [
-        i for i in range(n) if pu[min(2 * i, n - 1)] > 2.0 * pv[i] + 1e-7
-    ]
+    violations = easy_violations(pu, pv, 2)
     report = {
         "two_norm": float(dist),
         "epsilon": eps,

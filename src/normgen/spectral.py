@@ -76,6 +76,14 @@ def _as_square(x, what="matrix"):
     return m
 
 
+def _square_pair(a, b):
+    """a and b as square matrices of one shape."""
+    a, b = _as_square(a), _as_square(b)
+    if a.shape != b.shape:
+        raise DimensionError("shape mismatch")
+    return a, b
+
+
 def matrix_to_json(m):
     m = np.asarray(m, dtype=complex)
     return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
@@ -476,15 +484,21 @@ def two_norm(x):
 
 def proj_distance(a, b):
     """Two-norm distance from a to the nearest unit multiple of b."""
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != b.shape:
-        raise DimensionError("shape mismatch")
+    a, b = _square_pair(a, b)
     n = a.shape[0]
     na = np.linalg.norm(a) ** 2 / n
     nb = np.linalg.norm(b) ** 2 / n
     cross = abs(np.trace(a.conj().T @ b)) / n
     return math.sqrt(max(0.0, na + nb - 2.0 * cross))
+
+
+def best_phase(tr, diag):
+    """The unit lam best aligning a with lam * b, from the trace tr and the
+    diagonal diag of b* a: tr / |tr|, or diag's largest entry's phase."""
+    if abs(tr) > 1e-8:
+        return tr / abs(tr)
+    j = int(np.argmax(np.abs(diag)))
+    return diag[j] / abs(diag[j]) if abs(diag[j]) > 0 else 1.0
 
 
 def projective_residual(a, b):
@@ -493,18 +507,9 @@ def projective_residual(a, b):
     Unlike proj_distance this has no square-root floor near zero, so exact
     projective equality reports at machine precision.
     """
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != b.shape:
-        raise DimensionError("shape mismatch")
+    a, b = _square_pair(a, b)
     # the trace and diagonal of b* @ a, in O(n^2)
-    tr = np.vdot(b, a)
-    if abs(tr) > 1e-8:
-        lam = tr / abs(tr)
-    else:
-        d = np.einsum("ij,ij->j", b.conj(), a)
-        k = int(np.argmax(np.abs(d)))
-        lam = d[k] / abs(d[k]) if abs(d[k]) > 0 else 1.0
+    lam = best_phase(np.vdot(b, a), np.einsum("ij,ij->j", b.conj(), a))
     return float(np.max(np.abs(a - lam * b)))
 
 
@@ -614,10 +619,7 @@ def rank_of_profile(values):
 
 def rank_distance(x, y):
     """Normalized rank of x - y, counting singular values above the cutoff."""
-    a = _as_square(x)
-    b = _as_square(y)
-    if a.shape != b.shape:
-        raise DimensionError("shape mismatch")
+    a, b = _square_pair(x, y)
     s = np.linalg.svd(a - b, compute_uv=False)
     k = int(np.count_nonzero(s > TOL.rank))
     return RankDistance(k, a.shape[0])

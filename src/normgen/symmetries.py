@@ -240,6 +240,8 @@ def broise_kernel_certificate(w, reference=None):
     # dense block A* @ frame(f), the degenerate case of the factored form,
     # so that its conjugator A @ A* @ frame(f) @ B* is that one
     root = _principal_root(m, spec, f).matrix
-    blocks = [aframe.conj().T @ _involution_frame(x.matrix)
-              for x in _stst_factors(m, root)]
-    return certificate(tuple(CertStep(np.arange(n), ((0, b),), 1) for b in blocks), {})
+    # the factors are s, t, s, t: one involution frame each for s and t
+    s, t, _, _ = _stst_factors(m, root)
+    ss, tt = (CertStep(np.arange(n), ((0, aframe.conj().T @ _involution_frame(x.matrix)),), 1)
+              for x in (s, t))
+    return certificate((ss, tt, ss, tt), {})

@@ -21,6 +21,7 @@ from normgen import (
     projective_one_norm,
 )
 from normgen.cli import main
+from normgen.corpus import MODES
 
 
 def write_json(path, obj):
@@ -145,6 +146,23 @@ class TestLengths:
         assert out["values"] == [2.0, 0.0]
         assert out["one_norm"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_mu_one_norm_takes_one_svd(self, tmp_path, capsys, monkeypatch):
+        # the one-norm is the mean of the profile's singular values
+        calls = []
+        inner = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        path = write_json(tmp_path / "dense.json",
+                          haar_unitary(5, np.random.default_rng(4)).to_json())
+        assert main(["lengths", path, "--kind", "mu", "--one-norm"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert calls == [(5, 5)]
+        assert out["one_norm"] == pytest.approx(np.mean(out["values"]), abs=1e-15)
+
     def test_missing_file(self, tmp_path):
         assert main(["lengths", str(tmp_path / "nope.json")]) == 2
 
@@ -228,6 +246,23 @@ class TestGenerate:
 
     def test_unknown_mode(self, diag_file):
         assert main(["generate", diag_file, "--mode", "bogus"]) == 2
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_denominator_window_is_a_usage_error(self, mode, rational_files, capsys):
+        u, v = rational_files
+        assert main(["generate", u, v, "--mode", mode, "--s", "1/0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "zero denominator" in err
+
+    def test_zero_denominator_atom_is_a_validation_error(self, tmp_path, rational_files, capsys):
+        u, v = rational_files
+        bad = write_json(tmp_path / "bad.json",
+                         {"atoms": [{"angle": 0.0, "num": 1, "den": 0}]})
+        for argv in (["lengths", bad], ["generate", bad, v, "--mode", "pipeline"],
+                     ["generate", u, bad, "--mode", "pipeline"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "malformed rational spectrum" in err
 
 
 class TestVerify:

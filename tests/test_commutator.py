@@ -237,6 +237,14 @@ class TestLlbound:
         rep = llbound_diagnostic(haar(3, np.random.default_rng(9)))
         assert json.loads(json.dumps(rep)) == rep
 
+    def test_diagonalizes_u_once(self, eigh_calls):
+        # the one-norm and the profile mean read one spectrum
+        n = 12
+        u = haar(n, np.random.default_rng(12))
+        rep = llbound_diagnostic(u)
+        assert rep["status"] == "ok"
+        assert eigh_calls.count((n, n)) == 1
+
 
 class TestNormSearch:
     def test_degenerate_on_central(self):

@@ -135,6 +135,24 @@ class TestRunCorpus:
         assert report["all_pass"]
         assert report["max_lower_bound_ratio"] <= 30.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_extremes_recomputed_from_rows(self, seed):
+        report = run_corpus(seed=seed)
+        rows = report["results"]
+
+        def present(key):
+            return [r[key] for r in rows if r.get(key) is not None]
+
+        ratios = [r["length"] / r["budget"] for r in rows if r["budget"]]
+        want = {
+            "max_residual": max(present("residual")),
+            "max_budget_ratio": max(ratios),
+            "max_lower_bound_ratio": max(present("lower_bound_ratio")),
+            "llbound_max_ratio": max(present("llbound_ratio")),
+            "aux_min_slack": min(present("aux_min_slack")),
+        }
+        assert {key: report[key] for key in want} == want
+
     def test_empty_run(self):
         report = run_corpus(seed=0, cases=0)
         assert report["all_pass"] is True

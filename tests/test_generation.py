@@ -35,6 +35,7 @@ from normgen.generation import (
 )
 from normgen.config import TOL
 from normgen.orderings import center_phase
+from normgen.rational import approx_stability_check
 from normgen.spectral import (
     CircleSpectrum,
     canon_angle,
@@ -1735,6 +1736,67 @@ class TestCounterexample:
             counterexample_pair(1)
         with pytest.raises(DomainError):
             counterexample_pair(3, lam=2.0)
+
+
+def verifier_easy_direction(tprof, bprof, k):
+    """The verifier's easy-direction loop before it shared one check with
+    approx_stability_check: whether the check passes."""
+    n = len(tprof)
+    if k == 0:
+        return bool(tprof[0] <= 1e-7)
+    ok = True
+    for i in range(n):
+        if k * i > n - 1:
+            break
+        if tprof[min(k * i, n - 1)] > k * bprof[i] + 1e-7:
+            ok = False
+    return ok
+
+
+def stability_violations(pu, pv, k=2):
+    """approx_stability_check's comprehension before the shared check, at
+    factor k (it was written for k = 2): every i, the index clamped."""
+    n = len(pu)
+    return [i for i in range(n) if pu[min(k * i, n - 1)] > k * pv[i] + 1e-7]
+
+
+class TestEasyDirection:
+    @staticmethod
+    def profile(rng, n, top):
+        # non-increasing, last value 0, as every projective profile; values
+        # on a 0.1 grid tie and meet k times each other exactly
+        values = np.sort(rng.uniform(0.0, top, n).round(1))[::-1].copy()
+        values[-1] = 0.0
+        return values
+
+    def test_matches_both_references(self):
+        rng = np.random.default_rng(1700)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 12))
+            tprof = self.profile(rng, n, 2.0)
+            bprof = self.profile(rng, n, float(rng.uniform(0.05, 2.0)))
+            for k in range(n + 3):
+                got = generation.easy_violations(tprof, bprof, k)
+                assert (not got) == verifier_easy_direction(tprof, bprof, k)
+                seen.add(not got)
+                if k:
+                    # indices past (n-1)/k compare ell_{n-1} = 0 and never fail
+                    assert got == stability_violations(tprof, bprof, k)
+        assert seen == {True, False}
+
+    def test_k_zero_reads_index_zero(self):
+        base = np.array([1.0, 0.5, 0.0])
+        assert generation.easy_violations(np.array([0.0, 0.0, 0.0]), base, 0) == []
+        assert generation.easy_violations(np.array([2e-7, 1e-7, 0.0]), base, 0) == [0]
+
+    def test_stability_check_uses_it(self):
+        rng = np.random.default_rng(1701)
+        for n in (1, 2, 5, 8):
+            u, v = haar(n, rng), haar(n, rng)
+            pu = projective_profile(u).values
+            pv = projective_profile(v).values
+            assert approx_stability_check(u, v, 1.0)["violations"] == stability_violations(pu, pv)
 
 
 class TestGenerationInvariants:

@@ -274,11 +274,13 @@ class TestBroiseKernel:
 
     def test_diagonalizes_w_once(self, eigh_calls):
         # the target frame and the principal root share one eigh of w; the
-        # other eigh calls are on 2k x 2k involutions
+        # 2k x 2k involution frames are the reference's, s's and t's, each
+        # once, though the factors are s, t, s, t
         k = 4
         cert = broise_kernel_certificate(haar(k, np.random.default_rng(9)))
         assert len(cert) == 4
         assert eigh_calls.count((k, k)) == 1
+        assert eigh_calls.count((2 * k, 2 * k)) == 3
 
     @pytest.mark.parametrize("build", [broise_kernel_certificate, sqrt_unitary,
                                        block_symmetry_factors])
