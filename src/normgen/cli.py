@@ -43,7 +43,6 @@ from .spectral import (
     UnitaryRep,
     projective_one_norm,
     projective_profile,
-    projective_rank,
     rank_of_profile,
     singular_values,
     spectrum_of,
@@ -117,13 +116,13 @@ def cmd_lengths(args):
         if args.rank:
             out["rank"] = rank_of_profile(prof.values)
     else:
-        # one SVD serves the profile and the one-norm, their mean
+        # one SVD serves the profile, the one-norm (their mean) and the rank
         vals = singular_values(np.eye(op.n, dtype=complex) - op.matrix)
         out = SpectralProfile("mu", vals).to_json()
         if args.one_norm:
             out["one_norm"] = float(np.mean(vals))
         if args.rank:
-            out["rank"] = projective_rank(op)
+            out["rank"] = rank_of_profile(vals)
     _emit(out)
     return EXIT_OK
 

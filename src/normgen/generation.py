@@ -24,8 +24,8 @@ the commutator class beyond a quarter turn, where fixed-length walks lose
 reachability; a partial rotation caps the class at pi/2 instead, from which
 any block angle is reachable in two steps.  Second, parallel strands driven
 by one shared commutator walk one shared length: the shortest even length
-that reaches every strand of the batch, read from the reach intervals.  A
-walk that lands at some even length lands at every longer one, so the
+that reaches every strand of the batch, in closed form by su2.walk_length.
+A walk that lands at some even length lands at every longer one, so the
 shared length serves them all.
 """
 
@@ -65,7 +65,7 @@ from .spectral import (
     projective_s_number,
     rank_distance,
 )
-from .su2 import SourceBlock, source_block
+from .su2 import SourceBlock, source_block, walk_length
 
 __all__ = [
     "CertStep",
@@ -340,18 +340,6 @@ class Certificate:
 
     def __len__(self):
         return len(self.steps)
-
-    def conjugator(self, i):
-        """Dense conjugator g = A @ P @ Y @ B* of step i, formed as
-        (B @ (A @ P @ Y)*)*."""
-        st = self.steps[i]
-        y = np.eye(self.n, dtype=complex)
-        for offset, b in st.blocks:
-            y[offset : offset + b.shape[0], offset : offset + b.shape[0]] = b
-        py = np.empty_like(y)
-        py[st.perm] = y
-        g = as_operator(self.aframe).apply(py)
-        return as_operator(self.bframe).apply(g.conj().T).conj().T
 
     def product(self):
         """The dense product of the steps, A @ M @ A*, formed as
@@ -681,7 +669,7 @@ def _strand(phi, target, pair, cap):
             return None
         mag = cap * block.theta
     phi_w = math.copysign(mag, phi) if phi != 0.0 else 0.0
-    length = block.walk_length(phi_w, cap)
+    length = walk_length(phi_w, block.theta, cap)
     return _Strand(phi_w, target, source, block, length)
 
 

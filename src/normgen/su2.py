@@ -2,22 +2,23 @@
 
 Everything here happens in SU(2), where the conjugacy class of a rotation
 diag(e^{ia}, e^{-ia}) is determined by the class angle |a| in [0, pi].  One
-multiplication by a conjugate of the generator moves the class angle within
-an explicitly computable interval, so a walk is planned by iterating interval
-arithmetic forward (which step counts can reach the target?), backtracking
-waypoints, and then realizing each step with an explicit partial-step matrix
-whose off-diagonal entry spends exactly the right amount of the generator's
-angle.  The final frame correction makes the product land on the reference
-rotation exactly, not just up to conjugacy.
+multiplication by a conjugate of a generator of class theta moves the class
+angle a into [|a - theta|, min(a + theta, 2 pi - a - theta)].  For theta in
+(0, pi/2], the only classes source_block makes, k >= 2 conjugates therefore
+reach every class in [0, min(k theta, pi)], so the shortest walk, its
+waypoints and the class angle itself are closed forms; each step is then
+realized with an explicit partial-step matrix whose off-diagonal entry
+spends exactly the right amount of the generator's angle.  The final frame
+correction makes the product land on the reference rotation exactly, not
+just up to conjugacy.
 
 The walks run on 2x2 matrices held as scalar tuples.  The public surface is
-walk_length, which reads the shortest walk off the reach intervals, and
-source_block, whose SourceBlock makes a base block's commutator once and
-then plans and walks any number of block targets on it, off one table of
-reach intervals.
+walk_length, the shortest walk in closed form, and source_block, whose
+SourceBlock makes a base block's commutator once and then walks any number
+of block targets on it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import cmath
 import math
 
@@ -58,10 +59,6 @@ def _defect(x):
         abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
         abs(a * c.conjugate() + b * d.conjugate()),
     )
-
-
-def _class_angle(half_trace):
-    return math.acos(min(1.0, max(-1.0, half_trace)))
 
 
 def _reference_frame(v, theta):
@@ -108,51 +105,37 @@ def _reach(alpha, theta):
     return lo, hi
 
 
-def _reach_interval(lo, hi, theta):
-    if lo <= theta <= hi:
-        new_lo = 0.0
-    else:
-        new_lo = min(abs(lo - theta), abs(hi - theta))
-    astar = min(max(math.pi - theta, lo), hi)
-    new_hi = min(astar + theta, 2.0 * math.pi - astar - theta)
-    return new_lo, new_hi
+def _climb(target, theta):
+    """Least even m >= 2 with target <= m theta + 1e-12: the shortest walk
+    to the class target by theta-conjugates, theta in (0, pi/2], since k >= 2
+    of them reach every class in [0, min(k theta, pi)]."""
+    m = 2 * max(1, math.ceil((target - 1e-12) / (2.0 * theta)))
+    # the quotient may round across an integer either way
+    if target > m * theta + 1e-12:
+        m += 2
+    elif m > 2 and target <= (m - 2) * theta + 1e-12:
+        m -= 2
+    return m
 
 
-def _reach_table(table, theta, m):
-    """table, the intervals (lo, hi) of class angles reachable by exactly
-    1, 2, 3, ... theta-conjugates computed so far, extended to at least m
-    entries."""
-    if not table:
-        table.append((theta, theta))
-    while len(table) < m:
-        table.append(_reach_interval(*table[-1], theta))
-    return table
-
-
-def _lands(target, lo, hi):
-    return lo - 1e-12 <= target <= hi + 1e-12
-
-
-def _plan_waypoints(target, theta, m, table):
+def _plan_waypoints(target, theta, m):
     """Class-angle waypoints alpha_1..alpha_m with alpha_m = target, each
-    consecutive pair one conjugate apart, read off table, the reach table
-    of theta (see _reach_table).  None if m steps cannot land."""
-    reach = _reach_table(table, theta, m)
-    lo, hi = reach[m - 1]
-    if not _lands(target, lo, hi):
-        return None
-    alphas = [min(max(target, lo), hi)]
-    for k in range(m - 2, -1, -1):
-        r_lo, r_hi = _reach(alphas[-1], theta)
-        lo = max(reach[k][0], r_lo)
-        hi = min(reach[k][1], r_hi)
-        if lo > hi:
-            if lo - hi > 1e-9:
-                raise NumericalDegeneracyError("waypoint backtracking failed")
-            lo = hi = 0.5 * (lo + hi)
-        alphas.append(min(max(alphas[-1], lo), hi))
-    alphas.reverse()
-    return alphas
+    consecutive pair one theta-conjugate apart, for theta in (0, pi/2] and
+    even m >= _climb(target, theta).
+
+    The m - c surplus steps over the shortest climb c go first, as pairs
+    (theta, 0): from 0 the step is diagonal, and back to 0 its conjugator is
+    the swap.  The climb then takes full steps up to min(target, pi - theta)
+    and lands on target with the last one.  It accumulates a + theta rather
+    than forming k theta, so every full step stays exactly diagonal (see
+    _step_to).
+    """
+    c = _climb(target, theta)
+    top = min(target, math.pi - theta)
+    alphas = [theta, 0.0] * ((m - c) // 2) + [theta]
+    for _ in range(c - 2):
+        alphas.append(min(alphas[-1] + theta, top))
+    return alphas + [target]
 
 
 def _step_to(alpha, beta, theta):
@@ -186,16 +169,14 @@ def _step_to(alpha, beta, theta):
     return (complex(c, s1), complex(b), complex(-b), complex(c, -s1))
 
 
-def _walk_positive(target, theta, m, table):
+def _walk_positive(target, theta, m):
     """Exact walk: m conjugators c_k with prod c_k D(theta) c_k* = D(target),
-    as scalar 2x2 tuples; table is the reach table of theta."""
-    alphas = _plan_waypoints(target, theta, m, table)
-    if alphas is None:
-        return None
+    as scalar 2x2 tuples, for theta in (0, pi/2] and even
+    m >= _climb(target, theta)."""
     frame = _EYE
     conjugators = []
     prev = 0.0
-    for alpha in alphas:
+    for alpha in _plan_waypoints(target, theta, m):
         vp = _step_to(prev, alpha, theta)
         conjugators.append(_mul(frame, _reference_frame(vp, theta)))
         # D(prev) @ vp scales the rows by e^{+-i prev}
@@ -210,76 +191,67 @@ def _walk_positive(target, theta, m, table):
 
 
 def _walk_angles(phi, theta, m):
-    """Validated canonical (phi, theta) and their moduli, plus whether the
-    generator is projectively central; raises what _walk raises before
-    planning."""
+    """Validated canonical (phi, theta), the walk's target and class angle
+    folded into (0, pi/2], and its shortest length; the class angle is None
+    for a projectively central generator, which walks in 2 steps.  Raises
+    what _walk raises before planning."""
     if not isinstance(m, (int, np.integer)) or m <= 0 or m % 2 != 0:
         raise DomainError(f"step budget must be a positive even integer, got {m}")
     phi = canon_angle(float(phi))
     theta = canon_angle(float(theta))
     ph = abs(phi)
     th = abs(theta)
-    central = th <= 1e-12 or math.pi - th <= 1e-12
-    if central and min(ph, math.pi - ph) > 1e-12:
-        # the generator is projectively central: only central targets work
-        raise DegenerateInputError(
-            f"generator angle {theta:.6f} is central, cannot reach {phi:.6f}"
-        )
-    if not central and ph > m * th + 1e-12:
+    if th <= 1e-12 or math.pi - th <= 1e-12:
+        if min(ph, math.pi - ph) > 1e-12:
+            # the generator is projectively central: only central targets work
+            raise DegenerateInputError(
+                f"generator angle {theta:.6f} is central, cannot reach {phi:.6f}"
+            )
+        return phi, theta, ph, None, 2
+    if th <= 0.5 * math.pi:
+        target, folded = ph, th
+    else:
+        # D(th) = -SWAP D(pi - th) SWAP*, and an even number of sign flips
+        # cancels, so th walks like pi - th, toward ph or its mirror pi - ph
+        # (SWAP D(pi - ph) SWAP* = -D(ph))
+        target, folded = min(ph, math.pi - ph), math.pi - th
+    shortest = _climb(target, folded)
+    if shortest > m:
         raise BudgetInfeasibleError(
-            f"|phi| = {ph:.6f} exceeds budget {m} * |theta| = {m * th:.6f}"
+            f"|phi| = {ph:.6f} needs {shortest} > {m} steps of class {th:.6f}"
         )
-    return phi, theta, ph, th, central
+    return phi, theta, target, folded, shortest
 
 
-def walk_length(phi, theta, cap, table=None):
-    """Smallest even m <= cap for which _walk(phi, theta, m) succeeds.
-
-    One pass over the reach intervals the walk planner reads: m steps land
-    when |phi| <= m|theta| and |phi| or its mirror pi - |phi| lies in the
-    m-step interval.  From two steps on the interval starts at 0 (two
-    steps can cancel), so a walk that lands at m lands at every larger even
-    length as well.  Raises what _walk(phi, theta, cap) raises when no
-    length up to cap lands.  table, when given, is the reach table of
-    |theta| to read and extend (see SourceBlock).
+def walk_length(phi, theta, cap):
+    """Smallest even m <= cap for which _walk(phi, theta, m) succeeds: the
+    least even m >= 2 with |phi| <= m|theta| (see _climb); a wider theta
+    walks like pi - |theta|.  A walk that lands at m lands at every larger
+    even length as well.  Raises what _walk(phi, theta, cap) raises when no
+    length up to cap lands.
     """
-    _, _, ph, th, central = _walk_angles(phi, theta, cap)
-    if central:
-        return 2
-    table = [] if table is None else table
-    for m in range(2, cap + 1, 2):
-        lo, hi = _reach_table(table, th, m)[m - 1]
-        if ph <= m * th + 1e-12 and (_lands(ph, lo, hi) or _lands(math.pi - ph, lo, hi)):
-            return m
-    raise BudgetInfeasibleError(
-        f"no walk of at most {cap} steps reaches class {ph:.6f} with angle {th:.6f}"
-    )
+    return _walk_angles(phi, theta, cap)[-1]
 
 
-def _walk(phi, theta, m, table=None):
+def _walk(phi, theta, m):
     """Conjugators g_1..g_m and their shared exponent e writing
     diag(e^{i phi}, e^{-i phi}) as the product of g @ D(theta)^e @ g*, with
     D(theta) = diag(e^{i theta}, e^{-i theta}), up to a global factor of -1.
 
-    Needs |phi| <= m|theta| (canonical branch moduli) and even m; with
-    opposite signs of phi and theta the exponent is -1.  Every conjugator
-    is checked unitary to 1e-9.  table, when given, is the reach table of
-    |theta| to read and extend.
+    Needs an even m no shorter than walk_length's; with opposite signs of
+    phi and theta the exponent is -1.  Every conjugator is checked unitary
+    to 1e-9.
     """
-    phi, theta, ph, th, central = _walk_angles(phi, theta, m)
-    if central:
+    phi, theta, target, folded, _ = _walk_angles(phi, theta, m)
+    if folded is None:
         return [_EYE] * m, 1
 
-    table = [] if table is None else table
-    conjugators = _walk_positive(ph, th, m, table)
-    if conjugators is None:
-        # same projective target through the mirrored class angle
-        conjugators = _walk_positive(math.pi - ph, th, m, table)
-        if conjugators is None:
-            raise BudgetInfeasibleError(
-                f"no {m}-step walk reaches class {ph:.6f} with angle {th:.6f}"
-            )
-        conjugators = [_mul(_SWAP, g) for g in conjugators]
+    conjugators = _walk_positive(target, folded, m)
+    if folded != abs(theta):
+        # a right factor SWAP turns each D(pi - th)-conjugate into minus a
+        # D(th)-conjugate; a left one takes the mirrored target back to phi
+        left = _SWAP if target != abs(phi) else _EYE
+        conjugators = [_mul(_mul(left, g), _SWAP) for g in conjugators]
     if max(_defect(g) for g in conjugators) > 1e-9:
         raise DomainError("step conjugator must be unitary")
 
@@ -296,27 +268,20 @@ class SourceBlock:
     theta, and ref_h, the adjoint of a frame taking the reference rotation
     of angle theta to that commutator.
 
-    Made once per block by source_block; walk_length and frames then plan
-    and walk any number of block targets on it.  Both read the block's
-    reach table, the reach intervals of theta for 1, 2, 3, ... conjugates,
-    computed once and extended as far as any walk on the block asks.
+    Made once per block by source_block; frames then walks any number of
+    block targets on it.
     """
 
     rotation: tuple
     commutator: tuple
     theta: float
     ref_h: tuple
-    reach: list = field(default_factory=list, repr=False, compare=False)
-
-    def walk_length(self, phi, cap):
-        """walk_length(phi, self.theta, cap), off the reach table."""
-        return walk_length(phi, self.theta, cap, self.reach)
 
     def frames(self, phi, m):
         """Eigenframe blocks of an m-step walk to diag(e^{i phi}, e^{-i phi}),
         as 2m scalar 2x2 tuples in step order: y_q, then y_q @ rotation, for
         the y_q with prod y_q @ comm @ y_q* equal to the target."""
-        conjugators, exponent = _walk(phi, self.theta, m, self.reach)
+        conjugators, exponent = _walk(phi, self.theta, m)
         # conjugating by _SWAP flips the commutator's class to its inverse
         ref_h = self.ref_h if exponent == 1 else _mul(_SWAP, self.ref_h)
         # closed-loop guard: the frames must reassemble the target exactly
@@ -338,7 +303,9 @@ def source_block(delta):
     The commutator of the block with a rotation by t has class angle c(t)
     with cos c = 1 - sin(t)^2 (1 - cos gap); a full swap gives the gap
     itself, and when the gap passes a quarter turn a partial rotation pins
-    the class to pi/2, from which two steps reach any angle.
+    the class to pi/2, from which two steps reach any angle.  The class
+    angle is therefore min(|gap|, pi/2), read off the gap rather than off
+    the commutator's trace, whose acos loses up to eps / sin(theta).
     """
     delta = canon_angle(delta)
     if abs(delta) <= 1e-12:
@@ -352,5 +319,5 @@ def source_block(delta):
     # D @ rot @ D* scales entry (a, b) of rot by e^{i(g_a - g_b)}
     z = cmath.exp(1j * delta)
     comm = _mul((rot[0], rot[1] * z, rot[2] * z.conjugate(), rot[3]), _adj(rot))
-    theta = _class_angle(0.5 * (comm[0] + comm[3]).real)
+    theta = min(abs(delta), 0.5 * math.pi)
     return SourceBlock(rot, comm, theta, _adj(_reference_frame(comm, theta)))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from normgen.spectral import as_operator
+
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
@@ -16,3 +18,22 @@ def eigh_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
+
+
+@pytest.fixture
+def step_conjugator():
+    """conjugator(cert, i), the dense conjugator g = A @ P @ Y @ B* of step i
+    of a certificate, formed from its stored frames, perm and blocks as
+    (B @ (A @ P @ Y)*)*."""
+
+    def conjugator(cert, i):
+        st = cert.steps[i]
+        y = np.eye(cert.n, dtype=complex)
+        for offset, b in st.blocks:
+            y[offset : offset + b.shape[0], offset : offset + b.shape[0]] = b
+        py = np.empty_like(y)
+        py[st.perm] = y
+        g = as_operator(cert.aframe).apply(py)
+        return as_operator(cert.bframe).apply(g.conj().T).conj().T
+
+    return conjugator

@@ -163,6 +163,18 @@ class TestLengths:
         assert calls == [(5, 5)]
         assert out["one_norm"] == pytest.approx(np.mean(out["values"]), abs=1e-15)
 
+    def test_mu_rank_is_the_mu_profile_rank(self, tmp_path, capsys, eigh_calls):
+        # all six singular values of 1 - u are well above the cutoff, while
+        # the ell profile's rank is 5; the rank reads the values in hand
+        n = 6
+        path = write_json(tmp_path / "dense.json",
+                          haar_unitary(n, np.random.default_rng(3)).to_json())
+        assert main(["lengths", path, "--kind", "mu", "--rank"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert min(out["values"]) > 0.4
+        assert out["rank"] == n
+        assert eigh_calls == []
+
     def test_missing_file(self, tmp_path):
         assert main(["lengths", str(tmp_path / "nope.json")]) == 2
 

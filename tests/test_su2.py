@@ -13,12 +13,16 @@ from normgen import (
     DomainError,
     NumericalDegeneracyError,
     PreconditionError,
+    canon_angle,
     projective_residual,
 )
 from normgen import su2
 from normgen.config import EPS
 from normgen.su2 import (
-    _class_angle,
+    _EYE,
+    _adj,
+    _mul,
+    _plan_waypoints,
     _reach,
     _reference_frame,
     _step_to,
@@ -80,6 +84,22 @@ def assert_walk_hits(walked, phi, theta, m):
         assert np.linalg.norm(g @ g.conj().T - np.eye(2)) < 1e-9
         tr = np.trace(g @ core @ g.conj().T)
         assert abs(tr - want) < 1e-10
+
+
+def interval_walk_length(ph, th, cap):
+    """Least even m <= cap whose m-conjugate reach interval of class th
+    holds ph or its mirror pi - ph, found by iterating the intervals of
+    1, 2, 3, ... conjugates forward; None when no m <= cap lands.  This is
+    the numerical search walk_length's closed form replaces."""
+    lo = hi = th
+    for k in range(2, cap + 1):
+        new_lo = 0.0 if lo <= th <= hi else min(abs(lo - th), abs(hi - th))
+        astar = min(max(math.pi - th, lo), hi)
+        lo, hi = new_lo, min(astar + th, 2.0 * math.pi - astar - th)
+        lands = any(lo - 1e-12 <= x <= hi + 1e-12 for x in (ph, math.pi - ph))
+        if k % 2 == 0 and ph <= k * th + 1e-12 and lands:
+            return k
+    return None
 
 
 def assert_step_lands(alpha, beta, theta):
@@ -222,7 +242,7 @@ class TestStepType:
     def test_rejects_nonunitary(self, monkeypatch):
         sheared = (1 + 0j, 1 + 0j, 0j, 1 + 0j)
         monkeypatch.setattr(
-            su2, "_walk_positive", lambda target, theta, m, table: [sheared] * m
+            su2, "_walk_positive", lambda target, theta, m: [sheared] * m
         )
         with pytest.raises(DomainError):
             _walk(0.5, 0.3, 2)
@@ -329,14 +349,11 @@ class TestWalkGeometry:
         assert_walk_hits(steps, 0.3, 2.8, 4)
 
     def test_class_angle_helper(self):
-        def class_angle(u):
-            return _class_angle(float(np.real(np.trace(u))) / 2.0)
-
-        assert abs(class_angle(rot(1.3)) - 1.3) < 1e-12
-        assert abs(class_angle(np.eye(2))) < 1e-12
-        g = haar_su2(np.random.default_rng(3))
-        m = g @ rot(0.4) @ g.conj().T
-        assert abs(class_angle(m) - 0.4) < 1e-12
+        # the class angle is read off the canonical gap in closed form, exactly
+        rng = np.random.default_rng(3)
+        gaps = np.r_[rng.uniform(-math.pi, math.pi, 200), 1e-4, -1e-9, math.pi / 2, math.pi]
+        for delta in gaps:
+            assert source_block(delta).theta == min(abs(canon_angle(delta)), math.pi / 2)
 
 
 class TestWalkRandomized:
@@ -374,6 +391,24 @@ class TestWalkRandomized:
         assert produced > 100
 
 
+class TestWaypoints:
+    def test_surplus_first_then_climb(self):
+        rng = np.random.default_rng(31)
+        thetas = np.r_[1e-4, 10.0 ** rng.uniform(-3, math.log10(math.pi / 2), 16), math.pi / 2]
+        for theta in thetas:
+            targets = (0.0, math.pi, 3 * theta, rng.uniform(0.0, math.pi))
+            for target in targets:
+                if target > math.pi:
+                    continue
+                c = walk_length(target, theta, 10**6)
+                for m in range(c, c + 11, 2):
+                    alphas = _plan_waypoints(target, theta, m)
+                    assert len(alphas) == m and alphas[-1] == target
+                    for a, b in zip([0.0] + alphas, alphas):
+                        lo, hi = _reach(a, theta)
+                        assert lo - 4 * EPS <= b <= hi + 4 * EPS, (theta, target, m, a, b)
+
+
 class TestWalkLength:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -403,6 +438,28 @@ class TestWalkLength:
         assert walk_length(0.0, 0.0, 4) == 2
         # beyond a quarter turn only the mirrored class is reachable
         assert walk_length(2.9, 2.0, 2) == 2
+
+    def test_matches_the_interval_iteration(self):
+        rng = np.random.default_rng(23)
+        cases = [(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi),
+                  2 * int(rng.integers(1, 41))) for _ in range(3000)]
+        # phi = k theta and one ulp either side, and for wide generators
+        # the same on the folded class pi - |theta| and its mirror
+        for _ in range(1500):
+            theta = rng.choice((-1, 1)) * rng.uniform(1e-4, math.pi)
+            folded = min(abs(theta), math.pi - abs(theta))
+            k = int(rng.integers(1, 80))
+            for edge in (k * folded, math.pi - k * folded):
+                if 0.0 <= edge <= math.pi:
+                    for phi in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0)):
+                        cases.append((rng.choice((-1, 1)) * phi, theta, 2 * (k // 2) + 4))
+        for phi, theta, cap in cases:
+            want = interval_walk_length(abs(phi), abs(theta), cap)
+            if want is None:
+                with pytest.raises(BudgetInfeasibleError):
+                    walk_length(phi, theta, cap)
+            else:
+                assert walk_length(phi, theta, cap) == want, (phi, theta, cap)
 
     def test_errors_match_the_walk(self):
         with pytest.raises(BudgetInfeasibleError):
@@ -441,32 +498,25 @@ class TestSourceBlock:
             assert np.max(np.abs(prod - rot(phi))) <= 1e-10
             assert np.max(np.abs(rotated - ys @ arr(block.rotation))) <= 1e-15
 
-    def test_reach_table_grows_as_far_as_asked(self):
-        block = source_block(0.3)
-        assert block.reach == []
-        m = block.walk_length(1.0, 16)
-        assert m == walk_length(1.0, block.theta, 16) == 4
-        assert len(block.reach) == m
-        block.frames(1.0, m + 4)
-        assert len(block.reach) == m + 4
-        # the table holds the intervals of 1, 2, 3, ... conjugates
-        lo, hi = block.theta, block.theta
-        for got in block.reach:
-            assert got == (lo, hi)
-            lo, hi = su2._reach_interval(lo, hi, block.theta)
+    def test_long_walks_stay_on_target(self):
+        # gaps down to 1e-4, at the shortest length and with surplus steps;
+        # the smallest gap walks one target, as each of its walks takes 1e4
+        # steps or more.  The worst case is the partial rotation (|gap| >
+        # pi/2), whose commutator is of class pi/2 only to rounding: about
+        # 2.9 eps per step over 4 steps.
+        def drift(block, phi, m):
+            prod = _EYE
+            for y in block.frames(phi, m)[::2]:
+                prod = _mul(prod, _mul(_mul(y, block.commutator), _adj(y)))
+            return np.max(np.abs(arr(prod) - rot(phi)))
 
-    def test_table_lengths_match_fresh_ones(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            block = source_block(rng.choice((-1, 1)) * rng.uniform(0.05, math.pi))
-            for phi in rng.uniform(-math.pi, math.pi, 20):
-                try:
-                    want = walk_length(phi, block.theta, 12)
-                except BudgetInfeasibleError:
-                    with pytest.raises(BudgetInfeasibleError):
-                        block.walk_length(phi, 12)
-                    continue
-                assert block.walk_length(phi, 12) == want
+        phis = (-math.pi, -2.0, -0.4, 0.0, 3e-4, 1.0, 2.9)
+        grid = [(-1e-4, 1.0)] + [(d, p) for d in (1e-3, -1e-2, 0.3, -1.2, 3.0) for p in phis]
+        for delta, phi in grid:
+            block = source_block(delta)
+            m0 = walk_length(phi, block.theta, 10**6)
+            for m in (m0, m0 + 2, m0 + 10, 2 * m0 + 4):
+                assert drift(block, phi, m) <= 3.0 * EPS * m, (delta, phi, m)
 
     def test_frames_refuse_what_the_walk_refuses(self):
         block = source_block(0.2)
