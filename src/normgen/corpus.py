@@ -4,12 +4,17 @@ Spectra are drawn as sorted uniform angles and perturbed; admissible pairs
 come from scaling the base's gaps to nearly the full circle (deepening its
 profile) and shrinking the target's angles until the generation hypothesis
 holds.  Every draw is a pure function of (seed, case index), so reruns and
-parallel runs aggregate to the identical report.
+parallel runs aggregate to the identical report; run_corpus forks one share
+of the cases per usable CPU on Linux and reassembles the rows in case order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -149,7 +154,9 @@ def _case_rng(seed, index):
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _run_case(mode, seed, index, sizes):
+def _run_case(seed, index, sizes):
+    """The result row of case index, which runs generator MODES[index % 5]."""
+    mode = MODES[index % len(MODES)]
     rng = _case_rng(seed, index)
     if mode == "rank-dep":
         n = int(rng.choice(sizes))
@@ -173,12 +180,10 @@ def _run_case(mode, seed, index, sizes):
         s = Fraction(1, int(rng.integers(2, 4)))
         u, v = admissible_rational_pair(m, s, rng)
         cert = pipeline_generate(u, v, m, s)
-    elif mode == "broise":
+    else:
         k = int(rng.integers(1, 7))
         w = haar_unitary(k, rng)
         cert = broise_kernel_certificate(w)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
     report = verify_certificate(cert)
     out = {
         "case": int(index),
@@ -204,6 +209,77 @@ def _run_case(mode, seed, index, sizes):
     return out
 
 
+def _share_count(cases):
+    """How many interleaved shares run_corpus splits its cases into: one per
+    usable CPU and at most one per 4 cases (a fork and its wait cost about
+    as much as a case), on Linux while no other Python thread runs, since a
+    forked child holds only the thread that forked it; otherwise 1."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cases // 4))
+
+
+def _run_share(seed, sizes, indices):
+    """Rows of the cases at indices, by index, up to the first that raises."""
+    rows = {}
+    for i in indices:
+        try:
+            rows[i] = _run_case(seed, i, sizes)
+        except Exception:
+            break
+    return rows
+
+
+def _run_cases(seed, sizes, cases):
+    """The rows of cases 0..cases-1 in case order, as a serial run makes
+    them, raising the exception of the lowest failing case.
+
+    Share r of w holds cases r, r + w, r + 2w, ...  A forked child runs each
+    share but the first and pipes back the pickled rows it made before its
+    first failure; the parent runs share 0, reaps every child, and then runs
+    in index order whatever no share delivered, so the lowest failing case
+    raises here with its own traceback.
+    """
+    shares = _share_count(cases)
+    children = []
+    try:
+        for r in range(1, shares):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                # no process to spare: the parent runs the unforked shares
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    # drop every inherited read end, so that once the parent
+                    # closes its copies a blocked writer gets a broken pipe
+                    os.close(read)
+                    for _, pipe in children:
+                        pipe.close()
+                    with os.fdopen(write, "wb") as out:
+                        pickle.dump(_run_share(seed, sizes, range(r, cases, shares)), out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        rows = _run_share(seed, sizes, range(0, cases, shares))
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        # closed read ends unblock a child still writing, so the waits end
+        for _, pipe in children:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for payload, status in zip(payloads, statuses):
+        if status == 0:
+            rows.update(pickle.loads(payload))
+    return [rows[i] if i in rows else _run_case(seed, i, sizes) for i in range(cases)]
+
+
 def _extremes(rows):
     """The report's extremes, each over the rows that have the value."""
     columns = {
@@ -222,6 +298,8 @@ def run_corpus(seed=0, sizes=None, cases=25):
 
     Deterministic in (seed, sizes, cases): each case draws from its own
     (seed, index) stream, so results are independent of execution order.
+    The cases run in interleaved shares, one per usable CPU on Linux (see
+    _run_cases), and the report is the one a serial run makes.
     """
     cases = int(cases)
     if cases < 0:
@@ -233,9 +311,7 @@ def run_corpus(seed=0, sizes=None, cases=25):
         raise DomainError("sizes must be nonempty when cases are run")
     if sizes and (min(sizes) < 2):
         raise DomainError("sizes must be at least 2")
-    results = [
-        _run_case(MODES[i % len(MODES)], seed, i, sizes) for i in range(cases)
-    ]
+    results = _run_cases(seed, sizes, cases)
     suites = {}
     for row in results:
         bucket = suites.setdefault(

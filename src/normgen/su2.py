@@ -38,6 +38,7 @@ from .spectral import canon_angle
 # complex numbers: scalar arithmetic beats numpy's per-call cost at this size
 _EYE = (1 + 0j, 0j, 0j, 1 + 0j)
 _SWAP = (0j, 1 + 0j, -1 + 0j, 0j)
+_SWAP_ADJ = (0j, -1 + 0j, 1 + 0j, 0j)
 
 
 def _mul(x, y):
@@ -65,8 +66,8 @@ def _reference_frame(v, theta):
     """Unitary g with g @ diag(e^{i theta}, e^{-i theta}) @ g* = v.
 
     Closed-form 2x2 eigenvector extraction; the phase is fixed by making the
-    largest-modulus entry of the first column real positive.  This runs
-    twice per walk step.
+    largest-modulus entry of the first column real positive.  A walk calls
+    it twice on each step that is not diagonal (see _walk_positive).
     """
     a, b, c, d = v
     want = 2.0 * math.cos(theta)
@@ -96,6 +97,13 @@ def _reference_frame(v, theta):
     x0 *= ph
     x1 *= ph
     return (x0, -x1.conjugate(), x1, x0.conjugate())
+
+
+def _diagonal_frame(p, alpha):
+    """_reference_frame of diag(p, conj(p)) in the class of alpha in [0, pi]:
+    the identity when p lies on the side of e^{+i alpha} (or the class is
+    central), else the swap."""
+    return _EYE if p.imag * math.sin(alpha) >= 0.0 else _SWAP_ADJ
 
 
 def _reach(alpha, theta):
@@ -178,12 +186,18 @@ def _walk_positive(target, theta, m):
     prev = 0.0
     for alpha in _plan_waypoints(target, theta, m):
         vp = _step_to(prev, alpha, theta)
-        conjugators.append(_mul(frame, _reference_frame(vp, theta)))
         # D(prev) @ vp scales the rows by e^{+-i prev}
         z = cmath.exp(1j * prev)
         a, b, c, d = vp
-        mstep = (z * a, z * b, z.conjugate() * c, z.conjugate() * d)
-        frame = _mul(frame, _reference_frame(mstep, alpha))
+        if b:
+            conjugators.append(_mul(frame, _reference_frame(vp, theta)))
+            mstep = (z * a, z * b, z.conjugate() * c, z.conjugate() * d)
+            frame = _mul(frame, _reference_frame(mstep, alpha))
+        else:
+            # a full climb step or a surplus (theta, 0) pair: both the step
+            # and D(prev) @ step are diagonal, framed by I or the swap
+            conjugators.append(_mul(frame, _diagonal_frame(a, theta)))
+            frame = _mul(frame, _diagonal_frame(z * a, alpha))
         prev = alpha
     # pull the whole walk back so the product is exactly D(target)
     back = _adj(frame)
@@ -284,14 +298,23 @@ class SourceBlock:
         conjugators, exponent = _walk(phi, self.theta, m)
         # conjugating by _SWAP flips the commutator's class to its inverse
         ref_h = self.ref_h if exponent == 1 else _mul(_SWAP, self.ref_h)
-        # closed-loop guard: the frames must reassemble the target exactly
-        prod, out = _EYE, []
+        # closed-loop guard: the frames must reassemble the target exactly;
+        # (w, x, u, v) accumulates the product of y @ commutator @ y*
+        p, q, r, s = self.commutator
+        w, x, u, v = _EYE
+        out = []
         for g in conjugators:
             y = _mul(g, ref_h)
-            prod = _mul(prod, _mul(_mul(y, self.commutator), _adj(y)))
             out += (y, _mul(y, self.rotation))
+            a, b, c, d = y
+            e, f, k, h = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+            a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+            t00, t01 = e * a + f * b, e * c + f * d
+            t10, t11 = k * a + h * b, k * c + h * d
+            w, x, u, v = (w * t00 + x * t10, w * t01 + x * t11,
+                          u * t00 + v * t10, u * t01 + v * t11)
         z = cmath.exp(1j * phi)
-        if max(abs(p - w) for p, w in zip(prod, (z, 0j, 0j, z.conjugate()))) > 1e-9:
+        if max(abs(w - z), abs(x), abs(u), abs(v - z.conjugate())) > 1e-9:
             raise NumericalDegeneracyError("strand walk drifted off its target")
         return out
 

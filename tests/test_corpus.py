@@ -1,6 +1,11 @@
 """Samplers and the aggregate corpus runner."""
 
+import json
 import math
+import os
+import signal
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +26,7 @@ from normgen import (
     run_corpus,
     verify_certificate,
 )
+from normgen import corpus
 
 
 class TestSamplers:
@@ -177,3 +183,118 @@ class TestRunCorpus:
         report = run_corpus(seed=2, cases=8)
         ids = [row["case"] for row in report["results"]]
         assert ids == sorted(ids)
+
+
+@pytest.fixture
+def bounded_forks():
+    """Fails the test when it runs for a minute, or when a forked child
+    outlives it."""
+
+    def hung(signum, frame):
+        raise AssertionError("run_corpus hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def force_shares(monkeypatch, count):
+    monkeypatch.setattr(corpus, "_share_count", lambda cases: count)
+
+
+def fail_at(monkeypatch, failing, exc, pad=0):
+    """_run_case raising exc(f"case {i}") at the indices i in failing, and
+    adding a string of pad characters to each row it returns."""
+    inner = corpus._run_case
+
+    def run_case(seed, index, sizes):
+        if index in failing:
+            raise exc(f"case {index}")
+        row = inner(seed, index, sizes)
+        if pad:
+            row["pad"] = "x" * pad
+        return row
+
+    monkeypatch.setattr(corpus, "_run_case", run_case)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="shares fork on Linux only")
+@pytest.mark.usefixtures("bounded_forks")
+class TestShares:
+    @pytest.mark.parametrize("cases", [7, 12])
+    def test_reports_match_the_serial_run(self, monkeypatch, cases):
+        force_shares(monkeypatch, 1)
+        serial = json.dumps(run_corpus(seed=4, cases=cases))
+        for count in (2, 3):
+            force_shares(monkeypatch, count)
+            assert json.dumps(run_corpus(seed=4, cases=cases)) == serial
+
+    @pytest.mark.parametrize("failing", [{5, 8}, {4, 7}, {3}])
+    def test_lowest_failing_case_raises(self, monkeypatch, failing):
+        # with two shares, odd cases run in the child and even ones here
+        fail_at(monkeypatch, failing, exc=DomainError)
+        force_shares(monkeypatch, 1)
+        with pytest.raises(DomainError) as serial:
+            run_corpus(seed=1, cases=10)
+        force_shares(monkeypatch, 2)
+        with pytest.raises(DomainError) as split:
+            run_corpus(seed=1, cases=10)
+        assert str(split.value) == str(serial.value) == f"case {min(failing)}"
+
+    @pytest.mark.parametrize("exc", [DomainError, KeyboardInterrupt])
+    def test_parent_failure_with_a_full_pipe(self, monkeypatch, exc):
+        # the child's rows are far over the 64 KB pipe buffer, so it blocks
+        # in its write until the parent reads or closes the pipe
+        fail_at(monkeypatch, {0}, exc=exc, pad=40_000)
+        force_shares(monkeypatch, 2)
+        with pytest.raises(exc, match="case 0"):
+            run_corpus(seed=2, cases=8)
+
+    def test_small_runs_fork_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert corpus._share_count(5) == 1
+        assert run_corpus(seed=3, cases=5)["all_pass"]
+
+    def test_a_failed_fork_runs_serially(self, monkeypatch):
+        force_shares(monkeypatch, 1)
+        serial = json.dumps(run_corpus(seed=6, cases=9))
+
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        force_shares(monkeypatch, 3)
+        assert json.dumps(run_corpus(seed=6, cases=9)) == serial
+
+
+class TestShareCount:
+    def test_one_share_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [corpus._share_count(c) for c in (0, 7, 8, 11, 12, 100)] == [1, 1, 2, 2, 3, 3]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert corpus._share_count(100) == 1
+
+    def test_serial_off_linux(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert corpus._share_count(100) == 1
+
+    def test_serial_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert corpus._share_count(100) == 2
+        stop = threading.Event()
+        worker = threading.Thread(target=stop.wait)
+        worker.start()
+        try:
+            assert corpus._share_count(100) == 1
+        finally:
+            stop.set()
+            worker.join()

@@ -2,9 +2,14 @@
 
 import inspect
 from pathlib import Path
+import pickle
 import re
 
+import numpy as np
+import pytest
+
 import normgen
+from normgen import errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +38,18 @@ def test_readme_quickstart_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "generate_rank_dependent" in code
     exec(compile(code, f"{README}:quickstart", "exec"), {"__name__": "quickstart"})
+
+
+def test_errors_survive_pickle():
+    # a process pool hands exceptions back pickled
+    u, v = normgen.admissible_pair(7, 2, 3, np.random.default_rng(1))
+    with pytest.raises(normgen.HypothesisError) as info:
+        normgen.generate_rank_independent(v, u, 1, 3)
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is normgen.HypothesisError
+    assert back.args == info.value.args
+    assert back.report == info.value.report is not None
+    for name, cls in vars(errors).items():
+        if isinstance(cls, type) and issubclass(cls, Exception):
+            back = pickle.loads(pickle.dumps(cls(f"{name} text")))
+            assert type(back) is cls and str(back) == f"{name} text"

@@ -1,6 +1,7 @@
 """Step-engine tests: partial steps, reference frames, walks and source
 blocks."""
 
+import cmath
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from normgen.config import EPS
 from normgen.su2 import (
     _EYE,
     _adj,
+    _diagonal_frame,
     _mul,
     _plan_waypoints,
     _reach,
@@ -182,6 +184,35 @@ class TestConjugatorToReference:
         assert np.allclose(g, np.eye(2), atol=1e-12)
         g = reference_frame(rot(-0.9), 0.9)
         assert np.allclose(np.abs(g), [[0, 1], [1, 0]], atol=1e-12)
+
+    def test_diagonal_steps_framed_in_closed_form(self, monkeypatch):
+        # every diagonal step a walk plans, and D(prev) @ step, get the frame
+        # _reference_frame would return (== does not tell the signs of zeros)
+        rng = np.random.default_rng(8)
+        seen = 0
+        for theta in np.r_[1e-4, 10.0 ** rng.uniform(-3, math.log10(math.pi / 2), 12), math.pi / 2]:
+            for target in (0.0, math.pi, min(3 * theta, math.pi), rng.uniform(0.0, math.pi)):
+                c = walk_length(target, theta, 10**6)
+                prev = 0.0
+                for alpha in _plan_waypoints(target, theta, c + 4):
+                    a, b, c_, d = _step_to(prev, alpha, theta)
+                    z = cmath.exp(1j * prev)
+                    if b == 0:
+                        seen += 1
+                        assert _diagonal_frame(a, theta) == _reference_frame((a, b, c_, d), theta)
+                        mstep = (z * a, z * b, z.conjugate() * c_, z.conjugate() * d)
+                        assert _diagonal_frame(z * a, alpha) == _reference_frame(mstep, alpha)
+                    prev = alpha
+        assert seen > 1000
+        for angle in (0.9, -0.9, 0.0, math.pi):
+            v = tup(rot(angle))
+            assert _diagonal_frame(v[0], abs(angle)) == _reference_frame(v, abs(angle))
+        # a walk of full steps only never solves for an eigenvector
+        calls = []
+        inner = su2._reference_frame
+        monkeypatch.setattr(su2, "_reference_frame", lambda v, t: calls.append(t) or inner(v, t))
+        _walk(1.2, 0.3, 6)
+        assert calls == []
 
     def test_central_class(self):
         g = reference_frame(np.eye(2, dtype=complex), 0.0)
