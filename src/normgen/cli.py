@@ -181,7 +181,7 @@ def cmd_generate(args):
             json.dump(cert.to_json(), fh, sort_keys=True)
             fh.write("\n")
     print(
-        f"k={len(cert.steps)} budget={cert.claimed_budget} "
+        f"k={len(cert)} budget={cert.claimed_budget} "
         f"residual={report['residual']:.3e}"
     )
     return EXIT_OK if report["pass"] else EXIT_VERIFY

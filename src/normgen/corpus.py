@@ -189,12 +189,12 @@ def _run_case(seed, index, sizes):
         "case": int(index),
         "mode": mode,
         "n": cert.n,
-        "length": len(cert.steps),
+        "length": len(cert),
         "budget": int(cert.claimed_budget),
         "residual": report["residual"],
         "lower_bound": report["lower_bound"],
         "lower_bound_ratio": (
-            len(cert.steps) / report["lower_bound"]
+            len(cert) / report["lower_bound"]
             if report["lower_bound"] else None
         ),
         "pass": bool(report["pass"]),

@@ -8,7 +8,8 @@ a commutator of v with a block rotation, and charges every conjugate against
 a stated budget.  All theorem-level generators share one walk path: the
 factors are planned in batches on matched source blocks of the base
 (_plan_batches, with su2.source_block making each block's commutator once)
-and every batch is walked by SourceBlock.frames (_shared_steps).
+and every batch is walked by SourceBlock.frames as one run of steps
+(_shared_run).
 
 A certificate stores the eigenframes of target and base once and each
 conjugate as a permutation times small unitary blocks in those frames, so a
@@ -32,7 +33,6 @@ shared length serves them all.
 import base64
 from dataclasses import dataclass, field
 from fractions import Fraction
-import itertools
 import math
 from typing import NamedTuple
 
@@ -68,6 +68,7 @@ from .spectral import (
 from .su2 import SourceBlock, source_block, walk_length
 
 __all__ = [
+    "CertRun",
     "CertStep",
     "Certificate",
     "HypothesisReport",
@@ -83,124 +84,103 @@ __all__ = [
 
 THEOREM_TAGS = ("rank_dep", "rank_indep", "full_gen", "pipeline", "broise_kernel")
 
-CERT_VERSION = "normgen-cert/5"
+CERT_VERSION = "normgen-cert/6"
 
 # ---------------------------------------------------------------------------
 # certificate container
 
 
+class CertStep(NamedTuple):
+    """One conjugate of a certificate as Certificate.steps reads it out of
+    its run: the run's perm and offsets, the step's (nb, w, w) blocks (a
+    view of the run's stack) and its exponent."""
+
+    perm: np.ndarray
+    offsets: np.ndarray
+    blocks: np.ndarray
+    e: int
+
+
 @dataclass(frozen=True, init=False)
-class CertStep:
-    """One conjugate in a certificate, stored in the certificate's eigenframes.
+class CertRun:
+    """Consecutive conjugates that share one eigenframe layout, as the steps
+    of one walk batch do; the unit a certificate stores.
 
-    The eigenframe conjugator is y = P @ Y: Y is the identity except for the
-    square blocks, each placed on the diagonal at its offset, and P sends
-    basis vector a to perm[a].  With the certificate's frames A and B the
-    step is the conjugate g @ base^e @ g* by g = A @ y @ B*.
-
-    The blocks are held the way the step's record stores them: block i is
-    widths[i] square at offsets[i], and data holds the blocks' entries
-    row-major, back to back, as one complex128 array, so the blocks of one
-    width are one (nb, w, w) view of data.  CertStep(perm, blocks, e)
-    packs (offset, block) pairs, and blocks gives them back as views; a
-    block that is not a square matrix is packed as width 0 with no entries,
-    which marks the step malformed.  The packed arrays can be passed as
-    offsets, widths and data instead; blocks, when given, replaces them,
-    so dataclasses.replace(step, blocks=...) repacks.
+    Step r conjugates base^e[r] by g = A @ y_r @ B*, with the certificate's
+    frames A and B and the eigenframe conjugator y_r = P @ Y_r: P sends
+    basis vector a to perm[a], and Y_r is the identity except for the
+    width-square blocks blocks[r, i], each on the diagonal at offsets[i].
+    blocks is a read-only (len(e), nb, width, width) complex128 stack, and
+    e holds one exponent per step.
 
     Deliberately unvalidated so that damaged certificates can still be
     loaded and then fail verification instead of failing to parse; only
-    the packing itself must hold (one width per offset, none negative, and
-    sum(widths**2) entries), else ValueError.
+    the shapes must hold (at least one step, width at least 1, one block
+    per offset and step), else ValueError.
     """
 
     perm: np.ndarray
     offsets: np.ndarray
-    widths: np.ndarray
-    data: np.ndarray
-    e: int
+    width: int
+    blocks: np.ndarray
+    e: np.ndarray
 
-    def __init__(self, perm, blocks=None, e=None, *, offsets=(), widths=(), data=()):
-        if blocks is not None:
-            blocks = [(int(o), np.asarray(b, dtype=complex)) for o, b in blocks]
-            offsets = [o for o, _ in blocks]
-            widths = [b.shape[0] if b.ndim == 2 and b.shape[0] == b.shape[1] else 0
-                      for _, b in blocks]
-            data = [b.ravel() for (_, b), w in zip(blocks, widths) if w]
-            data = np.concatenate(data) if data else ()
-        p = np.asarray(perm, dtype=np.int64)
+    def __init__(self, perm, offsets, width, blocks, e):
         o = np.asarray(offsets, dtype=np.int64)
-        w = np.asarray(widths, dtype=np.int64)
-        d = np.asarray(data, dtype=complex)
-        wl = w.tolist() if w.ndim == 1 else [-1]
-        if o.shape != w.shape or min(wl, default=0) < 0 or d.shape != (sum(x * x for x in wl),):
-            raise ValueError(f"widths {wl}, {o.size} offsets and {d.size} entries disagree")
-        for name, a in (("perm", p), ("offsets", o), ("widths", w), ("data", d)):
+        e = np.asarray(e, dtype=np.int64)
+        b = np.asarray(blocks, dtype=complex)
+        w = int(width)
+        if o.ndim != 1 or e.ndim != 1 or not e.shape[0] or w < 1:
+            raise ValueError(f"a run needs offsets, steps and a width, got "
+                             f"{o.shape} offsets, {e.shape} exponents and width {w}")
+        shape = (e.shape[0], o.shape[0], w, w)
+        if b.size != math.prod(shape):
+            raise ValueError(f"{b.size} block entries do not fill {shape}")
+        for name, a in (("perm", np.asarray(perm, dtype=np.int64)), ("offsets", o),
+                        ("blocks", b.reshape(shape)), ("e", e)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "e", int(e))
+        object.__setattr__(self, "width", w)
 
-    @property
-    def blocks(self):
-        """The (offset, block) pairs in record order, as views of data."""
-        out, start = [], 0
-        for offset, w in zip(self.offsets.tolist(), self.widths.tolist()):
-            out.append((offset, self.data[start : start + w * w].reshape(w, w)))
-            start += w * w
-        return tuple(out)
+    def __len__(self):
+        return self.e.shape[0]
 
     def to_json(self, perm_index):
-        """The step's record, with its perm as an index into the certificate's
-        perm table and its blocks packed row-major, back to back."""
+        """The run's record, with its perm as an index into the certificate's
+        perm table and its blocks packed one row per step."""
         return {
             "perm": perm_index,
             "offsets": self.offsets.tolist(),
-            "widths": self.widths.tolist(),
-            "blocks": _pack(self.data),
-            "e": self.e,
+            "width": self.width,
+            "blocks": _pack(self.blocks.reshape(len(self), -1)),
+            "e": self.e.tolist(),
         }
 
     @classmethod
     def from_json(cls, obj, perms, n):
-        """Decode a step record against the decoded perm table and size n.
+        """Decode a run record against the decoded perm table and size n.
 
-        Indices, offsets, widths and the exponent must be integers, the
-        index must address the table and the widths must fit n; offsets,
-        exponent values and perm contents are left to the verifier.
+        The index, offsets, width and exponents must be integers, the index
+        must address the table, the width must fit n and e must be
+        nonempty; offsets, exponent values and perm contents are left to
+        the verifier.
         """
         try:
-            idx, offsets, widths, e = obj["perm"], obj["offsets"], obj["widths"], obj["e"]
-            if type(offsets) is not list or type(widths) is not list:
-                raise TypeError("offsets and widths must be lists")
-            if not _all_ints(idx, e, *offsets, *widths):
-                raise TypeError("perm index, offsets, widths and exponent must be integers")
+            idx, offsets, width, e = obj["perm"], obj["offsets"], obj["width"], obj["e"]
+            if type(offsets) is not list or type(e) is not list:
+                raise TypeError("offsets and e must be lists")
+            if not _all_ints(idx, width, *offsets, *e):
+                raise TypeError("perm index, offsets, width and exponents must be integers")
             if not 0 <= idx < len(perms):
                 raise ValueError(f"perm index {idx} outside a table of {len(perms)}")
-            if len(offsets) != len(widths) or not all(0 < w <= n for w in widths):
-                raise ValueError(f"block widths {widths} do not fit size {n}")
-            data = _unpack(obj["blocks"], [sum(w * w for w in widths)], "step blocks")
-            return cls(perms[idx], e=e, offsets=offsets, widths=widths, data=data)
+            if not e or not 0 < width <= n:
+                raise ValueError(f"a run needs steps and a width in 1..{n}, got "
+                                 f"{len(e)} steps of width {width}")
+            size = len(offsets) * width * width
+            blocks = _unpack(obj["blocks"], [len(e), size], "run blocks")
+            return cls(perms[idx], offsets, width, blocks, e)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CertificateFormatError(f"malformed step: {exc}") from exc
-
-
-def _by_width(steps):
-    """The blocks of steps that share one block layout (offsets and widths),
-    per width w in order of first appearance: (w, offsets, stack), with
-    stack[r] the (nb, w, w) blocks of steps[r] in record order.  For one
-    step of one width the stack is a view of its data."""
-    first = steps[0]
-    widths = first.widths
-    if widths.shape[0] and (widths == widths[0]).all():
-        w = int(widths[0])
-        data = first.data[None] if len(steps) == 1 else np.stack([st.data for st in steps])
-        return [(w, first.offsets, data.reshape(len(steps), -1, w, w))]
-    out = []
-    for w in dict.fromkeys(widths.tolist()):
-        mine = widths == w
-        stack = [[b for (_, b), keep in zip(st.blocks, mine) if keep] for st in steps]
-        out.append((w, first.offsets[mine], np.array(stack).reshape(len(steps), -1, w, w)))
-    return out
+            raise CertificateFormatError(f"malformed run: {exc}") from exc
 
 
 def _all_ints(*values):
@@ -268,15 +248,16 @@ class Certificate:
     """Explicit product of conjugates of base^{+-1} realizing target.
 
     base = B @ diag(e^{i base_angles}) @ B* with bframe B and target =
-    A @ diag(e^{i target_angles}) @ A* with aframe A, and every step
-    conjugates base^e by A @ y @ B* (see CertStep), so the product of the
-    steps, in order, is A @ M @ A* with M the product of
+    A @ diag(e^{i target_angles}) @ A* with aframe A, and every step of the
+    runs conjugates base^e by A @ y @ B* (see CertRun), so the product of
+    the steps, in order, is A @ M @ A* with M the product of
     y @ diag(e^{i e base_angles}) @ y* computed in the eigenframe.  M equals
     diag(e^{i target_angles}) up to one global phase, which is how the
-    verifier checks it.  claimed_budget is the theorem-level bound the
-    length is charged against; params and metadata record how the steps
-    were found.  target_angles defaults to the angles of the diagonal of
-    A* @ target @ A.  target, base and both frames are each a dense array
+    verifier checks it.  len(cert) is the number of steps, k; steps reads
+    them out of the runs one by one.  claimed_budget is the theorem-level
+    bound the length is charged against; params and metadata record how the
+    steps were found.  target_angles defaults to the angles of the diagonal
+    of A* @ target @ A.  target, base and both frames are each a dense array
     or a Monomial; np.asarray gives the dense matrix of either.
     """
 
@@ -285,7 +266,7 @@ class Certificate:
     aframe: np.ndarray
     bframe: np.ndarray
     base_angles: np.ndarray
-    steps: tuple
+    runs: tuple
     claimed_budget: int
     theorem: str
     params: dict = field(default_factory=dict)
@@ -321,15 +302,14 @@ class Certificate:
         budget = int(self.claimed_budget)
         if budget < 0:
             raise ValidationError("claimed budget must be non-negative")
-        steps = tuple(self.steps)
-        for st in steps:
-            if not isinstance(st, CertStep):
-                raise ValidationError("steps must be CertStep instances")
+        runs = tuple(self.runs)
+        if not all(isinstance(run, CertRun) for run in runs):
+            raise ValidationError("runs must be CertRun instances")
         for name, m in mats.items():
             if isinstance(m, np.ndarray):
                 m.setflags(write=False)
             object.__setattr__(self, name, m)
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "claimed_budget", budget)
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "metadata", dict(self.metadata))
@@ -339,13 +319,19 @@ class Certificate:
         return self.target.shape[0]
 
     def __len__(self):
-        return len(self.steps)
+        return sum(map(len, self.runs))
+
+    @property
+    def steps(self):
+        """The steps one by one, as CertStep views of the runs."""
+        return tuple(CertStep(run.perm, run.offsets, b, e)
+                     for run in self.runs for b, e in zip(run.blocks, run.e.tolist()))
 
     def product(self):
         """The dense product of the steps, A @ M @ A*, formed as
         A @ (A @ M*)*."""
         a = as_operator(self.aframe)
-        m = certificate_product(self.base_angles, self.steps)
+        m = certificate_product(self.base_angles, self.runs)
         return a.apply(a.apply(m.conj().T).conj().T)
 
     def to_json(self):
@@ -358,7 +344,7 @@ class Certificate:
                 perms.append(perm.tolist())
             return index[key]
 
-        steps = [st.to_json(perm_index(st.perm)) for st in self.steps]
+        runs = [run.to_json(perm_index(run.perm)) for run in self.runs]
         out = {
             "version": CERT_VERSION,
             **{name: _pack_operand(getattr(self, name), perm_index)
@@ -366,7 +352,7 @@ class Certificate:
             "base_angles": self.base_angles.tolist(),
             "target_angles": self.target_angles.tolist(),
             "perms": perms,
-            "steps": steps,
+            "runs": runs,
             "claimed_budget": self.claimed_budget,
             "theorem": self.theorem,
             "params": dict(self.params),
@@ -406,7 +392,7 @@ class Certificate:
             for name, a in zip(("base_angles", "target_angles"), angles):
                 if type(a) is not list or not all(type(x) is float for x in a):
                     raise TypeError(f"{name} must be a list of floats")
-            steps = tuple(CertStep.from_json(s, perms, n) for s in obj["steps"])
+            runs = tuple(CertRun.from_json(r, perms, n) for r in obj["runs"])
             budget, theorem = obj["claimed_budget"], obj["theorem"]
             if not _all_ints(budget):
                 raise TypeError("claimed_budget must be an integer")
@@ -418,7 +404,7 @@ class Certificate:
                 if not _all_ints(obj["s0"]):
                     raise TypeError("s0 must be an integer")
                 metadata.setdefault("s0", obj["s0"])
-            return cls(*mats, angles[0], steps, budget, theorem, params, metadata,
+            return cls(*mats, angles[0], runs, budget, theorem, params, metadata,
                        angles[1])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateFormatError(f"malformed certificate: {exc}") from exc
@@ -444,47 +430,35 @@ def _json_safe(obj):
     return obj
 
 
-def _step_kernels(angles, steps):
-    """What the steps do to the columns of the running product in
-    certificate_product, run by run.  A step permutes the columns from the
-    previous perm to its own, scales every column by its core D^e and
-    mixes each block's columns by b @ D^e @ b*, so a run of steps that
-    share a perm and a block layout, as the steps of one walk batch do,
-    acts as one step whose core and kernels are the products of theirs.
-    Per run: the column gather from the previous perm (None when it is
-    the same), the core and, per block width, the block columns and their
+def _step_kernels(angles, runs):
+    """What the runs do to the columns of the running product in
+    certificate_product.  A step permutes the columns from the previous
+    perm to its own, scales every column by its core D^e and mixes each
+    block's columns by b @ D^e @ b*, so a run, whose steps share a perm and
+    a block layout, acts as one step whose core and kernels are the
+    products of theirs.  Per run: the column gather from the previous perm
+    (None when it is the same), the core, the block columns and their
     kernels.  Also returns the last perm."""
     d = np.exp(1j * np.asarray(angles, dtype=float))
     cur = np.arange(d.shape[0])
-    runs = []
-    for group in _layout_runs(steps):
+    out = []
+    for run in runs:
         gather = None
-        if not np.array_equal(group[0].perm, cur):
-            gather = np.argsort(cur)[group[0].perm]
-            cur = group[0].perm
-        cores = np.array([d if st.e == 1 else d.conj() for st in group])
+        if not np.array_equal(run.perm, cur):
+            gather = np.argsort(cur)[run.perm]
+            cur = run.perm
+        cores = np.where(run.e[:, None] == 1, d, d.conj())
         core = cores[0]
         for c in cores[1:]:
             core = core * c
-        mixes = []
-        for w, offsets, b in _by_width(group):
-            cols = np.add.outer(offsets, np.arange(w))
-            kernels = (b * cores[:, cols][:, :, None, :]) @ b.conj().swapaxes(-1, -2)
-            k = kernels[0]
-            for k1 in kernels[1:]:
-                k = k @ k1
-            mixes.append((cols, k))
-        runs.append((gather, core, mixes))
-    return runs, cur
-
-
-def _layout_runs(steps):
-    """steps cut into runs of consecutive steps that share a perm and a
-    block layout, as the steps of one walk batch do."""
-    def layout(st):
-        return st.perm.shape, st.perm.tobytes(), st.offsets.tobytes(), st.widths.tobytes()
-
-    return [list(run) for _, run in itertools.groupby(steps, layout)]
+        cols = np.add.outer(run.offsets, np.arange(run.width))
+        b = run.blocks
+        kernels = (b * cores[:, cols][:, :, None, :]) @ b.conj().swapaxes(-1, -2)
+        k = kernels[0]
+        for k1 in kernels[1:]:
+            k = k @ k1
+        out.append((gather, core, cols, k))
+    return out, cur
 
 
 def _product_rows(kernels, n, start, stop):
@@ -494,15 +468,14 @@ def _product_rows(kernels, n, start, stop):
     start from."""
     acc = np.zeros((stop - start, n), dtype=complex)
     acc[np.arange(stop - start), np.arange(start, stop)] = 1.0
-    for gather, core, mixes in kernels:
+    for gather, core, cols, k in kernels:
         if gather is not None:
             # take keeps rows contiguous, where acc[:, gather] would not
             acc = np.take(acc, gather, axis=1)
         # (blocks, rows, w): each block's columns times its kernel
-        mixed = [(cols, acc[:, cols].transpose(1, 0, 2) @ k) for cols, k in mixes]
+        mixed = acc[:, cols].transpose(1, 0, 2) @ k
         acc *= core
-        for cols, new in mixed:
-            acc[:, cols] = new.transpose(1, 0, 2)
+        acc[:, cols] = mixed.transpose(1, 0, 2)
     return acc
 
 
@@ -512,21 +485,21 @@ def _product_rows(kernels, n, start, stop):
 _PRODUCT_BLOCK = 1 << 20
 
 
-def certificate_product(angles, steps):
-    """Multiply out y @ D^e @ y* over the steps, left to right, where
-    D = diag(e^{i angles}) and y = P @ Y is each step's eigenframe conjugator.
+def certificate_product(angles, runs):
+    """Multiply out y @ D^e @ y* over the steps of the runs, left to right,
+    where D = diag(e^{i angles}) and y = P @ Y is each step's eigenframe
+    conjugator.
 
     The running product is kept with its columns permuted by the current
-    step's P, so steps sharing a perm need no permutation in between; D^e
+    run's P, so the steps of a run need no permutation in between; D^e
     scales columns and each block b of Y mixes only its own columns, by
-    b @ D^e @ b* on them.  Consecutive steps that share a perm and a block
-    layout are merged first (see _step_kernels), and the blocks of one
-    width are applied as one stacked matmul, so each such run costs O(n^2)
-    plus O(n w^2) per block of width w in a few numpy calls.  The steps
-    must be well formed (perm a permutation, blocks square, in range and
-    disjoint).
+    b @ D^e @ b* on them.  Each run is merged into one step first (see
+    _step_kernels) and its blocks are applied as one stacked matmul, so a
+    run costs O(n^2) plus O(n w^2) per block of width w in a few numpy
+    calls.  The runs must be well formed (perm a permutation, blocks in
+    range and disjoint).
     """
-    kernels, last = _step_kernels(angles, steps)
+    kernels, last = _step_kernels(angles, runs)
     n = len(angles)
     out = np.empty((n, n), dtype=complex)
     out[:, last] = _product_rows(kernels, n, 0, n)
@@ -695,29 +668,22 @@ def _alignment(n, strands):
     return np.array([next(rest) if p is None else p for p in perm], dtype=np.int64)
 
 
-def _shared_steps(n, strands):
-    """Walk a nonempty list of parallel strands at one shared length and
-    expand them into eigenframe steps.
+def _shared_run(n, strands):
+    """Walk a nonempty list of parallel strands at one shared length, as
+    one run of eigenframe steps.
 
     The strands share one commutator per step, so they all walk the longest
     of their shortest lengths, m_b; a walk that lands at some even length
     lands at every longer one.  Step pair q conjugates by P @ Y_q and
     P @ Y_q @ R, where Y_q holds the strands' walk frames and R their block
     rotations on the source blocks, and P aligns the source blocks with the
-    target blocks: 2 * m_b steps in all.
+    target blocks: 2 * m_b steps in all, with e alternating 1, -1.
     """
     m = max(st.length for st in strands)
-    # (strand, step, entry), made one row of packed blocks per step
+    # (strand, step, entry), made (step, strand, entry)
     blocks = np.array([st.block.frames(st.phi, m) for st in strands], dtype=complex)
-    blocks = blocks.transpose(1, 0, 2).reshape(2 * m, -1)
-    perm = _alignment(n, strands)
-    offsets = np.array([st.source for st in strands])
-    widths = np.full(len(strands), 2)
-    return [
-        CertStep(perm, e=1 if i % 2 == 0 else -1, offsets=offsets, widths=widths,
-                 data=blocks[i])
-        for i in range(2 * m)
-    ]
+    return CertRun(_alignment(n, strands), [st.source for st in strands], 2,
+                   blocks.transpose(1, 0, 2), np.resize([1, -1], 2 * m))
 
 
 # ---------------------------------------------------------------------------
@@ -877,16 +843,13 @@ def _walk_certificate(pair, theorem, m, s, budget, admit, metadata):
         "matched_strands": sum(map(len, batches)) - alone,
         "widest_gap_strands": alone,
     }
-    steps = []
-    for strands in batches:
-        steps.extend(_shared_steps(n, strands))
-    if len(steps) > budget:
-        raise BudgetInfeasibleError(
-            f"construction used {len(steps)} conjugates, over budget {budget}"
-        )
+    runs = [_shared_run(n, strands) for strands in batches]
+    k = sum(map(len, runs))
+    if k > budget:
+        raise BudgetInfeasibleError(f"construction used {k} conjugates, over budget {budget}")
     metadata = {"walk_multiplier": mult, **metadata, "centering_phase": float(phase),
                 "planner": planner}
-    cert = Certificate(urep.op, vrep.op, aframe, bframe, gamma, steps, budget, theorem,
+    cert = Certificate(urep.op, vrep.op, aframe, bframe, gamma, runs, budget, theorem,
                        params, metadata, uspec.angles[order.sigma])
     passed, resid, tol = _generated_check(cert, urep)
     if not passed:
@@ -1018,7 +981,7 @@ def product_check(cert, norms=None, block_defect=0.0):
     if norms is None:
         norms = _defects(cert, _PRODUCT_DEFECTS)
     n = cert.n
-    kernels, last = _step_kernels(cert.base_angles, cert.steps)
+    kernels, last = _step_kernels(cert.base_angles, cert.runs)
     where = np.argsort(last)  # M[i, i] is in column where[i] of its block
     diag = np.empty(n, dtype=complex)
     off = 0.0
@@ -1047,30 +1010,29 @@ def _generated_check(cert, urep):
     return product_check(cert, norms)
 
 
-def _step_defects(steps, n):
+def _step_defects(runs, n):
     """Largest block unitarity defect of each step, in max-norm (row 0) and
     Frobenius norm (row 1), nan where the step is malformed: e not +-1, perm
-    not a permutation of range(n), or a block not square, out of range,
-    overlapping another or not finite."""
-    out = np.full((2, len(steps)), np.nan)
+    not a permutation of range(n), or a block out of range, overlapping
+    another or not finite."""
+    out = np.full((2, sum(map(len, runs))), np.nan)
     blocks = {}
     start = 0
-    for run in _layout_runs(steps):
-        first = run[0]
-        good = [i for i, st in enumerate(run, start) if st.e in (-1, 1)]
+    for run in runs:
+        good = np.flatnonzero((run.e == 1) | (run.e == -1))
+        steps = start + good
         start += len(run)
         if not (
-            good
-            and first.perm.shape == (n,)
-            and np.array_equal(np.sort(first.perm), np.arange(n))
-            and _layout_fits(first.offsets, first.widths, n)
+            good.shape[0]
+            and run.perm.shape == (n,)
+            and np.array_equal(np.sort(run.perm), np.arange(n))
+            and _layout_fits(run.offsets, run.width, n)
         ):
             continue
-        out[:, good] = 0.0
-        for w, _, stack in _by_width([steps[i] for i in good]):
-            where, mats = blocks.setdefault(w, ([], []))
-            where.append(np.repeat(good, stack.shape[1]))
-            mats.append(stack.reshape(-1, w, w))
+        out[:, steps] = 0.0
+        where, mats = blocks.setdefault(run.width, ([], []))
+        where.append(np.repeat(steps, run.offsets.shape[0]))
+        mats.append(run.blocks[good].reshape(-1, run.width, run.width))
     # one batched Gram product per block width
     for w, (idx, mats) in blocks.items():
         stack = np.concatenate(mats)
@@ -1084,14 +1046,14 @@ def _step_defects(steps, n):
     return out
 
 
-def _layout_fits(offsets, widths, n):
-    """Whether blocks of these widths at these offsets are nonempty, lie in
-    range(n) and do not overlap."""
+def _layout_fits(offsets, width, n):
+    """Whether blocks of this width at these offsets lie in range(n) and do
+    not overlap."""
     end = 0
-    for offset, w in sorted(zip(offsets.tolist(), widths.tolist())):
-        if not (w > 0 and end <= offset <= n - w):
+    for offset in sorted(offsets.tolist()):
+        if not end <= offset <= n - width:
             return False
-        end = offset + w
+        end = offset + width
     return True
 
 
@@ -1153,9 +1115,8 @@ def verify_certificate(cert):
     checks = report["checks"]
     margins = report["margins"]
     try:
-        steps = tuple(cert.steps)
         n = cert.n
-        k = len(steps)
+        k = len(cert)
         report["length"] = k
         report["budget"] = int(cert.claimed_budget)
         norms = _defects(cert, ("base",) + _PRODUCT_DEFECTS)
@@ -1168,7 +1129,7 @@ def verify_certificate(cert):
         margins["frame_defect"] = frame_def
         margins["base_defect"] = base_def
         margins["target_defect"] = norms["target_rebuild"][0]
-        defects, block_fro = _step_defects(steps, n)
+        defects, block_fro = _step_defects(cert.runs, n)
         malformed = np.isnan(defects)
         well_formed = not malformed.any()
         failing = np.flatnonzero(~(defects <= TOL.unitarity))

@@ -106,13 +106,6 @@ def _diagonal_frame(p, alpha):
     return _EYE if p.imag * math.sin(alpha) >= 0.0 else _SWAP_ADJ
 
 
-def _reach(alpha, theta):
-    """Interval of class angles reachable from alpha by one theta-conjugate."""
-    lo = abs(alpha - theta)
-    hi = min(alpha + theta, 2.0 * math.pi - alpha - theta)
-    return lo, hi
-
-
 def _climb(target, theta):
     """Least even m >= 2 with target <= m theta + 1e-12: the shortest walk
     to the class target by theta-conjugates, theta in (0, pi/2], since k >= 2

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .generation import Certificate, CertStep, product_check
+from .generation import Certificate, CertRun, product_check
 from .spectral import (
     UnitaryRep,
     as_unitary,
@@ -192,7 +192,7 @@ def broise_kernel_certificate(w, reference=None):
 
     The four s t s t factors are each moved onto the reference symmetry
     (default diag(I_k, -I_k)), giving a certificate with budget exactly 4.
-    A projectively trivial target yields an empty step list.
+    A projectively trivial target yields a certificate with no runs.
     """
     rep = _dense_rep(w, "unitary")
     m = rep.matrix
@@ -216,14 +216,14 @@ def broise_kernel_certificate(w, reference=None):
     spec, f = diagonalize_normal(rep)
     aframe = np.block([[f, zero], [zero, f]])
 
-    def certificate(steps, metadata):
+    def certificate(runs, metadata):
         return Certificate(
             target=target,
             base=ref.matrix,
             aframe=aframe,
             bframe=bframe,
             base_angles=np.r_[np.zeros(k), np.full(k, np.pi)],
-            steps=steps,
+            runs=runs,
             claimed_budget=4,
             theorem="broise_kernel",
             params={"m": None, "s": None, "n": n},
@@ -240,8 +240,8 @@ def broise_kernel_certificate(w, reference=None):
     # dense block A* @ frame(f), the degenerate case of the factored form,
     # so that its conjugator A @ A* @ frame(f) @ B* is that one
     root = _principal_root(m, spec, f).matrix
-    # the factors are s, t, s, t: one involution frame each for s and t
+    # the factors are s, t, s, t: one involution frame each for s and t,
+    # stored as one run of four width-n steps
     s, t, _, _ = _stst_factors(m, root)
-    ss, tt = (CertStep(np.arange(n), ((0, aframe.conj().T @ _involution_frame(x.matrix)),), 1)
-              for x in (s, t))
-    return certificate((ss, tt, ss, tt), {})
+    ss, tt = (aframe.conj().T @ _involution_frame(x.matrix) for x in (s, t))
+    return certificate((CertRun(np.arange(n), [0], n, [ss, tt, ss, tt], [1] * 4),), {})

@@ -29,7 +29,7 @@ def step_conjugator():
     def conjugator(cert, i):
         st = cert.steps[i]
         y = np.eye(cert.n, dtype=complex)
-        for offset, b in st.blocks:
+        for offset, b in zip(st.offsets.tolist(), st.blocks):
             y[offset : offset + b.shape[0], offset : offset + b.shape[0]] = b
         py = np.empty_like(y)
         py[st.perm] = y

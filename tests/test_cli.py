@@ -294,9 +294,9 @@ class TestVerify:
     def test_tampered_cert_fails(self, tmp_path, diag_file, capsys):
         out = self.emitted(tmp_path, diag_file)
         blob = json.loads(out.read_text())
-        blocks = unpack(blob["steps"][0]["blocks"])
+        blocks = unpack(blob["runs"][0]["blocks"])
         blocks[0] += 1e-2
-        blob["steps"][0]["blocks"] = pack(blocks)
+        blob["runs"][0]["blocks"] = pack(blocks)
         out.write_text(json.dumps(blob))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 1
@@ -330,7 +330,7 @@ class TestVerify:
     def test_huge_perm_entry_is_a_parse_error(self, tmp_path, diag_file):
         out = self.emitted(tmp_path, diag_file)
         blob = json.loads(out.read_text())
-        blob["perms"][blob["steps"][0]["perm"]][0] = 2**70
+        blob["perms"][blob["runs"][0]["perm"]][0] = 2**70
         out.write_text(json.dumps(blob))
         assert main(["verify", str(out)]) == 2
 
@@ -367,7 +367,7 @@ class TestMonomialCertificates:
     def test_generate_and_verify(self, tmp_path, capsys):
         out = monomial_cert(tmp_path)
         blob = json.loads(out.read_text())
-        assert blob["version"] == "normgen-cert/5"
+        assert blob["version"] == "normgen-cert/6"
         assert all("perm" in blob[name] for name in ("target", "base", "aframe", "bframe"))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 0

@@ -20,7 +20,7 @@ from normgen.errors import (
     ValidationError,
 )
 from normgen.generation import (
-    CertStep,
+    CertRun,
     Certificate,
     _diameter_pair,
     _is_central,
@@ -64,9 +64,9 @@ def centered(angles):
     return a - a.sum() / a.shape[0]
 
 
-def product(v, steps):
-    """Eigenframe product of steps emitted for the diagonal base v."""
-    return certificate_product(np.angle(np.diagonal(v)), steps)
+def product(v, runs):
+    """Eigenframe product of runs emitted for the diagonal base v."""
+    return certificate_product(np.angle(np.diagonal(v)), runs)
 
 
 def block_factor(n, i, phi):
@@ -95,11 +95,16 @@ def source_pair(v_angles, j):
 
 
 def walk_block(v, phi, target, source, cap):
-    """Steps walking the block factor of angle phi at target alone on the
+    """The run walking the block factor of angle phi at target alone on the
     source gap of the diagonal base v at source, in at most cap steps."""
     vang = np.angle(np.diagonal(v))
     strand = generation._plan_strand(phi, target, source_pair(vang, source), cap)
-    return generation._shared_steps(v.shape[0], [strand])
+    return generation._shared_run(v.shape[0], [strand])
+
+
+def blockless(perm, e):
+    """A run of one step that is a pure permutation: no blocks."""
+    return CertRun(perm, [], 1, (), [e])
 
 
 def unpack(rec):
@@ -158,9 +163,9 @@ class TestCertificateType:
         rng = np.random.default_rng(2)
         cert = generate_rank_dependent(haar(3, rng), haar(3, rng), 2)
         obj = cert.to_json()
-        blocks = unpack(obj["steps"][0]["blocks"])
+        blocks = unpack(obj["runs"][0]["blocks"])
         blocks[0] += 0.01
-        obj["steps"][0]["blocks"] = pack(blocks)
+        obj["runs"][0]["blocks"] = pack(blocks)
         back = Certificate.from_json(obj)
         report = verify_certificate(back)
         assert not report["pass"]
@@ -275,7 +280,7 @@ class TestSwapCommutator:
         # two blockless steps, v and the swap-conjugate of v*
         angles = np.array([0.3, -1.1, 0.9, 0.2, -2.0])
         v = diag_u(angles)
-        frag = (CertStep(np.arange(5), (), 1), CertStep(swap_perm(5, 2), (), -1))
+        frag = (blockless(np.arange(5), 1), blockless(swap_perm(5, 2), -1))
         comm = v @ v[np.ix_(swap_perm(5, 2), swap_perm(5, 2))].conj().T
         prod = product(v, frag)
         assert np.max(np.abs(prod - comm)) < 1e-12
@@ -289,20 +294,20 @@ class TestSwapCommutator:
         angles = np.array([1.2, -0.4, 0.5, -1.3])
         v = diag_u(angles)
         swap = swap_perm(4, 1)
-        steps = (CertStep(np.arange(4), (), 1), CertStep(swap, (), -1))
+        runs = (blockless(np.arange(4), 1), blockless(swap, -1))
         comm = v @ v[np.ix_(swap, swap)].conj().T
         eye = np.eye(4, dtype=complex)
-        cert = Certificate(comm, v, eye, eye, angles, steps, 2, "rank_dep")
+        cert = Certificate(comm, v, eye, eye, angles, runs, 2, "rank_dep")
         assert np.max(np.abs(cert.product() - comm)) < 1e-12
         obj = json.loads(json.dumps(cert.to_json()))
         assert obj["perms"] == [list(range(4)), swap.tolist()]
-        for rec in obj["steps"]:
-            assert rec["offsets"] == [] and rec["widths"] == []
-            assert rec["blocks"]["shape"] == [0]
+        for rec in obj["runs"]:
+            assert rec["offsets"] == [] and rec["width"] == 1
+            assert rec["blocks"]["shape"] == [1, 0]
         back = Certificate.from_json(obj)
-        assert [st.blocks for st in back.steps] == [(), ()]
+        assert [st.blocks.shape for st in back.steps] == [(0, 1, 1)] * 2
         assert np.array_equal(back.steps[1].perm, swap)
-        assert np.max(np.abs(certificate_product(angles, back.steps) - comm)) < 1e-12
+        assert np.max(np.abs(certificate_product(angles, back.runs) - comm)) < 1e-12
         report = verify_certificate(back)
         assert report["pass"], report
         assert report["margins"]["block_defect"] == 0.0
@@ -315,16 +320,16 @@ class TestGenerateBlock:
     def test_single_gap_product(self):
         v = diag_u([0.8, -0.3, -0.5])
         fac = block_factor(3, 0, 0.5)
-        steps = walk_block(v, 0.5, 0, 0, 2)
-        assert len(steps) <= 4
-        prod = product(v, steps)
+        run = walk_block(v, 0.5, 0, 0, 2)
+        assert len(run) <= 4
+        prod = product(v, [run])
         assert np.max(np.abs(prod - fac)) < 1e-9
 
     def test_offset_blocks(self):
         v = diag_u([1.0, 0.2, -0.4, -0.8])
         fac = block_factor(4, 2, -0.7)
-        steps = walk_block(v, -0.7, 2, 0, 4)
-        prod = product(v, steps)
+        run = walk_block(v, -0.7, 2, 0, 4)
+        prod = product(v, [run])
         assert np.max(np.abs(prod - fac)) < 1e-9
 
     def test_identity_factor_empty(self):
@@ -352,8 +357,8 @@ class TestGenerateBlock:
         # gap beyond a quarter turn still reaches any block angle
         v = diag_u([1.7, -1.3, -0.4])
         fac = block_factor(3, 0, 3.0)
-        steps = walk_block(v, 3.0, 0, 0, 2)
-        prod = product(v, steps)
+        run = walk_block(v, 3.0, 0, 0, 2)
+        prod = product(v, [run])
         assert np.max(np.abs(prod - fac)) < 1e-9
 
 
@@ -370,10 +375,10 @@ class TestGenerateSimultaneous:
             generation._plan_strand(pref[1], 1, source_pair(vang, 0), 2),
             generation._plan_strand(pref[4], 4, source_pair(vang, 3), 2),
         ]
-        steps = generation._shared_steps(7, strands)
-        assert len(steps) <= 4
+        run = generation._shared_run(7, strands)
+        assert len(run) <= 4
         want = block_factor(7, 1, pref[1]) @ block_factor(7, 4, pref[4])
-        prod = product(v, steps)
+        prod = product(v, [run])
         assert np.max(np.abs(prod - want)) < 1e-9
 
     def test_per_block_budget(self):
@@ -662,25 +667,27 @@ class TestGateOrder:
 
 @pytest.fixture
 def batches(monkeypatch):
-    """Record (strands, steps) of every shared batch a generator walks."""
+    """Record (strands, run) of every shared batch a generator walks."""
     seen = []
-    inner = generation._shared_steps
+    inner = generation._shared_run
 
     def spy(n, strands):
         out = inner(n, strands)
         seen.append((list(strands), out))
         return out
 
-    monkeypatch.setattr(generation, "_shared_steps", spy)
+    monkeypatch.setattr(generation, "_shared_run", spy)
     return seen
 
 
 def assert_shortest_batches(cert, seen):
     """Each batch walks the longest of its strands' shortest walks, no
-    longer, with one block per strand in every step; returns the lengths."""
+    longer, as one run with one 2x2 block per strand in every step and e
+    alternating; returns the lengths."""
     cap = cert.metadata["walk_multiplier"]
     lengths = []
-    for strands, out in seen:
+    for (strands, out), run in zip(seen, cert.runs, strict=True):
+        assert run is out
         m_b = len(out) // 2
         assert len(out) == 2 * m_b
         assert m_b == max(walk_length(st.phi, st.theta, cap) for st in strands)
@@ -688,10 +695,9 @@ def assert_shortest_batches(cert, seen):
         if m_b > 2:
             with pytest.raises(BudgetInfeasibleError):
                 _walk(widest.phi, widest.theta, m_b - 2)
-        sources = sorted(st.source for st in strands)
-        for step in out:
-            assert sorted(o for o, _ in step.blocks) == sources
-            assert np.array_equal(step.perm, out[0].perm)
+        assert sorted(out.offsets.tolist()) == sorted(st.source for st in strands)
+        assert out.blocks.shape == (2 * m_b, len(strands), 2, 2)
+        assert out.e.tolist() == [1, -1] * m_b
         lengths.append(m_b)
     assert len(cert) == 2 * sum(lengths) <= cert.claimed_budget
     return lengths
@@ -1007,13 +1013,9 @@ class TestVerifyCertificate:
         rng = np.random.default_rng(41)
         v = haar(4, rng)
         cert = generate_rank_dependent(v, v, 1)
-        steps = list(cert.steps)
-        offset, blk = steps[0].blocks[0]
-        blk = np.array(blk, copy=True)
-        blk[0, 0] += 1e-2
-        steps[0] = CertStep(steps[0].perm, ((offset, blk),), steps[0].e)
-        bad = dataclasses.replace(cert, steps=tuple(steps))
-        report = verify_certificate(bad)
+        blk = edited_blocks(cert, 0)
+        blk[0, 0, 0] += 1e-2
+        report = verify_certificate(with_blocks(cert, 0, blk))
         assert not report["pass"]
 
     def test_wrong_target_fails_product(self):
@@ -1035,8 +1037,8 @@ class TestVerifyCertificate:
 
     def test_never_raises(self):
         eye = np.eye(2, dtype=complex)
-        step = CertStep(np.arange(2), ((0, np.zeros((3, 3))),), 1)
-        junk = Certificate(eye, eye, eye, eye, np.zeros(2), (step,), 5, "rank_dep")
+        run = CertRun(np.arange(2), [0], 3, np.zeros((1, 1, 3, 3)), [1])
+        junk = Certificate(eye, eye, eye, eye, np.zeros(2), (run,), 5, "rank_dep")
         report = verify_certificate(junk)
         assert report["pass"] is False
 
@@ -1104,16 +1106,45 @@ def max_norm_tolerance(cert):
 
     b = np.asarray(cert.bframe)
     rebuilt = (b * np.exp(1j * cert.base_angles)) @ b.conj().T
-    block = max((gram(blk) for st in cert.steps for _, blk in st.blocks), default=0.0)
+    block = max((gram(blk) for st in cert.steps for blk in st.blocks), default=0.0)
     defect = gram(cert.aframe) + gram(b) + np.max(np.abs(rebuilt - cert.base)) + block
     eps = np.finfo(float).eps
     return (len(cert) + 1) * n * (128.0 * eps + defect) + n * gram(cert.target)
 
 
-def with_step(cert, i, **changes):
-    steps = list(cert.steps)
-    steps[i] = dataclasses.replace(steps[i], **changes)
-    return dataclasses.replace(cert, steps=tuple(steps))
+def locate(cert, i):
+    """(r, j): global step i is step j of run r."""
+    for r, run in enumerate(cert.runs):
+        if i < len(run):
+            return r, i
+        i -= len(run)
+    raise IndexError("step index out of range")
+
+
+def with_run(cert, r, **changes):
+    runs = list(cert.runs)
+    runs[r] = dataclasses.replace(runs[r], **changes)
+    return dataclasses.replace(cert, runs=tuple(runs))
+
+
+def with_blocks(cert, i, blocks):
+    """cert with the (nb, w, w) blocks of global step i replaced."""
+    r, j = locate(cert, i)
+    stack = np.array(cert.runs[r].blocks, copy=True)
+    stack[j] = blocks
+    return with_run(cert, r, blocks=stack)
+
+
+def edited_blocks(cert, i):
+    """A writable copy of the (nb, w, w) blocks of global step i."""
+    return np.array(cert.steps[i].blocks, copy=True)
+
+
+def with_exponent(cert, i, e):
+    r, j = locate(cert, i)
+    exps = cert.runs[r].e.copy()
+    exps[j] = e
+    return with_run(cert, r, e=exps)
 
 
 class TestFactoredCertificates:
@@ -1157,7 +1188,7 @@ class TestFactoredCertificates:
         assert len(cert) > 0
         for st in cert.steps:
             assert sorted(st.perm.tolist()) == list(range(cert.n))
-            assert all(b.shape == (2, 2) for _, b in st.blocks)
+            assert st.blocks.shape[1:] == (2, 2)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-8])
     @pytest.mark.parametrize("idx", range(len(POOL)))
@@ -1190,30 +1221,30 @@ class TestFactoredCertificates:
     def test_tampered_block_names_its_step(self):
         cert = POOL[3]
         for i in (0, len(cert) // 2, len(cert) - 1):
-            offset, blk = cert.steps[i].blocks[0]
-            blk = np.array(blk, copy=True)
-            blk[1, 0] += 1e-6
-            report = verify_certificate(with_step(cert, i, blocks=((offset, blk),)))
+            blk = edited_blocks(cert, i)
+            blk[0, 1, 0] += 1e-6
+            report = verify_certificate(with_blocks(cert, i, blk))
             assert not report["pass"]
             assert not report["checks"]["steps_unitary"]
             assert report["margins"]["first_failing_step"] == i
             assert report["margins"]["block_defect_step"] == i
 
     def test_tampered_perm_fails(self):
+        # a perm belongs to a run: damage fails from the run's first step
         cert = POOL[3]
-        st = cert.steps[1]
-        offset = st.blocks[0][0]
+        run = cert.runs[1]
+        offset = int(run.offsets[0])
         outside = next(a for a in range(cert.n) if a not in (offset, offset + 1))
-        perm = st.perm.copy()
+        perm = run.perm.copy()
         perm[offset], perm[outside] = perm[outside], perm[offset]
-        report = verify_certificate(with_step(cert, 1, perm=perm))
+        report = verify_certificate(with_run(cert, 1, perm=perm))
         assert not report["checks"]["product"]
         assert not report["pass"]
-        dup = st.perm.copy()
+        dup = run.perm.copy()
         dup[0] = dup[1]
-        report = verify_certificate(with_step(cert, 1, perm=dup))
+        report = verify_certificate(with_run(cert, 1, perm=dup))
         assert not report["checks"]["steps_unitary"]
-        assert report["margins"]["first_failing_step"] == 1
+        assert report["margins"]["first_failing_step"] == len(cert.runs[0])
         assert not report["pass"]
 
     def test_tampered_frame_fails(self):
@@ -1235,26 +1266,28 @@ class TestFactoredCertificates:
 
     def test_bad_exponent_fails(self):
         cert = POOL[0]
-        report = verify_certificate(with_step(cert, 0, e=2))
+        report = verify_certificate(with_exponent(cert, 0, 2))
         assert not report["checks"]["step_conjugacy"]
         assert report["margins"]["first_failing_step"] == 0
         assert not report["pass"]
 
     def test_overlapping_blocks_fail(self):
         cert = POOL[3]
-        st = cert.steps[0]
-        offset, blk = st.blocks[0]
-        other = (offset + 1 if offset + 2 < cert.n else offset - 1, blk)
-        report = verify_certificate(with_step(cert, 0, blocks=((offset, blk), other)))
+        run = cert.runs[0]
+        offset = int(run.offsets[0])
+        other = offset + 1 if offset + 2 < cert.n else offset - 1
+        report = verify_certificate(with_run(
+            cert, 0, offsets=np.r_[run.offsets, other],
+            blocks=np.concatenate((run.blocks, run.blocks[:, :1]), axis=1),
+        ))
         assert not report["checks"]["steps_unitary"]
         assert report["margins"]["first_failing_step"] == 0
 
     def test_non_finite_block_is_malformed(self):
         cert = POOL[3]
-        offset, blk = cert.steps[2].blocks[0]
-        blk = np.array(blk, copy=True)
-        blk[0, 1] = np.nan
-        report = verify_certificate(with_step(cert, 2, blocks=((offset, blk),)))
+        blk = edited_blocks(cert, 2)
+        blk[0, 0, 1] = np.nan
+        report = verify_certificate(with_blocks(cert, 2, blk))
         assert "error" not in report
         assert not report["checks"]["product"]
         assert report["margins"]["first_failing_step"] == 2
@@ -1281,6 +1314,12 @@ class TestFactoredCertificates:
     def test_cert4_rejected(self):
         obj = POOL[0].to_json()
         obj["version"] = "normgen-cert/4"
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
+    def test_cert5_rejected(self):
+        obj = POOL[0].to_json()
+        obj["version"] = "normgen-cert/5"
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
 
@@ -1345,46 +1384,55 @@ class TestFactoredCertificates:
                     projective_one_norm(want)[0], abs=1e-9
                 )
 
-    def test_batched_product_mixed_widths(self, step_conjugator):
-        # blocks of widths 2 and 3 in one step, and a step with no block
+    def test_runs_of_different_widths(self, step_conjugator):
+        # runs of widths 2, 3 and 1, out-of-order offsets, a run with no
+        # block, and two runs in a row that share a perm
         rng = np.random.default_rng(48)
         n = 7
+
+        def stack(steps, offsets, w):
+            return [[haar(w, rng) for _ in offsets] for _ in range(steps)]
+
         theta = rng.uniform(-math.pi, math.pi, n)
         a, b = haar(n, rng), haar(n, rng)
         base = (b * np.exp(1j * theta)) @ b.conj().T
-        steps = (
-            CertStep(
-                rng.permutation(n),
-                ((0, haar(2, rng)), (4, haar(3, rng)), (2, haar(2, rng))),
-                1,
-            ),
-            CertStep(rng.permutation(n), (), -1),
-            CertStep(np.arange(n), ((1, haar(3, rng)),), -1),
+        perm = rng.permutation(n)
+        runs = (
+            CertRun(perm, [4, 0, 2], 2, stack(3, [4, 0, 2], 2), [1, -1, -1]),
+            CertRun(perm, [1, 4], 3, stack(2, [1, 4], 3), [-1, 1]),
+            blockless(rng.permutation(n), -1),
+            CertRun(np.arange(n), [6, 3, 0], 1, stack(2, [6, 3, 0], 1), [1, 1]),
         )
-        cert = Certificate(base, base, a, b, theta, steps, 3, "rank_dep")
+        cert = Certificate(base, base, a, b, theta, runs, 8, "rank_dep")
+        text = json.dumps(cert.to_json())
+        back = Certificate.from_json(json.loads(text))
+        assert json.dumps(back.to_json()) == text
+        assert [run.width for run in back.runs] == [2, 3, 1, 1]
         dense = np.eye(n, dtype=complex)
-        for i, st in enumerate(steps):
-            g = step_conjugator(cert, i)
+        for i, st in enumerate(back.steps):
+            g = step_conjugator(back, i)
             dense = dense @ g @ (base if st.e == 1 else base.conj().T) @ g.conj().T
+        assert len(back) == 8
+        assert np.max(np.abs(back.product() - dense)) < 1e-11
         assert np.max(np.abs(cert.product() - dense)) < 1e-11
 
     def test_malformed_step_json(self):
         obj = POOL[0].to_json()
-        obj["perms"][obj["steps"][0]["perm"]][0] = 0.5
+        obj["perms"][obj["runs"][0]["perm"]][0] = 0.5
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
         obj = POOL[0].to_json()
-        obj["steps"][0]["offsets"][0] = 0.0
+        obj["runs"][0]["offsets"][0] = 0.0
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
         obj = POOL[0].to_json()
-        del obj["steps"][0]["blocks"]
+        del obj["runs"][0]["blocks"]
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
 
     def test_huge_integers_are_format_errors(self):
         obj = POOL[0].to_json()
-        obj["perms"][obj["steps"][0]["perm"]][0] = 2**70
+        obj["perms"][obj["runs"][0]["perm"]][0] = 2**70
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
         obj = POOL[0].to_json()
@@ -1394,7 +1442,7 @@ class TestFactoredCertificates:
 
     def test_out_of_range_perm_loads_then_fails(self):
         obj = POOL[0].to_json()
-        obj["perms"][obj["steps"][0]["perm"]][0] = 99
+        obj["perms"][obj["runs"][0]["perm"]][0] = 99
         report = verify_certificate(Certificate.from_json(obj))
         assert report["margins"]["first_failing_step"] == 0
         assert not report["pass"]
@@ -1406,8 +1454,8 @@ def assert_format_error(obj):
 
 
 class TestPackedRecords:
-    """normgen-cert/3 packs matrices and block stacks as base64 records, and
-    its loader checks every record, index and integer field."""
+    """Certificates pack matrices and block stacks as base64 records, and
+    the loader checks every record, index and integer field."""
 
     CERT = POOL[3]
 
@@ -1420,36 +1468,37 @@ class TestPackedRecords:
             assert obj[name]["shape"] == [cert.n, cert.n]
             assert obj[name]["dtype"] == "<c16"
             assert np.array_equal(unpack(obj[name]), getattr(cert, name))
-        for rec, st in zip(obj["steps"], cert.steps):
-            assert obj["perms"][rec["perm"]] == st.perm.tolist()
-            assert rec["offsets"] == [offset for offset, _ in st.blocks]
-            assert rec["widths"] == [b.shape[0] for _, b in st.blocks]
-            flat = np.concatenate([b.ravel() for _, b in st.blocks])
-            assert np.array_equal(unpack(rec["blocks"]), flat)
-            assert rec["e"] == st.e
+        assert len(obj["runs"]) == len(cert.runs)
+        for rec, run in zip(obj["runs"], cert.runs):
+            assert obj["perms"][rec["perm"]] == run.perm.tolist()
+            assert rec["offsets"] == run.offsets.tolist()
+            assert rec["width"] == run.width
+            flat = unpack(rec["blocks"])
+            assert flat.shape == (len(rec["e"]), len(rec["offsets"]) * rec["width"] ** 2)
+            assert np.array_equal(flat, run.blocks.reshape(len(run), -1))
+            assert rec["e"] == run.e.tolist()
 
     def test_perm_table_is_shared(self):
         cert, obj = self.CERT, self.fresh()
-        distinct = {st.perm.tobytes() for st in cert.steps}
+        distinct = {run.perm.tobytes() for run in cert.runs}
         assert len(obj["perms"]) == len(distinct) < len(cert)
         back = Certificate.from_json(obj)
         by_index = {}
-        for rec, st in zip(obj["steps"], back.steps):
-            assert by_index.setdefault(rec["perm"], st.perm) is st.perm
+        for rec, run in zip(obj["runs"], back.runs):
+            assert by_index.setdefault(rec["perm"], run.perm) is run.perm
 
     def test_signed_zero_and_nan_payloads_round_trip(self):
         cert = self.CERT
-        offset, blk = cert.steps[0].blocks[0]
-        blk = np.array(blk, copy=True)
+        blk = edited_blocks(cert, 0)
         bits = [0x8000_0000_0000_0000, 0x7FF8_0000_0000_0123]  # -0.0, a NaN
-        blk.view(np.uint64)[0, :2] = bits
-        bad = with_step(cert, 0, blocks=((offset, blk),))
+        blk.view(np.uint64)[0, 0, :2] = bits
+        bad = with_blocks(cert, 0, blk)
         target = np.array(cert.target, copy=True)
         target.view(np.uint64)[0, 1] = bits[0]
         text = json.dumps(dataclasses.replace(bad, target=target).to_json())
         back = Certificate.from_json(json.loads(text))
         assert json.dumps(back.to_json()) == text
-        assert back.steps[0].blocks[0][1].view(np.uint64)[0, :2].tolist() == bits
+        assert back.steps[0].blocks[0].view(np.uint64)[0, :2].tolist() == bits
         assert back.target.view(np.uint64)[0, 1] == bits[0]
         # a non-finite block loads, then fails verification
         report = verify_certificate(Certificate.from_json(bad.to_json()))
@@ -1461,7 +1510,7 @@ class TestPackedRecords:
     @pytest.mark.parametrize("tag", ["<c8", ">c16", "complex128", None])
     def test_dtype_tag(self, where, tag):
         obj = self.fresh()
-        rec = obj["steps"][0]["blocks"] if where == "blocks" else obj[where]
+        rec = obj["runs"][0]["blocks"] if where == "blocks" else obj[where]
         rec["dtype"] = tag
         assert_format_error(obj)
 
@@ -1480,16 +1529,16 @@ class TestPackedRecords:
 
     def test_widths_must_fit_n(self):
         n = self.CERT.n
-        for widths in ([0], [-2], [n + 1], [2, 2], [], [2.0]):
+        for width in (0, -2, n + 1, [2], 2.0, True, None):
             obj = self.fresh()
-            obj["steps"][0]["widths"] = widths
+            obj["runs"][0]["width"] = width
             assert_format_error(obj)
 
     @pytest.mark.parametrize("where", ["aframe", "blocks"])
     @pytest.mark.parametrize("cut", [-1, -16, 1, 16])
     def test_payload_length(self, where, cut):
         obj = self.fresh()
-        rec = obj["steps"][0]["blocks"] if where == "blocks" else obj[where]
+        rec = obj["runs"][0]["blocks"] if where == "blocks" else obj[where]
         raw = base64.b64decode(rec["b64"])
         raw = raw[:cut] if cut < 0 else raw + bytes(cut)
         rec["b64"] = base64.b64encode(raw).decode("ascii")
@@ -1499,7 +1548,7 @@ class TestPackedRecords:
     @pytest.mark.parametrize("bad", ["!", "é", "\n", " ", "-"])
     def test_invalid_base64_characters(self, where, bad):
         obj = self.fresh()
-        rec = obj["steps"][0]["blocks"] if where == "blocks" else obj[where]
+        rec = obj["runs"][0]["blocks"] if where == "blocks" else obj[where]
         good = rec["b64"]
         rec["b64"] = bad + good[1:]
         assert_format_error(obj)
@@ -1510,34 +1559,34 @@ class TestPackedRecords:
     def test_perm_index_outside_table(self, index):
         obj = self.fresh()
         assert len(obj["perms"]) > 1
-        obj["steps"][0]["perm"] = len(obj["perms"]) if index == "len" else index
+        obj["runs"][0]["perm"] = len(obj["perms"]) if index == "len" else index
         assert_format_error(obj)
 
     @pytest.mark.parametrize("value", [1.0, "1", True, None])
     @pytest.mark.parametrize("where", ["perm entry", "offset", "exponent"])
     def test_non_integer_fields(self, where, value):
         obj = self.fresh()
-        step = obj["steps"][0]
+        run = obj["runs"][0]
         if where == "perm entry":
-            obj["perms"][step["perm"]][0] = value
+            obj["perms"][run["perm"]][0] = value
         elif where == "offset":
-            step["offsets"][0] = value
+            run["offsets"][0] = value
         else:
-            step["e"] = value
+            run["e"][0] = value
         assert_format_error(obj)
 
 
-def per_block_record(st, perm_index):
-    """A step record packed block by block: each block raveled on its own
-    and the pieces concatenated, with offsets and widths read off the
-    (offset, block) pairs."""
-    flat = [np.asarray(b).ravel() for _, b in st.blocks]
+def per_block_record(run, perm_index):
+    """A run record packed step by step and block by block: each block
+    raveled on its own, one row of the pieces concatenated per step."""
+    rows = [np.concatenate([np.asarray(b).ravel() for b in st_blocks] or [np.empty(0)])
+            for st_blocks in run.blocks]
     return {
         "perm": perm_index,
-        "offsets": [offset for offset, _ in st.blocks],
-        "widths": [b.shape[0] for _, b in st.blocks],
-        "blocks": pack(np.concatenate(flat) if flat else np.empty(0)),
-        "e": st.e,
+        "offsets": [int(o) for o in run.offsets],
+        "width": run.width,
+        "blocks": pack(np.array(rows).reshape(len(rows), -1)),
+        "e": [int(e) for e in run.e],
     }
 
 
@@ -1549,14 +1598,14 @@ def per_step_defects(steps, n):
         ok = st.e in (-1, 1) and st.perm.shape == (n,)
         ok = ok and np.array_equal(np.sort(st.perm), np.arange(n))
         end = 0
-        for offset, b in sorted(st.blocks, key=lambda ob: ob[0]):
+        for offset, b in sorted(zip(st.offsets.tolist(), st.blocks), key=lambda ob: ob[0]):
             w = b.shape[0]
             ok = ok and 0 < w and end <= offset <= n - w
             end = offset + w
         if not ok:
             out[:, i] = np.nan
             continue
-        for _, b in st.blocks:
+        for b in st.blocks:
             gram = b[None] @ b[None].conj().transpose(0, 2, 1) - np.eye(b.shape[0])
             for row, d in zip(out, (np.abs(gram).max(), np.linalg.norm(gram, axis=(1, 2))[0])):
                 row[i] = np.nan if not np.isfinite(d) or np.isnan(row[i]) else max(row[i], d)
@@ -1576,64 +1625,59 @@ def per_step_kernels(angles, steps):
             gather = np.argsort(cur)[st.perm]
             cur = st.perm
         core = d if st.e == 1 else d.conj()
-        widths = {}
-        for offset, b in st.blocks:
-            widths.setdefault(b.shape[0], []).append((offset, b))
-        mixes = []
-        for w, group in widths.items():
-            cols = np.add.outer([offset for offset, _ in group], np.arange(w))
-            b = np.array([b for _, b in group])
-            mixes.append((cols, (b * core[cols][:, None, :]) @ b.conj().transpose(0, 2, 1)))
-        same = runs and len(runs[-1][2]) == len(mixes) and all(
-            np.array_equal(c0, c1) for (c0, _), (c1, _) in zip(runs[-1][2], mixes)
-        )
-        if gather is None and same:
-            prev_gather, prev_core, prev = runs[-1]
-            mixes = [(cols, k0 @ k1) for (cols, k0), (_, k1) in zip(prev, mixes)]
-            runs[-1] = (prev_gather, prev_core * core, mixes)
+        cols = np.add.outer(st.offsets, np.arange(st.blocks.shape[-1]))
+        b = st.blocks
+        k = (b * core[cols][:, None, :]) @ b.conj().transpose(0, 2, 1)
+        if runs and gather is None and np.array_equal(runs[-1][2], cols):
+            prev_gather, prev_core, _, k0 = runs[-1]
+            runs[-1] = (prev_gather, prev_core * core, cols, k0 @ k)
         else:
-            runs.append((gather, core, mixes))
+            runs.append((gather, core, cols, k))
     return runs, cur
 
 
-def tampered_steps(cert):
-    """Step lists of cert with one step damaged in each way the verifier
-    must catch."""
-    steps = list(cert.steps)
-    st = steps[1]
-    offset, blk = st.blocks[0]
-    nan_blk = np.array(blk, copy=True)
-    nan_blk[0, 0] = np.nan
-    dup = st.perm.copy()
+def tampered_runs(cert):
+    """Run lists of cert with its first run damaged in each way the
+    verifier must catch: step 1 alone, or the whole run."""
+    run = cert.runs[0]
+    exps = run.e.copy()
+    exps[1] = 2
+    scaled = np.array(run.blocks, copy=True)
+    scaled[1, 0] *= 1.001
+    nan = np.array(run.blocks, copy=True)
+    nan[1, 0, 0, 0] = np.nan
+    dup = run.perm.copy()
     dup[0] = dup[1]
     changes = (
-        {"e": 2},
+        {"e": exps},
         {"perm": dup},
-        {"blocks": ((offset, 1.001 * blk),) + st.blocks[1:]},
-        {"blocks": ((offset, nan_blk),) + st.blocks[1:]},
-        {"blocks": st.blocks + ((offset + 1, blk),)},
-        {"blocks": ((cert.n - 1, blk),) + st.blocks[1:]},
+        {"blocks": scaled},
+        {"blocks": nan},
+        {"offsets": np.r_[run.offsets, run.offsets[0] + 1],
+         "blocks": np.concatenate((run.blocks, run.blocks[:, :1]), axis=1)},
+        {"offsets": np.r_[cert.n - 1, run.offsets[1:]]},
     )
     for change in changes:
-        bad = list(steps)
-        bad[1] = dataclasses.replace(st, **change)
-        yield tuple(bad)
+        yield (dataclasses.replace(run, **change),) + cert.runs[1:]
 
 
 class TestPackedSteps:
-    """CertStep holds its blocks the way the record stores them: offsets,
-    widths and one packed complex128 array."""
+    """A run holds its steps' blocks the way the record stores them, as one
+    (steps, nb, w, w) stack; Certificate.steps reads views of it."""
 
     def test_step_defects_match_the_per_step_checks(self):
         for cert in POOL + list(frozen_certificates()[::7]):
-            cases = [cert.steps] + (list(tampered_steps(cert)) if len(cert) > 1 else [])
-            for steps in cases:
-                got = generation._step_defects(steps, cert.n)
+            cases = [cert.runs]
+            if cert.runs and len(cert.runs[0]) > 1:
+                cases += list(tampered_runs(cert))
+            for runs in cases:
+                got = generation._step_defects(runs, cert.n)
+                steps = dataclasses.replace(cert, runs=runs).steps
                 np.testing.assert_array_equal(got, per_step_defects(steps, cert.n))
 
     def test_product_kernels_match_the_per_step_merge(self):
         for cert in POOL + list(frozen_certificates()):
-            got, last = generation._step_kernels(cert.base_angles, cert.steps)
+            got, last = generation._step_kernels(cert.base_angles, cert.runs)
             want, want_last = per_step_kernels(cert.base_angles, cert.steps)
             assert np.array_equal(last, want_last) and len(got) == len(want)
             n = cert.n
@@ -1643,73 +1687,109 @@ class TestPackedSteps:
 
     def test_records_match_per_block_packing(self):
         for cert in frozen_certificates():
-            for i, st in enumerate(cert.steps):
-                want = json.dumps(per_block_record(st, i))
-                assert json.dumps(st.to_json(i)) == want
+            for i, run in enumerate(cert.runs):
+                want = json.dumps(per_block_record(run, i))
+                assert json.dumps(run.to_json(i)) == want
 
     def test_blocks_are_views_of_the_packed_data(self):
-        st = POOL[3].steps[0]
-        start = 0
-        for (offset, b), o, w in zip(st.blocks, st.offsets, st.widths):
-            assert offset == o and b.shape == (w, w)
-            assert np.shares_memory(b, st.data)
-            assert np.array_equal(b.ravel(), st.data[start : start + w * w])
-            start += w * w
-        assert start == st.data.shape[0]
-        assert not st.data.flags.writeable
-
-    def test_mixed_widths_round_trip_in_their_order(self, step_conjugator):
-        rng = np.random.default_rng(49)
-        n = 10
-        theta = rng.uniform(-math.pi, math.pi, n)
-        a, b = haar(n, rng), haar(n, rng)
-        base = (b * np.exp(1j * theta)) @ b.conj().T
-        blocks = ((7, haar(3, rng)), (0, haar(2, rng)), (4, haar(3, rng)), (2, haar(2, rng)))
-        steps = (
-            CertStep(rng.permutation(n), blocks, 1),
-            CertStep(rng.permutation(n), blocks[::-1], -1),
-        )
-        cert = Certificate(base, base, a, b, theta, steps, 2, "rank_dep")
-        back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
-        for st, orig in zip(back.steps, steps):
-            assert st.offsets.tolist() == [offset for offset, _ in orig.blocks]
-            assert st.widths.tolist() == [blk.shape[0] for _, blk in orig.blocks]
-            for (o1, b1), (o2, b2) in zip(st.blocks, orig.blocks):
-                assert o1 == o2 and np.array_equal(b1, b2)
-        dense = np.eye(n, dtype=complex)
-        for i, st in enumerate(back.steps):
-            g = step_conjugator(back, i)
-            dense = dense @ g @ (base if st.e == 1 else base.conj().T) @ g.conj().T
-        assert np.max(np.abs(back.product() - dense)) < 1e-11
-        assert np.max(np.abs(cert.product() - dense)) < 1e-11
-
-    def test_non_square_block_is_malformed(self):
         cert = POOL[3]
-        st = cert.steps[1]
-        blocks = ((st.blocks[0][0], np.zeros((2, 3))),) + st.blocks[1:]
-        bad = with_step(cert, 1, blocks=blocks)
-        assert bad.steps[1].widths.tolist() == [0] + st.widths.tolist()[1:]
-        report = verify_certificate(bad)
-        assert "error" not in report
-        assert report["margins"]["first_failing_step"] == 1
-        assert not report["checks"]["steps_unitary"]
-        assert not report["checks"]["step_conjugacy"]
-        assert not report["pass"]
+        run = cert.runs[0]
+        assert not run.blocks.flags.writeable
+        assert run.blocks.shape == (len(run), len(run.offsets), run.width, run.width)
+        for st, b, e in zip(cert.steps, run.blocks, run.e.tolist()):
+            assert st.perm is run.perm and st.offsets is run.offsets
+            assert np.shares_memory(st.blocks, run.blocks)
+            assert np.array_equal(st.blocks, b) and st.e == e
 
     def test_replace_keeps_the_packed_blocks(self):
-        st = POOL[3].steps[2]
-        flipped = dataclasses.replace(st, e=-st.e)
-        assert flipped.e == -st.e
-        assert flipped.data is st.data and flipped.offsets is st.offsets
+        run = POOL[3].runs[1]
+        flipped = dataclasses.replace(run, e=-run.e)
+        assert flipped.e.tolist() == [-e for e in run.e.tolist()]
+        assert np.shares_memory(flipped.blocks, run.blocks)
+        assert flipped.offsets is run.offsets and flipped.perm is run.perm
 
     @pytest.mark.parametrize(
         "offsets, widths, size",
-        [([0], [2], 3), ([0, 2], [2], 4), ([0], [-2], 4), ([[0]], [[2]], 4)],
+        [([0], [2], 3), ([0, 2], [2], 4), ([0], [-2], 4), ([[0]], [2], 4), ([0], [0], 0)],
     )
     def test_packed_arrays_must_agree(self, offsets, widths, size):
+        # widths holds the run's one width
+        (width,) = widths
         with pytest.raises(ValueError):
-            CertStep(np.arange(4), e=1, offsets=offsets, widths=widths,
-                     data=np.zeros(size, dtype=complex))
+            CertRun(np.arange(4), offsets, width, np.zeros(size, dtype=complex), [1])
+
+    def test_a_run_needs_a_step(self):
+        with pytest.raises(ValueError):
+            CertRun(np.arange(4), [0], 2, np.zeros((0, 1, 2, 2)), [])
+
+
+class TestCertRuns:
+    """normgen-cert/6 stores one record per run, and the verifier reads the
+    runs as stored while naming steps by their global index."""
+
+    CERT = POOL[3]
+
+    def fresh(self):
+        return json.loads(json.dumps(self.CERT.to_json()))
+
+    def test_one_record_per_run(self):
+        cert, obj = self.CERT, self.fresh()
+        assert obj["version"] == "normgen-cert/6" and "steps" not in obj
+        assert len(obj["runs"]) == len(cert.runs) > 1
+        assert sum(len(rec["e"]) for rec in obj["runs"]) == len(cert) == len(cert.steps)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda run: run.update(e=[]), id="empty-e"),
+        pytest.param(lambda run: run.update(e=run["e"][0]), id="e-not-a-list"),
+        pytest.param(lambda run: run["e"].__setitem__(1, 1.0), id="float-exponent"),
+        pytest.param(lambda run: run.update(width=0), id="width-zero"),
+        pytest.param(lambda run: run.update(width=99), id="width-over-n"),
+        pytest.param(lambda run: run.update(offsets=run["offsets"][0]),
+                     id="offsets-not-a-list"),
+        pytest.param(lambda run: run.update(e=run["e"][:-1]), id="blocks-rows-over-e"),
+        pytest.param(lambda run: run.update(offsets=run["offsets"][:-1]),
+                     id="blocks-columns-over-offsets"),
+        pytest.param(lambda run: run.update(width=1), id="blocks-columns-over-width"),
+    ])
+    def test_run_record_errors(self, edit):
+        obj = self.fresh()
+        edit(obj["runs"][1])
+        assert_format_error(obj)
+
+    def test_tamper_names_the_global_step(self):
+        cert = self.CERT
+        first = len(cert.runs[0])
+        assert len(cert.runs) > 1 and len(cert.runs[1]) > 1
+        blk = edited_blocks(cert, first + 1)
+        blk[-1, 0, 1] += 1e-6
+        for bad in (with_blocks(cert, first + 1, blk), with_exponent(cert, first + 1, 0)):
+            for back in (bad, Certificate.from_json(json.loads(json.dumps(bad.to_json())))):
+                report = verify_certificate(back)
+                assert report["margins"]["first_failing_step"] == first + 1
+                assert not report["pass"]
+        report = verify_certificate(with_blocks(cert, first + 1, blk))
+        assert report["margins"]["block_defect_step"] == first + 1
+        # a perm or an offset is the run's: damage fails from its first step
+        run = cert.runs[1]
+        dup = run.perm.copy()
+        dup[0] = dup[1]
+        overlap = np.r_[run.offsets, run.offsets[0] + 1]
+        for change in (
+            {"perm": dup},
+            {"offsets": overlap,
+             "blocks": np.concatenate((run.blocks, run.blocks[:, :1]), axis=1)},
+            {"offsets": np.r_[cert.n - 1, run.offsets[1:]]},
+        ):
+            report = verify_certificate(with_run(cert, 1, **change))
+            assert report["margins"]["first_failing_step"] == first
+            assert not report["checks"]["steps_unitary"] and not report["pass"]
+
+    def test_consecutive_runs_differ_in_layout(self):
+        # so each run is one group of the per-step layout regrouping
+        for cert in frozen_certificates():
+            for a, b in zip(cert.runs, cert.runs[1:]):
+                same = np.array_equal(a.perm, b.perm) and np.array_equal(a.offsets, b.offsets)
+                assert not same
 
 
 class TestChordDiameter:
@@ -1882,7 +1962,7 @@ OPERANDS = ("target", "base", "aframe", "bframe")
 
 
 class TestMonomialRecords:
-    """normgen-cert/5 stores a Monomial operand as its n phases and an index
+    """A certificate stores a Monomial operand as its n phases and an index
     into the perm table, and checks those records as strictly as dense
     ones."""
 
@@ -1891,7 +1971,7 @@ class TestMonomialRecords:
 
     def test_operands_are_monomial_records(self):
         obj = self.fresh()
-        assert obj["version"] == "normgen-cert/5"
+        assert obj["version"] == "normgen-cert/6"
         for name in OPERANDS:
             x, rec = getattr(MONO, name), obj[name]
             assert isinstance(x, generation.Monomial)
@@ -1899,8 +1979,8 @@ class TestMonomialRecords:
             assert obj["perms"][rec["perm"]] == x.perm.tolist()
             assert np.array_equal(unpack(dict(rec, shape=[MONO.n])), x.phases)
         # the step perms come first in the table, as before
-        steps = {rec["perm"] for rec in obj["steps"]}
-        assert steps == set(range(len(steps)))
+        runs = {rec["perm"] for rec in obj["runs"]}
+        assert runs == set(range(len(runs)))
 
     def test_round_trip_and_verify(self, eigh_calls):
         text = json.dumps(MONO.to_json())
@@ -1917,7 +1997,7 @@ class TestMonomialRecords:
             x = getattr(MONO, name)
             assert np.array_equal(np.asarray(x), x.matrix)
         a = np.asarray(MONO.aframe)
-        dense = a @ certificate_product(MONO.base_angles, MONO.steps) @ a.conj().T
+        dense = a @ certificate_product(MONO.base_angles, MONO.runs) @ a.conj().T
         prod, t = MONO.product(), MONO.target.matrix
         assert np.max(np.abs(prod - dense)) < 1e-14
         lam = np.vdot(t, prod) / abs(np.vdot(t, prod))

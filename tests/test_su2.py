@@ -25,7 +25,6 @@ from normgen.su2 import (
     _diagonal_frame,
     _mul,
     _plan_waypoints,
-    _reach,
     _reference_frame,
     _step_to,
     _walk,
@@ -39,6 +38,14 @@ def haar_su2(rng):
     q, r = np.linalg.qr(z)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return q / np.sqrt(np.linalg.det(q))
+
+
+def _reach(alpha, theta):
+    """Interval of class angles reachable from alpha by one theta-conjugate:
+    the test's own oracle for the steps and waypoints of the walks."""
+    lo = abs(alpha - theta)
+    hi = min(alpha + theta, 2.0 * math.pi - alpha - theta)
+    return lo, hi
 
 
 def rot(angle):
