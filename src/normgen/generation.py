@@ -12,7 +12,7 @@ and every batch is walked by SourceBlock.frames as one run of steps
 (_shared_run).
 
 A certificate stores the eigenframes of target and base once and each
-conjugate as a permutation times small unitary blocks in those frames, so a
+conjugate as a permutation times 2x2 unitary blocks in those frames, so a
 conjugate costs O(n) space and O(n^2) checking time.  Operands that are
 Monomials (diagonal targets and bases, permutation frames) are stored as n
 phases and a perm and checked in O(n).  It carries everything
@@ -84,7 +84,7 @@ __all__ = [
 
 THEOREM_TAGS = ("rank_dep", "rank_indep", "full_gen", "pipeline", "broise_kernel")
 
-CERT_VERSION = "normgen-cert/6"
+CERT_VERSION = "normgen-cert/7"
 
 # ---------------------------------------------------------------------------
 # certificate container
@@ -92,7 +92,7 @@ CERT_VERSION = "normgen-cert/6"
 
 class CertStep(NamedTuple):
     """One conjugate of a certificate as Certificate.steps reads it out of
-    its run: the run's perm and offsets, the step's (nb, w, w) blocks (a
+    its run: the run's perm and offsets, the step's (nb, 2, 2) blocks (a
     view of the run's stack) and its exponent."""
 
     perm: np.ndarray
@@ -108,39 +108,36 @@ class CertRun:
 
     Step r conjugates base^e[r] by g = A @ y_r @ B*, with the certificate's
     frames A and B and the eigenframe conjugator y_r = P @ Y_r: P sends
-    basis vector a to perm[a], and Y_r is the identity except for the
-    width-square blocks blocks[r, i], each on the diagonal at offsets[i].
-    blocks is a read-only (len(e), nb, width, width) complex128 stack, and
-    e holds one exponent per step.
+    basis vector a to perm[a], and Y_r is the identity except for the 2x2
+    blocks blocks[r, i], each on the diagonal at offsets[i].  blocks is a
+    read-only (len(e), nb, 2, 2) complex128 stack, and e holds one exponent
+    per step.
 
     Deliberately unvalidated so that damaged certificates can still be
     loaded and then fail verification instead of failing to parse; only
-    the shapes must hold (at least one step, width at least 1, one block
-    per offset and step), else ValueError.
+    the shapes must hold (at least one step, one block per offset and
+    step), else ValueError.
     """
 
     perm: np.ndarray
     offsets: np.ndarray
-    width: int
     blocks: np.ndarray
     e: np.ndarray
 
-    def __init__(self, perm, offsets, width, blocks, e):
+    def __init__(self, perm, offsets, blocks, e):
         o = np.asarray(offsets, dtype=np.int64)
         e = np.asarray(e, dtype=np.int64)
         b = np.asarray(blocks, dtype=complex)
-        w = int(width)
-        if o.ndim != 1 or e.ndim != 1 or not e.shape[0] or w < 1:
-            raise ValueError(f"a run needs offsets, steps and a width, got "
-                             f"{o.shape} offsets, {e.shape} exponents and width {w}")
-        shape = (e.shape[0], o.shape[0], w, w)
+        if o.ndim != 1 or e.ndim != 1 or not e.shape[0]:
+            raise ValueError(f"a run needs offsets and steps, got "
+                             f"{o.shape} offsets and {e.shape} exponents")
+        shape = (e.shape[0], o.shape[0], 2, 2)
         if b.size != math.prod(shape):
             raise ValueError(f"{b.size} block entries do not fill {shape}")
         for name, a in (("perm", np.asarray(perm, dtype=np.int64)), ("offsets", o),
                         ("blocks", b.reshape(shape)), ("e", e)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "width", w)
 
     def __len__(self):
         return self.e.shape[0]
@@ -151,34 +148,30 @@ class CertRun:
         return {
             "perm": perm_index,
             "offsets": self.offsets.tolist(),
-            "width": self.width,
             "blocks": _pack(self.blocks.reshape(len(self), -1)),
             "e": self.e.tolist(),
         }
 
     @classmethod
-    def from_json(cls, obj, perms, n):
-        """Decode a run record against the decoded perm table and size n.
+    def from_json(cls, obj, perms):
+        """Decode a run record against the decoded perm table.
 
-        The index, offsets, width and exponents must be integers, the index
-        must address the table, the width must fit n and e must be
-        nonempty; offsets, exponent values and perm contents are left to
-        the verifier.
+        The index, offsets and exponents must be integers, the index must
+        address the table and e must be nonempty; offsets, exponent values
+        and perm contents are left to the verifier.
         """
         try:
-            idx, offsets, width, e = obj["perm"], obj["offsets"], obj["width"], obj["e"]
+            idx, offsets, e = obj["perm"], obj["offsets"], obj["e"]
             if type(offsets) is not list or type(e) is not list:
                 raise TypeError("offsets and e must be lists")
-            if not _all_ints(idx, width, *offsets, *e):
-                raise TypeError("perm index, offsets, width and exponents must be integers")
+            if not _all_ints(idx, *offsets, *e):
+                raise TypeError("perm index, offsets and exponents must be integers")
             if not 0 <= idx < len(perms):
                 raise ValueError(f"perm index {idx} outside a table of {len(perms)}")
-            if not e or not 0 < width <= n:
-                raise ValueError(f"a run needs steps and a width in 1..{n}, got "
-                                 f"{len(e)} steps of width {width}")
-            size = len(offsets) * width * width
-            blocks = _unpack(obj["blocks"], [len(e), size], "run blocks")
-            return cls(perms[idx], offsets, width, blocks, e)
+            if not e:
+                raise ValueError("a run needs steps")
+            blocks = _unpack(obj["blocks"], [len(e), 4 * len(offsets)], "run blocks")
+            return cls(perms[idx], offsets, blocks, e)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateFormatError(f"malformed run: {exc}") from exc
 
@@ -392,7 +385,7 @@ class Certificate:
             for name, a in zip(("base_angles", "target_angles"), angles):
                 if type(a) is not list or not all(type(x) is float for x in a):
                     raise TypeError(f"{name} must be a list of floats")
-            runs = tuple(CertRun.from_json(r, perms, n) for r in obj["runs"])
+            runs = tuple(CertRun.from_json(r, perms) for r in obj["runs"])
             budget, theorem = obj["claimed_budget"], obj["theorem"]
             if not _all_ints(budget):
                 raise TypeError("claimed_budget must be an integer")
@@ -434,11 +427,11 @@ def _step_kernels(angles, runs):
     """What the runs do to the columns of the running product in
     certificate_product.  A step permutes the columns from the previous
     perm to its own, scales every column by its core D^e and mixes each
-    block's columns by b @ D^e @ b*, so a run, whose steps share a perm and
-    a block layout, acts as one step whose core and kernels are the
-    products of theirs.  Per run: the column gather from the previous perm
-    (None when it is the same), the core, the block columns and their
-    kernels.  Also returns the last perm."""
+    2x2 block's two columns by b @ D^e @ b*, so a run, whose steps share a
+    perm and a block layout, acts as one step whose core and kernels are
+    the products of theirs.  Per run: the column gather from the previous
+    perm (None when it is the same), the core, the (nb, 2) block columns
+    and their (nb, 2, 2) kernels.  Also returns the last perm."""
     d = np.exp(1j * np.asarray(angles, dtype=float))
     cur = np.arange(d.shape[0])
     out = []
@@ -451,7 +444,7 @@ def _step_kernels(angles, runs):
         core = cores[0]
         for c in cores[1:]:
             core = core * c
-        cols = np.add.outer(run.offsets, np.arange(run.width))
+        cols = np.add.outer(run.offsets, np.arange(2))
         b = run.blocks
         kernels = (b * cores[:, cols][:, :, None, :]) @ b.conj().swapaxes(-1, -2)
         k = kernels[0]
@@ -472,7 +465,7 @@ def _product_rows(kernels, n, start, stop):
         if gather is not None:
             # take keeps rows contiguous, where acc[:, gather] would not
             acc = np.take(acc, gather, axis=1)
-        # (blocks, rows, w): each block's columns times its kernel
+        # (blocks, rows, 2): each block's columns times its kernel
         mixed = acc[:, cols].transpose(1, 0, 2) @ k
         acc *= core
         acc[:, cols] = mixed.transpose(1, 0, 2)
@@ -495,9 +488,8 @@ def certificate_product(angles, runs):
     scales columns and each block b of Y mixes only its own columns, by
     b @ D^e @ b* on them.  Each run is merged into one step first (see
     _step_kernels) and its blocks are applied as one stacked matmul, so a
-    run costs O(n^2) plus O(n w^2) per block of width w in a few numpy
-    calls.  The runs must be well formed (perm a permutation, blocks in
-    range and disjoint).
+    run costs O(n^2) in a few numpy calls.  The runs must be well formed
+    (perm a permutation, blocks in range and disjoint).
     """
     kernels, last = _step_kernels(angles, runs)
     n = len(angles)
@@ -682,7 +674,7 @@ def _shared_run(n, strands):
     m = max(st.length for st in strands)
     # (strand, step, entry), made (step, strand, entry)
     blocks = np.array([st.block.frames(st.phi, m) for st in strands], dtype=complex)
-    return CertRun(_alignment(n, strands), [st.source for st in strands], 2,
+    return CertRun(_alignment(n, strands), [st.source for st in strands],
                    blocks.transpose(1, 0, 2), np.resize([1, -1], 2 * m))
 
 
@@ -1016,7 +1008,7 @@ def _step_defects(runs, n):
     not a permutation of range(n), or a block out of range, overlapping
     another or not finite."""
     out = np.full((2, sum(map(len, runs))), np.nan)
-    blocks = {}
+    idx, mats = [np.empty(0, dtype=np.int64)], [np.empty((0, 2, 2), dtype=complex)]
     start = 0
     for run in runs:
         good = np.flatnonzero((run.e == 1) | (run.e == -1))
@@ -1026,34 +1018,31 @@ def _step_defects(runs, n):
             good.shape[0]
             and run.perm.shape == (n,)
             and np.array_equal(np.sort(run.perm), np.arange(n))
-            and _layout_fits(run.offsets, run.width, n)
+            and _layout_fits(run.offsets, n)
         ):
             continue
         out[:, steps] = 0.0
-        where, mats = blocks.setdefault(run.width, ([], []))
-        where.append(np.repeat(steps, run.offsets.shape[0]))
-        mats.append(run.blocks[good].reshape(-1, run.width, run.width))
-    # one batched Gram product per block width
-    for w, (idx, mats) in blocks.items():
-        stack = np.concatenate(mats)
-        gram = stack @ stack.conj().transpose(0, 2, 1) - np.eye(w)
-        norms = (np.abs(gram).max(axis=(1, 2)), np.linalg.norm(gram, axis=(1, 2)))
-        finite = np.isfinite(norms[0])
-        idx = np.concatenate(idx)
-        for row, defect in zip(out, norms):
-            np.maximum.at(row, idx[finite], defect[finite])
-        out[:, idx[~finite]] = np.nan
+        idx.append(np.repeat(steps, run.offsets.shape[0]))
+        mats.append(run.blocks[good].reshape(-1, 2, 2))
+    # one batched Gram product over every block of every run
+    stack, idx = np.concatenate(mats), np.concatenate(idx)
+    gram = stack @ stack.conj().transpose(0, 2, 1) - np.eye(2)
+    norms = (np.abs(gram).max(axis=(1, 2)), np.linalg.norm(gram, axis=(1, 2)))
+    finite = np.isfinite(norms[0])
+    for row, defect in zip(out, norms):
+        np.maximum.at(row, idx[finite], defect[finite])
+    out[:, idx[~finite]] = np.nan
     return out
 
 
-def _layout_fits(offsets, width, n):
-    """Whether blocks of this width at these offsets lie in range(n) and do
-    not overlap."""
+def _layout_fits(offsets, n):
+    """Whether 2x2 blocks at these offsets lie in range(n) and do not
+    overlap."""
     end = 0
     for offset in sorted(offsets.tolist()):
-        if not end <= offset <= n - width:
+        if not end <= offset <= n - 2:
             return False
-        end = offset + width
+        end = offset + 2
     return True
 
 

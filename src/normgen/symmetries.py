@@ -8,6 +8,12 @@ block unitary diag(w, w*) in U(2k) factors as s t s t where
 and both s and t are symmetries of trace zero.  Since all trace-zero
 symmetries in U(2k) are conjugate, the four factors become four conjugates
 of any single reference symmetry, which is the certificate emitted here.
+
+The certificate is in closed form: with w = F diag(e^{i alpha}) F* and
+A = diag(F, F), A* s A and A* t A act on each pair (j, k + j) alone, as
+[[0, conj(c_j)], [c_j, 0]] with c_j = e^{-i alpha_j / 2} and as the swap,
+each b diag(1, -1) b* for one 2x2 block b.  No eigensolver runs on s or t.
+
 The classical count of 32 conjugates for an arbitrary unitary arises as 8
 block-form factors times the 4 symmetries per block; this module realizes
 the per-block kernel only.
@@ -16,6 +22,7 @@ the per-block kernel only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -25,7 +32,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .generation import Certificate, CertRun, product_check
+from .generation import Certificate, CertRun, _is_central, product_check
 from .spectral import (
     UnitaryRep,
     as_unitary,
@@ -102,14 +109,10 @@ def sqrt_unitary(w):
     residual; eigenvalue -1 maps to +i.
     """
     rep = _dense_rep(w, "unitary")
-    return _principal_root(rep.matrix, *diagonalize_normal(rep))
-
-
-def _principal_root(m, spec, frame):
-    """sqrt_unitary of m from its diagonalization m = frame diag(e^{i a}) frame*."""
+    spec, frame = diagonalize_normal(rep)
     half = np.exp(0.5j * spec.angles)
     root = (frame * half[None, :]) @ frame.conj().T
-    drift = float(np.max(np.abs(root @ root - m)))
+    drift = float(np.max(np.abs(root @ root - rep.matrix)))
     if drift > 1e-9:
         raise NumericalDegeneracyError(
             f"square root reconstruction drift {drift:.3e}"
@@ -125,11 +128,7 @@ def block_symmetry_factors(w):
     telescopes to diag(w, w*).
     """
     rep = _dense_rep(w, "unitary")
-    return _stst_factors(rep.matrix, sqrt_unitary(rep).matrix)
-
-
-def _stst_factors(m, u):
-    """block_symmetry_factors of m, given the principal square root u of m."""
+    m, u = rep.matrix, sqrt_unitary(rep).matrix
     k = m.shape[0]
     zero = np.zeros((k, k), dtype=complex)
     eye = np.eye(k, dtype=complex)
@@ -191,8 +190,10 @@ def broise_kernel_certificate(w, reference=None):
     """Write diag(w, w*) as four conjugates of one trace-zero symmetry.
 
     The four s t s t factors are each moved onto the reference symmetry
-    (default diag(I_k, -I_k)), giving a certificate with budget exactly 4.
-    A projectively trivial target yields a certificate with no runs.
+    (default diag(I_k, -I_k)), giving a certificate with budget exactly 4:
+    one run of four steps of k 2x2 blocks (see the module docstring), which
+    must pass the product check, else NumericalDegeneracyError.  A central
+    target yields a certificate with no runs if that passes the check.
     """
     rep = _dense_rep(w, "unitary")
     m = rep.matrix
@@ -210,38 +211,37 @@ def broise_kernel_certificate(w, reference=None):
         )
     zero = np.zeros((k, k), dtype=complex)
     target = np.block([[m, zero], [zero, m.conj().T]])
-    bframe = _involution_frame(ref.matrix)
     # w = F diag(e^{i alpha}) F* gives target = A diag(e^{i phi}) A* with
     # A = diag(F, F) and phi = (alpha, -alpha)
     spec, f = diagonalize_normal(rep)
     aframe = np.block([[f, zero], [zero, f]])
+    # the reference's frame with its +1 and -1 columns interleaved, so that
+    # base_angles are (0, pi) on every pair (2j, 2j + 1)
+    frame = _involution_frame(ref.matrix)
+    bframe = np.empty_like(frame)
+    bframe[:, 0::2], bframe[:, 1::2] = frame[:, :k], frame[:, k:]
 
     def certificate(runs, metadata):
-        return Certificate(
-            target=target,
-            base=ref.matrix,
-            aframe=aframe,
-            bframe=bframe,
-            base_angles=np.r_[np.zeros(k), np.full(k, np.pi)],
-            runs=runs,
-            claimed_budget=4,
-            theorem="broise_kernel",
-            params={"m": None, "s": None, "n": n},
-            metadata={"construction": "stst", "square_root": "principal",
-                      **metadata},
-            target_angles=np.r_[spec.angles, -spec.angles],
-        )
+        return Certificate(target, ref.matrix, aframe, bframe, np.tile([0.0, np.pi], k), runs,
+                           4, "broise_kernel", {"m": None, "s": None, "n": n},
+                           {"construction": "stst", "square_root": "principal", **metadata},
+                           np.r_[spec.angles, -spec.angles])
 
-    trivial = certificate((), {"trivial_target": True})
-    if product_check(trivial)[0]:
-        return trivial
-    # with B the reference's involution frame, the conjugator
-    # symmetry_conjugator(ref, f) is frame(f) @ B*: each step is the one
-    # dense block A* @ frame(f), the degenerate case of the factored form,
-    # so that its conjugator A @ A* @ frame(f) @ B* is that one
-    root = _principal_root(m, spec, f).matrix
-    # the factors are s, t, s, t: one involution frame each for s and t,
-    # stored as one run of four width-n steps
-    s, t, _, _ = _stst_factors(m, root)
-    ss, tt = (aframe.conj().T @ _involution_frame(x.matrix) for x in (s, t))
-    return certificate((CertRun(np.arange(n), [0], n, [ss, tt, ss, tt], [1] * 4),), {})
+    if _is_central(spec.angles):
+        trivial = certificate((), {"trivial_target": True})
+        if product_check(trivial)[0]:
+            return trivial
+    # P sends 2j to j and 2j + 1 to k + j; on that pair A* s A is
+    # b_s diag(1, -1) b_s* and A* t A, the swap, is b_t diag(1, -1) b_t*
+    perm = np.arange(n).reshape(2, k).T.ravel()
+    c = np.exp(-0.5j * spec.angles)
+    b_s = np.stack((np.ones_like(c), np.ones_like(c), c, -c), axis=-1) / math.sqrt(2.0)
+    b_t = np.tile(np.array([1.0, 1.0, 1.0, -1.0]) / math.sqrt(2.0), (k, 1))
+    run = CertRun(perm, np.arange(0, n, 2), [b_s, b_t, b_s, b_t], [1] * 4)
+    cert = certificate((run,), {})
+    passed, resid, tol = product_check(cert)
+    if not passed:
+        raise NumericalDegeneracyError(
+            f"assembled certificate residual {resid:.3e} over tolerance {tol:.3e}"
+        )
+    return cert

@@ -367,7 +367,7 @@ class TestMonomialCertificates:
     def test_generate_and_verify(self, tmp_path, capsys):
         out = monomial_cert(tmp_path)
         blob = json.loads(out.read_text())
-        assert blob["version"] == "normgen-cert/6"
+        assert blob["version"] == "normgen-cert/7"
         assert all("perm" in blob[name] for name in ("target", "base", "aframe", "bframe"))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 0

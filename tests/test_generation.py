@@ -104,7 +104,7 @@ def walk_block(v, phi, target, source, cap):
 
 def blockless(perm, e):
     """A run of one step that is a pure permutation: no blocks."""
-    return CertRun(perm, [], 1, (), [e])
+    return CertRun(perm, [], (), [e])
 
 
 def unpack(rec):
@@ -302,10 +302,10 @@ class TestSwapCommutator:
         obj = json.loads(json.dumps(cert.to_json()))
         assert obj["perms"] == [list(range(4)), swap.tolist()]
         for rec in obj["runs"]:
-            assert rec["offsets"] == [] and rec["width"] == 1
+            assert rec["offsets"] == [] and "width" not in rec
             assert rec["blocks"]["shape"] == [1, 0]
         back = Certificate.from_json(obj)
-        assert [st.blocks.shape for st in back.steps] == [(0, 1, 1)] * 2
+        assert [st.blocks.shape for st in back.steps] == [(0, 2, 2)] * 2
         assert np.array_equal(back.steps[1].perm, swap)
         assert np.max(np.abs(certificate_product(angles, back.runs) - comm)) < 1e-12
         report = verify_certificate(back)
@@ -1037,7 +1037,7 @@ class TestVerifyCertificate:
 
     def test_never_raises(self):
         eye = np.eye(2, dtype=complex)
-        run = CertRun(np.arange(2), [0], 3, np.zeros((1, 1, 3, 3)), [1])
+        run = CertRun(np.arange(2), [1], np.zeros((1, 1, 2, 2)), [1])
         junk = Certificate(eye, eye, eye, eye, np.zeros(2), (run,), 5, "rank_dep")
         report = verify_certificate(junk)
         assert report["pass"] is False
@@ -1323,6 +1323,12 @@ class TestFactoredCertificates:
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
 
+    def test_cert6_rejected(self):
+        obj = POOL[0].to_json()
+        obj["version"] = "normgen-cert/6"
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
     @pytest.mark.parametrize("bad", [[0.0], "x", [1, 2], {}])
     def test_target_angles_must_be_n_floats(self, bad):
         obj = POOL[3].to_json()
@@ -1385,29 +1391,29 @@ class TestFactoredCertificates:
                 )
 
     def test_runs_of_different_widths(self, step_conjugator):
-        # runs of widths 2, 3 and 1, out-of-order offsets, a run with no
-        # block, and two runs in a row that share a perm
+        # runs of 2x2 blocks at out-of-order offsets, a run with no block,
+        # and two runs in a row that share a perm
         rng = np.random.default_rng(48)
         n = 7
 
-        def stack(steps, offsets, w):
-            return [[haar(w, rng) for _ in offsets] for _ in range(steps)]
+        def stack(steps, offsets):
+            return [[haar(2, rng) for _ in offsets] for _ in range(steps)]
 
         theta = rng.uniform(-math.pi, math.pi, n)
         a, b = haar(n, rng), haar(n, rng)
         base = (b * np.exp(1j * theta)) @ b.conj().T
         perm = rng.permutation(n)
         runs = (
-            CertRun(perm, [4, 0, 2], 2, stack(3, [4, 0, 2], 2), [1, -1, -1]),
-            CertRun(perm, [1, 4], 3, stack(2, [1, 4], 3), [-1, 1]),
+            CertRun(perm, [4, 0, 2], stack(3, [4, 0, 2]), [1, -1, -1]),
+            CertRun(perm, [1, 5], stack(2, [1, 5]), [-1, 1]),
             blockless(rng.permutation(n), -1),
-            CertRun(np.arange(n), [6, 3, 0], 1, stack(2, [6, 3, 0], 1), [1, 1]),
+            CertRun(np.arange(n), [5, 3, 0], stack(2, [5, 3, 0]), [1, 1]),
         )
         cert = Certificate(base, base, a, b, theta, runs, 8, "rank_dep")
         text = json.dumps(cert.to_json())
         back = Certificate.from_json(json.loads(text))
         assert json.dumps(back.to_json()) == text
-        assert [run.width for run in back.runs] == [2, 3, 1, 1]
+        assert [len(run.offsets) for run in back.runs] == [3, 2, 0, 3]
         dense = np.eye(n, dtype=complex)
         for i, st in enumerate(back.steps):
             g = step_conjugator(back, i)
@@ -1471,10 +1477,9 @@ class TestPackedRecords:
         assert len(obj["runs"]) == len(cert.runs)
         for rec, run in zip(obj["runs"], cert.runs):
             assert obj["perms"][rec["perm"]] == run.perm.tolist()
-            assert rec["offsets"] == run.offsets.tolist()
-            assert rec["width"] == run.width
+            assert rec["offsets"] == run.offsets.tolist() and "width" not in rec
             flat = unpack(rec["blocks"])
-            assert flat.shape == (len(rec["e"]), len(rec["offsets"]) * rec["width"] ** 2)
+            assert flat.shape == (len(rec["e"]), 4 * len(rec["offsets"]))
             assert np.array_equal(flat, run.blocks.reshape(len(run), -1))
             assert rec["e"] == run.e.tolist()
 
@@ -1527,12 +1532,17 @@ class TestPackedRecords:
             obj[name] = pack(mat)
             assert_format_error(obj)
 
-    def test_widths_must_fit_n(self):
-        n = self.CERT.n
-        for width in (0, -2, n + 1, [2], 2.0, True, None):
-            obj = self.fresh()
-            obj["runs"][0]["width"] = width
+    def test_blocks_record_shape(self):
+        # a run's blocks record must be [len(e), 4 len(offsets)]
+        obj = self.fresh()
+        run = obj["runs"][0]
+        steps, nb = len(run["e"]), len(run["offsets"])
+        flat = unpack(run["blocks"])
+        for shape in ([steps, 9 * nb], [steps, 4 * nb + 4], [steps * 4 * nb], [steps, nb, 4]):
+            run["blocks"] = pack(np.resize(flat, shape))
             assert_format_error(obj)
+        run["blocks"] = pack(flat)
+        Certificate.from_json(json.loads(json.dumps(obj)))
 
     @pytest.mark.parametrize("where", ["aframe", "blocks"])
     @pytest.mark.parametrize("cut", [-1, -16, 1, 16])
@@ -1584,7 +1594,6 @@ def per_block_record(run, perm_index):
     return {
         "perm": perm_index,
         "offsets": [int(o) for o in run.offsets],
-        "width": run.width,
         "blocks": pack(np.array(rows).reshape(len(rows), -1)),
         "e": [int(e) for e in run.e],
     }
@@ -1695,7 +1704,7 @@ class TestPackedSteps:
         cert = POOL[3]
         run = cert.runs[0]
         assert not run.blocks.flags.writeable
-        assert run.blocks.shape == (len(run), len(run.offsets), run.width, run.width)
+        assert run.blocks.shape == (len(run), len(run.offsets), 2, 2)
         for st, b, e in zip(cert.steps, run.blocks, run.e.tolist()):
             assert st.perm is run.perm and st.offsets is run.offsets
             assert np.shares_memory(st.blocks, run.blocks)
@@ -1709,22 +1718,20 @@ class TestPackedSteps:
         assert flipped.offsets is run.offsets and flipped.perm is run.perm
 
     @pytest.mark.parametrize(
-        "offsets, widths, size",
-        [([0], [2], 3), ([0, 2], [2], 4), ([0], [-2], 4), ([[0]], [2], 4), ([0], [0], 0)],
+        "offsets, size",
+        [([0], 3), ([0, 2], 4), ([0], 9), ([[0]], 4), ([0], 0), ([], 4)],
     )
-    def test_packed_arrays_must_agree(self, offsets, widths, size):
-        # widths holds the run's one width
-        (width,) = widths
+    def test_packed_arrays_must_agree(self, offsets, size):
         with pytest.raises(ValueError):
-            CertRun(np.arange(4), offsets, width, np.zeros(size, dtype=complex), [1])
+            CertRun(np.arange(4), offsets, np.zeros(size, dtype=complex), [1])
 
     def test_a_run_needs_a_step(self):
         with pytest.raises(ValueError):
-            CertRun(np.arange(4), [0], 2, np.zeros((0, 1, 2, 2)), [])
+            CertRun(np.arange(4), [0], np.zeros((0, 1, 2, 2)), [])
 
 
 class TestCertRuns:
-    """normgen-cert/6 stores one record per run, and the verifier reads the
+    """normgen-cert/7 stores one record per run, and the verifier reads the
     runs as stored while naming steps by their global index."""
 
     CERT = POOL[3]
@@ -1734,7 +1741,7 @@ class TestCertRuns:
 
     def test_one_record_per_run(self):
         cert, obj = self.CERT, self.fresh()
-        assert obj["version"] == "normgen-cert/6" and "steps" not in obj
+        assert obj["version"] == "normgen-cert/7" and "steps" not in obj
         assert len(obj["runs"]) == len(cert.runs) > 1
         assert sum(len(rec["e"]) for rec in obj["runs"]) == len(cert) == len(cert.steps)
 
@@ -1742,14 +1749,13 @@ class TestCertRuns:
         pytest.param(lambda run: run.update(e=[]), id="empty-e"),
         pytest.param(lambda run: run.update(e=run["e"][0]), id="e-not-a-list"),
         pytest.param(lambda run: run["e"].__setitem__(1, 1.0), id="float-exponent"),
-        pytest.param(lambda run: run.update(width=0), id="width-zero"),
-        pytest.param(lambda run: run.update(width=99), id="width-over-n"),
         pytest.param(lambda run: run.update(offsets=run["offsets"][0]),
                      id="offsets-not-a-list"),
         pytest.param(lambda run: run.update(e=run["e"][:-1]), id="blocks-rows-over-e"),
         pytest.param(lambda run: run.update(offsets=run["offsets"][:-1]),
                      id="blocks-columns-over-offsets"),
-        pytest.param(lambda run: run.update(width=1), id="blocks-columns-over-width"),
+        pytest.param(lambda run: run.update(blocks=pack(np.zeros((len(run["e"]), 9)))),
+                     id="blocks-columns-over-width"),
     ])
     def test_run_record_errors(self, edit):
         obj = self.fresh()
@@ -1971,7 +1977,7 @@ class TestMonomialRecords:
 
     def test_operands_are_monomial_records(self):
         obj = self.fresh()
-        assert obj["version"] == "normgen-cert/6"
+        assert obj["version"] == "normgen-cert/7"
         for name in OPERANDS:
             x, rec = getattr(MONO, name), obj[name]
             assert isinstance(x, generation.Monomial)

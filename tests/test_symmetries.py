@@ -5,6 +5,9 @@ scalar-i block factors multiply to diag(i, -i) by direct 2x2 arithmetic, and
 the conjugator from diag(1,-1) to the swap is the Hadamard frame.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -261,7 +264,7 @@ class TestBroiseKernel:
     @pytest.mark.parametrize("k,seed", [(1, 0), (2, 1), (3, 2), (5, 3)])
     def test_target_frame(self, k, seed, step_conjugator):
         # A = diag(F, F) and its angles rebuild diag(w, w*), and each step's
-        # block A* frame(f) keeps the conjugator frame(f) B* of the factor f
+        # conjugate of the reference is the matching factor s, t, s, t
         w = haar(k, np.random.default_rng(seed))
         cert = broise_kernel_certificate(w)
         assert len(cert) == 4
@@ -269,18 +272,78 @@ class TestBroiseKernel:
         rebuilt = (a * np.exp(1j * cert.target_angles)) @ a.conj().T
         assert np.max(np.abs(rebuilt - cert.target)) <= TOL.diag_residual
         for i, f in enumerate(block_symmetry_factors(w)):
-            want = symmetry_conjugator(cert.base, f)
-            assert np.max(np.abs(step_conjugator(cert, i) - want)) <= 1e-12
+            g = step_conjugator(cert, i)
+            assert np.max(np.abs(g @ cert.base @ g.conj().T - f.matrix)) <= 1e-9
 
     def test_diagonalizes_w_once(self, eigh_calls):
-        # the target frame and the principal root share one eigh of w; the
-        # 2k x 2k involution frames are the reference's, s's and t's, each
-        # once, though the factors are s, t, s, t
+        # one eigh of w for the target frame and one of the reference for
+        # the base frame; s and t are never diagonalized
         k = 4
         cert = broise_kernel_certificate(haar(k, np.random.default_rng(9)))
         assert len(cert) == 4
         assert eigh_calls.count((k, k)) == 1
-        assert eigh_calls.count((2 * k, 2 * k)) == 3
+        assert eigh_calls.count((2 * k, 2 * k)) == 1
+
+    def test_one_run_of_two_by_two_blocks(self):
+        # perm [0, k, 1, k + 1, ...], blocks at 0, 2, ..., 2k - 2, the steps
+        # b_s, b_t, b_s, b_t and base angles (0, pi) on every pair
+        k = 3
+        w = haar(k, np.random.default_rng(12))
+        cert = broise_kernel_certificate(w)
+        (run,) = cert.runs
+        assert run.perm.tolist() == [0, 3, 1, 4, 2, 5]
+        assert run.offsets.tolist() == [0, 2, 4]
+        assert run.blocks.shape == (4, k, 2, 2) and run.e.tolist() == [1] * 4
+        assert np.array_equal(run.blocks[0], run.blocks[2])
+        assert np.array_equal(run.blocks[1], run.blocks[3])
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+        assert np.array_equal(run.blocks[1], np.broadcast_to(hadamard, (k, 2, 2)))
+        c = np.exp(-0.5j * cert.target_angles[:k])
+        assert np.max(np.abs(run.blocks[0, :, 1, 0] * np.sqrt(2.0) - c)) <= 1e-15
+        assert cert.base_angles.tolist() == [0.0, np.pi] * k
+
+    @staticmethod
+    def property_pool():
+        """(tag, w, reference): Haar w with k = 1..40, w with eigenvalue -1,
+        repeated and near-identity spectra, and custom references."""
+        for k in range(1, 41):
+            yield f"haar {k}", haar(k, np.random.default_rng([22, k])), None
+        for k in (2, 3, 5, 9):
+            rng = np.random.default_rng([23, k])
+            f = haar(k, rng)
+            spectra = {
+                "minus-one": np.r_[np.pi, rng.uniform(-np.pi, np.pi, k - 1)],
+                "repeated": rng.uniform(-np.pi, np.pi, 2)[rng.integers(0, 2, k)],
+                "near-identity": 1e-10 * rng.uniform(-1, 1, k),
+                "near-scalar": 0.7 + 1e-6 * rng.uniform(-1, 1, k),
+            }
+            for tag, a in spectra.items():
+                yield f"{tag} {k}", (f * np.exp(1j * a)) @ f.conj().T, None
+            yield f"custom reference {k}", f, Symmetry(random_symmetry(2 * k, rng))
+
+    def test_property_pool(self):
+        for tag, w, ref in self.property_pool():
+            cert = broise_kernel_certificate(w, reference=ref)
+            assert len(cert) == 4, tag
+            back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+            for c in (cert, back):
+                report = verify_certificate(c)
+                assert report["pass"], (tag, report)
+                assert report["margins"]["residual_ratio"] <= 0.01, (tag, report)
+
+    def test_tamper_names_the_step(self):
+        # a block entry, then the exponent, of step 2 of the one run
+        cert = broise_kernel_certificate(haar(3, np.random.default_rng(13)))
+        (run,) = cert.runs
+        blocks = np.array(run.blocks, copy=True)
+        blocks[2, 1, 0, 1] += 1e-6
+        exps = run.e.copy()
+        exps[2] = 2
+        for change in ({"blocks": blocks}, {"e": exps}):
+            bad = dataclasses.replace(cert, runs=(dataclasses.replace(run, **change),))
+            report = verify_certificate(bad)
+            assert report["margins"]["first_failing_step"] == 2, change
+            assert not report["pass"]
 
     @pytest.mark.parametrize("build", [broise_kernel_certificate, sqrt_unitary,
                                        block_symmetry_factors])
