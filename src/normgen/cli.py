@@ -3,6 +3,10 @@
 Exit codes are part of the contract: 0 success, 1 verification failure,
 2 unreadable input or usage error, 3 validation error, 4 generation
 hypothesis failure (with the feasibility report on stderr).
+
+Each command imports the modules it uses when it runs, so `--help` and
+`--version` load no numpy, and `verify` and the unitary generate modes
+load no corpus, rational, symmetries or commutator module.
 """
 
 from __future__ import annotations
@@ -10,12 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
-from .corpus import MODES, run_corpus
+from .config import MODES
 from .errors import (
     BudgetInfeasibleError,
     CertificateFormatError,
@@ -27,28 +28,6 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .generation import (
-    Certificate,
-    counterexample_pair,
-    generate_full,
-    generate_rank_dependent,
-    generate_rank_independent,
-    hypothesis_check,
-    theorem_budgets,
-    verify_certificate,
-)
-from .rational import RationalSpectrum, pipeline_generate
-from .spectral import (
-    CircleSpectrum,
-    UnitaryRep,
-    projective_one_norm,
-    projective_profile,
-    rank_of_profile,
-    singular_values,
-    spectrum_of,
-    SpectralProfile,
-)
-from .symmetries import broise_kernel_certificate
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,13 +59,18 @@ class _ParseFailure(Exception):
 
 
 def _load_operand(path):
-    """A unitary from any of the accepted JSON shapes."""
+    """A unitary from any of the accepted JSON shapes: a UnitaryRep, or a
+    RationalSpectrum for an atoms payload."""
+    from .spectral import CircleSpectrum, UnitaryRep
+
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise _ParseFailure(f"{path}: expected a JSON object")
     if "angles" in obj:
         return CircleSpectrum.from_json(obj).to_unitary()
     if "atoms" in obj:
+        from .rational import RationalSpectrum
+
         return RationalSpectrum.from_json(obj)
     if "re" in obj:
         return UnitaryRep.from_json(obj)
@@ -101,8 +85,20 @@ def _emit(obj):
 
 
 def cmd_lengths(args):
+    import numpy as np
+
+    from .spectral import (
+        SpectralProfile,
+        UnitaryRep,
+        projective_one_norm,
+        projective_profile,
+        rank_of_profile,
+        singular_values,
+        spectrum_of,
+    )
+
     op = _load_operand(args.input)
-    if isinstance(op, RationalSpectrum):
+    if not isinstance(op, UnitaryRep):
         raise ValidationError("profiles need a unitary or angle spectrum")
     if args.kind == "ell":
         # one diagonalization serves the profile, the one-norm and the rank
@@ -128,6 +124,8 @@ def cmd_lengths(args):
 
 
 def _parse_window(text):
+    from fractions import Fraction
+
     if text is None:
         return None
     if "/" in text:
@@ -139,25 +137,35 @@ def _parse_window(text):
 
 
 def cmd_generate(args):
+    from .generation import (
+        generate_full,
+        generate_rank_dependent,
+        generate_rank_independent,
+        verify_certificate,
+    )
+    from .spectral import UnitaryRep
+
     u = _load_operand(args.target)
     mode = args.mode
     window = _parse_window(args.s)
     if mode == "broise":
-        if isinstance(u, RationalSpectrum):
+        if not isinstance(u, UnitaryRep):
             raise ValidationError("kernel mode takes a unitary operand")
+        from .symmetries import broise_kernel_certificate
+
         cert = broise_kernel_certificate(u)
     else:
         if args.base is None:
             raise _ParseFailure(f"mode {mode} needs a base operand")
         v = _load_operand(args.base)
-        rational = isinstance(u, RationalSpectrum) or isinstance(
-            v, RationalSpectrum
-        )
+        rational = not (isinstance(u, UnitaryRep) and isinstance(v, UnitaryRep))
         if mode == "pipeline":
             if not rational:
                 raise ValidationError(
                     "pipeline mode needs rational-spectrum operands"
                 )
+            from .rational import pipeline_generate
+
             cert = pipeline_generate(
                 u, v, args.m, window if window is not None else 1
             )
@@ -188,6 +196,8 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
+    from .generation import Certificate, verify_certificate
+
     obj = _load_json(args.certificate)
     try:
         cert = Certificate.from_json(obj)
@@ -199,6 +209,8 @@ def cmd_verify(args):
 
 
 def cmd_corpus(args):
+    from .corpus import run_corpus
+
     sizes = None
     if args.sizes is not None:
         sizes = tuple(int(tok) for tok in args.sizes.split(","))
@@ -214,6 +226,8 @@ def cmd_corpus(args):
 
 
 def cmd_counterexample(args):
+    from .generation import counterexample_pair, hypothesis_check, theorem_budgets
+
     if args.n < 2:
         raise _ParseFailure("need --n at least 2")
     pair = counterexample_pair(args.n)

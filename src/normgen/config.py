@@ -1,4 +1,5 @@
-"""Central numeric configuration: every tolerance and size limit in one record.
+"""Central configuration: every tolerance and size limit in one record, and
+the names of the certificate generators.
 
 All matrix norms in this package are trace-normalized (the identity has
 1-norm and 2-norm equal to 1), so the tolerances below are dimension-free;
@@ -10,6 +11,9 @@ from dataclasses import dataclass
 import sys
 
 EPS = sys.float_info.epsilon
+
+# the certificate generators, in the order run_corpus cycles through them
+MODES = ("rank-dep", "rank-indep", "full", "pipeline", "broise")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .commutator import aux_inequality_check, llbound_diagnostic
+from .config import MODES
 from .errors import DomainError, NumericalDegeneracyError
 from .generation import (
     generate_full,
@@ -41,8 +42,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = "normgen-report/1"
-
-MODES = ("rank-dep", "rank-indep", "full", "pipeline", "broise")
 
 
 def random_spectrum(n, rng):

@@ -53,6 +53,7 @@ from .orderings import angle_sum_optimalize, center_phase
 from .spectral import (
     CircleSpectrum,
     Monomial,
+    RankDistance,
     UnitaryRep,
     as_operator,
     as_unitary,
@@ -63,7 +64,6 @@ from .spectral import (
     projective_one_norm,
     projective_profile,
     projective_s_number,
-    rank_distance,
 )
 from .su2 import SourceBlock, source_block, walk_length
 
@@ -1190,13 +1190,13 @@ def counterexample_pair(n, lam=None, mu=None):
             raise DomainError(f"{name} must lie on the unit circle")
     u = np.array([lam ** (-(n - 1))] + [lam] * (n - 1), dtype=complex)
     v = np.array([mu ** (-(n - 1))] + [mu] * (n - 1), dtype=complex)
-    aligned = np.diag(u) * (lam ** (n - 1))
-    dr = rank_distance(aligned, np.eye(n, dtype=complex))
+    # the rank of the diagonal diag(u) * lam^(n-1) - I, without an n x n SVD
+    aligned = int(np.count_nonzero(np.abs(u * lam ** (n - 1) - 1.0) > TOL.rank))
     return {
         "u": UnitaryRep(Monomial(np.arange(n), u)),
         "v": UnitaryRep(Monomial(np.arange(n), v)),
         "lower_bound": n - 1,
-        "aligned_rank_distance": dr,
+        "aligned_rank_distance": RankDistance(aligned, n),
         "lam": lam,
         "mu": mu,
     }

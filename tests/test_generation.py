@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,7 @@ from normgen.spectral import (
     projective_one_norm,
     projective_profile,
     projective_s_number,
+    rank_distance,
     spectrum_of,
 )
 from normgen.su2 import _walk, source_block, walk_length
@@ -1831,6 +1833,26 @@ class TestCounterexample:
         pair6 = counterexample_pair(6)
         assert pair6["lower_bound"] == 5
         assert pair6["aligned_rank_distance"].as_fraction() == Fraction(5, 6)
+
+    @pytest.mark.parametrize(
+        "lam", [None, complex(np.exp(2j * math.pi / 3)), 1.0, -1.0]
+    )
+    def test_aligned_rank_is_the_svd_rank(self, lam):
+        # the aligned difference is diagonal, so its rank is a count of
+        # entries; a lam of finite order makes it vanish for some n
+        for n in range(2, 65):
+            pair = counterexample_pair(n, lam=lam)
+            lam_n = pair["lam"] ** (n - 1)
+            aligned = pair["u"].matrix * lam_n
+            expected = rank_distance(aligned, np.eye(n, dtype=complex))
+            assert pair["aligned_rank_distance"] == expected, n
+
+    def test_aligned_rank_at_s0_max(self):
+        n = TOL.s0_max
+        t0 = time.perf_counter()
+        pair = counterexample_pair(n)
+        assert time.perf_counter() - t0 < 1.0
+        assert pair["aligned_rank_distance"].as_fraction() == Fraction(n - 1, n)
 
     def test_degradation(self):
         # generation against the obstruction pair either refuses or pays

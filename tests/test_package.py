@@ -1,9 +1,15 @@
-"""Package surface: the exported names and the README quickstart."""
+"""Package surface: the exported names, what each entry point loads, and
+the README quickstart."""
 
+import importlib
 import inspect
+import json
+import os
 from pathlib import Path
 import pickle
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,13 +17,95 @@ import pytest
 import normgen
 from normgen import errors
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
+    table = [name for names in normgen._EXPORTS.values() for name in names]
     assert len(normgen.__all__) == len(set(normgen.__all__))
+    assert normgen.__all__ == [*table, "__version__"]
+    assert set(normgen.__all__) <= set(dir(normgen))
+    for module, names in normgen._EXPORTS.items():
+        home = importlib.import_module(f"normgen.{module}")
+        for name in names:
+            assert getattr(normgen, name) is getattr(home, name), name
+    star = {}
+    exec("from normgen import *", star)
     for name in normgen.__all__:
-        assert getattr(normgen, name) is not None, name
+        assert star[name] is getattr(normgen, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        normgen.no_such_name
+
+
+# what a fresh process has loaded after `import normgen` (no arguments) or
+# after one CLI command: the exit code, then numpy and normgen submodules
+FOOTPRINT = """
+import json, sys
+if sys.argv[1:]:
+    from normgen.cli import main
+    code = main(sys.argv[1:])
+else:
+    import normgen
+    code = 0
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("normgen."))
+print(json.dumps([code, loaded]))
+"""
+HEAVY = {"normgen.corpus", "normgen.rational", "normgen.symmetries", "normgen.commutator"}
+
+
+def fresh_process(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def operands(tmp_path_factory):
+    """u.json, v.json and a rank-dependent certificate c.json at n = 16."""
+    work = tmp_path_factory.mktemp("operands")
+    u, v = normgen.admissible_pair(16, 2, 1, np.random.default_rng(16))
+    cert = normgen.generate_rank_dependent(u, v, 2)
+    for name, obj in (("u", u), ("v", v), ("c", cert)):
+        (work / f"{name}.json").write_text(json.dumps(obj.to_json()))
+    return work
+
+
+def test_import_loads_no_submodule():
+    assert fresh_process() == [json.dumps([0, []])]
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_load_no_numpy(flag):
+    code, loaded = json.loads(fresh_process(flag)[-1])
+    assert code == 0
+    assert loaded == ["normgen.cli", "normgen.config", "normgen.errors"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "c.json"],
+    ["generate", "u.json", "v.json", "--m", "2"],
+    ["generate", "u.json", "v.json", "--m", "2", "--mode", "rank-indep", "--s", "1"],
+    ["generate", "u.json", "v.json", "--mode", "full"],
+])
+def test_unitary_commands_load_no_corpus_modules(operands, argv):
+    argv = [str(operands / a) if a.endswith(".json") else a for a in argv]
+    code, loaded = json.loads(fresh_process(*argv)[-1])
+    assert code == 0
+    assert "normgen.generation" in loaded
+    assert not HEAVY & set(loaded)
+
+
+def test_corpus_command_in_fresh_process():
+    # eight cases run as forked shares on a machine with two usable CPUs
+    lines = fresh_process("corpus", "--cases", "8", "--seed", "3")
+    assert json.loads(lines[-1])[0] == 0
+    assert lines[0] == json.dumps(normgen.run_corpus(seed=3, cases=8), sort_keys=True)
 
 
 def test_only_samplers_take_a_seed():
