@@ -7,7 +7,6 @@ only the product tolerance grows with n, as the rounding of an n x n product
 does.
 """
 
-from dataclasses import dataclass
 import sys
 
 EPS = sys.float_info.epsilon
@@ -16,16 +15,19 @@ EPS = sys.float_info.epsilon
 MODES = ("rank-dep", "rank-indep", "full", "pipeline", "broise")
 
 
-@dataclass(frozen=True)
 class Tolerances:
-    unitarity: float = 1e-9      # max-norm defect allowed in U @ U.conj().T - I
-    rank: float = 1e-9           # singular values above this count toward rank
-    ell: float = 1e-8            # slack when checking projective profile values
-    eq_ulps: float = 128.0       # product rounding allowance, units of n * eps per step
-    hyp_slack: float = 1e-9      # slack in hypothesis inequalities
-    tie_rel: float = 1e-9        # relative tie window in gap orderings
-    diag_residual: float = 1e-8  # reconstruction defect in eigendecompositions
-    s0_max: int = 5040           # largest common-denominator embedding dimension
+    """Read-only class-level values: assigning TOL.ell raises AttributeError."""
+
+    __slots__ = ()
+
+    unitarity = 1e-9      # max-norm defect allowed in U @ U.conj().T - I
+    rank = 1e-9           # singular values above this count toward rank
+    ell = 1e-8            # slack when checking projective profile values
+    eq_ulps = 128.0       # product rounding allowance, units of n * eps per step
+    hyp_slack = 1e-9      # slack in hypothesis inequalities
+    tie_rel = 1e-9        # relative tie window in gap orderings
+    diag_residual = 1e-8  # reconstruction defect in eigendecompositions
+    s0_max = 5040         # largest common-denominator embedding dimension
 
     def eq_tol(
         self, steps: int, n: int, defect: float = 0.0, target_defect: float = 0.0

@@ -25,7 +25,7 @@ the commutator class beyond a quarter turn, where fixed-length walks lose
 reachability; a partial rotation caps the class at pi/2 instead, from which
 any block angle is reachable in two steps.  Second, parallel strands driven
 by one shared commutator walk one shared length: the shortest even length
-that reaches every strand of the batch, in closed form by su2.walk_length.
+that reaches every strand of the batch, in closed form (su2.walk_length).
 A walk that lands at some even length lands at every longer one, so the
 shared length serves them all.
 """
@@ -49,7 +49,6 @@ from .errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-from .orderings import angle_sum_optimalize, center_phase
 from .spectral import (
     CircleSpectrum,
     Monomial,
@@ -65,7 +64,6 @@ from .spectral import (
     projective_profile,
     projective_s_number,
 )
-from .su2 import SourceBlock, source_block, walk_length
 
 __all__ = [
     "CertRun",
@@ -609,45 +607,32 @@ def hypothesis_check(u, v, m, s):
 
 class _Strand(NamedTuple):
     """One block walk inside a shared commutator schedule: the factor angle
-    phi, the target block it moves, the source block at (source, source + 1)
-    driving it and the shortest even walk length that reaches phi."""
+    phi, the target block it moves, the su2.SourceBlock at (source, source
+    + 1) driving it and the shortest even walk length that reaches phi."""
 
     phi: float
     target: int
     source: int
-    block: SourceBlock
+    block: object
     length: int
-
-    @property
-    def theta(self):
-        return self.block.theta
-
-
-def _strand(phi, target, pair, cap):
-    """The strand walking phi on pair = (source, block) in at most cap
-    steps, or None when the block's class angle cannot reach |phi| that
-    fast."""
-    source, block = pair
-    mag = abs(phi)
-    if mag > cap * block.theta:
-        if mag > cap * block.theta + 1e-9:
-            return None
-        mag = cap * block.theta
-    phi_w = math.copysign(mag, phi) if phi != 0.0 else 0.0
-    length = walk_length(phi_w, block.theta, cap)
-    return _Strand(phi_w, target, source, block, length)
 
 
 def _plan_strand(phi, target, pair, cap):
-    """The strand walking phi on pair, raising when the pair cannot reach
-    |phi| within cap steps."""
-    strand = _strand(phi, target, pair, cap)
-    if strand is None:
-        raise BudgetInfeasibleError(
-            f"block angle {phi:.6f} needs more than {cap} steps of "
-            f"class {pair[1].theta:.6f}"
-        )
-    return strand
+    """The strand walking phi on pair = (source, block) in at most cap
+    steps, raising what su2.walk_length raises: BudgetInfeasibleError when
+    the block's class angle cannot reach |phi| that fast."""
+    from .su2 import walk_length
+
+    return _Strand(phi, target, *pair, walk_length(phi, pair[1].theta, cap))
+
+
+def _strand(phi, target, pair, cap):
+    """_plan_strand for a valid cap, with None where it raises
+    BudgetInfeasibleError: su2._climb is walk_length without the raise."""
+    from .su2 import _climb
+
+    length = _climb(abs(canon_angle(phi)), pair[1].theta, cap)
+    return None if length is None else _Strand(phi, target, *pair, length)
 
 
 def _alignment(n, strands):
@@ -809,6 +794,9 @@ def _walk_certificate(pair, theorem, m, s, budget, admit, metadata):
         raise DegenerateInputError("base is central and generates nothing")
     if admit is not None:
         admit(uspec, vspec)
+    from .orderings import angle_sum_optimalize, center_phase
+    from .su2 import source_block
+
     mult = 4 * m
     centered, phase = center_phase(uspec)
     order = angle_sum_optimalize(centered.angles)

@@ -27,7 +27,6 @@ import numpy as np
 from .config import EPS
 from .errors import (
     BudgetInfeasibleError,
-    DegenerateInputError,
     DomainError,
     NumericalDegeneracyError,
     PreconditionError,
@@ -106,11 +105,14 @@ def _diagonal_frame(p, alpha):
     return _EYE if p.imag * math.sin(alpha) >= 0.0 else _SWAP_ADJ
 
 
-def _climb(target, theta):
-    """Least even m >= 2 with target <= m theta + 1e-12: the shortest walk
-    to the class target by theta-conjugates, theta in (0, pi/2], since k >= 2
-    of them reach every class in [0, min(k theta, pi)]."""
-    m = 2 * max(1, math.ceil((target - 1e-12) / (2.0 * theta)))
+def _climb(target, theta, cap):
+    """Least even m >= 2 with target <= m theta + 1e-12, or None when that
+    exceeds the even cap: the shortest walk to the class target by
+    theta-conjugates, theta in (0, pi/2], since k >= 2 of them reach every
+    class in [0, min(k theta, pi)]."""
+    if target > cap * theta + 1e-12:
+        return None
+    m = 2 * max(1, math.ceil(max(0.0, target - 1e-12) / (2.0 * theta)))
     # the quotient may round across an integer either way
     if target > m * theta + 1e-12:
         m += 2
@@ -122,7 +124,7 @@ def _climb(target, theta):
 def _plan_waypoints(target, theta, m):
     """Class-angle waypoints alpha_1..alpha_m with alpha_m = target, each
     consecutive pair one theta-conjugate apart, for theta in (0, pi/2] and
-    even m >= _climb(target, theta).
+    even m >= _climb(target, theta, m).
 
     The m - c surplus steps over the shortest climb c go first, as pairs
     (theta, 0): from 0 the step is diagonal, and back to 0 its conjugator is
@@ -131,7 +133,7 @@ def _plan_waypoints(target, theta, m):
     than forming k theta, so every full step stays exactly diagonal (see
     _step_to).
     """
-    c = _climb(target, theta)
+    c = _climb(target, theta, m)
     top = min(target, math.pi - theta)
     alphas = [theta, 0.0] * ((m - c) // 2) + [theta]
     for _ in range(c - 2):
@@ -173,7 +175,7 @@ def _step_to(alpha, beta, theta):
 def _walk_positive(target, theta, m):
     """Exact walk: m conjugators c_k with prod c_k D(theta) c_k* = D(target),
     as scalar 2x2 tuples, for theta in (0, pi/2] and even
-    m >= _climb(target, theta)."""
+    m >= _climb(target, theta, m)."""
     frame = _EYE
     conjugators = []
     prev = 0.0
@@ -197,75 +199,48 @@ def _walk_positive(target, theta, m):
     return [_mul(back, g) for g in conjugators]
 
 
-def _walk_angles(phi, theta, m):
-    """Validated canonical (phi, theta), the walk's target and class angle
-    folded into (0, pi/2], and its shortest length; the class angle is None
-    for a projectively central generator, which walks in 2 steps.  Raises
-    what _walk raises before planning."""
-    if not isinstance(m, (int, np.integer)) or m <= 0 or m % 2 != 0:
-        raise DomainError(f"step budget must be a positive even integer, got {m}")
-    phi = canon_angle(float(phi))
-    theta = canon_angle(float(theta))
-    ph = abs(phi)
-    th = abs(theta)
-    if th <= 1e-12 or math.pi - th <= 1e-12:
-        if min(ph, math.pi - ph) > 1e-12:
-            # the generator is projectively central: only central targets work
-            raise DegenerateInputError(
-                f"generator angle {theta:.6f} is central, cannot reach {phi:.6f}"
-            )
-        return phi, theta, ph, None, 2
-    if th <= 0.5 * math.pi:
-        target, folded = ph, th
-    else:
-        # D(th) = -SWAP D(pi - th) SWAP*, and an even number of sign flips
-        # cancels, so th walks like pi - th, toward ph or its mirror pi - ph
-        # (SWAP D(pi - ph) SWAP* = -D(ph))
-        target, folded = min(ph, math.pi - ph), math.pi - th
-    shortest = _climb(target, folded)
-    if shortest > m:
-        raise BudgetInfeasibleError(
-            f"|phi| = {ph:.6f} needs {shortest} > {m} steps of class {th:.6f}"
-        )
-    return phi, theta, target, folded, shortest
-
-
 def walk_length(phi, theta, cap):
     """Smallest even m <= cap for which _walk(phi, theta, m) succeeds: the
-    least even m >= 2 with |phi| <= m|theta| (see _climb); a wider theta
-    walks like pi - |theta|.  A walk that lands at m lands at every larger
-    even length as well.  Raises what _walk(phi, theta, cap) raises when no
-    length up to cap lands.
+    least even m >= 2 with |phi| <= m theta (see _climb).  A walk that lands
+    at m lands at every larger even length as well.
+
+    theta is a class angle in (0, pi/2], the only classes source_block
+    makes; any other theta, or a cap that is not a positive even integer,
+    raises DomainError.  Raises BudgetInfeasibleError when no length up to
+    cap lands.
     """
-    return _walk_angles(phi, theta, cap)[-1]
+    if not isinstance(cap, (int, np.integer)) or cap <= 0 or cap % 2 != 0:
+        raise DomainError(f"step budget must be a positive even integer, got {cap}")
+    theta = float(theta)
+    if not 0.0 < theta <= 0.5 * math.pi:
+        raise DomainError(f"class angle {theta!r} is outside (0, pi/2]")
+    ph = abs(canon_angle(float(phi)))
+    shortest = _climb(ph, theta, cap)
+    if shortest is None:
+        raise BudgetInfeasibleError(
+            f"|phi| = {ph:.6f} needs more than {cap} steps of class {theta:.6f}"
+        )
+    return shortest
 
 
 def _walk(phi, theta, m):
     """Conjugators g_1..g_m and their shared exponent e writing
     diag(e^{i phi}, e^{-i phi}) as the product of g @ D(theta)^e @ g*, with
-    D(theta) = diag(e^{i theta}, e^{-i theta}), up to a global factor of -1.
+    D(theta) = diag(e^{i theta}, e^{-i theta}).
 
-    Needs an even m no shorter than walk_length's; with opposite signs of
-    phi and theta the exponent is -1.  Every conjugator is checked unitary
-    to 1e-9.
+    Takes what walk_length takes and needs an even m no shorter than its
+    length; a negative phi walks |phi| backwards with exponent -1.  Every
+    conjugator is checked unitary to 1e-9.
     """
-    phi, theta, target, folded, _ = _walk_angles(phi, theta, m)
-    if folded is None:
-        return [_EYE] * m, 1
-
-    conjugators = _walk_positive(target, folded, m)
-    if folded != abs(theta):
-        # a right factor SWAP turns each D(pi - th)-conjugate into minus a
-        # D(th)-conjugate; a left one takes the mirrored target back to phi
-        left = _SWAP if target != abs(phi) else _EYE
-        conjugators = [_mul(_mul(left, g), _SWAP) for g in conjugators]
+    walk_length(phi, theta, m)
+    phi = canon_angle(float(phi))
+    conjugators = _walk_positive(abs(phi), float(theta), m)
     if max(_defect(g) for g in conjugators) > 1e-9:
         raise DomainError("step conjugator must be unitary")
-
-    exponent = 1 if (phi >= 0.0) == (theta >= 0.0) else -1
     if phi < 0.0:
         conjugators.reverse()
-    return conjugators, exponent
+        return conjugators, -1
+    return conjugators, 1
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,14 @@ block unitary diag(w, w*) in U(2k) factors as s t s t where
 
 and both s and t are symmetries of trace zero.  Since all trace-zero
 symmetries in U(2k) are conjugate, the four factors become four conjugates
-of any single reference symmetry, which is the certificate emitted here.
+of any single reference symmetry; the certificate emitted here uses
+diag(I_k, -I_k).
 
 The certificate is in closed form: with w = F diag(e^{i alpha}) F* and
 A = diag(F, F), A* s A and A* t A act on each pair (j, k + j) alone, as
 [[0, conj(c_j)], [c_j, 0]] with c_j = e^{-i alpha_j / 2} and as the swap,
-each b diag(1, -1) b* for one 2x2 block b.  No eigensolver runs on s or t.
+each b diag(1, -1) b* for one 2x2 block b.  No eigensolver runs on s, t or
+the reference.
 
 The classical count of 32 conjugates for an arbitrary unitary arises as 8
 block-form factors times the 4 symmetries per block; this module realizes
@@ -34,6 +36,7 @@ from .errors import (
 )
 from .generation import Certificate, CertRun, _is_central, product_check
 from .spectral import (
+    Monomial,
     UnitaryRep,
     as_unitary,
     diagonalize_normal,
@@ -186,43 +189,33 @@ def symmetry_conjugator(s1, s2):
     return g
 
 
-def broise_kernel_certificate(w, reference=None):
-    """Write diag(w, w*) as four conjugates of one trace-zero symmetry.
-
-    The four s t s t factors are each moved onto the reference symmetry
-    (default diag(I_k, -I_k)), giving a certificate with budget exactly 4:
-    one run of four steps of k 2x2 blocks (see the module docstring), which
-    must pass the product check, else NumericalDegeneracyError.  A central
-    target yields a certificate with no runs if that passes the check.
+def broise_kernel_certificate(w):
+    """Write diag(w, w*) as four conjugates of the trace-zero symmetry
+    diag(I_k, -I_k): one run of four steps of k 2x2 blocks (see the module
+    docstring), with budget exactly 4, which must pass the product check,
+    else NumericalDegeneracyError.  A central target yields a certificate
+    with no runs if that passes the check.  Only w is diagonalized; the base
+    and its frame are Monomials.  Conjugating every step by
+    symmetry_conjugator(diag(I, -I), R) moves the steps onto any trace-zero R.
     """
     rep = _dense_rep(w, "unitary")
     m = rep.matrix
     k = m.shape[0]
     n = 2 * k
-    if reference is None:
-        ref = Symmetry(np.diag(np.r_[np.ones(k), -np.ones(k)]).astype(complex))
-    elif isinstance(reference, Symmetry):
-        ref = Symmetry(reference.matrix)
-    else:
-        ref = Symmetry(_as_matrix(reference, "reference"))
-    if ref.n != n:
-        raise DimensionError(
-            f"reference must live in U({n}), got dimension {ref.n}"
-        )
     zero = np.zeros((k, k), dtype=complex)
     target = np.block([[m, zero], [zero, m.conj().T]])
     # w = F diag(e^{i alpha}) F* gives target = A diag(e^{i phi}) A* with
     # A = diag(F, F) and phi = (alpha, -alpha)
     spec, f = diagonalize_normal(rep)
     aframe = np.block([[f, zero], [zero, f]])
-    # the reference's frame with its +1 and -1 columns interleaved, so that
-    # base_angles are (0, pi) on every pair (2j, 2j + 1)
-    frame = _involution_frame(ref.matrix)
-    bframe = np.empty_like(frame)
-    bframe[:, 0::2], bframe[:, 1::2] = frame[:, :k], frame[:, k:]
+    # P sends 2j to j and 2j + 1 to k + j; as the base frame it makes
+    # base_angles (0, pi) on every pair (2j, 2j + 1)
+    perm = np.arange(n).reshape(2, k).T.ravel()
+    base = Monomial(np.arange(n), np.r_[np.ones(k), -np.ones(k)])
+    bframe = Monomial(perm, np.ones(n))
 
     def certificate(runs, metadata):
-        return Certificate(target, ref.matrix, aframe, bframe, np.tile([0.0, np.pi], k), runs,
+        return Certificate(target, base, aframe, bframe, np.tile([0.0, np.pi], k), runs,
                            4, "broise_kernel", {"m": None, "s": None, "n": n},
                            {"construction": "stst", "square_root": "principal", **metadata},
                            np.r_[spec.angles, -spec.angles])
@@ -231,9 +224,8 @@ def broise_kernel_certificate(w, reference=None):
         trivial = certificate((), {"trivial_target": True})
         if product_check(trivial)[0]:
             return trivial
-    # P sends 2j to j and 2j + 1 to k + j; on that pair A* s A is
-    # b_s diag(1, -1) b_s* and A* t A, the swap, is b_t diag(1, -1) b_t*
-    perm = np.arange(n).reshape(2, k).T.ravel()
+    # on the pair P sends to (j, k + j), A* s A is b_s diag(1, -1) b_s* and
+    # A* t A, the swap, is b_t diag(1, -1) b_t*
     c = np.exp(-0.5j * spec.angles)
     b_s = np.stack((np.ones_like(c), np.ones_like(c), c, -c), axis=-1) / math.sqrt(2.0)
     b_t = np.tile(np.array([1.0, 1.0, 1.0, -1.0]) / math.sqrt(2.0), (k, 1))

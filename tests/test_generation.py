@@ -692,11 +692,11 @@ def assert_shortest_batches(cert, seen):
         assert run is out
         m_b = len(out) // 2
         assert len(out) == 2 * m_b
-        assert m_b == max(walk_length(st.phi, st.theta, cap) for st in strands)
+        assert m_b == max(walk_length(st.phi, st.block.theta, cap) for st in strands)
         widest = max(strands, key=lambda st: st.length)
         if m_b > 2:
             with pytest.raises(BudgetInfeasibleError):
-                _walk(widest.phi, widest.theta, m_b - 2)
+                _walk(widest.phi, widest.block.theta, m_b - 2)
         assert sorted(out.offsets.tolist()) == sorted(st.source for st in strands)
         assert out.blocks.shape == (2 * m_b, len(strands), 2, 2)
         assert out.e.tolist() == [1, -1] * m_b

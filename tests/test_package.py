@@ -39,7 +39,8 @@ def test_all_names_resolve():
 
 
 # what a fresh process has loaded after `import normgen` (no arguments) or
-# after one CLI command: the exit code, then numpy and normgen submodules
+# after one CLI command: the exit code, then numpy, dataclasses and normgen
+# submodules
 FOOTPRINT = """
 import json, sys
 if sys.argv[1:]:
@@ -48,7 +49,8 @@ if sys.argv[1:]:
 else:
     import normgen
     code = 0
-loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("normgen."))
+loaded = sorted(m for m in sys.modules
+                if m in ("numpy", "dataclasses") or m.startswith("normgen."))
 print(json.dumps([code, loaded]))
 """
 HEAVY = {"normgen.corpus", "normgen.rational", "normgen.symmetries", "normgen.commutator"}
@@ -82,6 +84,7 @@ def test_import_loads_no_submodule():
 
 @pytest.mark.parametrize("flag", ["--version", "--help"])
 def test_version_and_help_load_no_numpy(flag):
+    # nor dataclasses, which the FOOTPRINT filter would list
     code, loaded = json.loads(fresh_process(flag)[-1])
     assert code == 0
     assert loaded == ["normgen.cli", "normgen.config", "normgen.errors"]
@@ -99,6 +102,23 @@ def test_unitary_commands_load_no_corpus_modules(operands, argv):
     assert code == 0
     assert "normgen.generation" in loaded
     assert not HEAVY & set(loaded)
+
+
+def test_verify_loads_no_walk_code(operands):
+    code, loaded = json.loads(fresh_process("verify", str(operands / "c.json"))[-1])
+    assert code == 0
+    assert "normgen.generation" in loaded
+    assert not {"normgen.orderings", "normgen.su2"} & set(loaded)
+
+
+def test_tolerances_are_read_only():
+    tol = normgen.TOL
+    assert (tol.ell, tol.s0_max) == (1e-8, 5040)
+    assert tol.eq_tol(3, 4) == 4 * 4 * 128.0 * sys.float_info.epsilon
+    for name in ("ell", "new_knob"):
+        with pytest.raises(AttributeError):
+            setattr(tol, name, 1.0)
+    assert tol.ell == 1e-8
 
 
 def test_corpus_command_in_fresh_process():

@@ -10,7 +10,6 @@ import pytest
 
 from normgen import (
     BudgetInfeasibleError,
-    DegenerateInputError,
     DomainError,
     NumericalDegeneracyError,
     PreconditionError,
@@ -97,16 +96,15 @@ def assert_walk_hits(walked, phi, theta, m):
 
 def interval_walk_length(ph, th, cap):
     """Least even m <= cap whose m-conjugate reach interval of class th
-    holds ph or its mirror pi - ph, found by iterating the intervals of
-    1, 2, 3, ... conjugates forward; None when no m <= cap lands.  This is
-    the numerical search walk_length's closed form replaces."""
+    holds ph, found by iterating the intervals of 1, 2, 3, ... conjugates
+    forward; None when no m <= cap lands.  This is the numerical search
+    walk_length's closed form replaces."""
     lo = hi = th
     for k in range(2, cap + 1):
         new_lo = 0.0 if lo <= th <= hi else min(abs(lo - th), abs(hi - th))
         astar = min(max(math.pi - th, lo), hi)
         lo, hi = new_lo, min(astar + th, 2.0 * math.pi - astar - th)
-        lands = any(lo - 1e-12 <= x <= hi + 1e-12 for x in (ph, math.pi - ph))
-        if k % 2 == 0 and ph <= k * th + 1e-12 and lands:
+        if k % 2 == 0 and ph <= k * th + 1e-12 and lo - 1e-12 <= ph <= hi + 1e-12:
             return k
     return None
 
@@ -325,9 +323,15 @@ class TestWalkSigns:
         (0.8, 0.3), (0.8, -0.3), (-0.8, 0.3), (-0.8, -0.3),
     ])
     def test_four_sign_cases(self, phi, theta):
+        # a negative phi walks with exponent -1; a negative class angle is
+        # outside the domain, whatever the sign of phi
+        if theta < 0:
+            with pytest.raises(DomainError):
+                walk(phi, theta, 4)
+            return
         steps = walk(phi, theta, 4)
         assert_walk_hits(steps, phi, theta, 4)
-        assert steps[1] == (1 if (phi >= 0) == (theta >= 0) else -1)
+        assert steps[1] == (1 if phi >= 0 else -1)
 
 
 class TestWalkErrors:
@@ -336,7 +340,7 @@ class TestWalkErrors:
             walk(2.0, 0.3, 4)
 
     def test_zero_generator_nonzero_target(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             walk(0.5, 0.0, 2)
 
     def test_odd_budget_rejected(self):
@@ -348,28 +352,30 @@ class TestWalkErrors:
             walk(0.5, 0.3, 0)
 
     def test_central_generator_noncentral_target(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             walk(0.4, math.pi, 2)
 
     def test_central_generator_central_target(self):
-        steps = walk(math.pi, math.pi, 2)
-        assert len(steps[0]) == 2
-        assert_walk_hits(steps, math.pi, math.pi, 2)
+        # source_block makes no central class, so even a central target is
+        # refused rather than walked
+        with pytest.raises(DomainError):
+            walk(math.pi, math.pi, 2)
 
     def test_zero_generator_zero_target(self):
-        steps = walk(0.0, 0.0, 2)
-        assert_walk_hits(steps, 0.0, 0.0, 2)
+        with pytest.raises(DomainError):
+            walk(0.0, 0.0, 2)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.3, 2.0, math.pi])
+    def test_class_angle_outside_the_domain(self, theta):
+        # only the classes source_block makes, (0, pi/2], walk
+        for phi in (0.0, 0.5, -2.5):
+            with pytest.raises(DomainError):
+                walk_length(phi, theta, 8)
+            with pytest.raises(DomainError):
+                _walk(phi, theta, 8)
 
 
 class TestWalkGeometry:
-    def test_mirror_class_needed(self):
-        # one theta-conjugate cannot raise the class angle past pi - theta,
-        # so these targets are only reachable through the mirrored class
-        steps = walk(2.4, 2.4, 2)
-        assert_walk_hits(steps, 2.4, 2.4, 2)
-        steps = walk(2.9, 2.0, 2)
-        assert_walk_hits(steps, 2.9, 2.0, 2)
-
     def test_target_equals_generator_even_budget(self):
         steps = walk(0.7, 0.7, 2)
         assert_walk_hits(steps, 0.7, 0.7, 2)
@@ -383,8 +389,9 @@ class TestWalkGeometry:
         assert_walk_hits(steps, 3.1, 0.8, 4)
 
     def test_wide_generator_small_target(self):
-        steps = walk(0.3, 2.8, 4)
-        assert_walk_hits(steps, 0.3, 2.8, 4)
+        # the widest class source_block makes is a quarter turn
+        steps = walk(0.3, math.pi / 2, 4)
+        assert_walk_hits(steps, 0.3, math.pi / 2, 4)
 
     def test_class_angle_helper(self):
         # the class angle is read off the canonical gap in closed form, exactly
@@ -403,30 +410,22 @@ class TestWalkRandomized:
         for trial in range(1000):
             m = 2 * int(rng.integers(1, 9))
             theta = float(rng.uniform(0.02, math.pi / 2))
-            if rng.integers(0, 2):
-                theta = -theta
-            lim = min(math.pi, m * abs(theta))
+            lim = min(math.pi, m * theta)
             phi = float(rng.uniform(-lim, lim))
             steps = walk(phi, theta, m)
             assert_walk_hits(steps, phi, theta, m)
 
     def test_random_wide_generators(self):
-        # beyond pi/2 exact-count reachability can genuinely fail, so only
-        # assert that a returned walk is sound and a refusal is the
-        # documented budget error
+        # classes beyond a quarter turn are outside the domain, one ulp
+        # past pi/2 included, and so are their negatives
         rng = np.random.default_rng(77)
-        produced = 0
-        for trial in range(300):
+        wide = np.r_[np.nextafter(math.pi / 2, 4.0), math.pi - rng.uniform(0.0, math.pi / 2, 300)]
+        for theta in wide:
+            theta = float(rng.choice((-1, 1)) * theta)
             m = 2 * int(rng.integers(1, 7))
-            theta = float(rng.uniform(math.pi / 2, math.pi - 0.02))
             phi = float(rng.uniform(-math.pi, math.pi))
-            try:
-                steps = walk(phi, theta, m)
-            except BudgetInfeasibleError:
-                continue
-            produced += 1
-            assert_walk_hits(steps, phi, theta, m)
-        assert produced > 100
+            with pytest.raises(DomainError):
+                walk(phi, theta, m)
 
 
 class TestWaypoints:
@@ -451,14 +450,14 @@ class TestWalkLength:
     @settings(max_examples=300, deadline=None)
     @given(
         phi=st.floats(-math.pi, math.pi),
-        theta=st.floats(-math.pi, math.pi),
+        theta=st.floats(0.0, math.pi / 2, exclude_min=True),
         cap=st.integers(1, 8).map(lambda h: 2 * h),
     )
     def test_shortest_and_monotone(self, phi, theta, cap):
         try:
             m0 = walk_length(phi, theta, cap)
-        except (BudgetInfeasibleError, DegenerateInputError) as exc:
-            with pytest.raises(type(exc)):
+        except BudgetInfeasibleError:
+            with pytest.raises(BudgetInfeasibleError):
                 walk(phi, theta, cap)
             return
         assert 2 <= m0 <= cap and m0 % 2 == 0
@@ -473,26 +472,23 @@ class TestWalkLength:
         assert walk_length(1.0, 0.25, 8) == 4
         assert walk_length(1.01, 0.25, 8) == 6
         assert walk_length(0.05, 0.9, 6) == 2
-        assert walk_length(0.0, 0.0, 4) == 2
-        # beyond a quarter turn only the mirrored class is reachable
-        assert walk_length(2.9, 2.0, 2) == 2
+        assert walk_length(0.0, 0.3, 4) == 2
+        assert walk_length(2.9, math.pi / 2, 2) == 2
 
     def test_matches_the_interval_iteration(self):
         rng = np.random.default_rng(23)
-        cases = [(rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi),
+        cases = [(rng.uniform(-math.pi, math.pi), math.pi / 2 - rng.uniform(0.0, math.pi / 2),
                   2 * int(rng.integers(1, 41))) for _ in range(3000)]
-        # phi = k theta and one ulp either side, and for wide generators
-        # the same on the folded class pi - |theta| and its mirror
+        # phi = k theta and one ulp either side
         for _ in range(1500):
-            theta = rng.choice((-1, 1)) * rng.uniform(1e-4, math.pi)
-            folded = min(abs(theta), math.pi - abs(theta))
+            theta = rng.uniform(1e-4, math.pi / 2)
             k = int(rng.integers(1, 80))
-            for edge in (k * folded, math.pi - k * folded):
-                if 0.0 <= edge <= math.pi:
-                    for phi in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0)):
-                        cases.append((rng.choice((-1, 1)) * phi, theta, 2 * (k // 2) + 4))
+            edge = k * theta
+            if edge <= math.pi:
+                for phi in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0)):
+                    cases.append((rng.choice((-1, 1)) * phi, theta, 2 * (k // 2) + 4))
         for phi, theta, cap in cases:
-            want = interval_walk_length(abs(phi), abs(theta), cap)
+            want = interval_walk_length(abs(phi), theta, cap)
             if want is None:
                 with pytest.raises(BudgetInfeasibleError):
                     walk_length(phi, theta, cap)
@@ -502,7 +498,7 @@ class TestWalkLength:
     def test_errors_match_the_walk(self):
         with pytest.raises(BudgetInfeasibleError):
             walk_length(2.0, 0.3, 4)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             walk_length(0.5, 0.0, 2)
         with pytest.raises(DomainError):
             walk_length(0.5, 0.3, 3)

@@ -5,6 +5,7 @@ scalar-i block factors multiply to diag(i, -i) by direct 2x2 arithmetic, and
 the conjugator from diag(1,-1) to the swap is the Hadamard frame.
 """
 
+import base64
 import dataclasses
 import json
 
@@ -15,6 +16,7 @@ from normgen import (
     TOL,
     Certificate,
     DimensionError,
+    Monomial,
     PreconditionError,
     ValidationError,
     verify_certificate,
@@ -243,23 +245,22 @@ class TestBroiseKernel:
             got = g @ cert.base @ g.conj().T
             assert np.max(np.abs(got - f.matrix)) <= 1e-9
 
-    def test_custom_reference(self):
-        rng = np.random.default_rng(6)
-        w = haar(2, rng)
-        ref = Symmetry(random_symmetry(4, rng))
-        cert = broise_kernel_certificate(w, reference=ref)
-        assert np.max(np.abs(cert.base - ref.matrix)) == 0
-        assert verify_certificate(cert)["pass"]
-
-    def test_reference_dimension_checked(self):
-        ref = np.diag([1.0, -1.0]).astype(complex)
-        with pytest.raises(DimensionError):
-            broise_kernel_certificate(haar(2, np.random.default_rng(0)), ref)
-
-    def test_reference_trace_checked(self):
-        ref = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-        with pytest.raises(ValidationError):
-            broise_kernel_certificate(haar(2, np.random.default_rng(0)), ref)
+    def test_custom_reference(self, step_conjugator):
+        # conjugating every step by g = symmetry_conjugator(diag(I, -I), R)
+        # writes the same four factors as conjugates of any trace-zero R
+        for k in (1, 2, 5):
+            rng = np.random.default_rng([6, k])
+            w = haar(k, rng)
+            ref = random_symmetry(2 * k, rng)
+            cert = broise_kernel_certificate(w)
+            g = symmetry_conjugator(cert.base, ref)
+            prod = np.eye(2 * k, dtype=complex)
+            for i, f in enumerate(block_symmetry_factors(w)):
+                h = step_conjugator(cert, i) @ g.conj().T
+                step = h @ ref @ h.conj().T
+                assert np.max(np.abs(step - f.matrix)) <= 1e-9, k
+                prod = prod @ step
+            assert np.max(np.abs(prod - cert.target)) <= 1e-9, k
 
     @pytest.mark.parametrize("k,seed", [(1, 0), (2, 1), (3, 2), (5, 3)])
     def test_target_frame(self, k, seed, step_conjugator):
@@ -276,13 +277,13 @@ class TestBroiseKernel:
             assert np.max(np.abs(g @ cert.base @ g.conj().T - f.matrix)) <= 1e-9
 
     def test_diagonalizes_w_once(self, eigh_calls):
-        # one eigh of w for the target frame and one of the reference for
-        # the base frame; s and t are never diagonalized
+        # one eigh of w for the target frame; the base, its frame, s and t
+        # are never diagonalized
         k = 4
         cert = broise_kernel_certificate(haar(k, np.random.default_rng(9)))
         assert len(cert) == 4
         assert eigh_calls.count((k, k)) == 1
-        assert eigh_calls.count((2 * k, 2 * k)) == 1
+        assert eigh_calls.count((2 * k, 2 * k)) == 0
 
     def test_one_run_of_two_by_two_blocks(self):
         # perm [0, k, 1, k + 1, ...], blocks at 0, 2, ..., 2k - 2, the steps
@@ -304,10 +305,10 @@ class TestBroiseKernel:
 
     @staticmethod
     def property_pool():
-        """(tag, w, reference): Haar w with k = 1..40, w with eigenvalue -1,
-        repeated and near-identity spectra, and custom references."""
+        """(tag, w): Haar w with k = 1..40, w with eigenvalue -1, repeated
+        and near-identity spectra."""
         for k in range(1, 41):
-            yield f"haar {k}", haar(k, np.random.default_rng([22, k])), None
+            yield f"haar {k}", haar(k, np.random.default_rng([22, k]))
         for k in (2, 3, 5, 9):
             rng = np.random.default_rng([23, k])
             f = haar(k, rng)
@@ -318,12 +319,11 @@ class TestBroiseKernel:
                 "near-scalar": 0.7 + 1e-6 * rng.uniform(-1, 1, k),
             }
             for tag, a in spectra.items():
-                yield f"{tag} {k}", (f * np.exp(1j * a)) @ f.conj().T, None
-            yield f"custom reference {k}", f, Symmetry(random_symmetry(2 * k, rng))
+                yield f"{tag} {k}", (f * np.exp(1j * a)) @ f.conj().T
 
     def test_property_pool(self):
-        for tag, w, ref in self.property_pool():
-            cert = broise_kernel_certificate(w, reference=ref)
+        for tag, w in self.property_pool():
+            cert = broise_kernel_certificate(w)
             assert len(cert) == 4, tag
             back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
             for c in (cert, back):
@@ -369,3 +369,43 @@ class TestBroiseKernel:
         assert back.theorem == "broise_kernel"
         assert len(back) == 4
         assert verify_certificate(back)["pass"]
+
+    def test_base_and_frame_are_monomial(self):
+        # base diag(I, -I) and frame the run's own interleaving perm, so the
+        # perm table holds the identity and that perm, and dump -> load ->
+        # dump is byte-identical
+        k = 3
+        cert = broise_kernel_certificate(haar(k, np.random.default_rng(14)))
+        assert isinstance(cert.base, Monomial) and isinstance(cert.bframe, Monomial)
+        assert cert.base.perm.tolist() == list(range(2 * k))
+        assert cert.base.phases.tolist() == [1.0] * k + [-1.0] * k
+        assert cert.bframe.perm.tolist() == cert.runs[0].perm.tolist() == [0, 3, 1, 4, 2, 5]
+        assert cert.bframe.phases.tolist() == [1.0] * (2 * k)
+        text = json.dumps(cert.to_json(), sort_keys=True)
+        obj = json.loads(text)
+        assert obj["perms"] == [[0, 3, 1, 4, 2, 5], list(range(2 * k))]
+        assert obj["bframe"]["perm"] == obj["runs"][0]["perm"] == 0
+        assert obj["base"]["perm"] == 1
+        back = Certificate.from_json(obj)
+        assert json.dumps(back.to_json(), sort_keys=True) == text
+        assert verify_certificate(back) == verify_certificate(cert)
+
+    @staticmethod
+    def flip_base_phase(obj):
+        phases = np.frombuffer(base64.b64decode(obj["base"]["b64"]), dtype="<c16").copy()
+        phases[1] = -phases[1]
+        obj["base"]["b64"] = base64.b64encode(phases.tobytes()).decode("ascii")
+
+    @staticmethod
+    def identity_bframe(obj):
+        obj["bframe"]["perm"] = obj["perms"].index(list(range(len(obj["perms"][0]))))
+
+    @pytest.mark.parametrize("tamper", ["flip_base_phase", "identity_bframe"])
+    def test_monomial_tamper_fails_conjugacy(self, tamper):
+        cert = broise_kernel_certificate(haar(3, np.random.default_rng(15)))
+        assert verify_certificate(cert)["pass"]
+        obj = json.loads(json.dumps(cert.to_json()))
+        getattr(self, tamper)(obj)
+        report = verify_certificate(Certificate.from_json(obj))
+        assert not report["checks"]["step_conjugacy"], report
+        assert not report["pass"]
