@@ -40,13 +40,9 @@ _EXPORTS = {
         "one_norm",
         "profile_mean",
         "proj_distance",
-        "projective_residual",
         "projective_one_norm",
         "projective_profile",
-        "projective_rank",
         "projective_s_number",
-        "rank_distance",
-        "s_number",
         "singular_values",
         "two_norm",
     ),
@@ -56,25 +52,24 @@ _EXPORTS = {
         "angle_sum_optimalize",
         "center_phase",
         "gap_sandwich_check",
-        "leading_gap_check",
         "optimalize",
-        "product_decompose",
-        "torus_decompose",
     ),
     "su2": ("walk_length",),
-    "generation": (
+    "certificate": (
         "CertRun",
         "CertStep",
         "Certificate",
-        "HypothesisReport",
         "certificate_product",
+        "theorem_budgets",
+        "verify_certificate",
+    ),
+    "generation": (
+        "HypothesisReport",
         "counterexample_pair",
         "generate_full",
         "generate_rank_dependent",
         "generate_rank_independent",
         "hypothesis_check",
-        "theorem_budgets",
-        "verify_certificate",
     ),
     "symmetries": (
         "Symmetry",
@@ -85,8 +80,6 @@ _EXPORTS = {
     ),
     "commutator": (
         "aux_inequality_check",
-        "commutator_norm_search",
-        "cyclic_commutator_partner",
         "llbound_diagnostic",
     ),
     "rational": (

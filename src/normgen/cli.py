@@ -137,12 +137,7 @@ def _parse_window(text):
 
 
 def cmd_generate(args):
-    from .generation import (
-        generate_full,
-        generate_rank_dependent,
-        generate_rank_independent,
-        verify_certificate,
-    )
+    from .certificate import verify_certificate
     from .spectral import UnitaryRep
 
     u = _load_operand(args.target)
@@ -174,14 +169,20 @@ def cmd_generate(args):
                 f"mode {mode} takes unitary operands, not rational spectra"
             )
         elif mode == "rank-dep":
+            from .generation import generate_rank_dependent
+
             cert = generate_rank_dependent(u, v, args.m)
         elif mode == "rank-indep":
             if window is None:
                 raise _ParseFailure("rank-indep mode needs --s")
             if window.denominator != 1:
                 raise ValidationError("rank-indep block count must be integral")
+            from .generation import generate_rank_independent
+
             cert = generate_rank_independent(u, v, args.m, int(window))
         else:
+            from .generation import generate_full
+
             cert = generate_full(u, v)
     report = verify_certificate(cert)
     if args.out:
@@ -196,7 +197,7 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
-    from .generation import Certificate, verify_certificate
+    from .certificate import Certificate, verify_certificate
 
     obj = _load_json(args.certificate)
     try:
@@ -226,7 +227,8 @@ def cmd_corpus(args):
 
 
 def cmd_counterexample(args):
-    from .generation import counterexample_pair, hypothesis_check, theorem_budgets
+    from .certificate import theorem_budgets
+    from .generation import counterexample_pair, hypothesis_check
 
     if args.n < 2:
         raise _ParseFailure("need --n at least 2")

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .commutator import aux_inequality_check, llbound_diagnostic
+from .certificate import verify_certificate
 from .config import MODES
 from .errors import DomainError, NumericalDegeneracyError
 from .generation import (
@@ -27,7 +28,6 @@ from .generation import (
     generate_rank_dependent,
     generate_rank_independent,
     hypothesis_check,
-    verify_certificate,
 )
 from .rational import RationalSpectrum, lcm_embed, pipeline_generate, profile_window
 from .spectral import CircleSpectrum, Monomial, UnitaryRep, canon_angle, haar_unitary

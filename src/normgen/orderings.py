@@ -1,10 +1,9 @@
-"""Spectrum orderings and diagonal decompositions.
+"""Spectrum orderings and phase centering.
 
 The generation machinery wants eigenvalues arranged so that adjacent gaps are
 as large as possible (lexicographically maximal gap sequence) or so that all
 prefix sums of the angles stay small (angle sum optimal ordering).  Both
-orderings live here, together with the two commuting decompositions of a
-diagonal unitary and the exact zero-sum phase centering.
+orderings live here, together with the exact zero-sum phase centering.
 """
 
 from dataclasses import dataclass
@@ -217,52 +216,6 @@ def angle_sum_optimalize(alphas):
     return AngleSumOrdering(a[order], order, prefix_max)
 
 
-def torus_decompose(spec):
-    """Commuting diagonal factors: a central one, then one new eigenvalue
-    ratio per position, repeated to the end of the diagonal.
-
-    Returns the factors as vectors of diagonal entries; their entrywise
-    product is the input diagonal.
-    """
-    if not isinstance(spec, CircleSpectrum):
-        spec = CircleSpectrum(spec)
-    angles = spec.angles
-    n = spec.n
-    factors = [np.full(n, np.exp(1j * angles[0]), dtype=complex)]
-    for i in range(1, n):
-        vec = np.ones(n, dtype=complex)
-        vec[i:] = np.exp(1j * (angles[i] - angles[i - 1]))
-        factors.append(vec)
-    return factors
-
-
-def product_decompose(spec):
-    """Commuting two-by-two block factors whose product is the input.
-
-    Factor i carries the prefix eigenvalue product at position i and its
-    conjugate at position i+1; requires the angle sum to vanish mod 2 pi so
-    the last position closes up.
-    """
-    if not isinstance(spec, CircleSpectrum):
-        spec = CircleSpectrum(spec)
-    angles = spec.angles
-    n = spec.n
-    total = float(angles.sum())
-    wrapped = canon_angle(total)
-    if abs(wrapped) > 1e-10:
-        raise PreconditionError(
-            f"angle sum must vanish mod 2pi, residual {wrapped:.3e}"
-        )
-    factors = []
-    prefix = np.cumsum(angles)
-    for i in range(n - 1):
-        vec = np.ones(n, dtype=complex)
-        vec[i] = np.exp(1j * prefix[i])
-        vec[i + 1] = np.exp(-1j * prefix[i])
-        factors.append(vec)
-    return factors
-
-
 def center_phase(spec):
     """Zero-sum representative of a spectrum with the smallest peak angle.
 
@@ -357,15 +310,3 @@ def gap_sandwich_check(opt, tol=None):
             }
         )
     return {"ok": bool(ok), "rows": rows}
-
-
-def leading_gap_check(opt):
-    """Report whether twice the leading angle gap dominates every angle.
-
-    Evaluated on the representative as given (normally centered first);
-    failures are reported, not raised, since the bound is sensitive to the
-    choice of representative.
-    """
-    lhs = 2.0 * abs(float(opt.angles[0]) - float(opt.angles[1]))
-    rhs = float(np.max(np.abs(opt.angles)))
-    return {"holds": bool(lhs >= rhs - 1e-12), "lhs": lhs, "rhs": rhs}

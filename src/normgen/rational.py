@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .certificate import as_fraction, easy_violations, theorem_budgets
 from .config import TOL
 from .errors import (
     DimensionError,
@@ -26,7 +27,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .generation import as_fraction, easy_violations, generate_rank_independent, theorem_budgets
+from .generation import generate_rank_independent
 from .spectral import (
     CircleSpectrum,
     Monomial,

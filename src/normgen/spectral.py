@@ -65,6 +65,32 @@ def chord(delta):
     return np.abs(2.0 * np.sin(0.5 * np.asarray(delta, dtype=float)))
 
 
+def _diameter_pair(angles):
+    """Largest chord between the points e^{i angles} and the indices of its
+    two ends, in O(n log n) time and O(n) memory: each point's farthest
+    partner is a cyclic neighbour of its antipode among the sorted angles."""
+    a = np.mod(np.asarray(angles, dtype=float), 2.0 * math.pi)
+    order = np.argsort(a, kind="stable")
+    a = a[order]
+    n = a.shape[0]
+    ext = np.concatenate((a, a + 2.0 * math.pi))
+    # a + pi lies strictly inside (ext[0], ext[n + i]), so both neighbours exist
+    j = np.searchsorted(ext, a + math.pi)
+    lo, hi = chord(ext[j - 1] - a), chord(ext[j] - a)
+    near = np.maximum(lo, hi)
+    i = int(np.argmax(near))
+    partner = int(j[i]) - 1 if lo[i] >= hi[i] else int(j[i])
+    return float(near[i]), int(order[i]), int(order[partner % n])
+
+
+# diameter at or below which a spectrum counts as central
+_CENTRAL = 1e-8
+
+
+def _is_central(angles):
+    return _diameter_pair(angles)[0] <= _CENTRAL
+
+
 def _as_square(x, what="matrix"):
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -463,14 +489,6 @@ def singular_values(x):
     return np.linalg.svd(m, compute_uv=False)
 
 
-def s_number(x, i):
-    """(i+1)-th largest singular value; the profile is 1-indexed by rank."""
-    s = singular_values(x)
-    if not (0 <= i < s.shape[0]):
-        raise IndexError(f"index {i} out of range for size {s.shape[0]}")
-    return float(s[i])
-
-
 def one_norm(x):
     """Trace-normalized trace norm: mean of the singular values."""
     return float(np.mean(singular_values(x)))
@@ -499,18 +517,6 @@ def best_phase(tr, diag):
         return tr / abs(tr)
     j = int(np.argmax(np.abs(diag)))
     return diag[j] / abs(diag[j]) if abs(diag[j]) > 0 else 1.0
-
-
-def projective_residual(a, b):
-    """Entrywise max of a - lam*b at the best unit phase lam.
-
-    Unlike proj_distance this has no square-root floor near zero, so exact
-    projective equality reports at machine precision.
-    """
-    a, b = _square_pair(a, b)
-    # the trace and diagonal of b* @ a, in O(n^2)
-    lam = best_phase(np.vdot(b, a), np.einsum("ij,ij->j", b.conj(), a))
-    return float(np.max(np.abs(a - lam * b)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,27 +608,10 @@ def profile_mean(u):
     return float(np.mean(prof.values))
 
 
-def projective_rank(u):
-    """Least s with all profile values from index s on below the rank cutoff.
-
-    For a unitary the last profile value always vanishes (some phase lands on
-    an eigenvalue), so the result is at most n-1.
-    """
-    return rank_of_profile(projective_profile(u).values)
-
-
 def rank_of_profile(values):
     """Projective rank read off already computed profile values."""
     above = np.nonzero(np.asarray(values) > TOL.rank)[0]
     return int(above[-1]) + 1 if above.shape[0] else 0
-
-
-def rank_distance(x, y):
-    """Normalized rank of x - y, counting singular values above the cutoff."""
-    a, b = _square_pair(x, y)
-    s = np.linalg.svd(a - b, compute_uv=False)
-    k = int(np.count_nonzero(s > TOL.rank))
-    return RankDistance(k, a.shape[0])
 
 
 # ---------------------------------------------------------------------------

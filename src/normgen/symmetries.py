@@ -28,16 +28,17 @@ import math
 
 import numpy as np
 
+from .certificate import Certificate, CertRun, _assembled
 from .errors import (
     DimensionError,
     NumericalDegeneracyError,
     PreconditionError,
     ValidationError,
 )
-from .generation import Certificate, CertRun, _is_central, product_check
 from .spectral import (
     Monomial,
     UnitaryRep,
+    _is_central,
     as_unitary,
     diagonalize_normal,
 )
@@ -220,20 +221,11 @@ def broise_kernel_certificate(w):
                            {"construction": "stst", "square_root": "principal", **metadata},
                            np.r_[spec.angles, -spec.angles])
 
-    if _is_central(spec.angles):
-        trivial = certificate((), {"trivial_target": True})
-        if product_check(trivial)[0]:
-            return trivial
     # on the pair P sends to (j, k + j), A* s A is b_s diag(1, -1) b_s* and
     # A* t A, the swap, is b_t diag(1, -1) b_t*
     c = np.exp(-0.5j * spec.angles)
     b_s = np.stack((np.ones_like(c), np.ones_like(c), c, -c), axis=-1) / math.sqrt(2.0)
     b_t = np.tile(np.array([1.0, 1.0, 1.0, -1.0]) / math.sqrt(2.0), (k, 1))
     run = CertRun(perm, np.arange(0, n, 2), [b_s, b_t, b_s, b_t], [1] * 4)
-    cert = certificate((run,), {})
-    passed, resid, tol = product_check(cert)
-    if not passed:
-        raise NumericalDegeneracyError(
-            f"assembled certificate residual {resid:.3e} over tolerance {tol:.3e}"
-        )
-    return cert
+    trivial = certificate((), {"trivial_target": True}) if _is_central(spec.angles) else None
+    return _assembled(trivial, lambda: certificate((run,), {}))

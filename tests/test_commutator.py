@@ -21,18 +21,30 @@ from normgen import (
     optimalize,
     projective_profile,
 )
-from normgen.commutator import (
-    aux_inequality_check,
-    commutator_norm_search,
-    cyclic_commutator_partner,
-    llbound_diagnostic,
-)
+from normgen.commutator import aux_inequality_check, llbound_diagnostic
+from normgen.spectral import spectrum_of
 
 
 def haar(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
+
+
+def cyclic_commutator_partner(u):
+    """Block partner (v, lam) whose commutator with diag(u, u, u) cages u:
+    v = diag(cycle, cycle^{-1}, 1_n) in U(3n) with exact 0/1 entries, and
+    lam the conjugate of the last eigenvalue in u's optimal ordering.  The
+    reference that dense_aux builds the explicit commutator from."""
+    order = optimalize(spectrum_of(u))
+    n = order.n
+    cyc = np.zeros((n, n), dtype=complex)
+    cyc[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    v = np.zeros((3 * n, 3 * n), dtype=complex)
+    v[:n, :n] = cyc
+    v[n : 2 * n, n : 2 * n] = cyc.conj().T
+    v[2 * n :, 2 * n :] = np.eye(n)
+    return v, complex(np.exp(-1j * order.angles[-1]))
 
 
 def match_multiset(got, want, tol):
@@ -152,7 +164,6 @@ class TestAuxInequality:
         # a spectrum skips the diagonalization and gives the same report,
         # ordering the spectrum once
         from normgen import commutator
-        from normgen.spectral import spectrum_of
 
         u = haar(6, np.random.default_rng(6))
         want = aux_inequality_check(u)
@@ -244,28 +255,3 @@ class TestLlbound:
         rep = llbound_diagnostic(u)
         assert rep["status"] == "ok"
         assert eigh_calls.count((n, n)) == 1
-
-
-class TestNormSearch:
-    def test_degenerate_on_central(self):
-        rep = commutator_norm_search(np.eye(3, dtype=complex), trials=4)
-        assert rep["status"] == "degenerate"
-        assert rep["achieved"] <= 1e-12
-
-    def test_report_fields(self):
-        rep = commutator_norm_search(np.diag([1.0, -1.0]), trials=8, seed=1)
-        assert rep["trials"] == 8
-        assert rep["status"] == "ok"
-        assert rep["doubled"] == 2.0 * rep["achieved"]
-        assert rep["ratio"] > 0.0
-        json.dumps(rep)
-
-    def test_more_trials_never_worse(self):
-        u = haar(4, np.random.default_rng(7))
-        a = commutator_norm_search(u, trials=2, seed=3)
-        b = commutator_norm_search(u, trials=16, seed=3)
-        assert b["achieved"] >= a["achieved"]
-
-    def test_needs_trials(self):
-        with pytest.raises(DomainError):
-            commutator_norm_search(np.eye(2), trials=0)

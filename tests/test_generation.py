@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from normgen import generation
+from normgen import certificate, generation, spectral
 from normgen.errors import (
     BudgetInfeasibleError,
     CertificateFormatError,
@@ -20,31 +20,33 @@ from normgen.errors import (
     HypothesisError,
     ValidationError,
 )
-from normgen.generation import (
+from normgen.certificate import (
     CertRun,
     Certificate,
-    _diameter_pair,
-    _is_central,
     certificate_product,
+    theorem_budgets,
+    verify_certificate,
+)
+from normgen.generation import (
     counterexample_pair,
     generate_full,
     generate_rank_dependent,
     generate_rank_independent,
     hypothesis_check,
-    theorem_budgets,
-    verify_certificate,
 )
 from normgen.config import TOL
 from normgen.orderings import center_phase
 from normgen.rational import approx_stability_check
 from normgen.spectral import (
     CircleSpectrum,
+    RankDistance,
+    _diameter_pair,
+    _is_central,
     canon_angle,
     chord,
     projective_one_norm,
     projective_profile,
     projective_s_number,
-    rank_distance,
     spectrum_of,
 )
 from normgen.su2 import _walk, source_block, walk_length
@@ -59,6 +61,13 @@ def haar(n, rng):
 
 def diag_u(angles):
     return np.diag(np.exp(1j * np.asarray(angles, dtype=float)))
+
+
+def rank_distance(x, y):
+    """Normalized rank of x - y by an SVD: the test's own oracle for the
+    aligned rank of counterexample_pair."""
+    s = np.linalg.svd(np.asarray(x) - np.asarray(y), compute_uv=False)
+    return RankDistance(int(np.count_nonzero(s > TOL.rank)), s.shape[0])
 
 
 def centered(angles):
@@ -652,12 +661,15 @@ class TestGateOrder:
     ], ids=["rank_dep", "rank_indep", "full"])
     def test_one_diameter_per_generate(self, generate, monkeypatch):
         seen = []
-        inner = generation._diameter_pair
+        inner = spectral._diameter_pair
 
         def spy(angles):
             seen.append(np.array(angles))
             return inner(angles)
 
+        # _is_central reads spectral's _diameter_pair, the base check
+        # generation's own import of it
+        monkeypatch.setattr(spectral, "_diameter_pair", spy)
         monkeypatch.setattr(generation, "_diameter_pair", spy)
         rng = np.random.default_rng(41)
         u, v = haar(6, rng), haar(6, rng)
@@ -1372,7 +1384,7 @@ class TestFactoredCertificates:
 
     def test_verify_runs_no_eigensolver(self, eigh_calls):
         kinds = {cert.theorem for cert in POOL}
-        assert kinds == set(generation.THEOREM_TAGS)
+        assert kinds == set(certificate.THEOREM_TAGS)
         assert any(cert.metadata.get("trivial_target") for cert in POOL)
         for cert in POOL:
             assert verify_certificate(cert)["pass"]
@@ -1682,18 +1694,18 @@ class TestPackedSteps:
             if cert.runs and len(cert.runs[0]) > 1:
                 cases += list(tampered_runs(cert))
             for runs in cases:
-                got = generation._step_defects(runs, cert.n)
+                got = certificate._step_defects(runs, cert.n)
                 steps = dataclasses.replace(cert, runs=runs).steps
                 np.testing.assert_array_equal(got, per_step_defects(steps, cert.n))
 
     def test_product_kernels_match_the_per_step_merge(self):
         for cert in POOL + list(frozen_certificates()):
-            got, last = generation._step_kernels(cert.base_angles, cert.runs)
+            got, last = certificate._step_kernels(cert.base_angles, cert.runs)
             want, want_last = per_step_kernels(cert.base_angles, cert.steps)
             assert np.array_equal(last, want_last) and len(got) == len(want)
             n = cert.n
             assert np.array_equal(
-                generation._product_rows(got, n, 0, n), generation._product_rows(want, n, 0, n)
+                certificate._product_rows(got, n, 0, n), certificate._product_rows(want, n, 0, n)
             )
 
     def test_records_match_per_block_packing(self):
@@ -1916,7 +1928,7 @@ class TestEasyDirection:
             tprof = self.profile(rng, n, 2.0)
             bprof = self.profile(rng, n, float(rng.uniform(0.05, 2.0)))
             for k in range(n + 3):
-                got = generation.easy_violations(tprof, bprof, k)
+                got = certificate.easy_violations(tprof, bprof, k)
                 assert (not got) == verifier_easy_direction(tprof, bprof, k)
                 seen.add(not got)
                 if k:
@@ -1926,8 +1938,8 @@ class TestEasyDirection:
 
     def test_k_zero_reads_index_zero(self):
         base = np.array([1.0, 0.5, 0.0])
-        assert generation.easy_violations(np.array([0.0, 0.0, 0.0]), base, 0) == []
-        assert generation.easy_violations(np.array([2e-7, 1e-7, 0.0]), base, 0) == [0]
+        assert certificate.easy_violations(np.array([0.0, 0.0, 0.0]), base, 0) == []
+        assert certificate.easy_violations(np.array([2e-7, 1e-7, 0.0]), base, 0) == [0]
 
     def test_stability_check_uses_it(self):
         rng = np.random.default_rng(1701)
@@ -2002,7 +2014,7 @@ class TestMonomialRecords:
         assert obj["version"] == "normgen-cert/7"
         for name in OPERANDS:
             x, rec = getattr(MONO, name), obj[name]
-            assert isinstance(x, generation.Monomial)
+            assert isinstance(x, spectral.Monomial)
             assert rec["shape"] == [MONO.n, MONO.n] and rec["dtype"] == "<c16"
             assert obj["perms"][rec["perm"]] == x.perm.tolist()
             assert np.array_equal(unpack(dict(rec, shape=[MONO.n])), x.phases)
@@ -2015,7 +2027,7 @@ class TestMonomialRecords:
         back = Certificate.from_json(json.loads(text))
         assert json.dumps(back.to_json()) == text
         for name in OPERANDS:
-            assert isinstance(getattr(back, name), generation.Monomial)
+            assert isinstance(getattr(back, name), spectral.Monomial)
         report = assert_sound(back)
         assert report["residual"] < 1e-13
         assert eigh_calls == []
@@ -2099,8 +2111,6 @@ class TestMonomialRecords:
 class TestTargetGramReuse:
     def test_generators_form_the_target_gram_once(self, monkeypatch):
         # validation measures T T* - I once; product_check reuses it
-        from normgen import spectral
-
         grams = []
         inner = spectral.Dense.gram_defect
 

@@ -1,4 +1,5 @@
-"""Ordering oracles: exhaustive gap maximization, decomposition round trips."""
+"""Ordering oracles: exhaustive gap maximization, angle-sum orderings and
+phase centering."""
 
 import itertools
 import math
@@ -13,10 +14,7 @@ from normgen.orderings import (
     angle_sum_optimalize,
     center_phase,
     gap_sandwich_check,
-    leading_gap_check,
     optimalize,
-    product_decompose,
-    torus_decompose,
 )
 
 
@@ -153,64 +151,6 @@ class TestAngleSumOptimalize:
             angle_sum_optimalize([0.5, -0.3])
 
 
-class TestDecompositions:
-    def test_torus_scalar_pair(self):
-        lam = np.exp(0.7j)
-        factors = torus_decompose(ng.CircleSpectrum([0.7, 0.7]))
-        assert np.allclose(factors[0], lam)
-        assert np.allclose(factors[1], 1.0)
-
-    def test_torus_two_point(self):
-        factors = torus_decompose(ng.CircleSpectrum([0.0, math.pi / 2]))
-        assert np.allclose(factors[0], 1.0)
-        assert np.allclose(factors[1], [1.0, 1j])
-
-    def test_torus_reconstructs(self):
-        rng = np.random.default_rng(31)
-        angles = rng.uniform(-math.pi, math.pi, size=6)
-        factors = torus_decompose(ng.CircleSpectrum(angles))
-        assert len(factors) == 6
-        prod = np.ones(6, dtype=complex)
-        for f in factors:
-            prod = prod * f
-        assert np.max(np.abs(prod - np.exp(1j * ng.canon_angle(angles)))) < 1e-10
-
-    def test_product_single_block(self):
-        phi = 0.9
-        factors = product_decompose(ng.CircleSpectrum([phi, -phi]))
-        assert len(factors) == 1
-        assert np.allclose(factors[0], [np.exp(1j * phi), np.exp(-1j * phi)])
-
-    def test_product_identity(self):
-        factors = product_decompose(ng.CircleSpectrum([0.0, 0.0, 0.0]))
-        for f in factors:
-            assert np.allclose(f, 1.0)
-
-    def test_product_reconstructs(self):
-        rng = np.random.default_rng(33)
-        a = rng.uniform(-1.0, 1.0, size=6)
-        angles = np.concatenate([a, [-a.sum()]])
-        spec = ng.CircleSpectrum(angles)
-        factors = product_decompose(spec)
-        assert len(factors) == 6
-        prod = np.ones(7, dtype=complex)
-        for f in factors:
-            prod = prod * f
-        assert np.max(np.abs(prod - np.exp(1j * spec.angles))) < 1e-10
-
-    def test_product_sum_multiple_of_two_pi(self):
-        spec = ng.CircleSpectrum([math.pi / 2] * 4)
-        factors = product_decompose(spec)
-        prod = np.ones(4, dtype=complex)
-        for f in factors:
-            prod = prod * f
-        assert np.max(np.abs(prod - 1j)) < 1e-10
-
-    def test_product_rejects_bad_sum(self):
-        with pytest.raises(ng.PreconditionError):
-            product_decompose(ng.CircleSpectrum([0.3, 0.3]))
-
-
 class TestCenterPhase:
     def test_identity(self):
         spec, t = center_phase(ng.CircleSpectrum([0.0, 0.0, 0.0]))
@@ -271,24 +211,3 @@ class TestChecks:
             n = int(rng.integers(2, 11))
             opt = optimalize(ng.CircleSpectrum(rng.uniform(-math.pi, math.pi, n)))
             assert gap_sandwich_check(opt)["ok"]
-
-    def test_leading_gap_holds(self):
-        opt = optimalize(ng.CircleSpectrum([0.3, -0.3]))
-        rep = leading_gap_check(opt)
-        assert rep["holds"]
-        assert rep["lhs"] == pytest.approx(1.2)
-        assert rep["rhs"] == pytest.approx(0.3)
-
-    def test_leading_gap_all_equal(self):
-        centered, _ = center_phase(ng.CircleSpectrum([0.5, 0.5]))
-        rep = leading_gap_check(optimalize(centered))
-        assert rep["holds"]
-
-    def test_leading_gap_reports_failure(self):
-        # hand-built ordering violating the bound: reported, not raised
-        angles = np.array([0.1, 0.15, -0.25])
-        diffs = np.abs(2.0 * np.sin(0.5 * (angles[:-1] - angles[1:])))
-        sigma = np.argsort(-diffs, kind="stable")
-        opt = OptimalOrdering(angles, sigma, diffs, np.arange(3))
-        rep = leading_gap_check(opt)
-        assert not rep["holds"]

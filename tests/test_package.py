@@ -54,13 +54,17 @@ loaded = sorted(m for m in sys.modules
 print(json.dumps([code, loaded]))
 """
 HEAVY = {"normgen.corpus", "normgen.rational", "normgen.symmetries", "normgen.commutator"}
+WALK = {"normgen.generation", "normgen.orderings", "normgen.su2"}
+# everything `normgen verify` loads: the verifier's module and what it imports
+VERIFY_LOADS = ["dataclasses", "normgen.certificate", "normgen.cli", "normgen.config",
+                "normgen.errors", "normgen.spectral", "numpy"]
 
 
-def fresh_process(*argv):
+def fresh_process(*argv, script=FOOTPRINT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -100,15 +104,34 @@ def test_unitary_commands_load_no_corpus_modules(operands, argv):
     argv = [str(operands / a) if a.endswith(".json") else a for a in argv]
     code, loaded = json.loads(fresh_process(*argv)[-1])
     assert code == 0
-    assert "normgen.generation" in loaded
+    if argv[0] == "verify":
+        assert loaded == VERIFY_LOADS
+    else:
+        assert "normgen.generation" in loaded
     assert not HEAVY & set(loaded)
 
 
 def test_verify_loads_no_walk_code(operands):
     code, loaded = json.loads(fresh_process("verify", str(operands / "c.json"))[-1])
     assert code == 0
-    assert "normgen.generation" in loaded
-    assert not {"normgen.orderings", "normgen.su2"} & set(loaded)
+    assert loaded == VERIFY_LOADS
+
+
+def test_broise_mode_loads_no_walk_code(operands):
+    argv = ["generate", str(operands / "u.json"), "--mode", "broise"]
+    code, loaded = json.loads(fresh_process(*argv)[-1])
+    assert code == 0
+    assert "normgen.symmetries" in loaded
+    assert not WALK & set(loaded)
+
+
+def test_certificate_module_imports_no_generator():
+    # the verifier trusts nothing from the generators, so it loads none
+    script = ("import json, sys, normgen.certificate\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('normgen.'))))")
+    loaded = json.loads(fresh_process(script=script)[-1])
+    assert loaded == ["normgen.certificate", "normgen.config", "normgen.errors",
+                      "normgen.spectral"]
 
 
 def test_tolerances_are_read_only():
@@ -136,7 +159,7 @@ def test_only_samplers_take_a_seed():
         obj = getattr(normgen, name)
         if inspect.isfunction(obj) and "seed" in inspect.signature(obj).parameters:
             seeded.add(name)
-    assert seeded == {"run_corpus", "commutator_norm_search"}
+    assert seeded == {"run_corpus"}
     assert "tol" not in inspect.signature(normgen.verify_certificate).parameters
 
 
