@@ -38,7 +38,9 @@ class DegenerateInputError(ValueError):
 
 
 class NumericalDegeneracyError(RuntimeError):
-    """A numeric routine failed to reach its accuracy target after retries."""
+    """A numeric routine missed its accuracy target, as a diagonalization
+    whose residual is still above TOL.diag_residual after its one separation
+    pass."""
 
 
 class EmbeddingBlowupError(RuntimeError):

@@ -618,56 +618,46 @@ def rank_of_profile(values):
 # diagonalization
 
 
-def _separate_mixed_pairs(w, mw, cut):
-    """Jacobi sweeps on the pairs that one Hermitian combination mixed.
+def _separate_runs(w, mw, hvals, cut):
+    """Separate the runs of columns that the Hermitian combination mixed.
 
-    The combination cos(t) Re u + sin(t) Im u maps e^{i a} and e^{i b} to
-    the same value when a + b = 2t, and eigh may then mix their eigenvectors
-    by up to eps over the small gap, which leaves d = w* u w coupling the
-    pair beyond rounding.  Each sweep takes the strongest couplings above
-    cut on disjoint pairs and rotates each pair by the 2 x 2 unitary that
-    diagonalizes its block of the normal matrix d, applied to the columns
-    of w, of mw = u w and of d alike, as one stack, and to the rows of d.
+    The combination h = Re(e^{-it} u) maps e^{i a} and e^{i b} to nearby
+    values when a + b is near 2t, and eigh may then mix their eigenvectors
+    by up to eps over the small gap, which leaves d = w* u w coupling them
+    beyond rounding.  eigh sorts h's eigenvalues hvals, so each coupling
+    above cut between columns i < j joins the run of columns i..j.
+
+    Within a run h is nearly the scalar cos(theta), so the run's eigenvalues
+    lie near e^{i(t + theta)} and e^{i(t - theta)}.  u is normal, so every
+    combination Re(e^{-i(t + phi)} u) commutes with h, and its block on the
+    run separates the two groups by 2 |sin(phi) sin(theta)| and the members
+    of each by |sin(theta -+ phi)| per unit of angle gap.  phi = pi/2, the
+    orthogonal part Im(e^{-it} u), gives |cos(theta)| and flattens where
+    theta nears pi/2; there phi = pi/4 is taken instead, which keeps every
+    factor at or above sin(pi/8).  So the eigenvectors of one block per run
+    separate its columns in one pass; one eigh takes all the runs of one
+    width, as a stack, and their columns of w and mw = u w are rotated in
+    place.
     """
     n = w.shape[0]
-    x = np.stack((w, mw, w.conj().T @ mw))
-    d = x[2]
-    upper = np.arange(n)[:, None] < np.arange(n)
-    for _ in range(3):
-        off = np.abs(d)
-        rows, cols = np.nonzero((off > cut) & upper)
-        if rows.shape[0] == 0:
-            break
-        strongest = np.argsort(-off[rows, cols])
-        used, a, b = set(), [], []
-        for i, j in zip(rows[strongest].tolist(), cols[strongest].tolist()):
-            if i not in used and j not in used:
-                used.update((i, j))
-                a.append(i)
-                b.append(j)
-        a, b = np.array(a), np.array(b)
-        # the traceless part of a normal 2 x 2 block is mu times a
-        # Hermitian involution, whose eigenvectors diagonalize the block
-        dab, dba = d[a, b], d[b, a]
-        half = 0.5 * (d[a, a] - d[b, b])
-        mu = np.sqrt(half * half + dab * dba)
-        ph = np.ones_like(mu)
-        np.divide(np.abs(mu), mu, out=ph, where=mu != 0)
-        cross = 0.5 * (dab * ph + np.conj(dba * ph))
-        h = np.empty((a.shape[0], 2, 2), dtype=complex)
-        h[:, 0, 0] = (half * ph).real
-        h[:, 1, 1] = -h[:, 0, 0]
-        h[:, 0, 1] = cross
-        h[:, 1, 0] = np.conj(cross)
-        _, v = np.linalg.eigh(h)
-        xa, xb = x[:, :, a], x[:, :, b]
-        x[:, :, a] = xa * v[:, 0, 0] + xb * v[:, 1, 0]
-        x[:, :, b] = xa * v[:, 0, 1] + xb * v[:, 1, 1]
-        da, db = d[a, :], d[b, :]
-        vc = v.conj()[:, :, :, None]
-        d[a, :] = vc[:, 0, 0] * da + vc[:, 1, 0] * db
-        d[b, :] = vc[:, 0, 1] * da + vc[:, 1, 1] * db
-    return x[0], x[1]
+    d = w.conj().T @ mw
+    i, j = np.nonzero(np.triu(np.abs(d) > cut, 1))
+    # a run ends at column c when no coupling from a column <= c reaches
+    # past c
+    reach = np.arange(n)
+    np.maximum.at(reach, i, j)
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == np.arange(n))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    widths = ends - starts + 1
+    for width in sorted(set(widths[widths > 1].tolist())):
+        cols = starts[widths == width, None] + np.arange(width)
+        flat = np.abs(hvals[cols].mean(axis=1)) <= math.sin(math.pi / 8)
+        phi = np.where(flat, math.pi / 4, math.pi / 2)
+        turn = np.exp(-1j * (_COMBINATION_ANGLE + phi))[:, None, None]
+        block = turn * d[cols[:, :, None], cols[:, None, :]]
+        _, v = np.linalg.eigh((block + block.conj().transpose(0, 2, 1)) / 2.0)
+        for x in (w, mw):
+            x[:, cols] = np.einsum("irj,rjk->irk", x[:, cols], v)
 
 
 def _eigen_residual(w, mw):
@@ -698,13 +688,10 @@ def _diagonal_angles(m):
     return _sorted_angles(canon_angle(np.angle(np.diagonal(m))))
 
 
-# the angles t of diagonalize_normal's Hermitian combinations, one per try:
-# the first draws of np.random.default_rng(0).uniform(0, 2 pi), fixed here so
-# that a call neither builds a generator nor imports numpy.random
-_COMBINATION_ANGLES = (
-    4.002148315014479, 1.6951199159934145, 0.25744424357926954, 0.10384619671527331,
-    5.109927617709579, 5.735012432197602, 3.811604993109835, 4.583562073612696,
-)
+# the angle t of diagonalize_normal's Hermitian combination: the first draw
+# of np.random.default_rng(0).uniform(0, 2 pi), fixed here so that a call
+# neither builds a generator nor imports numpy.random
+_COMBINATION_ANGLE = 4.002148315014479
 
 
 def diagonalize_normal(u):
@@ -723,12 +710,13 @@ def diagonalize_normal(u):
     and w rebuilds u to within that, below TOL.diag_residual, by
     construction.  A spectrum gets the identity frame as a Monomial.
 
-    Any other u goes through a Hermitian combination cos(t) (u + u*)/2 +
-    sin(t) (u - u*)/2i so eigenspaces for distinct angles separate.  A
-    reconstruction residual above a few n * eps means the combination mixed
-    some pairs, which are then separated so that w rebuilds u to rounding.
-    If the residual is still above TOL.diag_residual, retries with the next
-    combination.  The angles t are the fixed _COMBINATION_ANGLES, so the
+    Any other u goes through one eigh of the Hermitian combination
+    cos(t) (u + u*)/2 + sin(t) (u - u*)/2i, whose eigenvectors are u's
+    except where it maps distinct eigenvalues close together.  A
+    reconstruction residual above 4 n eps means eigh mixed such columns,
+    and _separate_runs splits them in one pass, so that w rebuilds u to
+    rounding.  A residual still above TOL.diag_residual raises
+    NumericalDegeneracyError.  t is the fixed _COMBINATION_ANGLE, so the
     result depends on u alone.
     """
     if isinstance(u, CircleSpectrum):
@@ -749,23 +737,18 @@ def diagonalize_normal(u):
         w = np.zeros((n, n), dtype=complex, order="F")
         w[order, np.arange(n)] = 1.0
         return CircleSpectrum(angles), w
+    t = _COMBINATION_ANGLE
+    h = math.cos(t) * ((m + m.conj().T) / 2.0) + math.sin(t) * ((m - m.conj().T) / 2j)
+    hvals, w = np.linalg.eigh(h)
+    mw = m @ w
+    angles, residual = _eigen_residual(w, mw)
     cut = 4.0 * n * EPS
-    hre = (m + m.conj().T) / 2.0
-    him = (m - m.conj().T) / 2j
-    last = None
-    for t in _COMBINATION_ANGLES:
-        h = math.cos(t) * hre + math.sin(t) * him
-        _, w = np.linalg.eigh(h)
-        mw = m @ w
+    if residual > cut:
+        _separate_runs(w, mw, hvals, cut)
         angles, residual = _eigen_residual(w, mw)
-        if residual > cut:
-            w, mw = _separate_mixed_pairs(w, mw, cut)
-            angles, residual = _eigen_residual(w, mw)
-        last = residual
-        if residual <= TOL.diag_residual:
-            order = np.argsort(angles)
-            return CircleSpectrum(angles[order]), np.ascontiguousarray(w[:, order])
-    raise NumericalDegeneracyError(
-        f"diagonalization failed after {len(_COMBINATION_ANGLES)} tries, "
-        f"best residual {last:.3e}"
-    )
+    if residual > TOL.diag_residual:
+        raise NumericalDegeneracyError(
+            f"diagonalization residual {residual:.3e} > {TOL.diag_residual:g}"
+        )
+    order = np.argsort(angles)
+    return CircleSpectrum(angles[order]), np.ascontiguousarray(w[:, order])

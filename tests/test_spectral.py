@@ -5,6 +5,7 @@ phase grid with none of the package's refinement machinery; frozen
 closed-form values are derived in comments next to each test.
 """
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normgen as ng
+from normgen.corpus import _spread_gaps, random_spectrum
 from normgen.spectral import (
     _BLOCK,
     best_phase,
@@ -385,6 +387,41 @@ class TestRankOps:
         assert d == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
 
 
+def conjugated(angles, rng):
+    """A Haar conjugate of diag(e^{i angles})."""
+    w0 = haar_unitary(len(angles), rng)
+    return (w0 * np.exp(1j * np.asarray(angles))) @ w0.conj().T
+
+
+def diagonalize_family(family, n, rng):
+    """Eigenvalue angles of one of the hard families for diagonalize_normal."""
+    if family == "collision":
+        # pairs a + b = 2t +- 1e-7, which the Hermitian combination at t maps
+        # about 1e-7 apart
+        t = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
+        angles = rng.uniform(-math.pi, math.pi, n)
+        angles[1::2] = 2.0 * t - angles[0::2][: n // 2] + rng.choice([-1e-7, 1e-7], n // 2)
+        return angles
+    if family == "flat":
+        # e^{i(t -+ pi/2)} collide under the combination, and eigenvalues
+        # 1e-9 apart at t + pi/2 are 1e-18 apart under Im(e^{-it} u)
+        t = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
+        angles = rng.uniform(-math.pi, math.pi, n)
+        ends = np.array([-math.pi / 2, math.pi / 2, math.pi / 2 + 1e-9, math.pi / 2 - 1e-9])
+        angles[:4] = (t + ends)[:n]
+        return angles
+    if family == "spread":
+        # admissible_pair's bases
+        return _spread_gaps(random_spectrum(n, rng).angles)
+    return profile_family(family, n, rng)
+
+
+DIAGONALIZE_FAMILIES = (
+    "uniform", "clustered", "four-clusters", "antipodal", "repeated", "collision", "flat",
+    "spread",
+)
+
+
 class TestDiagonalize:
     def test_rotation_closed_form(self):
         c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
@@ -421,18 +458,16 @@ class TestDiagonalize:
             diff = np.abs(ng.canon_angle(got - ref))
             assert np.max(diff) < 1e-7
 
-    def test_combination_angles_are_the_seed_zero_draws(self):
-        from normgen.spectral import _COMBINATION_ANGLES
+    def test_combination_angle_is_the_seed_zero_draw(self):
+        from normgen.spectral import _COMBINATION_ANGLE
 
-        rng = np.random.default_rng(0)
-        draws = tuple(rng.uniform(0.0, 2.0 * math.pi) for _ in range(8))
-        assert _COMBINATION_ANGLES == draws
+        assert _COMBINATION_ANGLE == np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
 
     def test_collision_pair_rebuilds_to_rounding(self):
-        # the first Hermitian combination, at the first draw of
-        # default_rng(0), cos(t) Re u + sin(t) Im u, maps e^{ia} and e^{ib}
-        # 1e-6 apart when a + b = 2t + 1e-6; eigh then mixes their
-        # eigenvectors and the rebuild was off by 5e4 n eps
+        # the Hermitian combination, at the first draw of default_rng(0),
+        # cos(t) Re u + sin(t) Im u, maps e^{ia} and e^{ib} 1e-6 apart when
+        # a + b = 2t + 1e-6; eigh then mixes their eigenvectors and the
+        # rebuild was off by 5e4 n eps
         n = 8
         eps = np.finfo(float).eps
         t = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
@@ -445,16 +480,39 @@ class TestDiagonalize:
         rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
         assert np.max(np.abs(rebuilt - u)) <= 8 * n * eps
 
-    def test_rebuild_at_rounding_level(self):
+    def test_rebuild_at_rounding_level(self, eigh_calls):
         rng = np.random.default_rng(44)
         eps = np.finfo(float).eps
-        for trial in range(120):
-            n = (2, 4, 8, 16, 32)[trial % 5]
-            u = haar_unitary(n, rng)
+        cases = itertools.product(DIAGONALIZE_FAMILIES, (2, 4, 8, 16, 32, 64), range(4))
+        for family, n, _ in cases:
+            u = conjugated(diagonalize_family(family, n, rng), rng)
+            eigh_calls.clear()
             spec, w = ng.diagonalize_normal(u)
+            assert eigh_calls.count((n, n)) == 1, family
+            rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
+            assert np.max(np.abs(rebuilt - u)) <= 8 * n * eps, family
+            assert np.max(np.abs(w @ w.conj().T - np.eye(n))) <= 8 * n * eps, family
+
+    def test_chained_couplings_separate_in_one_pass(self, eigh_calls):
+        # eigh mixes the columns of eigenvalues that the combination maps
+        # close together, and when the couplings chain through one column
+        # they form a single run, which takes one small eigh
+        eps = np.finfo(float).eps
+        t = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
+        # the base of a certify input: couplings (0, 2), (1, 2) and (2, 3)
+        _, base = ng.admissible_pair(32, 2, 1, np.random.default_rng([1, 1]))
+        rng = np.random.default_rng(0)
+        angles = rng.uniform(-math.pi, math.pi, 8)
+        # three eigenvalues whose images cos(a - t) lie within 1e-7
+        angles[:3] = t + 1.0, t - 1.0 - 4e-8, t + 1.0 + 8e-8
+        chain = conjugated(angles, rng)
+        for u, run in ((base.matrix, 4), (chain, 3)):
+            n = u.shape[0]
+            eigh_calls.clear()
+            spec, w = ng.diagonalize_normal(u)
+            assert eigh_calls == [(n, n), (1, run, run)]
             rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
             assert np.max(np.abs(rebuilt - u)) <= 8 * n * eps
-            assert np.max(np.abs(w @ w.conj().T - np.eye(n))) <= 8 * n * eps
 
     def test_repeated_eigenvalues(self):
         rng = np.random.default_rng(47)
@@ -463,69 +521,6 @@ class TestDiagonalize:
         spec, _ = ng.diagonalize_normal(w @ d @ w.conj().T)
         got = np.sort(spec.angles)
         assert np.allclose(got, [-2.0, -2.0, 0.4, 0.4, 0.4], atol=1e-8)
-
-
-def loop_separate_mixed_pairs(w, mw, cut):
-    """_separate_mixed_pairs as it was, rotating w, u w and d one array at
-    a time: the reference for the stacked version."""
-    d = w.conj().T @ mw
-    for _ in range(3):
-        off = np.abs(np.triu(d, 1))
-        pairs = np.argwhere(off > cut)
-        if pairs.shape[0] == 0:
-            break
-        used, chosen = set(), []
-        for a, b in pairs[np.argsort(-off[pairs[:, 0], pairs[:, 1]])].tolist():
-            if a not in used and b not in used:
-                used.update((a, b))
-                chosen.append((a, b))
-        a, b = np.array(chosen).T
-        half = 0.5 * (d[a, a] - d[b, b])
-        mu = np.sqrt(half * half + d[a, b] * d[b, a])
-        ph = np.ones_like(mu)
-        np.divide(np.abs(mu), mu, out=ph, where=mu != 0)
-        cross = 0.5 * (d[a, b] * ph + np.conj(d[b, a] * ph))
-        h = np.empty((a.shape[0], 2, 2), dtype=complex)
-        h[:, 0, 0] = (half * ph).real
-        h[:, 1, 1] = -h[:, 0, 0]
-        h[:, 0, 1] = cross
-        h[:, 1, 0] = np.conj(cross)
-        _, v = np.linalg.eigh(h)
-        for x in (w, mw, d):
-            xa, xb = x[:, a], x[:, b]
-            x[:, a] = xa * v[:, 0, 0] + xb * v[:, 1, 0]
-            x[:, b] = xa * v[:, 0, 1] + xb * v[:, 1, 1]
-        da, db = d[a, :], d[b, :]
-        vc = v.conj()[:, :, :, None]
-        d[a, :] = vc[:, 0, 0] * da + vc[:, 1, 0] * db
-        d[b, :] = vc[:, 0, 1] * da + vc[:, 1, 1] * db
-    return w, mw
-
-
-class TestSeparateMixedPairs:
-    def test_matches_the_one_array_at_a_time_sweeps(self):
-        from normgen.spectral import _COMBINATION_ANGLES, _separate_mixed_pairs
-
-        t = _COMBINATION_ANGLES[0]
-        rng = np.random.default_rng(51)
-        swept = 0
-        for trial in range(60):
-            n = (4, 8, 16, 32)[trial % 4]
-            angles = rng.uniform(-math.pi, math.pi, n)
-            # pairs that the first combination maps within 1e-7 of each other
-            for k in range(0, min(n, 2 + trial % 6), 2):
-                angles[k + 1] = 2.0 * t - angles[k] + rng.uniform(-1e-7, 1e-7)
-            w0 = haar_unitary(n, rng)
-            u = (w0 * np.exp(1j * angles)) @ w0.conj().T
-            h = math.cos(t) * (u + u.conj().T) / 2.0 + math.sin(t) * (u - u.conj().T) / 2j
-            _, w = np.linalg.eigh(h)
-            cut = 4.0 * n * np.finfo(float).eps
-            got = _separate_mixed_pairs(w.copy(), u @ w, cut)
-            want = loop_separate_mixed_pairs(w.copy(), u @ w, cut)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
-            swept += not np.array_equal(got[0], w)
-        assert swept > 30
 
 
 def diagonal_cases():
