@@ -39,7 +39,6 @@ _EXPORTS = {
         "haar_unitary",
         "one_norm",
         "profile_mean",
-        "proj_distance",
         "projective_one_norm",
         "projective_profile",
         "projective_s_number",
@@ -60,7 +59,7 @@ _EXPORTS = {
         "CertStep",
         "Certificate",
         "certificate_product",
-        "theorem_budgets",
+        "theorem_budget",
         "verify_certificate",
     ),
     "generation": (

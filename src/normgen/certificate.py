@@ -43,7 +43,7 @@ __all__ = [
     "CertStep",
     "Certificate",
     "certificate_product",
-    "theorem_budgets",
+    "theorem_budget",
     "verify_certificate",
 ]
 
@@ -467,50 +467,33 @@ def certificate_product(angles, runs):
 # budgets
 
 
-def _ceil_div(num, den):
-    f = Fraction(num) / Fraction(den)
-    return -((-f.numerator) // f.denominator)
-
-
 def as_fraction(s):
     """s as a Fraction; a float is read with denominator at most 10**9."""
     return Fraction(s).limit_denominator(10**9) if isinstance(s, float) else Fraction(s)
 
 
-def theorem_budgets(m, n=None, s=None, ell=None, coeff=None):
-    """Conjugate-count budgets of the various generation routes.
-
-    Matrix routes need the size n: the gap-walk route costs 8*m*n and the
-    block-parallel route 24*m*ceil(n/s).  Trace routes read s as a fraction:
-    the rational pipeline costs 48*m*ceil(1/s), the kernel route through
-    symmetries 18432*m*ceil(1/s), and the general route 589824*m*ceil(1/s).
-    With a length value ell the asymptotic scaling coeff*|log ell|/ell is
-    reported as well.
+def theorem_budget(theorem, params):
+    """The conjugate count a certificate of the theorem tag is charged
+    against, read from the params record its certificates store: 8*m*n for
+    rank_dep and full_gen, 24*m*ceil(n/s) for rank_indep, 48*m*ceil(1/s)
+    with s = s_num/s_den for pipeline, and 4 for broise_kernel.
     """
-    m = int(m)
+    if theorem == "broise_kernel":
+        return 4
+    if theorem not in THEOREM_TAGS:
+        raise DomainError(f"unknown theorem tag {theorem!r}")
+    m = int(params["m"])
     if m <= 0:
         raise DomainError("multiplier must be positive")
-    out = {}
-    if n is not None:
-        n = int(n)
-        out["rank_dependent"] = 8 * m * n
-    if s is not None:
-        s_frac = as_fraction(s)
-        if s_frac <= 0:
-            raise DomainError("block parameter must be positive")
-        if n is not None:
-            out["rank_independent"] = 24 * m * _ceil_div(n, s_frac)
-        inv = _ceil_div(1, s_frac)
-        out["pipeline"] = 48 * m * inv
-        out["kernel_factor"] = 18432 * m * inv
-        out["general_factor"] = 589824 * m * inv
-    if ell is not None:
-        ell = float(ell)
-        if ell <= 0:
-            raise DomainError("length value must be positive")
-        c = 1.0 if coeff is None else float(coeff)
-        out["length_scaling"] = c * abs(math.log(ell)) / ell
-    return out
+    if theorem in ("rank_dep", "full_gen"):
+        return 8 * m * int(params["n"])
+    if theorem == "rank_indep":
+        factor, span, s = 24, int(params["n"]), Fraction(params["s"])
+    else:
+        factor, span, s = 48, 1, Fraction(params["s_num"], params["s_den"])
+    if s <= 0:
+        raise DomainError("block parameter must be positive")
+    return factor * m * -(-span // s)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +590,6 @@ def _step_defects(runs, n):
     not a permutation of range(n), or a block out of range, overlapping
     another or not finite."""
     out = np.full((2, sum(map(len, runs))), np.nan)
-    idx, mats = [np.empty(0, dtype=np.int64)], [np.empty((0, 2, 2), dtype=complex)]
     start = 0
     for run in runs:
         good = np.flatnonzero((run.e == 1) | (run.e == -1))
@@ -620,17 +602,12 @@ def _step_defects(runs, n):
             and _layout_fits(run.offsets, n)
         ):
             continue
-        out[:, steps] = 0.0
-        idx.append(np.repeat(steps, run.offsets.shape[0]))
-        mats.append(run.blocks[good].reshape(-1, 2, 2))
-    # one batched Gram product over every block of every run
-    stack, idx = np.concatenate(mats), np.concatenate(idx)
-    gram = stack @ stack.conj().transpose(0, 2, 1) - np.eye(2)
-    norms = (np.abs(gram).max(axis=(1, 2)), np.linalg.norm(gram, axis=(1, 2)))
-    finite = np.isfinite(norms[0])
-    for row, defect in zip(out, norms):
-        np.maximum.at(row, idx[finite], defect[finite])
-    out[:, idx[~finite]] = np.nan
+        # a step's (nb, 2, 2) Gram defects, reduced over its blocks; no blocks read 0
+        blocks = run.blocks[good]
+        gram = blocks @ blocks.conj().swapaxes(-1, -2) - np.eye(2)
+        out[0, steps] = np.abs(gram).max(axis=(1, 2, 3), initial=0.0)
+        out[1, steps] = np.linalg.norm(gram, axis=(2, 3)).max(axis=1, initial=0.0)
+    out[~np.isfinite(out)] = np.nan
     return out
 
 

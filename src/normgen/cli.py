@@ -227,7 +227,7 @@ def cmd_corpus(args):
 
 
 def cmd_counterexample(args):
-    from .certificate import theorem_budgets
+    from .certificate import theorem_budget
     from .generation import counterexample_pair, hypothesis_check
 
     if args.n < 2:
@@ -236,7 +236,6 @@ def cmd_counterexample(args):
     probe = hypothesis_check(pair["u"], pair["v"], 1, 1)
     mstar = probe.min_feasible_m or 1
     feas = hypothesis_check(pair["u"], pair["v"], mstar, 1)
-    budgets = theorem_budgets(m=mstar, s=1, n=args.n)
     out = {
         "n": args.n,
         "lower_bound": pair["lower_bound"],
@@ -246,7 +245,7 @@ def cmd_counterexample(args):
         "min_multiplier": mstar,
         "hypothesis": feas.to_json(),
         "max_feasible_s": feas.max_feasible_s,
-        "rank_dependent_budget": budgets["rank_dependent"],
+        "rank_dependent_budget": theorem_budget("rank_dep", {"m": mstar, "n": args.n}),
     }
     _emit(out)
     return EXIT_OK

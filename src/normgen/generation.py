@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificate import Certificate, CertRun, _assembled, theorem_budgets
+from .certificate import Certificate, CertRun, _assembled, theorem_budget
 from .config import EPS, TOL
 from .errors import (
     BudgetInfeasibleError,
@@ -258,7 +258,7 @@ def _plan_batches(factors, pairs, cap):
     return batches
 
 
-def _walk_certificate(pair, theorem, m, s, budget, admit, metadata):
+def _walk_certificate(pair, theorem, m, s, admit, metadata):
     """The one gate and assembly of the walk generators.
 
     In order: a central target gets the empty certificate if that passes
@@ -273,11 +273,13 @@ def _walk_certificate(pair, theorem, m, s, budget, admit, metadata):
     the shortest even length, at most 4m, that reaches all of its strands.
     The steps stay in the eigenframes: the certificate stores the target's
     frame in angle-sum order and the base's frame in the matched layout
-    once, and checks its product the way the verifier does.
+    once, and checks its product the way the verifier does.  The length is
+    charged against theorem_budget of the tag and the params {m, s, n}.
     """
     urep, vrep, uspec, uframe, vspec, vframe = pair
     n = urep.n
     params = {"m": m, "s": s, "n": n}
+    budget = theorem_budget(theorem, params)
     trivial = None
     if _is_central(uspec.angles):
         trivial = Certificate(urep.op, vrep.op, uframe, vframe, vspec.angles, (), budget,
@@ -352,8 +354,7 @@ def generate_rank_dependent(u, v, m):
                 f"ell_0(target) {ell_u:.6f} exceeds {m} * ell_0(base) {ell_v:.6f}"
             )
 
-    budget = theorem_budgets(m, n=pair.urep.n)["rank_dependent"]
-    return _walk_certificate(pair, "rank_dep", m, None, budget, admit,
+    return _walk_certificate(pair, "rank_dep", m, None, admit,
                              {"even_rounding": "4m is even"})
 
 
@@ -379,8 +380,7 @@ def generate_rank_independent(u, v, m, s):
         if not report.satisfied:
             raise HypothesisError("generation hypothesis fails; see attached report", report)
 
-    budget = theorem_budgets(m, n=n, s=s)["rank_independent"]
-    return _walk_certificate(pair, "rank_indep", m, s, budget, admit,
+    return _walk_certificate(pair, "rank_indep", m, s, admit,
                              {"even_rounding": "4m is even"})
 
 
@@ -398,8 +398,7 @@ def generate_full(u, v):
             "base has vanishing projective length and generates nothing"
         )
     m = int(math.ceil(2.0 / ell_v - 1e-12))
-    budget = theorem_budgets(m, n=pair.urep.n)["rank_dependent"]
-    return _walk_certificate(pair, "full_gen", m, None, budget, None,
+    return _walk_certificate(pair, "full_gen", m, None, None,
                              {"derived_multiplier": f"ceil(2/{ell_v:.6f})"})
 
 

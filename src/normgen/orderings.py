@@ -224,9 +224,14 @@ def center_phase(spec):
     cancels the wrap corrections, so its canonical angles sum to zero up to
     float noise.  Among those the one with the smallest largest angle
     modulus wins (the first, unless a later one is smaller by more than
-    1e-15): its branch cut falls inside the widest spectral gap, which
-    keeps every angle modulus at most the covering arc, as the walk budget
-    analysis needs.  Returns (centered spectrum, applied phase angle).
+    1e-15).  Its peak is at most the covering arc L = 2 pi - widest gap, as
+    the walk budget analysis needs, though its branch cut need not fall in
+    the widest gap.  Cut open at the widest gap, the angles lie in an arc
+    of length L, so subtracting their mean is one of the candidates and
+    leaves every angle within L of 0.  If that candidate's canonical angles
+    sum to zero, the winner's peak is at most its peak, so at most L; if
+    they do not, some angle left (-pi, pi], so L > pi, and pi bounds every
+    candidate's peak.  Returns (centered spectrum, applied phase angle).
 
     Every candidate is read off the sorted angles in O(log n).  Shifting
     by t moves the sorted angles up to the cut c = canon(pi - t) to the top

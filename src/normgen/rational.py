@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificate import as_fraction, easy_violations, theorem_budgets
+from .certificate import as_fraction, easy_violations, theorem_budget
 from .config import TOL
 from .errors import (
     DimensionError,
@@ -316,7 +316,14 @@ def pipeline_generate(u, v, m, s):
         raise DomainError(f"window {s} outside (0, 1]")
     ua, va, s0 = lcm_embed(u, v)
     window = profile_window(s, s0)
-    budget = theorem_budgets(m, s=s)["pipeline"]
+    params = {
+        "m": m,
+        "s_num": s.numerator,
+        "s_den": s.denominator,
+        "n": s0,
+        "window": window,
+    }
+    budget = theorem_budget("pipeline", params)
     inner = generate_rank_independent(ua, va, m, window)
     if inner.claimed_budget > budget:
         raise NumericalDegeneracyError(
@@ -335,13 +342,7 @@ def pipeline_generate(u, v, m, s):
         inner,
         claimed_budget=budget,
         theorem="pipeline",
-        params={
-            "m": m,
-            "s_num": s.numerator,
-            "s_den": s.denominator,
-            "n": s0,
-            "window": window,
-        },
+        params=params,
         metadata=metadata,
     )
 

@@ -102,14 +102,6 @@ def _as_square(x, what="matrix"):
     return m
 
 
-def _square_pair(a, b):
-    """a and b as square matrices of one shape."""
-    a, b = _as_square(a), _as_square(b)
-    if a.shape != b.shape:
-        raise DimensionError("shape mismatch")
-    return a, b
-
-
 def matrix_to_json(m):
     m = np.asarray(m, dtype=complex)
     return {"n": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
@@ -498,16 +490,6 @@ def two_norm(x):
     """Trace-normalized Hilbert-Schmidt norm."""
     m = _as_square(x)
     return float(np.linalg.norm(m) / math.sqrt(m.shape[0]))
-
-
-def proj_distance(a, b):
-    """Two-norm distance from a to the nearest unit multiple of b."""
-    a, b = _square_pair(a, b)
-    n = a.shape[0]
-    na = np.linalg.norm(a) ** 2 / n
-    nb = np.linalg.norm(b) ** 2 / n
-    cross = abs(np.trace(a.conj().T @ b)) / n
-    return math.sqrt(max(0.0, na + nb - 2.0 * cross))
 
 
 def best_phase(tr, diag):

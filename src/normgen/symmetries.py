@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .certificate import Certificate, CertRun, _assembled
+from .certificate import Certificate, CertRun, _assembled, theorem_budget
 from .errors import (
     DimensionError,
     NumericalDegeneracyError,
@@ -216,8 +216,9 @@ def broise_kernel_certificate(w):
     bframe = Monomial(perm, np.ones(n))
 
     def certificate(runs, metadata):
+        params = {"m": None, "s": None, "n": n}
         return Certificate(target, base, aframe, bframe, np.tile([0.0, np.pi], k), runs,
-                           4, "broise_kernel", {"m": None, "s": None, "n": n},
+                           theorem_budget("broise_kernel", params), "broise_kernel", params,
                            {"construction": "stst", "square_root": "principal", **metadata},
                            np.r_[spec.angles, -spec.angles])
 

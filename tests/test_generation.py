@@ -24,7 +24,7 @@ from normgen.certificate import (
     CertRun,
     Certificate,
     certificate_product,
-    theorem_budgets,
+    theorem_budget,
     verify_certificate,
 )
 from normgen.generation import (
@@ -184,31 +184,40 @@ class TestCertificateType:
 
 class TestTheoremBudgets:
     def test_frozen_examples(self):
-        out = theorem_budgets(1, n=4, s=1)
-        assert out["rank_independent"] == 96
-        assert out["rank_dependent"] == 32
-        assert out["general_factor"] == 589824
-        assert out["kernel_factor"] == 18432
-        out2 = theorem_budgets(2, s=Fraction(1, 2))
-        assert out2["pipeline"] == 192
+        assert theorem_budget("rank_indep", {"m": 1, "s": 1, "n": 4}) == 96
+        assert theorem_budget("rank_dep", {"m": 1, "s": None, "n": 4}) == 32
+        assert theorem_budget("full_gen", {"m": 3, "s": None, "n": 4}) == 96
+        pipeline = {"m": 2, "s_num": 1, "s_den": 2, "n": 6, "window": 2}
+        assert theorem_budget("pipeline", pipeline) == 192
+        assert theorem_budget("broise_kernel", {"m": None, "s": None, "n": 8}) == 4
 
     def test_ceil_is_exact_for_fractions(self):
-        out = theorem_budgets(1, s=Fraction(1, 3))
-        assert out["pipeline"] == 144
-        out = theorem_budgets(1, n=10, s=3)
-        assert out["rank_independent"] == 24 * 4
-
-    def test_length_scaling(self):
-        out = theorem_budgets(1, ell=0.5, coeff=2.0)
-        assert out["length_scaling"] == pytest.approx(2.0 * abs(math.log(0.5)) / 0.5)
+        assert theorem_budget("pipeline", {"m": 1, "s_num": 1, "s_den": 3}) == 144
+        assert theorem_budget("pipeline", {"m": 1, "s_num": 2, "s_den": 3}) == 48 * 2
+        assert theorem_budget("rank_indep", {"m": 1, "s": 3, "n": 10}) == 24 * 4
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            theorem_budgets(0, n=4, s=1)
+            theorem_budget("rank_dep", {"m": 0, "s": None, "n": 4})
         with pytest.raises(DomainError):
-            theorem_budgets(1, s=0)
+            theorem_budget("rank_indep", {"m": 1, "s": 0, "n": 4})
         with pytest.raises(DomainError):
-            theorem_budgets(1, ell=0.0)
+            theorem_budget("pipeline", {"m": 1, "s_num": 0, "s_den": 1})
+        with pytest.raises(DomainError):
+            theorem_budget("unknown", {"m": 1, "s": None, "n": 4})
+
+    def test_generators_charge_their_tag(self):
+        from normgen import admissible_pair, broise_kernel_certificate
+
+        rng = np.random.default_rng(28)
+        u, v = haar(5, rng), haar(5, rng)
+        certs = [
+            generate_full(u, v),
+            generate_rank_dependent(*admissible_pair(5, 2, 1, rng), 2),
+            broise_kernel_certificate(haar(2, rng)),
+        ]
+        for cert in certs:
+            assert cert.claimed_budget == theorem_budget(cert.theorem, cert.params)
 
 
 class TestHypothesisCheck:
@@ -1669,6 +1678,8 @@ def tampered_runs(cert):
     scaled[1, 0] *= 1.001
     nan = np.array(run.blocks, copy=True)
     nan[1, 0, 0, 0] = np.nan
+    inf = np.array(run.blocks, copy=True)
+    inf[1, 0, 0, 0] = np.inf
     dup = run.perm.copy()
     dup[0] = dup[1]
     changes = (
@@ -1676,6 +1687,7 @@ def tampered_runs(cert):
         {"perm": dup},
         {"blocks": scaled},
         {"blocks": nan},
+        {"blocks": inf},
         {"offsets": np.r_[run.offsets, run.offsets[0] + 1],
          "blocks": np.concatenate((run.blocks, run.blocks[:, :1]), axis=1)},
         {"offsets": np.r_[cert.n - 1, run.offsets[1:]]},

@@ -192,6 +192,34 @@ class TestCenterPhase:
                 if abs(cand.sum()) <= 1e-9:
                     assert np.max(np.abs(spec.angles)) <= np.max(np.abs(cand)) + 1e-12
 
+    def test_peak_within_covering_arc(self):
+        # the branch cut need not fall in the widest gap, but the peak angle
+        # never exceeds the covering arc 2 pi - widest gap, up to rounding
+        rng = np.random.default_rng(2028)
+        outside = 0
+        for i in range(600):
+            n = int(rng.integers(2, 60))
+            family = i % 5
+            if family == 0:
+                angles = rng.uniform(-math.pi, math.pi, n)
+            elif family == 1:
+                angles = rng.uniform(-0.3, 0.3, n) + rng.uniform(-math.pi, math.pi)
+            elif family == 2:
+                centres = rng.uniform(-math.pi, math.pi, 4)
+                angles = centres[rng.integers(0, 4, n)] + rng.uniform(-0.05, 0.05, n)
+            elif family == 3:
+                half = rng.uniform(-math.pi, math.pi, n // 2)
+                angles = np.concatenate((half, half + math.pi, rng.uniform(-1, 1, n % 2)))
+            else:
+                atoms = rng.uniform(-math.pi, math.pi, int(rng.integers(1, 4)))
+                angles = atoms[rng.integers(0, len(atoms), n)]
+            a = np.sort(canon_angle(angles))
+            widest = max(np.max(np.diff(a), initial=0.0), a[0] + 2.0 * math.pi - a[-1])
+            spec, _ = center_phase(ng.CircleSpectrum(angles))
+            assert np.max(np.abs(spec.angles)) <= 2.0 * math.pi - widest + 1e-12
+            outside += 2.0 * math.pi - np.ptp(spec.angles) < widest - 1e-9
+        assert outside > 0
+
 
 class TestChecks:
     def test_sandwich_trivial(self):

@@ -380,12 +380,6 @@ class TestRankOps:
         spec = ng.CircleSpectrum(np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))
         assert rank(spec) == 4
 
-    def test_proj_distance(self):
-        u = haar_unitary(4, np.random.default_rng(41))
-        assert ng.proj_distance(u, np.exp(0.8j) * u) < 1e-12
-        d = ng.proj_distance(np.eye(3), np.diag([1.0, 1.0, -1.0]))
-        assert d == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-12)
-
 
 def conjugated(angles, rng):
     """A Haar conjugate of diag(e^{i angles})."""
