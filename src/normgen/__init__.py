@@ -74,8 +74,6 @@ _EXPORTS = {
         "Symmetry",
         "block_symmetry_factors",
         "broise_kernel_certificate",
-        "sqrt_unitary",
-        "symmetry_conjugator",
     ),
     "commutator": (
         "aux_inequality_check",

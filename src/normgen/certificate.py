@@ -602,9 +602,11 @@ def _step_defects(runs, n):
             and _layout_fits(run.offsets, n)
         ):
             continue
-        # a step's (nb, 2, 2) Gram defects, reduced over its blocks; no blocks read 0
+        # a step's (nb, 2, 2) Gram defects, reduced over its blocks; no blocks
+        # read 0, and an inf entry's inf * 0 is the nan the report flags
         blocks = run.blocks[good]
-        gram = blocks @ blocks.conj().swapaxes(-1, -2) - np.eye(2)
+        with np.errstate(invalid="ignore"):
+            gram = blocks @ blocks.conj().swapaxes(-1, -2) - np.eye(2)
         out[0, steps] = np.abs(gram).max(axis=(1, 2, 3), initial=0.0)
         out[1, steps] = np.linalg.norm(gram, axis=(2, 3)).max(axis=1, initial=0.0)
     out[~np.isfinite(out)] = np.nan

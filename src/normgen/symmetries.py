@@ -32,7 +32,6 @@ from .certificate import Certificate, CertRun, _assembled, theorem_budget
 from .errors import (
     DimensionError,
     NumericalDegeneracyError,
-    PreconditionError,
     ValidationError,
 )
 from .spectral import (
@@ -47,8 +46,6 @@ __all__ = [
     "Symmetry",
     "block_symmetry_factors",
     "broise_kernel_certificate",
-    "sqrt_unitary",
-    "symmetry_conjugator",
 ]
 
 # involution invariants are tighter than generic unitarity
@@ -59,10 +56,9 @@ _TRACE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Symmetry:
-    """A self-adjoint unitary, flagged trace-zero by default."""
+    """A self-adjoint unitary of trace zero."""
 
     matrix: np.ndarray
-    trace_zero: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -78,12 +74,11 @@ class Symmetry:
             raise ValidationError(
                 f"square is not the identity: defect {sq:.3e} > {_SQUARE_TOL:g}"
             )
-        if self.trace_zero:
-            tr = abs(complex(np.trace(m)))
-            if tr > _TRACE_TOL:
-                raise ValidationError(
-                    f"trace magnitude {tr:.3e} > {_TRACE_TOL:g}"
-                )
+        tr = abs(complex(np.trace(m)))
+        if tr > _TRACE_TOL:
+            raise ValidationError(
+                f"trace magnitude {tr:.3e} > {_TRACE_TOL:g}"
+            )
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -93,12 +88,6 @@ class Symmetry:
         return self.matrix.shape[0]
 
 
-def _as_matrix(x, what="matrix"):
-    if isinstance(x, Symmetry):
-        return x.matrix
-    return as_unitary(x, what).matrix
-
-
 def _dense_rep(x, what):
     """x validated once as a UnitaryRep of a dense matrix, which
     diagonalize_normal takes as it is and gives a dense frame."""
@@ -106,33 +95,19 @@ def _dense_rep(x, what):
     return rep if isinstance(rep.op, np.ndarray) else UnitaryRep(rep.matrix)
 
 
-def sqrt_unitary(w):
-    """Principal square root: halve the eigenangles on the (-pi, pi] branch.
-
-    Returns a UnitaryRep u with u @ u equal to w up to diagonalization
-    residual; eigenvalue -1 maps to +i.
-    """
-    rep = _dense_rep(w, "unitary")
-    spec, frame = diagonalize_normal(rep)
-    half = np.exp(0.5j * spec.angles)
-    root = (frame * half[None, :]) @ frame.conj().T
-    drift = float(np.max(np.abs(root @ root - rep.matrix)))
-    if drift > 1e-9:
-        raise NumericalDegeneracyError(
-            f"square root reconstruction drift {drift:.3e}"
-        )
-    return UnitaryRep(root)
-
-
 def block_symmetry_factors(w):
     """Four trace-zero symmetries in U(2k) whose product is diag(w, w*).
 
     Returns (s, t, s, t) with s = [[0, u], [u*, 0]] for the principal square
-    root u of w and t the block swap; s t = diag(u, u*) so the product
-    telescopes to diag(w, w*).
+    root u of w, its eigenangles halved on the (-pi, pi] branch so that -1
+    maps to +i, and t the block swap; s t = diag(u, u*) so the product
+    telescopes to diag(w, w*).  Symmetry(s) checks u u* = I, and the product
+    check bounds u u - w, since (s t)^2 = diag(u^2, u*^2).
     """
     rep = _dense_rep(w, "unitary")
-    m, u = rep.matrix, sqrt_unitary(rep).matrix
+    m = rep.matrix
+    spec, frame = diagonalize_normal(rep)
+    u = (frame * np.exp(0.5j * spec.angles)) @ frame.conj().T
     k = m.shape[0]
     zero = np.zeros((k, k), dtype=complex)
     eye = np.eye(k, dtype=complex)
@@ -146,58 +121,14 @@ def block_symmetry_factors(w):
     return s, t, s, t
 
 
-def _involution_frame(m):
-    """Eigenvector frame of a symmetry, +1 block first, phases pinned.
-
-    Each column is normalized so its largest-modulus entry is real positive,
-    the same convention the walk conjugators use.
-    """
-    n = m.shape[0]
-    vals, vecs = np.linalg.eigh(m)
-    plus = int(np.count_nonzero(vals > 0.0))
-    if n % 2 == 1 or plus != n - plus:
-        raise PreconditionError(
-            "not in the trace-zero conjugacy class: eigenvalue multiplicities "
-            f"({plus}, {n - plus}) in dimension {n}"
-        )
-    order = np.argsort(-vals, kind="stable")
-    frame = vecs[:, order]
-    for j in range(n):
-        col = frame[:, j]
-        k = int(np.argmax(np.abs(col)))
-        ph = col[k] / abs(col[k])
-        frame[:, j] = col * ph.conjugate()
-    return frame
-
-
-def symmetry_conjugator(s1, s2):
-    """Unitary g with g @ s1 @ g* = s2 for trace-zero symmetries s1, s2.
-
-    Both inputs must be symmetries with eigenvalue multiplicities (n/2, n/2);
-    odd dimension or unbalanced multiplicities are a different conjugacy
-    class and are rejected.
-    """
-    a = Symmetry(_as_matrix(s1, "symmetry"), trace_zero=False).matrix
-    b = Symmetry(_as_matrix(s2, "symmetry"), trace_zero=False).matrix
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-    g = _involution_frame(b) @ _involution_frame(a).conj().T
-    drift = float(np.max(np.abs(g @ a @ g.conj().T - b)))
-    if drift > 1e-9:
-        raise NumericalDegeneracyError(f"conjugation drift {drift:.3e}")
-    return g
-
-
 def broise_kernel_certificate(w):
     """Write diag(w, w*) as four conjugates of the trace-zero symmetry
     diag(I_k, -I_k): one run of four steps of k 2x2 blocks (see the module
     docstring), with budget exactly 4, which must pass the product check,
     else NumericalDegeneracyError.  A central target yields a certificate
     with no runs if that passes the check.  Only w is diagonalized; the base
-    and its frame are Monomials.  Conjugating every step by
-    symmetry_conjugator(diag(I, -I), R) moves the steps onto any trace-zero R.
+    and its frame are Monomials.  All trace-zero symmetries of U(2k) are
+    conjugate, so the fixed reference loses nothing.
     """
     rep = _dense_rep(w, "unitary")
     m = rep.matrix

@@ -2,7 +2,7 @@
 
 Frozen values: the 1x1 square root of -1 is +i (principal half-angle), the
 scalar-i block factors multiply to diag(i, -i) by direct 2x2 arithmetic, and
-the conjugator from diag(1,-1) to the swap is the Hadamard frame.
+the Broise step that conjugates diag(1, -1) to the swap is the Hadamard block.
 """
 
 import base64
@@ -17,7 +17,6 @@ from normgen import (
     Certificate,
     DimensionError,
     Monomial,
-    PreconditionError,
     ValidationError,
     verify_certificate,
 )
@@ -25,8 +24,6 @@ from normgen.symmetries import (
     Symmetry,
     block_symmetry_factors,
     broise_kernel_certificate,
-    sqrt_unitary,
-    symmetry_conjugator,
 )
 
 
@@ -36,11 +33,12 @@ def haar(n, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))[None, :]
 
 
-def random_symmetry(n, rng):
-    # conjugate of diag(I, -I); n must be even
-    g = haar(n, rng)
-    d = np.diag(np.r_[np.ones(n // 2), -np.ones(n // 2)]).astype(complex)
-    return g @ d @ g.conj().T
+def sqrt_of(w):
+    """The upper-right block u of block_symmetry_factors' first factor
+    s = [[0, u], [u*, 0]]: the principal square root of w."""
+    s = block_symmetry_factors(w)[0].matrix
+    k = s.shape[0] // 2
+    return s[:k, k:]
 
 
 class TestSymmetryType:
@@ -57,10 +55,8 @@ class TestSymmetryType:
             Symmetry(np.diag([1.0, 2.0]).astype(complex))
 
     def test_trace_zero_flag(self):
-        eye = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError, match="trace"):
-            Symmetry(eye)
-        assert Symmetry(eye, trace_zero=False).n == 2
+            Symmetry(np.eye(2, dtype=complex))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
@@ -73,30 +69,31 @@ class TestSymmetryType:
 
 
 class TestSqrtUnitary:
+    """The square root u of the unitary w in block_symmetry_factors."""
+
     def test_identity(self):
-        u = sqrt_unitary(np.eye(3, dtype=complex))
-        assert np.max(np.abs(u.matrix - np.eye(3))) <= 1e-12
+        u = sqrt_of(np.eye(3, dtype=complex))
+        assert np.max(np.abs(u - np.eye(3))) <= 1e-12
 
     def test_minus_one_gives_plus_i(self):
-        u = sqrt_unitary(np.array([[-1.0 + 0j]]))
-        assert abs(u.matrix[0, 0] - 1j) <= 1e-12
+        u = sqrt_of(np.array([[-1.0 + 0j]]))
+        assert abs(u[0, 0] - 1j) <= 1e-12
 
     def test_principal_branch_diagonal(self):
         angles = np.array([0.3, -2.9, np.pi])
         w = np.diag(np.exp(1j * angles))
-        u = sqrt_unitary(w)
         want = np.diag(np.exp(0.5j * angles))
-        assert np.max(np.abs(u.matrix - want)) <= 1e-9
+        assert np.max(np.abs(sqrt_of(w) - want)) <= 1e-9
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
     def test_random_reconstructs(self, n, seed):
         w = haar(n, np.random.default_rng(seed))
-        u = sqrt_unitary(w)
-        assert np.max(np.abs(u.matrix @ u.matrix - w)) <= 1e-9
+        u = sqrt_of(w)
+        assert np.max(np.abs(u @ u - w)) <= 1e-9
 
     def test_commutes_with_input(self):
         w = haar(4, np.random.default_rng(9))
-        u = sqrt_unitary(w).matrix
+        u = sqrt_of(w)
         assert np.max(np.abs(u @ w - w @ u)) <= 1e-9
 
 
@@ -133,59 +130,6 @@ class TestBlockFactors:
             assert abs(np.trace(f.matrix)) <= 1e-9
             prod = prod @ f.matrix
         assert np.max(np.abs(prod - want)) <= 1e-9
-
-
-class TestSymmetryConjugator:
-    def test_same_input_gives_identity(self):
-        s = random_symmetry(6, np.random.default_rng(4))
-        g = symmetry_conjugator(s, s)
-        assert np.max(np.abs(g - np.eye(6))) <= 1e-9
-
-    def test_diag_to_swap_is_hadamard(self):
-        z = np.diag([1.0, -1.0]).astype(complex)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        g = symmetry_conjugator(z, x)
-        want = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
-        assert np.max(np.abs(g - want)) <= 1e-12
-
-    @pytest.mark.parametrize("n,seed", [(2, 0), (4, 1), (8, 2), (12, 3)])
-    def test_random_pairs(self, n, seed):
-        rng = np.random.default_rng(seed)
-        s1 = random_symmetry(n, rng)
-        s2 = random_symmetry(n, rng)
-        g = symmetry_conjugator(s1, s2)
-        assert np.max(np.abs(g @ g.conj().T - np.eye(n))) <= 1e-9
-        assert np.max(np.abs(g @ s1 @ g.conj().T - s2)) <= 1e-9
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(7)
-        s1 = random_symmetry(4, rng)
-        s2 = random_symmetry(4, rng)
-        g1 = symmetry_conjugator(s1, s2)
-        g2 = symmetry_conjugator(s1.copy(), s2.copy())
-        assert np.array_equal(g1, g2)
-
-    def test_odd_dimension_rejected(self):
-        s = np.diag([1.0, 1.0, -1.0]).astype(complex)
-        with pytest.raises(PreconditionError, match="conjugacy class"):
-            symmetry_conjugator(s, s)
-
-    def test_unbalanced_multiplicities_rejected(self):
-        s1 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-        with pytest.raises(PreconditionError, match="conjugacy class"):
-            symmetry_conjugator(s1, s1)
-
-    def test_dimension_mismatch(self):
-        a = np.diag([1.0, -1.0]).astype(complex)
-        b = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-        with pytest.raises(DimensionError):
-            symmetry_conjugator(a, b)
-
-    def test_non_symmetry_rejected(self):
-        u = haar(4, np.random.default_rng(11))
-        s = random_symmetry(4, np.random.default_rng(12))
-        with pytest.raises(ValidationError):
-            symmetry_conjugator(u, s)
 
 
 class TestBroiseKernel:
@@ -244,23 +188,6 @@ class TestBroiseKernel:
             g = step_conjugator(cert, i)
             got = g @ cert.base @ g.conj().T
             assert np.max(np.abs(got - f.matrix)) <= 1e-9
-
-    def test_custom_reference(self, step_conjugator):
-        # conjugating every step by g = symmetry_conjugator(diag(I, -I), R)
-        # writes the same four factors as conjugates of any trace-zero R
-        for k in (1, 2, 5):
-            rng = np.random.default_rng([6, k])
-            w = haar(k, rng)
-            ref = random_symmetry(2 * k, rng)
-            cert = broise_kernel_certificate(w)
-            g = symmetry_conjugator(cert.base, ref)
-            prod = np.eye(2 * k, dtype=complex)
-            for i, f in enumerate(block_symmetry_factors(w)):
-                h = step_conjugator(cert, i) @ g.conj().T
-                step = h @ ref @ h.conj().T
-                assert np.max(np.abs(step - f.matrix)) <= 1e-9, k
-                prod = prod @ step
-            assert np.max(np.abs(prod - cert.target)) <= 1e-9, k
 
     @pytest.mark.parametrize("k,seed", [(1, 0), (2, 1), (3, 2), (5, 3)])
     def test_target_frame(self, k, seed, step_conjugator):
@@ -345,8 +272,7 @@ class TestBroiseKernel:
             assert report["margins"]["first_failing_step"] == 2, change
             assert not report["pass"]
 
-    @pytest.mark.parametrize("build", [broise_kernel_certificate, sqrt_unitary,
-                                       block_symmetry_factors])
+    @pytest.mark.parametrize("build", [broise_kernel_certificate, block_symmetry_factors])
     def test_validates_w_once(self, build, monkeypatch):
         from normgen.spectral import UnitaryRep
 
