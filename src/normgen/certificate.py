@@ -49,7 +49,7 @@ __all__ = [
 
 THEOREM_TAGS = ("rank_dep", "rank_indep", "full_gen", "pipeline", "broise_kernel")
 
-CERT_VERSION = "normgen-cert/7"
+CERT_VERSION = "normgen-cert/8"
 
 # ---------------------------------------------------------------------------
 # certificate container
@@ -212,10 +212,9 @@ class Certificate:
     y @ diag(e^{i e base_angles}) @ y* computed in the eigenframe.  M equals
     diag(e^{i target_angles}) up to one global phase, which is how the
     verifier checks it.  len(cert) is the number of steps, k; steps reads
-    them out of the runs one by one.  claimed_budget is the theorem-level
-    bound the length is charged against; params and metadata record how the
-    steps were found.  target_angles defaults to the angles of the diagonal
-    of A* @ target @ A.  target, base and both frames are each a dense array
+    them out of the runs one by one.  theorem and params name the theorem
+    the length is charged against and its parameters, metadata how the
+    steps were found.  target, base and both frames are each a dense array
     or a Monomial; np.asarray gives the dense matrix of either.
     """
 
@@ -224,12 +223,11 @@ class Certificate:
     aframe: np.ndarray
     bframe: np.ndarray
     base_angles: np.ndarray
+    target_angles: np.ndarray
     runs: tuple
-    claimed_budget: int
     theorem: str
     params: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    target_angles: np.ndarray = None
 
     def __post_init__(self):
         t = _operand(self.target)
@@ -243,13 +241,8 @@ class Certificate:
                     f"{name} shape {m.shape} does not match target {t.shape}"
                 )
             mats[name] = m
-        if self.target_angles is None:
-            a = np.asarray(mats["aframe"])
-            phi = np.angle(np.einsum("ij,ij->j", a.conj(), np.asarray(t) @ a))
-        else:
-            phi = self.target_angles
-        for name, angles in (("base_angles", self.base_angles), ("target_angles", phi)):
-            angles = np.asarray(angles, dtype=float)
+        for name in ("base_angles", "target_angles"):
+            angles = np.asarray(getattr(self, name), dtype=float)
             if angles.shape != (t.shape[0],):
                 raise DimensionError(
                     f"need {t.shape[0]} {name}, got shape {angles.shape}"
@@ -257,9 +250,6 @@ class Certificate:
             mats[name] = angles
         if self.theorem not in THEOREM_TAGS:
             raise ValidationError(f"unknown theorem tag {self.theorem!r}")
-        budget = int(self.claimed_budget)
-        if budget < 0:
-            raise ValidationError("claimed budget must be non-negative")
         runs = tuple(self.runs)
         if not all(isinstance(run, CertRun) for run in runs):
             raise ValidationError("runs must be CertRun instances")
@@ -268,13 +258,17 @@ class Certificate:
                 m.setflags(write=False)
             object.__setattr__(self, name, m)
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "claimed_budget", budget)
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "metadata", dict(self.metadata))
 
     @property
     def n(self):
         return self.target.shape[0]
+
+    @property
+    def claimed_budget(self):
+        """The length's budget, theorem_budget of theorem and params."""
+        return theorem_budget(self.theorem, self.params)
 
     def __len__(self):
         return sum(map(len, self.runs))
@@ -311,7 +305,6 @@ class Certificate:
             "target_angles": self.target_angles.tolist(),
             "perms": perms,
             "runs": runs,
-            "claimed_budget": self.claimed_budget,
             "theorem": self.theorem,
             "params": dict(self.params),
             "metadata": _json_safe(self.metadata),
@@ -351,9 +344,7 @@ class Certificate:
                 if type(a) is not list or not all(type(x) is float for x in a):
                     raise TypeError(f"{name} must be a list of floats")
             runs = tuple(CertRun.from_json(r, perms) for r in obj["runs"])
-            budget, theorem = obj["claimed_budget"], obj["theorem"]
-            if not _all_ints(budget):
-                raise TypeError("claimed_budget must be an integer")
+            theorem = obj["theorem"]
             params, metadata = obj.get("params", {}), obj.get("metadata", {})
             if type(params) is not dict or type(metadata) is not dict:
                 raise TypeError("params and metadata must be objects")
@@ -362,8 +353,7 @@ class Certificate:
                 if not _all_ints(obj["s0"]):
                     raise TypeError("s0 must be an integer")
                 metadata.setdefault("s0", obj["s0"])
-            return cls(*mats, angles[0], runs, budget, theorem, params, metadata,
-                       angles[1])
+            return cls(*mats, *angles, runs, theorem, params, metadata)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateFormatError(f"malformed certificate: {exc}") from exc
 
@@ -506,7 +496,8 @@ def _defects(cert, names):
     "aframe" or "bframe", and the rebuild defects B diag(e^{i base_angles})
     B* - base ("base_rebuild") and A diag(e^{i target_angles}) A* - target
     ("target_rebuild").  Dense operands take one dense product each,
-    Monomials O(n)."""
+    Monomials O(n).  A non-finite angle rebuilds nothing and reads nan,
+    which fails every check."""
     rebuilds = {
         "base_rebuild": (cert.bframe, cert.base_angles, cert.base),
         "target_rebuild": (cert.aframe, cert.target_angles, cert.target),
@@ -515,7 +506,8 @@ def _defects(cert, names):
     for name in names:
         if name in rebuilds:
             f, angles, m = rebuilds[name]
-            out[name] = as_operator(f).rebuild(angles, m)
+            finite = np.isfinite(angles).all()
+            out[name] = as_operator(f).rebuild(angles, m) if finite else (math.nan,) * 2
         else:
             out[name] = as_operator(getattr(cert, name)).gram_defect()
     return out
@@ -641,12 +633,14 @@ def verify_certificate(cert):
     each step a conjugate of base^{+-1} (step_conjugacy); the product,
     recomputed in the eigenframe, against diag(e^{i target_angles}) up to
     one phase, with the target frame and angles rebuilding the target (see
-    product_check); the length against the budget; the easy-direction
-    profile inequality; and the one-norm lower bound on the length.  The
-    product tolerance is always TOL.eq_tol, which grows with the measured
-    frame and block defects and the target's unitarity defect, so the
-    report depends on the certificate alone.  lower_bound is the length
-    that bound forces, ell(target) / ell(base), or None when ell(base) is 0.
+    product_check); the length against theorem_budget of the theorem tag
+    and params, whose n must be the certificate's (budget is None, and
+    length fails, when params are malformed); the easy-direction profile
+    inequality; and the one-norm lower bound on the length.  The product
+    tolerance is always TOL.eq_tol, which grows with the measured frame and
+    block defects and the target's unitarity defect, so the report depends
+    on the certificate alone.  lower_bound is the length that bound forces,
+    ell(target) / ell(base), or None when ell(base) is 0.
 
     No eigensolver runs: every profile and one-norm is read off the stored
     angles, which the two rebuild checks tie to target and base.  Each
@@ -685,7 +679,15 @@ def verify_certificate(cert):
         n = cert.n
         k = len(cert)
         report["length"] = k
-        report["budget"] = int(cert.claimed_budget)
+        # malformed params fail length here, not in the handler below;
+        # DomainError is a ValueError, and s_den 0 raises ZeroDivisionError
+        try:
+            budget = int(cert.claimed_budget)
+        except (KeyError, TypeError, ValueError, ArithmeticError):
+            budget = None
+        report["budget"] = budget
+        # non-finite angles rebuild nothing and have no profile or product
+        finite = bool(np.isfinite(np.r_[cert.target_angles, cert.base_angles]).all())
         norms = _defects(cert, ("base",) + _PRODUCT_DEFECTS)
         checks["inputs_unitary"] = bool(
             norms["target"][0] <= TOL.unitarity and norms["base"][0] <= TOL.unitarity
@@ -713,16 +715,17 @@ def verify_certificate(cert):
             base_def <= TOL.diag_residual and well_formed
         )
         checks["product"] = False
-        if well_formed:
+        if well_formed and finite:
             ok, resid, tol = product_check(cert, norms, block_fro.max(initial=0.0))
             report["residual"] = resid
             report["tolerance"] = tol
             margins["residual_ratio"] = resid / tol
             checks["product"] = ok
-        checks["length"] = bool(k <= cert.claimed_budget)
+        checks["length"] = bool(
+            budget is not None and k <= budget and cert.params.get("n") == n
+        )
         checks["easy_direction"] = checks["lower_bound"] = False
-        # non-finite angles have no profile; they fail a rebuild check
-        if np.isfinite(np.r_[cert.target_angles, cert.base_angles]).all():
+        if finite:
             tspec = CircleSpectrum(cert.target_angles)
             bspec = CircleSpectrum(cert.base_angles)
             checks["easy_direction"] = not easy_violations(

@@ -282,8 +282,8 @@ def _walk_certificate(pair, theorem, m, s, admit, metadata):
     budget = theorem_budget(theorem, params)
     trivial = None
     if _is_central(uspec.angles):
-        trivial = Certificate(urep.op, vrep.op, uframe, vframe, vspec.angles, (), budget,
-                              theorem, params, {"trivial_target": True}, uspec.angles)
+        trivial = Certificate(urep.op, vrep.op, uframe, vframe, vspec.angles, uspec.angles,
+                              (), theorem, params, {"trivial_target": True})
 
     def walk():
         diameter = _diameter_pair(vspec.angles)
@@ -325,8 +325,8 @@ def _walk_certificate(pair, theorem, m, s, admit, metadata):
             )
         meta = {"walk_multiplier": mult, **metadata, "centering_phase": float(phase),
                 "planner": planner}
-        return Certificate(urep.op, vrep.op, aframe, bframe, gamma, runs, budget, theorem,
-                           params, meta, uspec.angles[order.sigma])
+        return Certificate(urep.op, vrep.op, aframe, bframe, gamma, uspec.angles[order.sigma],
+                           runs, theorem, params, meta)
 
     return _assembled(trivial, walk, {"target": urep.gram})
 

@@ -338,13 +338,7 @@ def pipeline_generate(u, v, m, s):
             "hypothesis_checked_at": f"profile breakpoint {window - 1}",
         }
     )
-    return replace(
-        inner,
-        claimed_budget=budget,
-        theorem="pipeline",
-        params=params,
-        metadata=metadata,
-    )
+    return replace(inner, theorem="pipeline", params=params, metadata=metadata)
 
 
 def _distance(a, b):

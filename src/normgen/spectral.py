@@ -639,7 +639,7 @@ def _separate_runs(w, mw, hvals, cut):
         block = turn * d[cols[:, :, None], cols[:, None, :]]
         _, v = np.linalg.eigh((block + block.conj().transpose(0, 2, 1)) / 2.0)
         for x in (w, mw):
-            x[:, cols] = np.einsum("irj,rjk->irk", x[:, cols], v)
+            x[:, cols] = (x[:, cols].transpose(1, 0, 2) @ v).transpose(1, 0, 2)
 
 
 def _eigen_residual(w, mw):
@@ -697,9 +697,11 @@ def diagonalize_normal(u):
     except where it maps distinct eigenvalues close together.  A
     reconstruction residual above 4 n eps means eigh mixed such columns,
     and _separate_runs splits them in one pass, so that w rebuilds u to
-    rounding.  A residual still above TOL.diag_residual raises
-    NumericalDegeneracyError.  t is the fixed _COMBINATION_ANGLE, so the
-    result depends on u alone.
+    rounding.  It joins every coupling above 4 sqrt(n) eps: the n - 1
+    couplings a row keeps below that cannot reach a row norm of 4 n eps,
+    which a tight cluster's many small couplings otherwise do.  A residual
+    still above TOL.diag_residual raises NumericalDegeneracyError.  t is
+    the fixed _COMBINATION_ANGLE, so the result depends on u alone.
     """
     if isinstance(u, CircleSpectrum):
         return u, Monomial(np.arange(u.n), np.ones(u.n))
@@ -726,7 +728,7 @@ def diagonalize_normal(u):
     angles, residual = _eigen_residual(w, mw)
     cut = 4.0 * n * EPS
     if residual > cut:
-        _separate_runs(w, mw, hvals, cut)
+        _separate_runs(w, mw, hvals, cut / math.sqrt(n))
         angles, residual = _eigen_residual(w, mw)
     if residual > TOL.diag_residual:
         raise NumericalDegeneracyError(

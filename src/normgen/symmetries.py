@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .certificate import Certificate, CertRun, _assembled, theorem_budget
+from .certificate import Certificate, CertRun, _assembled
 from .errors import (
     DimensionError,
     NumericalDegeneracyError,
@@ -148,10 +148,9 @@ def broise_kernel_certificate(w):
 
     def certificate(runs, metadata):
         params = {"m": None, "s": None, "n": n}
-        return Certificate(target, base, aframe, bframe, np.tile([0.0, np.pi], k), runs,
-                           theorem_budget("broise_kernel", params), "broise_kernel", params,
-                           {"construction": "stst", "square_root": "principal", **metadata},
-                           np.r_[spec.angles, -spec.angles])
+        return Certificate(target, base, aframe, bframe, np.tile([0.0, np.pi], k),
+                           np.r_[spec.angles, -spec.angles], runs, "broise_kernel", params,
+                           {"construction": "stst", "square_root": "principal", **metadata})
 
     # on the pair P sends to (j, k + j), A* s A is b_s diag(1, -1) b_s* and
     # A* t A, the swap, is b_t diag(1, -1) b_t*

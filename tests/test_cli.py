@@ -58,7 +58,7 @@ MALFORMED_FIELDS = {
     "aframe": small_aframe,
     "base_angles": short_angles,
     "theorem": lambda blob: blob.update(theorem="made_up"),
-    "claimed_budget": lambda blob: blob.update(claimed_budget=-1),
+    "version": lambda blob: blob.update(version="normgen-cert/7"),
 }
 
 
@@ -244,7 +244,19 @@ class TestGenerate:
         assert code == 0
         blob = json.loads(out.read_text())
         assert blob["s0"] == 12
-        assert blob["claimed_budget"] == 288
+        assert "claimed_budget" not in blob
+        assert "budget=288" in capsys.readouterr().out
+
+    def test_full_mode(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        u, v = (write_json(tmp_path / f"{name}.json", haar_unitary(4, rng).to_json())
+                for name in "uv")
+        out = tmp_path / "fcert.json"
+        assert main(["generate", u, v, "--mode", "full", "--out", str(out)]) == 0
+        assert Certificate.from_json(json.loads(out.read_text())).theorem == "full_gen"
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_missing_base(self, diag_file):
         assert main(["generate", diag_file, "--mode", "rank-dep"]) == 2
@@ -367,7 +379,7 @@ class TestMonomialCertificates:
     def test_generate_and_verify(self, tmp_path, capsys):
         out = monomial_cert(tmp_path)
         blob = json.loads(out.read_text())
-        assert blob["version"] == "normgen-cert/7"
+        assert blob["version"] == "normgen-cert/8"
         assert all("perm" in blob[name] for name in ("target", "base", "aframe", "bframe"))
         capsys.readouterr()
         assert main(["verify", str(out)]) == 0

@@ -163,12 +163,12 @@ class TestCertificateType:
     def test_unknown_theorem_tag(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(ValidationError):
-            Certificate(eye, eye, eye, eye, np.zeros(2), (), 0, "made_up")
+            Certificate(eye, eye, eye, eye, np.zeros(2), np.zeros(2), (), "made_up")
 
     def test_shape_mismatch(self):
         with pytest.raises(Exception):
             eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
-            Certificate(eye2, eye3, eye2, eye3, np.zeros(2), (), 0, "rank_dep")
+            Certificate(eye2, eye3, eye2, eye3, np.zeros(2), np.zeros(2), (), "rank_dep")
 
     def test_tampered_json_still_loads(self):
         # damaged step blocks must parse and then fail verification
@@ -318,7 +318,8 @@ class TestSwapCommutator:
         runs = (blockless(np.arange(4), 1), blockless(swap, -1))
         comm = v @ v[np.ix_(swap, swap)].conj().T
         eye = np.eye(4, dtype=complex)
-        cert = Certificate(comm, v, eye, eye, angles, runs, 2, "rank_dep")
+        cert = Certificate(comm, v, eye, eye, angles, np.angle(np.diagonal(comm)), runs,
+                           "rank_dep", {"m": 1, "s": None, "n": 4})
         assert np.max(np.abs(cert.product() - comm)) < 1e-12
         obj = json.loads(json.dumps(cert.to_json()))
         assert obj["perms"] == [list(range(4)), swap.tolist()]
@@ -1030,7 +1031,7 @@ class TestVerifyCertificate:
         assert report["lower_bound"] == pytest.approx(want, rel=1e-12)
         assert len(cert) >= report["lower_bound"]
         eye = np.eye(2, dtype=complex)
-        central = Certificate(eye, eye, eye, eye, np.zeros(2), (), 0, "rank_dep")
+        central = Certificate(eye, eye, eye, eye, np.zeros(2), np.zeros(2), (), "rank_dep")
         assert verify_certificate(central)["lower_bound"] is None
 
     def test_tampered_step_fails(self):
@@ -1052,18 +1053,31 @@ class TestVerifyCertificate:
         assert not report["pass"]
 
     def test_budget_violation_fails_length(self):
+        # the budget is derived from the tag: Broise's 4 is under this k = 8
         rng = np.random.default_rng(43)
         v = haar(3, rng)
         cert = generate_rank_dependent(v, v, 1)
-        bad = dataclasses.replace(cert, claimed_budget=max(0, len(cert) - 1))
+        bad = dataclasses.replace(cert, theorem="broise_kernel")
+        assert len(bad) > bad.claimed_budget == 4
         report = verify_certificate(bad)
         assert not report["checks"]["length"]
+        assert report["budget"] == 4
 
     def test_never_raises(self):
         eye = np.eye(2, dtype=complex)
         run = CertRun(np.arange(2), [1], np.zeros((1, 1, 2, 2)), [1])
-        junk = Certificate(eye, eye, eye, eye, np.zeros(2), (run,), 5, "rank_dep")
+        junk = Certificate(eye, eye, eye, eye, np.zeros(2), np.zeros(2), (run,), "rank_dep")
         report = verify_certificate(junk)
+        assert report["pass"] is False
+
+    def test_catch_all_reports_the_error(self, monkeypatch):
+        def broken(runs, n):
+            raise RuntimeError("broken helper")
+
+        monkeypatch.setattr(certificate, "_step_defects", broken)
+        report = verify_certificate(POOL[3])
+        assert report["error"] == "RuntimeError: broken helper"
+        assert report["checks"]["exception"] is False
         assert report["pass"] is False
 
     def test_exponent_mix_verifies(self):
@@ -1076,6 +1090,66 @@ class TestVerifyCertificate:
         exps = {st.e for st in cert.steps}
         assert exps == {1, -1}
         assert_sound(cert)
+
+
+@functools.lru_cache(maxsize=None)
+def rank_dep_16():
+    """A rank-dependent certificate at n = 16, k = 8 and budget 256."""
+    from normgen import admissible_pair
+
+    u, v = admissible_pair(16, 2, 1, np.random.default_rng([16, 0]))
+    return generate_rank_dependent(u, v, 2)
+
+
+class TestDerivedBudget:
+    """The length is charged against theorem_budget of the stored tag and
+    params, whose n must be the certificate's; no budget is stored."""
+
+    def verify_edited(self, cert, edit):
+        obj = json.loads(json.dumps(cert.to_json()))
+        edit(obj)
+        return verify_certificate(Certificate.from_json(obj))
+
+    def test_record_stores_no_budget(self):
+        fields = {f.name: f for f in dataclasses.fields(Certificate)}
+        assert "claimed_budget" not in fields
+        assert fields["target_angles"].default is dataclasses.MISSING
+        for cert in POOL:
+            assert "claimed_budget" not in cert.to_json()
+            assert cert.claimed_budget == theorem_budget(cert.theorem, cert.params)
+
+    @pytest.mark.parametrize("edit, budget", [
+        pytest.param(lambda obj: obj.update(theorem="broise_kernel"), 4, id="broise-tag"),
+        pytest.param(lambda obj: obj["params"].update(n=3), 48, id="n-3"),
+        pytest.param(lambda obj: obj["params"].update(m=0), None, id="m-0"),
+        pytest.param(lambda obj: obj.update(params={}), None, id="no-params"),
+        pytest.param(lambda obj: obj["params"].update(m=None), None, id="m-null"),
+    ])
+    def test_params_edit_fails_length(self, edit, budget):
+        cert = rank_dep_16()
+        assert verify_certificate(cert)["budget"] == 256
+        report = self.verify_edited(cert, edit)
+        assert "error" not in report
+        assert [c for c, ok in report["checks"].items() if not ok] == ["length"]
+        assert report["budget"] == budget
+
+    def test_pipeline_zero_denominator_fails_length(self):
+        cert = next(c for c in POOL if c.theorem == "pipeline")
+        assert verify_certificate(cert)["pass"]
+        report = self.verify_edited(cert, lambda obj: obj["params"].update(s_den=0))
+        assert "error" not in report
+        assert [c for c, ok in report["checks"].items() if not ok] == ["length"]
+        assert report["budget"] is None
+
+    def test_larger_multiplier_is_a_weaker_true_claim(self):
+        report = self.verify_edited(rank_dep_16(), lambda obj: obj["params"].update(m=99))
+        assert report["pass"] and report["budget"] == 8 * 99 * 16
+
+    @pytest.mark.parametrize("stored", [10**9, 2**70, -1, "x"])
+    def test_a_stored_budget_key_is_not_read(self, stored):
+        cert = rank_dep_16()
+        report = self.verify_edited(cert, lambda obj: obj.update(claimed_budget=stored))
+        assert report == verify_certificate(cert)
 
 
 def moved(u, eps, rng):
@@ -1353,6 +1427,12 @@ class TestFactoredCertificates:
         with pytest.raises(CertificateFormatError):
             Certificate.from_json(obj)
 
+    def test_cert7_rejected(self):
+        obj = POOL[0].to_json()
+        obj["version"] = "normgen-cert/7"
+        with pytest.raises(CertificateFormatError):
+            Certificate.from_json(obj)
+
     @pytest.mark.parametrize("bad", [[0.0], "x", [1, 2], {}])
     def test_target_angles_must_be_n_floats(self, bad):
         obj = POOL[3].to_json()
@@ -1391,6 +1471,21 @@ class TestFactoredCertificates:
         assert not report["checks"][check]
         assert not report["checks"]["easy_direction"]
         assert not report["pass"]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["base_angles", "target_angles"])
+    @pytest.mark.parametrize("frames", ["dense", "monomial"])
+    def test_non_finite_angle_fails_without_warnings(self, frames, name, value):
+        cert = POOL[3] if frames == "dense" else MONO
+        angles = np.array(getattr(cert, name), copy=True)
+        angles[1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_certificate(dataclasses.replace(cert, **{name: angles}))
+        assert "error" not in report
+        check = "step_conjugacy" if name == "base_angles" else "product"
+        assert not report["checks"][check] and not report["checks"]["easy_direction"]
+        assert report["pass"] is False
 
     def test_verify_runs_no_eigensolver(self, eigh_calls):
         kinds = {cert.theorem for cert in POOL}
@@ -1433,7 +1528,7 @@ class TestFactoredCertificates:
             blockless(rng.permutation(n), -1),
             CertRun(np.arange(n), [5, 3, 0], stack(2, [5, 3, 0]), [1, 1]),
         )
-        cert = Certificate(base, base, a, b, theta, runs, 8, "rank_dep")
+        cert = Certificate(base, base, a, b, theta, theta, runs, "rank_dep")
         text = json.dumps(cert.to_json())
         back = Certificate.from_json(json.loads(text))
         assert json.dumps(back.to_json()) == text
@@ -1773,7 +1868,7 @@ class TestPackedSteps:
 
 
 class TestCertRuns:
-    """normgen-cert/7 stores one record per run, and the verifier reads the
+    """normgen-cert/8 stores one record per run, and the verifier reads the
     runs as stored while naming steps by their global index."""
 
     CERT = POOL[3]
@@ -1783,7 +1878,7 @@ class TestCertRuns:
 
     def test_one_record_per_run(self):
         cert, obj = self.CERT, self.fresh()
-        assert obj["version"] == "normgen-cert/7" and "steps" not in obj
+        assert obj["version"] == "normgen-cert/8" and "steps" not in obj
         assert len(obj["runs"]) == len(cert.runs) > 1
         assert sum(len(rec["e"]) for rec in obj["runs"]) == len(cert) == len(cert.steps)
 
@@ -2039,7 +2134,7 @@ class TestMonomialRecords:
 
     def test_operands_are_monomial_records(self):
         obj = self.fresh()
-        assert obj["version"] == "normgen-cert/7"
+        assert obj["version"] == "normgen-cert/8"
         for name in OPERANDS:
             x, rec = getattr(MONO, name), obj[name]
             assert isinstance(x, spectral.Monomial)

@@ -407,13 +407,27 @@ def diagonalize_family(family, n, rng):
     if family == "spread":
         # admissible_pair's bases
         return _spread_gaps(random_spectrum(n, rng).angles)
+    if family == "tight":
+        # one cluster of half-width 1e-4 to 1e-10: eigh mixes its columns,
+        # every coupling far under the 4 n eps cut but a row's sum over it
+        half = 10.0 ** -rng.uniform(4.0, 10.0)
+        return rng.uniform(-math.pi, math.pi) + rng.uniform(-half, half, n)
     return profile_family(family, n, rng)
 
 
 DIAGONALIZE_FAMILIES = (
     "uniform", "clustered", "four-clusters", "antipodal", "repeated", "collision", "flat",
-    "spread",
+    "spread", "tight",
 )
+
+
+def tight_cluster_reproducer():
+    """32 angles within 1e-6 of one point, Haar-conjugated: each coupling
+    eigh leaves is under 4 n eps, but a row's add up to a rebuild of 10 n
+    eps unless they are separated."""
+    rng = np.random.default_rng([7, 1539])
+    angles = rng.uniform(-math.pi, math.pi) + rng.uniform(-1e-6, 1e-6, 32)
+    return conjugated(angles, rng)
 
 
 class TestDiagonalize:
@@ -477,9 +491,10 @@ class TestDiagonalize:
     def test_rebuild_at_rounding_level(self, eigh_calls):
         rng = np.random.default_rng(44)
         eps = np.finfo(float).eps
-        cases = itertools.product(DIAGONALIZE_FAMILIES, (2, 4, 8, 16, 32, 64), range(4))
-        for family, n, _ in cases:
-            u = conjugated(diagonalize_family(family, n, rng), rng)
+        cases = itertools.product(DIAGONALIZE_FAMILIES, (2, 4, 8, 16, 32, 64, 128), range(4))
+        inputs = ((f, conjugated(diagonalize_family(f, n, rng), rng)) for f, n, _ in cases)
+        for family, u in itertools.chain(inputs, [("reproducer", tight_cluster_reproducer())]):
+            n = u.shape[0]
             eigh_calls.clear()
             spec, w = ng.diagonalize_normal(u)
             assert eigh_calls.count((n, n)) == 1, family
@@ -493,14 +508,15 @@ class TestDiagonalize:
         # they form a single run, which takes one small eigh
         eps = np.finfo(float).eps
         t = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi)
-        # the base of a certify input: couplings (0, 2), (1, 2) and (2, 3)
+        # the base of a certify input: couplings (0, 2), (1, 2) and (2, 3),
+        # and one to a fifth column over the per-coupling cut 4 sqrt(n) eps
         _, base = ng.admissible_pair(32, 2, 1, np.random.default_rng([1, 1]))
         rng = np.random.default_rng(0)
         angles = rng.uniform(-math.pi, math.pi, 8)
         # three eigenvalues whose images cos(a - t) lie within 1e-7
         angles[:3] = t + 1.0, t - 1.0 - 4e-8, t + 1.0 + 8e-8
         chain = conjugated(angles, rng)
-        for u, run in ((base.matrix, 4), (chain, 3)):
+        for u, run in ((base.matrix, 5), (chain, 3)):
             n = u.shape[0]
             eigh_calls.clear()
             spec, w = ng.diagonalize_normal(u)
