@@ -307,7 +307,7 @@ class Certificate:
             "runs": runs,
             "theorem": self.theorem,
             "params": dict(self.params),
-            "metadata": _json_safe(self.metadata),
+            "metadata": dict(self.metadata),
         }
         if "s0" in self.metadata:
             out["s0"] = int(self.metadata["s0"])
@@ -360,22 +360,6 @@ class Certificate:
 
 def _operand(x):
     return x if isinstance(x, Monomial) else np.asarray(x, dtype=complex)
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, Fraction):
-        return {"num": obj.numerator, "den": obj.denominator}
-    return obj
 
 
 def _step_kernels(angles, runs):
@@ -466,21 +450,28 @@ def theorem_budget(theorem, params):
     """The conjugate count a certificate of the theorem tag is charged
     against, read from the params record its certificates store: 8*m*n for
     rank_dep and full_gen, 24*m*ceil(n/s) for rank_indep, 48*m*ceil(1/s)
-    with s = s_num/s_den for pipeline, and 4 for broise_kernel.
+    with s = s_num/s_den for pipeline, and 4 for broise_kernel.  Every
+    param read must be an int, not a bool; anything else raises TypeError.
     """
     if theorem == "broise_kernel":
         return 4
     if theorem not in THEOREM_TAGS:
         raise DomainError(f"unknown theorem tag {theorem!r}")
-    m = int(params["m"])
+
+    def param(name):
+        if not _all_ints(params[name]):
+            raise TypeError(f"param {name} must be an integer, got {params[name]!r}")
+        return params[name]
+
+    m = param("m")
     if m <= 0:
         raise DomainError("multiplier must be positive")
     if theorem in ("rank_dep", "full_gen"):
-        return 8 * m * int(params["n"])
+        return 8 * m * param("n")
     if theorem == "rank_indep":
-        factor, span, s = 24, int(params["n"]), Fraction(params["s"])
+        factor, span, s = 24, param("n"), param("s")
     else:
-        factor, span, s = 48, 1, Fraction(params["s_num"], params["s_den"])
+        factor, span, s = 48, 1, Fraction(param("s_num"), param("s_den"))
     if s <= 0:
         raise DomainError("block parameter must be positive")
     return factor * m * -(-span // s)
@@ -634,13 +625,14 @@ def verify_certificate(cert):
     recomputed in the eigenframe, against diag(e^{i target_angles}) up to
     one phase, with the target frame and angles rebuilding the target (see
     product_check); the length against theorem_budget of the theorem tag
-    and params, whose n must be the certificate's (budget is None, and
-    length fails, when params are malformed); the easy-direction profile
-    inequality; and the one-norm lower bound on the length.  The product
-    tolerance is always TOL.eq_tol, which grows with the measured frame and
-    block defects and the target's unitarity defect, so the report depends
-    on the certificate alone.  lower_bound is the length that bound forces,
-    ell(target) / ell(base), or None when ell(base) is 0.
+    and params, whose n must be the certificate's, as an int (budget is
+    None, and length fails, when params are malformed or mistyped); the
+    easy-direction profile inequality; and the one-norm lower bound on the
+    length.  The product tolerance is always TOL.eq_tol, which grows with
+    the measured frame and block defects and the target's unitarity defect,
+    so the report depends on the certificate alone.  lower_bound is the
+    length that bound forces, ell(target) / ell(base), or None when
+    ell(base) is 0.
 
     No eigensolver runs: every profile and one-norm is read off the stored
     angles, which the two rebuild checks tie to target and base.  Each
@@ -682,7 +674,7 @@ def verify_certificate(cert):
         # malformed params fail length here, not in the handler below;
         # DomainError is a ValueError, and s_den 0 raises ZeroDivisionError
         try:
-            budget = int(cert.claimed_budget)
+            budget = cert.claimed_budget
         except (KeyError, TypeError, ValueError, ArithmeticError):
             budget = None
         report["budget"] = budget
@@ -722,7 +714,8 @@ def verify_certificate(cert):
             margins["residual_ratio"] = resid / tol
             checks["product"] = ok
         checks["length"] = bool(
-            budget is not None and k <= budget and cert.params.get("n") == n
+            budget is not None and k <= budget
+            and _all_ints(cert.params.get("n")) and cert.params["n"] == n
         )
         checks["easy_direction"] = checks["lower_bound"] = False
         if finite:

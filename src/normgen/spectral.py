@@ -20,14 +20,15 @@ circle, where both projective quantities have closed forms:
 
 The full profile takes every window width in one pass over a strided
 (n, n) view of the sorted angles, reduced in row blocks: O(n^2) time and
-O(n) memory plus one block of _BLOCK span entries.  Exactly diagonal
-unitaries are read off their diagonal, with no eigensolver, and spectrum_of
-builds no eigenvector frame for them.
+O(n) memory plus one block of _BLOCK span entries.  Every spectrum comes
+from diagonalize_normal, which reads an exactly diagonal unitary off its
+diagonal with no eigensolver; spectrum_of reads a diagonal Monomial's
+phases the same way without building its frame.
 
 A unitary is dense or a Monomial, a perm plus n phases: diagonal unitaries
 and permutation frames are built as Monomials wherever the structure is
-known, and their Gram and rebuild checks and spectra take O(n) or
-O(n log n) instead of dense products.
+known, and their Gram and rebuild checks take O(n) instead of dense
+products.  A Monomial with a nontrivial perm is diagonalized densely.
 """
 
 from dataclasses import dataclass, field
@@ -137,11 +138,11 @@ class Monomial:
     basis vector j to perm[j].  Diagonal unitaries (the identity perm) and
     permutation frames (unit phases) are monomial.  phase_angles, when
     given, are canonical angles with phases = e^{i phase_angles}, kept by
-    whoever made the phases from them so that spectra read them back
-    exactly.
+    whoever made the phases from them so that a diagonal X's spectrum
+    reads them back exactly.
 
-    gram_defect and rebuild run in O(n), apply in O(n) per column of its
-    argument and spectrum in O(n log n); none forms an n x n array.  matrix, and np.asarray, build
+    gram_defect and rebuild run in O(n) and apply in O(n) per column of
+    its argument; none forms an n x n array.  matrix, and np.asarray, build
     the dense matrix on request.  Only the shapes are checked, so a damaged
     certificate record loads and then fails its Gram check.
     """
@@ -227,27 +228,6 @@ class Monomial:
         """X with its columns reordered: column j of the result is column
         order[j] of X."""
         return Monomial(self.perm[order], self.phases[order])
-
-    def spectrum(self):
-        """The sorted eigenvalue angles of a unitary X, in O(n log n): each
-        cycle of the perm, of length L and phase product p, contributes the
-        L-th roots of p, so a diagonal X gives the angles of its phases."""
-        if self.diagonal:
-            return CircleSpectrum(np.sort(self._phase_angles(), kind="stable"))
-        perm = self.perm.tolist()
-        seen = [False] * self.n
-        parts = []
-        for start in range(self.n):
-            cycle = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cycle.append(j)
-                j = perm[j]
-            if cycle:
-                p = np.prod(self.phases[cycle])
-                parts.append((np.angle(p) + TWO_PI * np.arange(len(cycle))) / len(cycle))
-        return CircleSpectrum(np.sort(canon_angle(np.concatenate(parts))))
 
 
 class Dense:
@@ -456,19 +436,15 @@ def haar_unitary(n, rng):
 
 
 def spectrum_of(u):
-    """Eigenvalue angles of u: a spectrum as it is, a monomial u read off
-    its phases and an exactly diagonal dense u off its diagonal, with no
-    frame built, any other u diagonalized."""
+    """Eigenvalue angles of u: a spectrum as it is, a diagonal Monomial read
+    off its phases with no frame built, any other u from
+    diagonalize_normal."""
     if isinstance(u, CircleSpectrum):
         return u
     rep = as_unitary(u)
-    if isinstance(rep.op, Monomial):
-        return rep.op.spectrum()
-    diagonal = _diagonal_angles(rep.op)
-    if diagonal is not None:
-        return CircleSpectrum(diagonal[0])
-    spec, _ = diagonalize_normal(rep)
-    return spec
+    if isinstance(rep.op, Monomial) and rep.op.diagonal:
+        return CircleSpectrum(np.sort(rep.op._phase_angles(), kind="stable"))
+    return diagonalize_normal(rep)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -658,18 +634,6 @@ def _sorted_angles(angles):
     return angles[order], order
 
 
-def _diagonal_angles(m):
-    """_sorted_angles of the diagonal of an exactly diagonal m; None when an
-    off-diagonal entry is not 0."""
-    n = m.shape[0]
-    # the n entries that follow each diagonal entry in row-major order are
-    # off-diagonal: a strided view of all of them, and any() reads them
-    # without a temporary, several times faster than counting nonzeros
-    if m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
-        return None
-    return _sorted_angles(canon_angle(np.angle(np.diagonal(m))))
-
-
 # the angle t of diagonalize_normal's Hermitian combination: the first draw
 # of np.random.default_rng(0).uniform(0, 2 pi), fixed here so that a call
 # neither builds a generator nor imports numpy.random
@@ -712,9 +676,11 @@ def diagonalize_normal(u):
         return CircleSpectrum(angles), Monomial(order, np.ones(n))
     # a monomial with a nontrivial perm is diagonalized densely
     m = rep.matrix
-    diagonal = _diagonal_angles(m)
-    if diagonal is not None:
-        angles, order = diagonal
+    # the n entries that follow each diagonal entry in row-major order are
+    # off-diagonal: a strided view of all of them, and any() reads them
+    # without a temporary, several times faster than counting nonzeros
+    if not m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        angles, order = _sorted_angles(canon_angle(np.angle(np.diagonal(m))))
         # column j is e_order[j], stored column-major as a column gather of
         # the identity is: BLAS products with w pick their kernel, and with
         # it the sign of an all-zero sum, by layout

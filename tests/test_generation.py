@@ -52,6 +52,8 @@ from normgen.spectral import (
 )
 from normgen.su2 import _walk, source_block, walk_length
 
+import hard_spectra
+
 
 def haar(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -206,6 +208,17 @@ class TestTheoremBudgets:
             theorem_budget("pipeline", {"m": 1, "s_num": 0, "s_den": 1})
         with pytest.raises(DomainError):
             theorem_budget("unknown", {"m": 1, "s": None, "n": 4})
+
+    @pytest.mark.parametrize("theorem, name", [
+        ("rank_dep", "m"), ("rank_dep", "n"), ("full_gen", "n"), ("rank_indep", "s"),
+        ("pipeline", "s_num"), ("pipeline", "s_den"),
+    ])
+    @pytest.mark.parametrize("value", ["2", 2.0, True, np.int64(2), None])
+    def test_params_must_be_ints(self, theorem, name, value):
+        params = {"m": 1, "n": 4, "s": 1, "s_num": 1, "s_den": 2}
+        assert theorem_budget(theorem, params) > 0
+        with pytest.raises(TypeError):
+            theorem_budget(theorem, {**params, name: value})
 
     def test_generators_charge_their_tag(self):
         from normgen import admissible_pair, broise_kernel_certificate
@@ -1133,6 +1146,15 @@ class TestDerivedBudget:
         assert [c for c, ok in report["checks"].items() if not ok] == ["length"]
         assert report["budget"] == budget
 
+    @pytest.mark.parametrize("name, value", [
+        ("m", "99"), ("m", 2.9), ("m", True), ("m", 2.0), ("n", 16.0),
+    ])
+    def test_mistyped_params_fail_length(self, name, value):
+        report = self.verify_edited(rank_dep_16(), lambda obj: obj["params"].update({name: value}))
+        assert "error" not in report
+        assert [c for c, ok in report["checks"].items() if not ok] == ["length"]
+        assert report["budget"] is None
+
     def test_pipeline_zero_denominator_fails_length(self):
         cert = next(c for c in POOL if c.theorem == "pipeline")
         assert verify_certificate(cert)["pass"]
@@ -1150,6 +1172,24 @@ class TestDerivedBudget:
         cert = rank_dep_16()
         report = self.verify_edited(cert, lambda obj: obj.update(claimed_budget=stored))
         assert report == verify_certificate(cert)
+
+
+class TestHardSpectraEndToEnd:
+    """generate_full on Haar conjugates of every pair of hard families,
+    verified after a JSON round trip; only a central base may refuse."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", hard_spectra.SIZES)
+    def test_every_family_pair(self, n):
+        outcomes = []
+        for case in hard_spectra.cases(12, sizes=(n,)):
+            outcome, report = hard_spectra.run_case(*case)
+            if outcome == "verified":
+                assert report["pass"], (case, report)
+                assert report["margins"]["residual_ratio"] < 0.1, case
+            outcomes.append(outcome)
+        assert len(outcomes) == len(hard_spectra.FAMILIES) ** 2
+        assert outcomes.count("verified") >= len(outcomes) // 2
 
 
 def moved(u, eps, rng):
@@ -1265,6 +1305,8 @@ class TestFactoredCertificates:
         blob = json.dumps(POOL[idx].to_json())
         back = Certificate.from_json(json.loads(blob))
         assert json.dumps(back.to_json()) == blob
+        # metadata is JSON-native and written as given
+        assert json.loads(blob)["metadata"] == POOL[idx].to_json()["metadata"] == POOL[idx].metadata
 
     @pytest.mark.parametrize("idx", range(len(POOL)))
     def test_product_matches_dense_conjugates(self, idx, step_conjugator):

@@ -921,7 +921,7 @@ class TestMonomial:
             ng.Monomial([0, 1], np.ones(3))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_cycle_spectrum_matches_eigvals(self, seed, eigh_calls):
+    def test_cycle_spectrum_matches_eigvals(self, seed):
         rng = np.random.default_rng(83 + seed)
         n = (1, 2, 7, 12, 30, 64)[seed]
         x = random_monomial(n, rng)
@@ -932,7 +932,6 @@ class TestMonomial:
             assert np.min(np.abs(want - np.exp(1j * a))) < 1e-9
         assert np.all(np.diff(got) >= 0.0)
         assert np.array_equal(np.sort(got), got)
-        assert eigh_calls == []
 
     def test_unitary_rep_keeps_its_gram(self):
         rng = np.random.default_rng(84)
@@ -971,4 +970,24 @@ class TestMonomial:
         spec, w = ng.diagonalize_normal(ng.UnitaryRep(x))
         rebuilt = (w * np.exp(1j * spec.angles)) @ w.conj().T
         assert np.max(np.abs(rebuilt - x.matrix)) < 1e-12
-        assert np.max(np.abs(spec.angles - spectrum_of(x).angles)) < 1e-9
+        assert np.array_equal(spec.angles, spectrum_of(x).angles)
+
+    @pytest.mark.parametrize("kind", ["permuted monomial", "diagonal dense",
+                                      "diagonal monomial", "dense"])
+    def test_spectrum_of_is_diagonalize_normal(self, kind, eigh_calls):
+        # one spectrum path: spectrum_of agrees with diagonalize_normal bit
+        # for bit, and only a matrix with off-diagonal entries runs eigh
+        rng = np.random.default_rng(87)
+        for n in (1, 2, 5, 13, 32):
+            for _ in range(4):
+                x = random_monomial(n, rng)
+                if kind == "diagonal dense":
+                    x = np.diag(x.phases)
+                elif kind == "diagonal monomial":
+                    x = ng.Monomial(np.arange(n), x.phases)
+                elif kind == "dense":
+                    x = haar_unitary(n, rng)
+                want = ng.diagonalize_normal(x)[0].angles
+                assert np.array_equal(spectrum_of(x).angles, want), (kind, n)
+        if kind.startswith("diagonal"):
+            assert eigh_calls == []
