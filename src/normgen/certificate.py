@@ -14,6 +14,7 @@ on it, never the reverse, so checking a certificate loads no walk code.
 """
 
 import base64
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 import math
@@ -307,7 +308,7 @@ class Certificate:
             "runs": runs,
             "theorem": self.theorem,
             "params": dict(self.params),
-            "metadata": dict(self.metadata),
+            "metadata": copy.deepcopy(self.metadata),
         }
         if "s0" in self.metadata:
             out["s0"] = int(self.metadata["s0"])

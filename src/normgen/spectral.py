@@ -21,9 +21,9 @@ circle, where both projective quantities have closed forms:
 The full profile takes every window width in one pass over a strided
 (n, n) view of the sorted angles, reduced in row blocks: O(n^2) time and
 O(n) memory plus one block of _BLOCK span entries.  Every spectrum comes
-from diagonalize_normal, which reads an exactly diagonal unitary off its
-diagonal with no eigensolver; spectrum_of reads a diagonal Monomial's
-phases the same way without building its frame.
+from diagonalize_normal, which reads a diagonal unitary off its diagonal
+with no eigensolver (_diagonal_phases); spectrum_of reads it the same way
+without building its frame.
 
 A unitary is dense or a Monomial, a perm plus n phases: diagonal unitaries
 and permutation frames are built as Monomials wherever the structure is
@@ -436,14 +436,14 @@ def haar_unitary(n, rng):
 
 
 def spectrum_of(u):
-    """Eigenvalue angles of u: a spectrum as it is, a diagonal Monomial read
-    off its phases with no frame built, any other u from
-    diagonalize_normal."""
+    """Eigenvalue angles of u: a spectrum as it is, a diagonal u's sorted
+    _diagonal_phases with no frame built, any other u diagonalize_normal's."""
     if isinstance(u, CircleSpectrum):
         return u
     rep = as_unitary(u)
-    if isinstance(rep.op, Monomial) and rep.op.diagonal:
-        return CircleSpectrum(np.sort(rep.op._phase_angles(), kind="stable"))
+    phases = _diagonal_phases(rep)
+    if phases is not None:
+        return CircleSpectrum(np.sort(phases, kind="stable"))
     return diagonalize_normal(rep)[0]
 
 
@@ -628,10 +628,17 @@ def _eigen_residual(w, mw):
     return angles, float(np.sqrt(np.max(rows)))
 
 
-def _sorted_angles(angles):
-    """angles in sorted order, and the stable order that sorts them."""
-    order = np.argsort(angles, kind="stable")
-    return angles[order], order
+def _diagonal_phases(rep):
+    """The canonical eigenvalue angles, in diagonal order, of a diagonal
+    Monomial or an exactly diagonal dense rep; None for any other rep."""
+    if isinstance(rep.op, Monomial):
+        return rep.op._phase_angles() if rep.op.diagonal else None
+    m, n = rep.op, rep.n
+    # the n entries after each diagonal entry in row-major order are
+    # off-diagonal: any() reads that strided view without a temporary
+    if m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return None
+    return canon_angle(np.angle(np.diagonal(m)))
 
 
 # the angle t of diagonalize_normal's Hermitian combination: the first draw
@@ -671,22 +678,20 @@ def diagonalize_normal(u):
         return u, Monomial(np.arange(u.n), np.ones(u.n))
     rep = as_unitary(u)
     n = rep.n
-    if isinstance(rep.op, Monomial) and rep.op.diagonal:
-        angles, order = _sorted_angles(rep.op._phase_angles())
-        return CircleSpectrum(angles), Monomial(order, np.ones(n))
-    # a monomial with a nontrivial perm is diagonalized densely
-    m = rep.matrix
-    # the n entries that follow each diagonal entry in row-major order are
-    # off-diagonal: a strided view of all of them, and any() reads them
-    # without a temporary, several times faster than counting nonzeros
-    if not m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
-        angles, order = _sorted_angles(canon_angle(np.angle(np.diagonal(m))))
+    phases = _diagonal_phases(rep)
+    if phases is not None:
+        order = np.argsort(phases, kind="stable")
+        spec = CircleSpectrum(phases[order])
+        if isinstance(rep.op, Monomial):
+            return spec, Monomial(order, np.ones(n))
         # column j is e_order[j], stored column-major as a column gather of
         # the identity is: BLAS products with w pick their kernel, and with
         # it the sign of an all-zero sum, by layout
         w = np.zeros((n, n), dtype=complex, order="F")
         w[order, np.arange(n)] = 1.0
-        return CircleSpectrum(angles), w
+        return spec, w
+    # a monomial with a nontrivial perm is diagonalized densely
+    m = rep.matrix
     t = _COMBINATION_ANGLE
     h = math.cos(t) * ((m + m.conj().T) / 2.0) + math.sin(t) * ((m - m.conj().T) / 2j)
     hvals, w = np.linalg.eigh(h)

@@ -4,12 +4,11 @@ Each case Haar-conjugates a target and a base drawn from two of the hard
 families, generates with generate_full, round-trips the certificate through
 JSON and verifies it.  test_generation.py runs every (target, base) family
 pair once per size; run as a script, this module repeats the sweep over
-fresh seeds until a time budget runs out and prints what it saw:
+fresh seeds for SECONDS and prints what it saw:
 
-    PYTHONPATH=src python tests/hard_spectra.py --seconds 60
+    PYTHONPATH=src python tests/hard_spectra.py
 """
 
-import argparse
 import json
 import math
 import time
@@ -23,6 +22,7 @@ FAMILIES = ("tight", "antipodal", "repeated", "half-cluster", "uniform", "narrow
 SIZES = (2, 3, 5, 8, 13, 24)
 # inputs that force more conjugates than this are skipped
 MAX_LOWER_BOUND = 5000
+SECONDS = 60.0
 
 
 def hard_angles(family, n, rng):
@@ -83,12 +83,9 @@ def cases(seed, sizes=SIZES):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=float, default=60.0)
-    args = parser.parse_args()
     counts = dict.fromkeys(("verified", "failed", "skipped", "degenerate"), 0)
     worst_ratio, largest_k, seed = 0.0, 0, 12
-    stop = time.perf_counter() + args.seconds
+    stop = time.perf_counter() + SECONDS
     while time.perf_counter() < stop:
         for case in cases(seed):
             outcome, report = run_case(*case)

@@ -901,8 +901,8 @@ CENTERING_FAMILIES = (
 
 
 def centering_angles(family, n, rng):
-    if family == "uniform":
-        return rng.uniform(-math.pi, math.pi, n)
+    if family in ("uniform", "repeated"):
+        return hard_spectra.hard_angles(family, n, rng)
     if family == "clustered":
         return rng.uniform(-0.3, 0.3, n)
     if family == "four-clusters":
@@ -910,8 +910,6 @@ def centering_angles(family, n, rng):
     if family == "antipodal":
         half = rng.uniform(-math.pi, math.pi, (n + 1) // 2)
         return np.concatenate((half, half + math.pi))[:n]
-    if family == "repeated":
-        return rng.uniform(-math.pi, math.pi, 3)[rng.integers(0, 3, n)]
     if family == "signed-zeros":
         return rng.choice([0.0, -0.0, math.pi, -math.pi], n)
     # every shift has the same peak up to rounding, so the 1e-15 tie rule
@@ -1307,6 +1305,14 @@ class TestFactoredCertificates:
         assert json.dumps(back.to_json()) == blob
         # metadata is JSON-native and written as given
         assert json.loads(blob)["metadata"] == POOL[idx].to_json()["metadata"] == POOL[idx].metadata
+
+    def test_emitted_metadata_is_a_copy(self):
+        # editing an emitted record in place leaves the certificate alone
+        cert = next(c for c in POOL if "planner" in c.metadata)
+        out = cert.to_json()
+        assert out["metadata"]["planner"] is not cert.metadata["planner"]
+        out["metadata"]["planner"]["batches"] = -1
+        assert cert.metadata["planner"]["batches"] >= 0
 
     @pytest.mark.parametrize("idx", range(len(POOL)))
     def test_product_matches_dense_conjugates(self, idx, step_conjugator):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normgen as ng
+from hard_spectra import conjugated, hard_angles
 from normgen.corpus import _spread_gaps, random_spectrum
 from normgen.spectral import (
     _BLOCK,
@@ -381,12 +382,6 @@ class TestRankOps:
         assert rank(spec) == 4
 
 
-def conjugated(angles, rng):
-    """A Haar conjugate of diag(e^{i angles})."""
-    w0 = haar_unitary(len(angles), rng)
-    return (w0 * np.exp(1j * np.asarray(angles))) @ w0.conj().T
-
-
 def diagonalize_family(family, n, rng):
     """Eigenvalue angles of one of the hard families for diagonalize_normal."""
     if family == "collision":
@@ -410,8 +405,7 @@ def diagonalize_family(family, n, rng):
     if family == "tight":
         # one cluster of half-width 1e-4 to 1e-10: eigh mixes its columns,
         # every coupling far under the 4 n eps cut but a row's sum over it
-        half = 10.0 ** -rng.uniform(4.0, 10.0)
-        return rng.uniform(-math.pi, math.pi) + rng.uniform(-half, half, n)
+        return hard_angles(family, n, rng)
     return profile_family(family, n, rng)
 
 
@@ -776,8 +770,8 @@ def per_width_profile(angles):
 
 def profile_family(family, n, rng):
     """Eigenvalue angles of one of the hard spectrum families."""
-    if family == "uniform":
-        return rng.uniform(-math.pi, math.pi, n)
+    if family in ("uniform", "repeated"):
+        return hard_angles(family, n, rng)
     if family == "clustered":
         return rng.uniform(-0.3, 0.3, n)
     if family == "four-clusters":
@@ -785,8 +779,6 @@ def profile_family(family, n, rng):
     if family == "antipodal":
         half = rng.uniform(-math.pi, math.pi, (n + 1) // 2)
         return np.concatenate((half, half + math.pi))[:n]
-    if family == "repeated":
-        return rng.uniform(-math.pi, math.pi, 3)[rng.integers(0, 3, n)]
     # windows centered on 0 give witnesses with a -0.0 imaginary part
     return rng.choice([0.0, -0.0, math.pi, -math.pi], n)
 
@@ -988,6 +980,19 @@ class TestMonomial:
                 elif kind == "dense":
                     x = haar_unitary(n, rng)
                 want = ng.diagonalize_normal(x)[0].angles
-                assert np.array_equal(spectrum_of(x).angles, want), (kind, n)
+                assert spectrum_of(x).angles.tobytes() == want.tobytes(), (kind, n)
         if kind.startswith("diagonal"):
             assert eigh_calls == []
+
+    def test_diagonal_dense_spectrum_builds_no_frame(self):
+        # diagonalize_normal's frame for a dense diagonal u takes 16 n^2
+        # bytes; spectrum_of reads the diagonal in O(n) memory
+        n = 512
+        rep = ng.UnitaryRep(np.diag(np.exp(1j * np.linspace(-3.0, 3.0, n))))
+        tracemalloc.start()
+        try:
+            spectrum_of(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
